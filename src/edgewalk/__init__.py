@@ -23,9 +23,12 @@ from .operators import (
     DiscriminantMatrix,
     LineTransitionMatrix,
     apply_U,
+    arc_matrix,
+    arc_vector,
     build_P,
     build_T,
     build_U_dense,
+    walk_arc_matrix,
 )
 from .quantum_search import (
     WalkDiagnostics,
@@ -60,6 +63,7 @@ from .spectral import (
     line_principal_pair,
     principal_pair,
     spectral_mapping_check,
+    summarize_spectrum,
 )
 
 __version__ = "0.1.0"
@@ -83,12 +87,16 @@ __all__ = [
     "build_T",
     "build_P",
     "apply_U",
+    "arc_matrix",
+    "arc_vector",
+    "walk_arc_matrix",
     "build_U_dense",
     "SpectralSummary",
     "LiftedPair",
     "MappingReport",
     "eigh",
     "principal_pair",
+    "summarize_spectrum",
     "lift_eigenvectors",
     "spectral_mapping_check",
     "line_principal_pair",

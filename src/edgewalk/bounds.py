@@ -56,7 +56,7 @@ from .signed_graph import (
     path_edges,
     star_edges,
 )
-from .spectral import eigh, line_principal_pair, principal_vector
+from .spectral import eigh, line_principal_pair, principal_vector, summarize_spectrum
 
 __all__ = [
     "BoundEntry",
@@ -498,7 +498,7 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
             )
 
     if not degenerate:
-        diag = asymptotic_diagnostics(g)
+        diag = asymptotic_diagnostics(g, summarize_spectrum(t_values, t_vectors))
         overlap_t = float(f_t @ j) ** 2
         resolvent_t = 1.0 / (2.0 * (1.0 - t_values[0]))
         entries.append(

@@ -7,7 +7,9 @@ over host sizes) and ``spectrum`` (discriminant spectrum summary).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, 3 degenerate spectrum (the marked subgraph is a spanning complete
-bipartite graph, so the searching time is undefined).
+bipartite graph, so the searching time is undefined), 4 internal or solver
+error (an eigensolver or linear solve that did not converge, a failed
+internal consistency check, or memory exhaustion).
 
 File outputs are CSV (header ``t,probability``, decimal probabilities with
 at least 12 significant digits, exact round-trip) and JSON reports that
@@ -25,7 +27,7 @@ import numpy as np
 
 from .bounds import verify_all
 from .classical_search import hitting_time, mc_hitting_time
-from .errors import DegenerateSpectrum, EdgeWalkError
+from .errors import DegenerateSpectrum, EdgeWalkError, NoConvergence, SolverFailure
 from .operators import build_T
 from .quantum_search import quantum_time, run_series
 from .signed_graph import build_instance, edges_from_descriptor, path_edges
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
+EXIT_INTERNAL = 4
 
 # Reference values for the K_100 path benchmark, keyed by path edge count:
 # searching time t_f and the finding probability attained at step t_f - 1
@@ -115,7 +118,7 @@ def cmd_simulate(args) -> int:
     t_max = args.t_max if args.t_max is not None else 2 * t_f
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
-    series = run_series(g, t_max)
+    series = run_series(g, t_max, summary)
     out = _out_dir(args)
     series_path = out / "series.csv"
     _write_series_csv(series_path, series.fp)
@@ -362,6 +365,9 @@ def main(argv=None) -> int:
     except DegenerateSpectrum as exc:
         _print_error("degenerate_spectrum", str(exc))
         return EXIT_DEGENERATE
+    except (NoConvergence, SolverFailure, AssertionError, MemoryError) as exc:
+        _print_error("internal", f"{type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
     except (EdgeWalkError, ValueError, OSError) as exc:
         _print_error("config", str(exc))
         return EXIT_CONFIG

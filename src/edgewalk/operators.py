@@ -5,9 +5,15 @@ the diagonal) carries the spectral analysis of the quantum walk, and Q is
 its companion built from the incidence structure of the unmarked remainder.
 Edge space: P is the isotropic transition kernel on the line graph of the
 unmarked remainder, with entry 1/(2(n-1)) between distinct edges sharing an
-endpoint.  Arc space: the unitary evolution U = S(2 d* d - I) is applied
-matrix-free in O(n^2) per step; a dense U exists only as a small-instance
-test oracle.
+endpoint.  Arc space: the unitary evolution U = S(2 d* d - I) runs on the
+square layout of the state, the (n+1) x (n+1) matrix X with X[u, v] the
+amplitude of the arc (u, v) and a zero diagonal; the lexicographic arc order
+is the row-major order of its off-diagonal entries.  There d* d is a column
+sum, S a transpose, and the signs differ from +1 only on the m negative
+arcs.  The kernel stores X and X^T on alternate steps, so no transpose is
+formed and a step is one reduction plus one in-place broadcast update,
+O(n^2) with no index arrays; a dense U exists only as a small-instance test
+oracle.
 
 In K_{n+1} every vertex has degree n, so the general normalizations
 1/sqrt(deg u * deg v) specialize to 1/n throughout this module.
@@ -16,6 +22,7 @@ In K_{n+1} every vertex has degree n, so the general normalizations
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator
@@ -29,6 +36,9 @@ __all__ = [
     "build_T",
     "build_P",
     "apply_U",
+    "arc_matrix",
+    "arc_vector",
+    "walk_arc_matrix",
     "build_U_dense",
     "build_d_dense",
     "DENSE_U_LIMIT",
@@ -157,31 +167,96 @@ def build_P(g: SignedCompleteGraph) -> LineTransitionMatrix:
     return LineTransitionMatrix(n=n, complement=delta, q_matrix=q)
 
 
-def apply_U(g: SignedCompleteGraph, psi: np.ndarray) -> np.ndarray:
-    """Apply the walk operator to an arc-indexed state, matrix-free.
+def arc_matrix(g: SignedCompleteGraph, psi: np.ndarray) -> np.ndarray:
+    """Square layout of an arc-indexed state: X[u, v] is the amplitude on
+    the arc (u, v), and the diagonal is zero.
 
-    Accumulates m_v = (1/sqrt(n)) * sum over arcs a into v of sigma(a) psi_a,
-    then returns (2/sqrt(n)) * sigma(a^{-1}) * m_{o(a)} - psi_{a^{-1}} per
-    arc.  O(n^2) time; norm-preserving; accepts real or complex states.
+    The lexicographic arc order is the row-major order of the off-diagonal
+    entries, so the copy is one strided assignment.  Real and complex
+    states keep their dtype.
     """
-    arcs = g.arcs
     psi = np.asarray(psi)
-    if psi.shape != (arcs.num_arcs,):
+    if psi.shape != (g.num_arcs,):
         raise DimensionMismatch(
-            f"state of shape {psi.shape} against {arcs.num_arcs} arcs"
+            f"state of shape {psi.shape} against {g.num_arcs} arcs"
         )
-    sqrt_n = np.sqrt(g.n)
-    signed = g.sigma_arcs * psi
-    if np.iscomplexobj(psi):
-        m = np.bincount(
-            arcs.termini, weights=signed.real, minlength=g.n + 1
-        ) + 1j * np.bincount(arcs.termini, weights=signed.imag, minlength=g.n + 1)
-    else:
-        m = np.bincount(arcs.termini, weights=signed, minlength=g.n + 1)
-    m /= sqrt_n
-    return (2.0 / sqrt_n) * g.sigma_inverse_arcs * m[arcs.origins] - psi[
-        arcs.inverse_index
-    ]
+    order = g.n + 1
+    x = np.zeros((order, order), dtype=np.result_type(psi.dtype, np.float64))
+    _off_diagonal(x)[...] = psi.reshape(order - 1, order)
+    return x
+
+
+def arc_vector(x: np.ndarray) -> np.ndarray:
+    """Arc-indexed state of a square-layout matrix (inverse of arc_matrix)."""
+    return _off_diagonal(np.ascontiguousarray(x)).reshape(-1)
+
+
+def _off_diagonal(x: np.ndarray) -> np.ndarray:
+    # Dropping the first entry of a C-ordered N x N matrix and reading the
+    # rest in rows of N+1 puts every diagonal entry in the last column.
+    order = x.shape[0]
+    return x.reshape(-1)[1:].reshape(order - 1, order + 1)[:, :-1]
+
+
+def walk_arc_matrix(
+    g: SignedCompleteGraph,
+    x: np.ndarray,
+    steps: int,
+    fp: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Apply the walk operator ``steps`` times to a square-layout state, in
+    place, and return the evolved state in square layout.
+
+    With c_v = sum over arcs a into v of sigma(a) X_a, one step is
+    X'[u, v] = (2/n) sigma(v, u) c_u - X[v, u]: a column sum, a broadcast
+    and a transpose, with sigma differing from +1 only on the m negative
+    arcs.  The transpose is never formed: the buffer holds X and X^T on
+    alternate steps, so each step is one reduction and one in-place
+    broadcast update, plus O(m) sign corrections.  After an odd number of
+    steps the returned matrix is the transposed view of the buffer.
+
+    When ``fp`` is given, ``fp[t]`` receives the squared mass on the marked
+    arcs after t steps, for t = 0..steps.  The marked arcs are closed under
+    reversal, so that mass does not depend on which orientation the buffer
+    holds.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
+    neg_o, neg_t = np.array(g.sigma_negative_arcs, dtype=np.int64).T
+    marked_u, marked_v = np.nonzero(g.marked_matrix)
+    scale = 2.0 / g.n
+
+    def marked_mass() -> float:
+        amp = x[marked_u, marked_v]
+        return float(np.vdot(amp, amp).real)
+
+    if fp is not None:
+        fp[0] = marked_mass()
+    for step in range(steps):
+        # Even steps hold X, odd steps X^T: the arcs into a vertex are then a
+        # column or a row, and the negative arc (o, t) sits at (o, t) or
+        # (t, o).
+        transposed = step % 2 == 1
+        rows, cols = (neg_t, neg_o) if transposed else (neg_o, neg_t)
+        c = x.sum(axis=1 if transposed else 0)
+        # Negative arcs can share a terminus, so the correction accumulates.
+        np.subtract.at(c, neg_t, 2.0 * x[rows, cols])
+        c *= scale
+        np.subtract(c[:, None] if transposed else c, x, out=x)
+        x[rows, cols] -= 2.0 * c[neg_t]
+        np.fill_diagonal(x, 0.0)
+        if fp is not None:
+            fp[step + 1] = marked_mass()
+    return x.T if steps % 2 else x
+
+
+def apply_U(g: SignedCompleteGraph, psi: np.ndarray) -> np.ndarray:
+    """Apply the walk operator once to an arc-indexed state.
+
+    Goes through the square-layout kernel ``walk_arc_matrix``; O(n^2) time,
+    norm-preserving, real or complex states.
+    """
+    return arc_vector(walk_arc_matrix(g, arc_matrix(g, psi), 1))
 
 
 def build_d_dense(g: SignedCompleteGraph) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Quantum search: exact walk simulation and its closeness diagnostics.
 
 The walk starts from the uniform arc state and is evolved by repeated
-matrix-free applications of the walk operator; the finding probability at
-step t is the squared amplitude mass on the marked arcs.  The searching
-time t_f = floor(pi / (2 theta_max)) comes from the spectrum, never from
-the simulated peak.
+applications of the walk operator through the square-layout kernel
+``walk_arc_matrix``; the finding probability at step t is the squared
+amplitude mass on the marked arcs.  The searching time
+t_f = floor(pi / (2 theta_max)) comes from the spectrum, never from the
+simulated peak.
 
 The diagnostics quantify how well the rotation picture approximates the
 walk: the evolved vector U^{t_f}(i beta_-) is compared against -beta_+, the
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateSpectrum, DimensionMismatch
-from .operators import apply_U, build_T
+from .operators import arc_matrix, arc_vector, build_T, walk_arc_matrix
 from .signed_graph import SignedCompleteGraph
 from .spectral import SpectralSummary, lift_eigenvectors, principal_pair
 
@@ -63,10 +64,12 @@ def quantum_time(summary: SpectralSummary) -> int:
 
 
 def evolve_state(g: SignedCompleteGraph, psi: np.ndarray, steps: int) -> np.ndarray:
-    """Apply the walk operator ``steps`` times."""
-    for _ in range(steps):
-        psi = apply_U(g, psi)
-    return psi
+    """Apply the walk operator ``steps`` times to an arc-indexed state.
+
+    Raises DimensionMismatch for a state of the wrong shape and ValueError
+    for negative ``steps``.
+    """
+    return arc_vector(walk_arc_matrix(g, arc_matrix(g, psi), steps))
 
 
 @dataclass(frozen=True)
@@ -86,25 +89,27 @@ class WalkSeries:
     degenerate: bool
 
 
-def run_series(g: SignedCompleteGraph, t_max: int) -> WalkSeries:
+def run_series(
+    g: SignedCompleteGraph, t_max: int, summary: Optional[SpectralSummary] = None
+) -> WalkSeries:
     """Exact finding-probability series for t = 0..t_max.
 
     The evolution is sequential (no spectral shortcut) and deterministic;
     a degenerate spectrum only leaves the searching-time fields unset.
+    ``summary``, when the caller already holds the principal pair of the
+    instance, is used for t_f instead of solving the eigenproblem again.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
-    psi = initial_state(g)
     fp = np.empty(t_max + 1)
-    fp[0] = finding_probability(g, psi)
-    for t in range(1, t_max + 1):
-        psi = apply_U(g, psi)
-        fp[t] = finding_probability(g, psi)
+    walk_arc_matrix(g, arc_matrix(g, initial_state(g)), t_max, fp=fp)
     t_f: Optional[int] = None
     fp_at_tf: Optional[float] = None
     degenerate = False
     try:
-        t_f = quantum_time(principal_pair(build_T(g)))
+        if summary is None:
+            summary = principal_pair(build_T(g))
+        t_f = quantum_time(summary)
         if t_f <= t_max:
             fp_at_tf = float(fp[t_f])
     except DegenerateSpectrum:
@@ -166,17 +171,21 @@ class WalkDiagnostics:
         return all(c.passed is not False for c in self.checks)
 
 
-def asymptotic_diagnostics(g: SignedCompleteGraph) -> WalkDiagnostics:
+def asymptotic_diagnostics(
+    g: SignedCompleteGraph, summary: Optional[SpectralSummary] = None
+) -> WalkDiagnostics:
     """Evaluate the rotation-picture quantities exactly and compare each
     against its closed-form bound.
 
     Hypotheses recorded: 2s < n+3 for the start-gap bound; both the density
     condition 4m/|E| + 4s/|V| <= 1 and 66s <= n+3 for the target-mass and
     finding-probability bounds.  Raises DegenerateSpectrum when the rotation
-    angle vanishes.
+    angle vanishes.  ``summary`` is the principal pair of the instance when
+    the caller has already solved for it.
     """
     n, m, s = g.n, g.num_marked, g.s
-    summary = principal_pair(build_T(g))
+    if summary is None:
+        summary = principal_pair(build_T(g))
     lifted = lift_eigenvectors(g, summary)
     t_f = quantum_time(summary)
 

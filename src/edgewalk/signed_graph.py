@@ -209,7 +209,6 @@ class SignedCompleteGraph:
         for o, tm in negatives:
             sigma[self.arcs.index(o, tm)] = -1.0
         self.sigma_arcs = _readonly(sigma)
-        self.sigma_inverse_arcs = _readonly(sigma[self.arcs.inverse_index])
         self.marked_arcs = _readonly(
             marked_matrix[self.arcs.origins, self.arcs.termini]
         )

@@ -35,6 +35,7 @@ __all__ = [
     "eigh",
     "principal_vector",
     "principal_pair",
+    "summarize_spectrum",
     "d_star_apply",
     "lift_eigenvectors",
     "spectral_mapping_check",
@@ -125,7 +126,14 @@ def principal_pair(T: DiscriminantMatrix) -> SpectralSummary:
     exactly when the marked subgraph is a spanning complete bipartite graph;
     the rotation angle is then zero and the searching time undefined.
     """
-    values, vectors = eigh(T.matrix)
+    return summarize_spectrum(*eigh(T.matrix))
+
+
+def summarize_spectrum(values: np.ndarray, vectors: np.ndarray) -> SpectralSummary:
+    """Principal spectral data from a descending eigendecomposition of the
+    discriminant matrix (the output of ``eigh``), so that a caller holding
+    one does not solve again.  Raises DegenerateSpectrum as principal_pair.
+    """
     lam = float(values[0])
     if lam >= 1.0 - DEGENERACY_TOL:
         raise DegenerateSpectrum(

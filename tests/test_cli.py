@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from edgewalk import cli
 from edgewalk.cli import main
+from edgewalk.errors import NoConvergence, SolverFailure
 
 
 def read_json(path):
@@ -73,6 +75,32 @@ def test_bad_descriptor_exit_code(tmp_path):
         ["simulate", "--n", "5", "--subgraph", "nonsense", "--out", str(tmp_path)]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        AssertionError("vertex companion disagrees with incidence identity"),
+        MemoryError(),
+        NoConvergence("eigensolver did not converge"),
+        SolverFailure("residual above tolerance"),
+    ],
+)
+def test_internal_errors_exit_code(tmp_path, capsys, monkeypatch, exc):
+    # internal and solver failures must not read as "verification failed"
+    # (1) or as a configuration error (2)
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_series", fail)
+    code = main(
+        ["simulate", "--n", "5", "--subgraph", '{"kind": "path", "k": 1}',
+         "--out", str(tmp_path)]
+    )
+    assert code == cli.EXIT_INTERNAL == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "internal"
+    assert type(exc).__name__ in err["message"]
 
 
 def test_subgraph_from_file(tmp_path):

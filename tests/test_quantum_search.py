@@ -8,6 +8,7 @@ from edgewalk import (
     build_instance,
     build_T,
     build_U_dense,
+    evolve_state,
     finding_probability,
     initial_state,
     path_edges,
@@ -49,6 +50,14 @@ def test_finding_probability_concentrated():
     assert finding_probability(g, psi) == 0.0
     with pytest.raises(DimensionMismatch):
         finding_probability(g, np.zeros(3))
+
+
+def test_evolve_state_validates_input():
+    g = build_instance(3, [(0, 1)])
+    with pytest.raises(DimensionMismatch):
+        evolve_state(g, np.zeros(3), 0)
+    with pytest.raises(ValueError):
+        evolve_state(g, initial_state(g), -1)
 
 
 @pytest.mark.parametrize(
