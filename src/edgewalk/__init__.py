@@ -11,14 +11,7 @@ analysis numerically.
 
 from . import errors
 from .bounds import BoundEntry, BoundLedger, SuiteReport, verify_all, verify_random_suite
-from .classical_search import (
-    ClassicalBounds,
-    HittingTimeResult,
-    McEstimate,
-    classical_bounds,
-    hitting_time,
-    mc_hitting_time,
-)
+from .classical_search import HittingTimeResult, hitting_time, mc_hitting_time
 from .operators import (
     DiscriminantMatrix,
     LineTransitionMatrix,
@@ -109,11 +102,8 @@ __all__ = [
     "run_series",
     "asymptotic_diagnostics",
     "HittingTimeResult",
-    "McEstimate",
-    "ClassicalBounds",
     "hitting_time",
     "mc_hitting_time",
-    "classical_bounds",
     "BoundEntry",
     "BoundLedger",
     "SuiteReport",

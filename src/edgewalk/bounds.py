@@ -3,9 +3,10 @@
 ``verify_all`` evaluates every inequality of the analysis on a concrete
 instance: left-hand sides come from exact matrices, eigensolves and
 simulated vectors (no asymptotics), right-hand sides from the closed
-forms.  Inequalities stated only under a hypothesis are recorded as
-*skipped* (not passed) when the hypothesis fails, so a report always
-distinguishes "verified" from "not applicable".
+forms.  This module is the only place that states a closed-form bound or
+judges pass, fail or skip.  Inequalities stated only under a hypothesis are
+recorded as *skipped* (not passed) when the hypothesis fails, so a report
+always distinguishes "verified" from "not applicable".
 
 Throughout, n+1 is the host order, m the number of marked edges, s the
 order of the marked subgraph, Y = J - (n+1)I - 2A and
@@ -45,7 +46,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .classical_search import solve_absorption
-from .errors import EmptyComplement
+from .errors import DegenerateSpectrum, EmptyComplement
 from .operators import LineTransitionMatrix, build_P, build_T
 from .quantum_search import asymptotic_diagnostics
 from .signed_graph import (
@@ -71,7 +72,16 @@ __all__ = [
 # floating-point evaluation error.
 REL_TOL = 1e-9
 PQ_MATCH_TOL = 1e-8
-PQ_DENSE_LIMIT = 2000
+
+# Hypotheses, as recorded in each entry's ``hypothesis_description``.
+ALWAYS = "always"
+HALF = "2s < n+3"
+DENSITY = "4m/|E| + 4s/|V| <= 1 and 66s <= n+3"
+SMALL = "66s <= n+3"
+TC = "64s <= n+1"
+# Requirements of the row groups whose data may not exist.
+COMPLEMENT = "complement nonempty"
+ROTATION = "theta_max > 0"
 
 
 @dataclass(frozen=True)
@@ -108,11 +118,13 @@ def _entry(
     relation: str,
     lhs: Optional[float],
     rhs: Optional[float],
-    hypothesis: str = "always",
+    hypothesis: str = ALWAYS,
     holds: bool = True,
 ) -> BoundEntry:
+    """Judge one inequality; an entry whose hypothesis fails is skipped,
+    with no rhs and no slack."""
     lhs_f = float("nan") if lhs is None else float(lhs)
-    rhs_f = float("nan") if rhs is None else float(rhs)
+    rhs_f = float("nan") if rhs is None or not holds else float(rhs)
     if relation == "<=":
         slack = rhs_f - lhs_f
     elif relation == ">=":
@@ -189,23 +201,19 @@ def _gershgorin_violation(matrix: np.ndarray, values: np.ndarray) -> float:
     return worst
 
 
-def _pq_spectra_mismatch(
-    P: LineTransitionMatrix,
-    q_values: np.ndarray,
-    q_vectors: np.ndarray,
-    lambda_max_p: float,
-) -> float:
+def _pq_spectra_mismatch(P: LineTransitionMatrix, lambda_max_p: float) -> float:
     """Numeric distance between Spec(P) and Spec(Q) modulo -1/(n-1).
 
-    Small instances compare the full multisets after removing the extra
-    value.  Beyond the dense limit, each companion eigenpair with a
+    When ``P.fits_dense``, the full multisets are compared after removing
+    the extra value.  Beyond that, each companion eigenpair with a
     different value is lifted through the incidence matrix and certified as
     an eigenpair of the line kernel by its residual; the remaining line
     eigenvalues equal -1/(n-1) by the rank of the incidence Gram factor.
     """
     n = P.n
     kernel_value = -1.0 / (n - 1)
-    if P.num_edges <= PQ_DENSE_LIMIT:
+    q_values, q_vectors = eigh(P.q_matrix)
+    if P.fits_dense:
         p_values = np.sort(np.linalg.eigvalsh(P.dense()))
         q_sorted = np.sort(q_values)
         p_keep = p_values[np.abs(p_values - kernel_value) > PQ_MATCH_TOL]
@@ -230,7 +238,17 @@ def _pq_spectra_mismatch(
 
 
 def verify_all(g: SignedCompleteGraph) -> BoundLedger:
-    """Evaluate the full inequality checklist on one instance."""
+    """Evaluate the full inequality checklist on one instance.
+
+    Each entry is one row (name, relation, lhs, rhs, hypothesis) of a table.
+    The rows are grouped by the data they need: the vertex spectra, the
+    line kernel P (absent when every edge is marked) and the rotation data
+    (absent when the spectrum is degenerate).  A row whose group has no
+    data is skipped under the group's requirement; a row whose hypothesis
+    fails is skipped under that hypothesis.  A skipped entry keeps its
+    relation and, when its group exists, its lhs; its rhs is never
+    evaluated, and rhs and slack are NaN (null in JSON).
+    """
     n, m, s = g.n, g.num_marked, g.s
     order = n + 1
     j = np.full(order, 1.0 / np.sqrt(order))
@@ -241,368 +259,155 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
 
     y_matrix = ones - (n + 1) * eye - 2.0 * adj
     z_matrix = ones - (n + 1) * eye - adj - deg
-    t_matrix = build_T(g).matrix
-
     y_values, y_vectors = eigh(y_matrix)
     z_values, z_vectors = eigh(z_matrix)
-    t_values, t_vectors = eigh(t_matrix)
-    gamma_adj = adj[:s, :s]
-    adjacency_top = float(eigh(gamma_adj)[0][0])
-
-    hyp_half = 2 * s < n + 3
-    host_edges = n * (n + 1) / 2.0
-    hyp_ratio = 4.0 * m / host_edges + 4.0 * s / (n + 1) <= 1.0
-    hyp_small = 66 * s <= n + 3
-    hyp_tc = 64 * s <= n + 1
-    degenerate = t_values[0] >= 1.0 - 1e-12
-
-    entries: list[BoundEntry] = []
-
-    for label, matrix, values in (
-        ("Y", y_matrix, y_values),
-        ("Z", z_matrix, z_values),
-    ):
-        entries.append(
-            _entry(
-                f"gershgorin.{label}",
-                "<=",
-                _gershgorin_violation(matrix, values),
-                0.0,
-            )
-        )
-    rayleigh = -4.0 * m / (n + 1)
-    for label, values in (("Y", y_values), ("Z", z_values)):
-        entries.append(
-            _entry(f"lambda1_bracket.{label}.upper", "<=", values[0], 0.0)
-        )
-        entries.append(
-            _entry(f"lambda1_bracket.{label}.lower", ">=", values[0], rayleigh)
-        )
-    entries.append(
-        _entry("adjacency_max", "<=", adjacency_top, np.sqrt(2.0 * m - s + 1.0))
-    )
-    entries.append(_entry("lambda2_Y", "<=", y_values[1], 2.0 * s - (n + 3)))
-    entries.append(_entry("lambda2_Z", "<=", z_values[1], -(n + 1.0)))
-    entries.append(
-        _entry(
-            "gap_T",
-            ">=",
-            t_values[0] - t_values[1],
-            (n + 3.0) / n - 4.0 * m / (n * (n + 1.0)) - 2.0 * s / n,
-        )
-    )
-    combinatorial = g.is_spanning_complete_bipartite()
-    spectral_flag = bool(t_values[0] >= 1.0 - 1e-10)
-    entries.append(
-        _entry(
-            "bipartite_iff",
-            "==",
-            float(spectral_flag),
-            float(combinatorial),
-        )
-    )
-
+    t_values, t_vectors = eigh(build_T(g).matrix)
     f_y = principal_vector(y_values, y_vectors)
     f_z = principal_vector(z_values, z_vectors)
     f_t = principal_vector(t_values, t_vectors)
-    overlap_bound_half = (
-        8.0 * m / ((n + 1.0) * (n + 3.0 - 2 * s)) if hyp_half else None
-    )
-    entries.append(
-        _entry(
-            "overlap_generic.Y",
-            "<=",
-            float(np.sum((f_y - j) ** 2)),
-            overlap_bound_half,
-            hypothesis="2s < n+3",
-            holds=hyp_half,
-        )
-    )
-    entries.append(
-        _entry(
-            "overlap_generic.Z",
-            "<=",
-            float(np.sum((f_z - j) ** 2)),
-            8.0 * m / (n + 1.0) ** 2,
-        )
-    )
-    delta_half = (
-        4.0 * np.sqrt(s / (n + 3.0 - 2 * s)) if n + 3 - 2 * s > 0 else None
-    )
-    entries.append(
-        _entry(
-            "lmax_upper_Y",
-            "<=",
-            y_values[0],
-            -(1.0 - delta_half) * 4.0 * m / (n + 1.0) if hyp_half else None,
-            hypothesis="2s < n+3",
-            holds=hyp_half,
-        )
-    )
-    entries.append(
-        _entry(
-            "lmax_upper_Z",
-            "<=",
-            z_values[0],
-            -(1.0 - 4.0 * np.sqrt(s / (n + 1.0))) * 4.0 * m / (n + 1.0),
-        )
-    )
-    entries.append(
-        _entry(
-            "cor_T.upper",
-            "<=",
-            t_values[0],
-            1.0 - (1.0 - delta_half) * 4.0 * m / (n * (n + 1.0))
-            if hyp_half
-            else None,
-            hypothesis="2s < n+3",
-            holds=hyp_half,
-        )
-    )
-    entries.append(
-        _entry("cor_T.lower", ">=", t_values[0], 1.0 - 4.0 * m / (n * (n + 1.0)))
-    )
-    entries.append(
-        _entry(
-            "cor_T.overlap",
-            "<=",
-            float(np.sum((f_t - j) ** 2)),
-            overlap_bound_half,
-            hypothesis="2s < n+3",
-            holds=hyp_half,
-        )
-    )
-
-    # Vector of per-vertex counts of negatively signed marked arcs by
-    # terminus; entries lie in [0, n] and sum to m.
+    # Per-vertex counts of negatively signed marked arcs by terminus;
+    # entries lie in [0, n] and sum to m.
     sign_counts = np.zeros(order)
     for _, terminus in g.sigma_negative_arcs:
         sign_counts[terminus] += 1.0
-    entries.append(
-        _entry(
-            "norm_l2",
-            "<=",
-            float(np.sum(sign_counts**2)),
-            n * float(np.sum(sign_counts)),
-        )
-    )
 
     try:
         P = build_P(g)
     except EmptyComplement:
         P = None
-    if P is not None:
-        q_values, q_vectors = eigh(P.q_matrix)
-        lambda_max_p, f_p = line_principal_pair(P)
-        h = P.complement.incidence() @ np.full(
-            P.num_edges, 1.0 / np.sqrt(P.num_edges)
-        )
-        entries.append(
-            _entry(
-                "norm_l1",
-                "<=",
-                float(np.sum(np.abs(h)) ** 2),
-                order * float(np.sum(h**2)),
-            )
-        )
-        entries.append(
-            _entry(
-                "pq_spectra",
-                "<=",
-                _pq_spectra_mismatch(P, q_values, q_vectors, lambda_max_p),
-                PQ_MATCH_TOL,
-            )
-        )
-        entries.append(
-            _entry(
-                "cor_P.upper",
-                "<=",
-                lambda_max_p,
-                1.0
-                - (1.0 - 4.0 * np.sqrt(s / (n + 1.0)))
-                * 2.0
-                * m
-                / ((n + 1.0) * (n - 1.0)),
-            )
-        )
-        entries.append(
-            _entry(
-                "cor_P.lower",
-                ">=",
-                lambda_max_p,
-                1.0 - 2.0 * m / ((n + 1.0) * (n - 1.0)),
-            )
-        )
-        j_edges = np.full(P.num_edges, 1.0 / np.sqrt(P.num_edges))
-        entries.append(
-            _entry(
-                "cor_P.overlap",
-                ">=",
-                float(f_p @ j_edges) ** 2,
-                1.0 - 4.0 * m / (n + 1.0) ** 2,
-            )
-        )
-        x, _ = solve_absorption(P)
-        t_c = float(x.mean())
-        resolvent = 1.0 / (1.0 - lambda_max_p)
-        entries.append(
-            _entry(
-                "tc_near_resolvent",
-                "<=",
-                abs(t_c - resolvent),
-                4.0,
-                hypothesis="64s <= n+1",
-                holds=hyp_tc,
-            )
-        )
-        entries.append(
-            _entry(
-                "tc_bracket.lower",
-                ">=",
-                resolvent,
-                (n + 1.0) * (n - 1.0) / (2.0 * m),
-                hypothesis="64s <= n+1",
-                holds=hyp_tc,
-            )
-        )
-        entries.append(
-            _entry(
-                "tc_bracket.upper",
-                "<=",
-                resolvent,
-                (n + 1.0) * (n - 1.0) / m,
-                hypothesis="64s <= n+1",
-                holds=hyp_tc,
-            )
-        )
     else:
-        for name in (
-            "norm_l1",
-            "pq_spectra",
-            "cor_P.upper",
-            "cor_P.lower",
-            "cor_P.overlap",
-            "tc_near_resolvent",
-            "tc_bracket.lower",
-            "tc_bracket.upper",
-        ):
+        # Without a complement these names stay unbound: the thunks of a
+        # group without data are never called.
+        lambda_max_p, f_p = line_principal_pair(P)
+        t_c = float(solve_absorption(P)[0].mean())
+        resolvent = 1.0 / (1.0 - lambda_max_p)
+        j_edges = np.full(P.num_edges, 1.0 / np.sqrt(P.num_edges))
+        h = P.complement.incidence() @ j_edges
+    try:
+        diag = asymptotic_diagnostics(g, summarize_spectrum(t_values, t_vectors))
+    except DegenerateSpectrum:
+        diag = None
+
+    host_edges = n * (n + 1) / 2.0
+    holds = {
+        ALWAYS: True,
+        HALF: 2 * s < n + 3,
+        DENSITY: (
+            4.0 * m / host_edges + 4.0 * s / (n + 1) <= 1.0 and 66 * s <= n + 3
+        ),
+        SMALL: 66 * s <= n + 3,
+        TC: 64 * s <= n + 1,
+        COMPLEMENT: P is not None,
+        ROTATION: diag is not None,
+    }
+    # delta = 4 sqrt(s/(n+3-2s)); every bound that reads it requires 2s < n+3.
+    delta = 4.0 * np.sqrt(s / (n + 3.0 - 2 * s)) if holds[HALF] else math.nan
+    delta_z = 4.0 * np.sqrt(s / (n + 1.0))
+
+    def overlap_bound() -> float:
+        return 8.0 * m / ((n + 1.0) * (n + 3.0 - 2 * s))
+
+    def quantum_resolvent() -> float:
+        return 1.0 / (2.0 * (1.0 - diag.lambda_max))
+
+    rayleigh = -4.0 * m / (n + 1)
+    vertex_rows = (
+        ("gershgorin.Y", "<=",
+         lambda: _gershgorin_violation(y_matrix, y_values), lambda: 0.0, ALWAYS),
+        ("gershgorin.Z", "<=",
+         lambda: _gershgorin_violation(z_matrix, z_values), lambda: 0.0, ALWAYS),
+        ("lambda1_bracket.Y.upper", "<=", lambda: y_values[0], lambda: 0.0, ALWAYS),
+        ("lambda1_bracket.Y.lower", ">=",
+         lambda: y_values[0], lambda: rayleigh, ALWAYS),
+        ("lambda1_bracket.Z.upper", "<=", lambda: z_values[0], lambda: 0.0, ALWAYS),
+        ("lambda1_bracket.Z.lower", ">=",
+         lambda: z_values[0], lambda: rayleigh, ALWAYS),
+        ("adjacency_max", "<=",
+         lambda: eigh(adj[:s, :s])[0][0], lambda: np.sqrt(2.0 * m - s + 1.0), ALWAYS),
+        ("lambda2_Y", "<=", lambda: y_values[1], lambda: 2.0 * s - (n + 3), ALWAYS),
+        ("lambda2_Z", "<=", lambda: z_values[1], lambda: -(n + 1.0), ALWAYS),
+        ("gap_T", ">=", lambda: t_values[0] - t_values[1],
+         lambda: (n + 3.0) / n - 4.0 * m / (n * (n + 1.0)) - 2.0 * s / n, ALWAYS),
+        ("bipartite_iff", "==", lambda: float(t_values[0] >= 1.0 - 1e-10),
+         lambda: float(g.is_spanning_complete_bipartite()), ALWAYS),
+        ("overlap_generic.Y", "<=",
+         lambda: float(np.sum((f_y - j) ** 2)), overlap_bound, HALF),
+        ("overlap_generic.Z", "<=", lambda: float(np.sum((f_z - j) ** 2)),
+         lambda: 8.0 * m / (n + 1.0) ** 2, ALWAYS),
+        ("lmax_upper_Y", "<=",
+         lambda: y_values[0], lambda: -(1.0 - delta) * 4.0 * m / (n + 1.0), HALF),
+        ("lmax_upper_Z", "<=", lambda: z_values[0],
+         lambda: -(1.0 - delta_z) * 4.0 * m / (n + 1.0), ALWAYS),
+        ("cor_T.upper", "<=", lambda: t_values[0],
+         lambda: 1.0 - (1.0 - delta) * 4.0 * m / (n * (n + 1.0)), HALF),
+        ("cor_T.lower", ">=",
+         lambda: t_values[0], lambda: 1.0 - 4.0 * m / (n * (n + 1.0)), ALWAYS),
+        ("cor_T.overlap", "<=",
+         lambda: float(np.sum((f_t - j) ** 2)), overlap_bound, HALF),
+        ("norm_l2", "<=", lambda: float(np.sum(sign_counts**2)),
+         lambda: n * float(np.sum(sign_counts)), ALWAYS),
+    )
+    line_rows = (
+        ("norm_l1", "<=", lambda: float(np.sum(np.abs(h)) ** 2),
+         lambda: order * float(np.sum(h**2)), ALWAYS),
+        ("pq_spectra", "<=", lambda: _pq_spectra_mismatch(P, lambda_max_p),
+         lambda: PQ_MATCH_TOL, ALWAYS),
+        ("cor_P.upper", "<=", lambda: lambda_max_p,
+         lambda: 1.0 - (1.0 - delta_z) * 2.0 * m / ((n + 1.0) * (n - 1.0)), ALWAYS),
+        ("cor_P.lower", ">=", lambda: lambda_max_p,
+         lambda: 1.0 - 2.0 * m / ((n + 1.0) * (n - 1.0)), ALWAYS),
+        ("cor_P.overlap", ">=", lambda: float(f_p @ j_edges) ** 2,
+         lambda: 1.0 - 4.0 * m / (n + 1.0) ** 2, ALWAYS),
+        ("tc_near_resolvent", "<=", lambda: abs(t_c - resolvent), lambda: 4.0, TC),
+        ("tc_bracket.lower", ">=",
+         lambda: resolvent, lambda: (n + 1.0) * (n - 1.0) / (2.0 * m), TC),
+        ("tc_bracket.upper", "<=",
+         lambda: resolvent, lambda: (n + 1.0) * (n - 1.0) / m, TC),
+    )
+    rotation_rows = (
+        ("ratio", "<=",
+         lambda: (1.0 - float(f_t @ j) ** 2) / (1.0 - diag.lambda_max),
+         lambda: 4.0 * n / (n + 1.0) * delta, DENSITY),
+        ("beta_close", "<=", lambda: diag.rotation_gap_sq,
+         lambda: 16.0 * m / (n * (n + 1.0)), ROTATION),
+        ("beta_minus_close", "<=", lambda: diag.start_gap_sq,
+         lambda: (12.0 + 8.0 * np.sqrt(2.0)) * m / ((n + 1.0) * (n + 3.0 - 2 * s)),
+         HALF),
+        ("beta_plus_mass", ">=", lambda: diag.target_mass,
+         lambda: 1.0 - 2.0 * m / (n * (n + 1.0)) - 4.0 * delta, DENSITY),
+        ("fp_lower", ">=", lambda: diag.fp_at_tf,
+         lambda: 1.0
+         - 22.0 * np.sqrt(m / ((n + 1.0) * (n + 3.0 - 2 * s)))
+         - 8.0 * delta,
+         DENSITY),
+        ("qtime_order.lower", ">=",
+         quantum_resolvent, lambda: n * (n + 1.0) / (8.0 * m), SMALL),
+        ("qtime_order.upper", "<=", quantum_resolvent,
+         lambda: n * (n + 1.0) / (8.0 * m * (1.0 - delta)), SMALL),
+    )
+
+    entries = []
+    for requirement, rows in (
+        (ALWAYS, vertex_rows),
+        (COMPLEMENT, line_rows),
+        (ROTATION, rotation_rows),
+    ):
+        present = holds[requirement]
+        for name, relation, lhs, rhs, hypothesis in rows:
+            if not present:
+                hypothesis = requirement
+            judged = holds[hypothesis]
             entries.append(
                 _entry(
                     name,
-                    "<=",
-                    None,
-                    None,
-                    hypothesis="complement nonempty",
-                    holds=False,
+                    relation,
+                    lhs() if present else None,
+                    rhs() if judged else None,
+                    hypothesis,
+                    judged,
                 )
             )
-
-    if not degenerate:
-        diag = asymptotic_diagnostics(g, summarize_spectrum(t_values, t_vectors))
-        overlap_t = float(f_t @ j) ** 2
-        resolvent_t = 1.0 / (2.0 * (1.0 - t_values[0]))
-        entries.append(
-            _entry(
-                "ratio",
-                "<=",
-                (1.0 - overlap_t) / (1.0 - t_values[0]),
-                16.0 * n / (n + 1.0) * np.sqrt(s / (n + 3.0 - 2 * s))
-                if hyp_ratio and hyp_small
-                else None,
-                hypothesis="4m/|E| + 4s/|V| <= 1 and 66s <= n+3",
-                holds=hyp_ratio and hyp_small,
-            )
-        )
-        entries.append(
-            _entry(
-                "beta_close",
-                "<=",
-                diag.rotation_gap_sq,
-                16.0 * m / (n * (n + 1.0)),
-                hypothesis="theta_max > 0",
-                holds=True,
-            )
-        )
-        entries.append(
-            _entry(
-                "beta_minus_close",
-                "<=",
-                diag.start_gap_sq,
-                (12.0 + 8.0 * np.sqrt(2.0)) * m / ((n + 1.0) * (n + 3.0 - 2 * s))
-                if hyp_half
-                else None,
-                hypothesis="2s < n+3",
-                holds=hyp_half,
-            )
-        )
-        entries.append(
-            _entry(
-                "beta_plus_mass",
-                ">=",
-                diag.target_mass,
-                1.0
-                - 2.0 * m / (n * (n + 1.0))
-                - 16.0 * np.sqrt(s / (n + 3.0 - 2 * s))
-                if hyp_ratio and hyp_small
-                else None,
-                hypothesis="4m/|E| + 4s/|V| <= 1 and 66s <= n+3",
-                holds=hyp_ratio and hyp_small,
-            )
-        )
-        entries.append(
-            _entry(
-                "fp_lower",
-                ">=",
-                diag.fp_at_tf,
-                1.0
-                - 22.0 * np.sqrt(m / ((n + 1.0) * (n + 3.0 - 2 * s)))
-                - 32.0 * np.sqrt(s / (n + 3.0 - 2 * s))
-                if hyp_ratio and hyp_small
-                else None,
-                hypothesis="4m/|E| + 4s/|V| <= 1 and 66s <= n+3",
-                holds=hyp_ratio and hyp_small,
-            )
-        )
-        entries.append(
-            _entry(
-                "qtime_order.lower",
-                ">=",
-                resolvent_t,
-                n * (n + 1.0) / (8.0 * m),
-                hypothesis="66s <= n+3",
-                holds=hyp_small,
-            )
-        )
-        entries.append(
-            _entry(
-                "qtime_order.upper",
-                "<=",
-                resolvent_t,
-                n * (n + 1.0) / (8.0 * m * (1.0 - delta_half))
-                if hyp_small
-                else None,
-                hypothesis="66s <= n+3",
-                holds=hyp_small,
-            )
-        )
-    else:
-        gated = (
-            ("ratio", "4m/|E| + 4s/|V| <= 1 and 66s <= n+3"),
-            ("beta_close", "theta_max > 0"),
-            ("beta_minus_close", "2s < n+3"),
-            ("beta_plus_mass", "4m/|E| + 4s/|V| <= 1 and 66s <= n+3"),
-            ("fp_lower", "4m/|E| + 4s/|V| <= 1 and 66s <= n+3"),
-            ("qtime_order.lower", "66s <= n+3"),
-            ("qtime_order.upper", "66s <= n+3"),
-        )
-        for name, hypothesis in gated:
-            entries.append(
-                _entry(name, "<=", None, None, hypothesis=hypothesis, holds=False)
-            )
-
-    return BoundLedger(
-        n=n, marked_edges=g.marked_edges, entries=tuple(entries)
-    )
+    return BoundLedger(n=n, marked_edges=g.marked_edges, entries=tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -679,29 +484,25 @@ def verify_random_suite(
     if count < 1:
         raise ValueError(f"need at least one instance, got {count}")
     rng = np.random.default_rng(seed)
-    checked = passed = skipped = 0
+    checked = skipped = 0
     failures: list[dict] = []
     for _ in range(count):
         g = random_instance(rng, n_range, families, max_gamma_vertices)
         ledger = verify_all(g)
-        for e in ledger.entries:
-            checked += 1
-            if e.passed is None:
-                skipped += 1
-            elif e.passed:
-                passed += 1
-            else:
-                failures.append(
-                    {
-                        "n": g.n,
-                        "marked_edges": [list(edge) for edge in g.marked_edges],
-                        "entry": e.as_dict(),
-                    }
-                )
+        checked += len(ledger.entries)
+        skipped += len(ledger.skipped)
+        failures.extend(
+            {
+                "n": g.n,
+                "marked_edges": [list(edge) for edge in g.marked_edges],
+                "entry": e.as_dict(),
+            }
+            for e in ledger.failures
+        )
     return SuiteReport(
         instances=count,
         entries_checked=checked,
-        entries_passed=passed,
+        entries_passed=checked - skipped - len(failures),
         entries_skipped=skipped,
         failures=tuple(failures),
     )

@@ -10,13 +10,13 @@ of steps until it stands on a marked edge is
 with P the substochastic kernel on unmarked edges and j the normalized
 all-ones vector, i.e. the mean of the absorption-time solve (I - P) x = 1.
 A seeded Monte-Carlo walker provides an independent estimate of the same
-quantity.
+quantity.  This module returns raw quantities only; the ledger in
+``bounds`` judges them against the spectral brackets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -28,31 +28,16 @@ from .signed_graph import SignedCompleteGraph, build_complement
 from .spectral import line_principal_pair
 
 __all__ = [
-    "McEstimate",
     "solve_absorption",
     "HittingTimeResult",
-    "ClassicalBounds",
     "hitting_time",
     "mc_hitting_time",
-    "classical_bounds",
-    "DENSE_SOLVE_LIMIT",
     "STEP_CAP",
 ]
 
-# Direct symmetric solve below this edge count, conjugate gradients above;
-# the kernel has a single eigenvalue near 1 and the rest below ~1/2, which
-# CG deflates in a handful of iterations.
-DENSE_SOLVE_LIMIT = 4096
 RESIDUAL_TOL = 1e-10
 STEP_CAP = 10**8
 _MC_CHUNK = 64
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    mean: float
-    standard_error: float
-    trials: int
 
 
 @dataclass(frozen=True)
@@ -61,18 +46,21 @@ class HittingTimeResult:
 
     ``t_c`` is the expected absorption step count from the uniform start on
     unmarked edges; ``solver_residual`` is the relative residual of the
-    linear solve (guaranteed <= 1e-10); ``mc_estimate`` is attached by
-    callers that also run the Monte-Carlo oracle.
+    linear solve (guaranteed <= 1e-10).
     """
 
     t_c: float
     lambda_max_P: float
     solver_residual: float
-    mc_estimate: Optional[McEstimate] = None
 
 
 def solve_absorption(P: LineTransitionMatrix) -> tuple[np.ndarray, float]:
-    """Solve (I - P) x = 1 and return (x, relative residual)."""
+    """Solve (I - P) x = 1 and return (x, relative residual).
+
+    A direct symmetric solve when ``P.fits_dense``, conjugate gradients
+    beyond: the kernel has a single eigenvalue near 1 and the rest below
+    ~1/2, which CG deflates in a handful of iterations.
+    """
     edges = P.num_edges
     ones = np.ones(edges)
 
@@ -93,7 +81,7 @@ def solve_absorption(P: LineTransitionMatrix) -> tuple[np.ndarray, float]:
     def true_residual(x: np.ndarray) -> float:
         return float(np.linalg.norm(shortfall_of(x)) / np.sqrt(edges))
 
-    if edges <= DENSE_SOLVE_LIMIT:
+    if P.fits_dense:
         system = np.eye(edges) - P.dense()
         try:
             x = scipy.linalg.solve(system, ones, assume_a="pos")
@@ -198,53 +186,3 @@ def mc_hitting_time(
     if trials == 1:
         return mean, 0.0
     return mean, float(counts.std(ddof=1) / np.sqrt(trials))
-
-
-@dataclass(frozen=True)
-class ClassicalBounds:
-    """Hitting-time estimates against their spectral brackets.
-
-    The closeness of t_c to the resolvent value 1/(1 - lambda_max(P)) and
-    the two-sided bracket of that value hold under 64s <= n+1; with the
-    hypothesis unmet the quantities are still reported but not judged.
-    """
-
-    t_c: float
-    lambda_max_P: float
-    resolvent: float
-    hypothesis_holds: bool
-    near_resolvent_gap: float
-    bracket_low: float
-    bracket_high: float
-
-    @property
-    def near_resolvent_passed(self) -> Optional[bool]:
-        if not self.hypothesis_holds:
-            return None
-        return self.near_resolvent_gap <= 4.0 + 1e-9
-
-    @property
-    def bracket_passed(self) -> Optional[bool]:
-        if not self.hypothesis_holds:
-            return None
-        tol = 1e-9 * max(1.0, self.bracket_high)
-        return (
-            self.bracket_low - tol <= self.resolvent <= self.bracket_high + tol
-        )
-
-
-def classical_bounds(g: SignedCompleteGraph) -> ClassicalBounds:
-    """Evaluate the hitting-time brackets on one instance."""
-    result = hitting_time(g)
-    lam = result.lambda_max_P
-    resolvent = 1.0 / (1.0 - lam)
-    n, m, s = g.n, g.num_marked, g.s
-    return ClassicalBounds(
-        t_c=result.t_c,
-        lambda_max_P=lam,
-        resolvent=resolvent,
-        hypothesis_holds=64 * s <= n + 1,
-        near_resolvent_gap=abs(result.t_c - resolvent),
-        bracket_low=(n + 1.0) * (n - 1.0) / (2.0 * m),
-        bracket_high=(n + 1.0) * (n - 1.0) / m,
-    )

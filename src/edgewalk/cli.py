@@ -31,7 +31,7 @@ from .errors import DegenerateSpectrum, EdgeWalkError, NoConvergence, SolverFail
 from .operators import build_T
 from .quantum_search import quantum_time, run_series
 from .signed_graph import build_instance, edges_from_descriptor, path_edges
-from .spectral import eigh, principal_pair
+from .spectral import eigh, principal_pair, summarize_spectrum
 
 __all__ = ["main"]
 
@@ -64,7 +64,7 @@ def _write_series_csv(path: Path, fp) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload: dict | list) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
@@ -168,7 +168,7 @@ def cmd_verify(args) -> int:
     ledger = verify_all(g)
     out = _out_dir(args)
     ledger_path = out / "ledger.json"
-    _write_json_entries(ledger_path, ledger.to_json_entries())
+    _write_json(ledger_path, ledger.to_json_entries())
     checked = len(ledger.entries)
     skipped = len(ledger.skipped)
     failures = ledger.failures
@@ -189,10 +189,6 @@ def cmd_verify(args) -> int:
         },
     )
     return EXIT_VERIFY if failures else EXIT_OK
-
-
-def _write_json_entries(path: Path, entries: list) -> None:
-    path.write_text(json.dumps(entries, indent=2) + "\n")
 
 
 def cmd_fig2(args) -> int:
@@ -275,12 +271,11 @@ def cmd_speedup(args) -> int:
 
 def cmd_spectrum(args) -> int:
     g, descriptor = _instance_from_args(args)
-    t = build_T(g)
-    values, _ = eigh(t.matrix)
+    values, vectors = eigh(build_T(g).matrix)
     degenerate = False
     scalars = {"lambda_max": float(values[0]), "gap": float(values[0] - values[1])}
     try:
-        summary = principal_pair(t)
+        summary = summarize_spectrum(values, vectors)
         scalars.update(
             theta_max=summary.theta_max,
             overlap=summary.overlap,

@@ -45,10 +45,15 @@ __all__ = [
     "DENSE_LINE_LIMIT",
 ]
 
-# Dense U has (n(n+1))^2 entries; 40 keeps that under ~3M.  Dense P is
-# capped separately since it only backs small-instance spectra and solves.
+# Dense U has (n(n+1))^2 entries; 40 keeps that under ~3M.
 DENSE_U_LIMIT = 40
-DENSE_LINE_LIMIT = 3000
+# The one dense/iterative policy on unmarked edges (``fits_dense``): the
+# line-kernel eigenpair, the absorption solve and the pq_spectra comparison
+# run dense up to this count and matrix-free (Lanczos, CG, lifted residuals)
+# beyond it.  Below it the dense paths are exact small-instance references,
+# notably the full pq_spectra multiset comparison; above it a dense solve
+# costs seconds where the iterative one takes milliseconds.
+DENSE_LINE_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,7 @@ class LineTransitionMatrix:
     Application is matrix-free through per-vertex accumulators: for x over
     unmarked edges, (P x)_{uv} = (C_u + C_v - 2 x_{uv}) / (2(n-1)) where
     C_w sums x over unmarked edges at w.  ``dense()`` materializes the
-    kernel for small instances only.
+    kernel only when ``fits_dense``.
     """
 
     n: int
@@ -106,6 +111,12 @@ class LineTransitionMatrix:
     @property
     def rate(self) -> float:
         return 1.0 / (2.0 * (self.n - 1))
+
+    @property
+    def fits_dense(self) -> bool:
+        """Whether solvers take the dense path (at most DENSE_LINE_LIMIT
+        unmarked edges)."""
+        return self.num_edges <= DENSE_LINE_LIMIT
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -128,7 +139,7 @@ class LineTransitionMatrix:
 
     def dense(self) -> np.ndarray:
         """Dense kernel; guarded because it is quadratic in the edge count."""
-        if self.num_edges > DENSE_LINE_LIMIT:
+        if not self.fits_dense:
             raise TooLarge(
                 f"{self.num_edges} unmarked edges exceed the dense limit "
                 f"{DENSE_LINE_LIMIT}"

@@ -7,11 +7,11 @@ amplitude mass on the marked arcs.  The searching time
 t_f = floor(pi / (2 theta_max)) comes from the spectrum, never from the
 simulated peak.
 
-The diagnostics quantify how well the rotation picture approximates the
-walk: the evolved vector U^{t_f}(i beta_-) is compared against -beta_+, the
-start i beta_- against the uniform state, and the marked-arc mass of
--beta_+ against its closed-form lower bound, each with the hypothesis its
-bound requires.
+The diagnostics measure how well the rotation picture approximates the
+walk: the distance of the evolved vector U^{t_f}(i beta_-) from -beta_+, the
+distance of the start i beta_- from the uniform state, and the marked-arc
+mass of -beta_+.  They are raw quantities; the ledger in ``bounds`` judges
+each against its closed-form bound under the hypothesis the bound requires.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .spectral import SpectralSummary, lift_eigenvectors, principal_pair
 
 __all__ = [
     "WalkSeries",
-    "DiagnosticCheck",
     "WalkDiagnostics",
     "initial_state",
     "finding_probability",
@@ -121,39 +120,15 @@ def run_series(
 
 
 @dataclass(frozen=True)
-class DiagnosticCheck:
-    """One diagnostic quantity against its closed-form bound."""
-
-    name: str
-    value: float
-    bound: Optional[float]
-    relation: str
-    hypothesis: str
-    hypothesis_holds: bool
-
-    @property
-    def passed(self) -> Optional[bool]:
-        if not self.hypothesis_holds or self.bound is None:
-            return None
-        if self.relation == "<=":
-            return self.value <= self.bound + 1e-9 * max(1.0, abs(self.bound))
-        return self.value >= self.bound - 1e-9 * max(1.0, abs(self.bound))
-
-
-@dataclass(frozen=True)
 class WalkDiagnostics:
-    """Rotation-picture diagnostics of one instance.
+    """Rotation-picture quantities of one instance.
 
     ``rotation_gap_sq`` is ||U^{t_f}(i beta_-) - (-beta_+)||^2,
     ``start_gap_sq`` is ||i beta_- - j||^2, ``target_mass`` is the squared
     mass of -beta_+ on the marked arcs, and ``fp_at_tf`` the simulated
-    finding probability at the searching time.  ``checks`` compares each
-    against its bound under the recorded hypotheses.
+    finding probability at the searching time.
     """
 
-    n: int
-    num_marked: int
-    gamma_order: int
     lambda_max: float
     theta_max: float
     t_f: int
@@ -161,29 +136,17 @@ class WalkDiagnostics:
     start_gap_sq: float
     target_mass: float
     fp_at_tf: float
-    hyp_half: bool
-    hyp_ratio: bool
-    hyp_small: bool
-    checks: tuple[DiagnosticCheck, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed is not False for c in self.checks)
 
 
 def asymptotic_diagnostics(
     g: SignedCompleteGraph, summary: Optional[SpectralSummary] = None
 ) -> WalkDiagnostics:
-    """Evaluate the rotation-picture quantities exactly and compare each
-    against its closed-form bound.
+    """Evaluate the rotation-picture quantities exactly.
 
-    Hypotheses recorded: 2s < n+3 for the start-gap bound; both the density
-    condition 4m/|E| + 4s/|V| <= 1 and 66s <= n+3 for the target-mass and
-    finding-probability bounds.  Raises DegenerateSpectrum when the rotation
-    angle vanishes.  ``summary`` is the principal pair of the instance when
-    the caller has already solved for it.
+    Raises DegenerateSpectrum when the rotation angle vanishes.  ``summary``
+    is the principal pair of the instance when the caller has already
+    solved for it.
     """
-    n, m, s = g.n, g.num_marked, g.s
     if summary is None:
         summary = principal_pair(build_T(g))
     lifted = lift_eigenvectors(g, summary)
@@ -197,82 +160,13 @@ def asymptotic_diagnostics(
     target = target.real
 
     evolved = evolve_state(g, start, t_f)
-    rotation_gap_sq = float(np.sum((evolved - target) ** 2))
     uniform = initial_state(g)
-    start_gap_sq = float(np.sum((start - uniform) ** 2))
-    target_mass = float(np.sum(target[g.marked_arcs] ** 2))
-    fp_at_tf = finding_probability(g, evolve_state(g, uniform, t_f))
-
-    hyp_half = 2 * s < n + 3
-    num_host_edges = n * (n + 1) / 2.0
-    hyp_ratio = 4.0 * m / num_host_edges + 4.0 * s / (n + 1) <= 1.0
-    hyp_small = 66 * s <= n + 3
-
-    checks = [
-        DiagnosticCheck(
-            name="rotation_gap",
-            value=rotation_gap_sq,
-            bound=16.0 * m / (n * (n + 1)),
-            relation="<=",
-            hypothesis="theta_max > 0",
-            hypothesis_holds=True,
-        ),
-        DiagnosticCheck(
-            name="rotation_gap_spectral",
-            value=rotation_gap_sq,
-            bound=4.0 * (1.0 - summary.lambda_max),
-            relation="<=",
-            hypothesis="theta_max > 0",
-            hypothesis_holds=True,
-        ),
-        DiagnosticCheck(
-            name="start_gap",
-            value=start_gap_sq,
-            bound=(12.0 + 8.0 * np.sqrt(2.0)) * m / ((n + 1) * (n + 3 - 2 * s))
-            if hyp_half
-            else None,
-            relation="<=",
-            hypothesis="2s < n+3",
-            hypothesis_holds=hyp_half,
-        ),
-        DiagnosticCheck(
-            name="target_mass",
-            value=target_mass,
-            bound=1.0
-            - 2.0 * m / (n * (n + 1))
-            - 16.0 * np.sqrt(s / (n + 3.0 - 2 * s))
-            if hyp_ratio and hyp_small
-            else None,
-            relation=">=",
-            hypothesis="4m/|E| + 4s/|V| <= 1 and 66s <= n+3",
-            hypothesis_holds=hyp_ratio and hyp_small,
-        ),
-        DiagnosticCheck(
-            name="fp_lower",
-            value=fp_at_tf,
-            bound=1.0
-            - 22.0 * np.sqrt(m / ((n + 1.0) * (n + 3 - 2 * s)))
-            - 32.0 * np.sqrt(s / (n + 3.0 - 2 * s))
-            if hyp_ratio and hyp_small
-            else None,
-            relation=">=",
-            hypothesis="4m/|E| + 4s/|V| <= 1 and 66s <= n+3",
-            hypothesis_holds=hyp_ratio and hyp_small,
-        ),
-    ]
     return WalkDiagnostics(
-        n=n,
-        num_marked=m,
-        gamma_order=s,
         lambda_max=summary.lambda_max,
         theta_max=summary.theta_max,
         t_f=t_f,
-        rotation_gap_sq=rotation_gap_sq,
-        start_gap_sq=start_gap_sq,
-        target_mass=target_mass,
-        fp_at_tf=fp_at_tf,
-        hyp_half=hyp_half,
-        hyp_ratio=hyp_ratio,
-        hyp_small=hyp_small,
-        checks=tuple(checks),
+        rotation_gap_sq=float(np.sum((evolved - target) ** 2)),
+        start_gap_sq=float(np.sum((start - uniform) ** 2)),
+        target_mass=float(np.sum(target[g.marked_arcs] ** 2)),
+        fp_at_tf=finding_probability(g, evolve_state(g, uniform, t_f)),
     )

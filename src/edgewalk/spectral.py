@@ -20,7 +20,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import DegenerateSpectrum, NoConvergence, NotSymmetric
 from .operators import (
-    DENSE_LINE_LIMIT,
     DiscriminantMatrix,
     LineTransitionMatrix,
     build_T,
@@ -245,19 +244,17 @@ def spectral_mapping_check(
     )
 
 
-def line_principal_pair(
-    P: LineTransitionMatrix, dense_limit: int = DENSE_LINE_LIMIT
-) -> tuple[float, np.ndarray]:
+def line_principal_pair(P: LineTransitionMatrix) -> tuple[float, np.ndarray]:
     """Top eigenpair of the line-graph kernel.
 
-    Dense decomposition below ``dense_limit`` edges; Lanczos on the
-    matrix-free operator beyond it (deterministic start vector).  The
-    eigenvector is sign-fixed against the uniform direction.
+    Dense decomposition when ``P.fits_dense``; Lanczos on the matrix-free
+    operator beyond it (deterministic start vector).  The eigenvector is
+    sign-fixed against the uniform direction.
     """
     edges = P.num_edges
     if edges == 1:
         return 0.0, np.ones(1)
-    if edges <= dense_limit:
+    if P.fits_dense:
         values, vectors = eigh(P.dense())
         vec = principal_vector(values, vectors)
         return float(values[0]), vec

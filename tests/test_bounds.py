@@ -3,9 +3,18 @@
 import json
 
 import numpy as np
+import pytest
 
-from edgewalk import build_instance, path_edges, verify_all, verify_random_suite
-from edgewalk.bounds import _entry, random_instance
+from edgewalk import (
+    build_instance,
+    build_P,
+    line_principal_pair,
+    operators,
+    path_edges,
+    verify_all,
+    verify_random_suite,
+)
+from edgewalk.bounds import _entry, _pq_spectra_mismatch, random_instance
 
 BASE_NAMES = {
     "gershgorin",
@@ -34,17 +43,103 @@ BASE_NAMES = {
 }
 
 
+# Every entry in ledger order with its relation; on this instance every
+# hypothesis holds, so every entry is judged.
+LEDGER_ORDER = [
+    ("gershgorin.Y", "<="),
+    ("gershgorin.Z", "<="),
+    ("lambda1_bracket.Y.upper", "<="),
+    ("lambda1_bracket.Y.lower", ">="),
+    ("lambda1_bracket.Z.upper", "<="),
+    ("lambda1_bracket.Z.lower", ">="),
+    ("adjacency_max", "<="),
+    ("lambda2_Y", "<="),
+    ("lambda2_Z", "<="),
+    ("gap_T", ">="),
+    ("bipartite_iff", "=="),
+    ("overlap_generic.Y", "<="),
+    ("overlap_generic.Z", "<="),
+    ("lmax_upper_Y", "<="),
+    ("lmax_upper_Z", "<="),
+    ("cor_T.upper", "<="),
+    ("cor_T.lower", ">="),
+    ("cor_T.overlap", "<="),
+    ("norm_l2", "<="),
+    ("norm_l1", "<="),
+    ("pq_spectra", "<="),
+    ("cor_P.upper", "<="),
+    ("cor_P.lower", ">="),
+    ("cor_P.overlap", ">="),
+    ("tc_near_resolvent", "<="),
+    ("tc_bracket.lower", ">="),
+    ("tc_bracket.upper", "<="),
+    ("ratio", "<="),
+    ("beta_close", "<="),
+    ("beta_minus_close", "<="),
+    ("beta_plus_mass", ">="),
+    ("fp_lower", ">="),
+    ("qtime_order.lower", ">="),
+    ("qtime_order.upper", "<="),
+]
+LINE_ENTRIES = [
+    "norm_l1",
+    "pq_spectra",
+    "cor_P.upper",
+    "cor_P.lower",
+    "cor_P.overlap",
+    "tc_near_resolvent",
+    "tc_bracket.lower",
+    "tc_bracket.upper",
+]
+
+TRIANGLE_ALL_MARKED = [(0, 1), (1, 2), (0, 2)]
+
+
+@pytest.fixture(scope="module")
+def judged_ledger():
+    # 66*2 <= 263 and 64*2 <= 261: every hypothesis holds
+    return verify_all(build_instance(260, [(0, 1)]))
+
+
 def test_checklist_coverage():
     ledger = verify_all(build_instance(20, [(0, 1)]))
     names = {e.name.split(".")[0] for e in ledger.entries}
     assert names == BASE_NAMES
 
 
-def test_all_pass_at_large_n():
-    # 66*2 <= 263 and 64*2 <= 261: every hypothesis holds
-    ledger = verify_all(build_instance(260, [(0, 1)]))
-    assert not ledger.skipped
-    assert ledger.all_passed
+def test_all_pass_at_large_n(judged_ledger):
+    assert not judged_ledger.skipped
+    assert judged_ledger.all_passed
+
+
+def test_ledger_order_and_relations(judged_ledger):
+    assert [(e.name, e.relation) for e in judged_ledger] == LEDGER_ORDER
+
+
+@pytest.mark.parametrize(
+    "n,edges",
+    [(2, path_edges(2)), (2, TRIANGLE_ALL_MARKED), (4, [(0, 1), (1, 2), (2, 3)])],
+    ids=["degenerate", "empty-complement", "k5-path"],
+)
+def test_skipped_entries_keep_relation_and_drop_rhs(n, edges):
+    entries = verify_all(build_instance(n, edges)).to_json_entries()
+    assert [(e["name"], e["relation"]) for e in entries] == LEDGER_ORDER
+    skipped = [e for e in entries if e["passed"] is None]
+    assert skipped
+    for e in skipped:
+        assert not e["hypothesis_holds"]
+        assert e["rhs"] is None and e["slack"] is None
+
+
+def test_empty_complement_skips_line_entries():
+    ledger = verify_all(build_instance(2, TRIANGLE_ALL_MARKED))
+    for name in LINE_ENTRIES:
+        e = ledger.entry(name)
+        assert e.passed is None
+        assert e.hypothesis_description == "complement nonempty"
+        assert np.isnan(e.lhs)
+    assert ledger.entry("beta_close").passed  # the triangle is not degenerate
+    assert not ledger.failures
 
 
 def test_spanning_bipartite_skips_quantum_entries():
@@ -57,6 +152,19 @@ def test_spanning_bipartite_skips_quantum_entries():
     # ungated spectral entries still pass
     for name in ("gershgorin", "lambda1_bracket", "lambda2_Y", "gap_T"):
         assert all(e.passed for e in ledger.entries_for(name))
+
+
+@pytest.mark.parametrize(
+    "edges", [[(0, 1)], path_edges(3), [(0, 1), (0, 2), (0, 3)], [(0, 1), (2, 3)]]
+)
+def test_pq_spectra_lift_matches_dense(monkeypatch, edges):
+    # the lifted-residual certificate against the full multiset comparison
+    P = build_P(build_instance(30, edges))
+    lam, _ = line_principal_pair(P)
+    dense = _pq_spectra_mismatch(P, lam)
+    monkeypatch.setattr(operators, "DENSE_LINE_LIMIT", 0)
+    lifted = _pq_spectra_mismatch(P, lam)
+    assert dense <= 1e-12 and lifted <= 1e-12
 
 
 def test_k5_gating():

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-import edgewalk.classical_search as cs
 from edgewalk import (
     build_instance,
     build_P,
-    classical_bounds,
     hitting_time,
     mc_hitting_time,
+    operators,
+    verify_all,
 )
 from edgewalk.classical_search import solve_absorption
 from edgewalk.errors import ZeroTrials
@@ -40,8 +40,10 @@ def test_k100_single_edge_bracket():
 def test_iterative_path_matches_dense(monkeypatch):
     g = build_instance(40, [(0, 1), (2, 3)])
     P = build_P(g)
+    assert P.fits_dense
     x_dense, _ = solve_absorption(P)
-    monkeypatch.setattr(cs, "DENSE_SOLVE_LIMIT", 0)
+    monkeypatch.setattr(operators, "DENSE_LINE_LIMIT", 0)
+    assert not P.fits_dense
     x_cg, residual = solve_absorption(P)
     assert residual <= 1e-10
     assert abs(x_cg.mean() - x_dense.mean()) <= 1e-8 * x_dense.mean()
@@ -50,10 +52,19 @@ def test_iterative_path_matches_dense(monkeypatch):
 def test_large_instance_uses_cg():
     g = build_instance(128, [(0, 1)])
     P = build_P(g)
-    assert P.num_edges > cs.DENSE_SOLVE_LIMIT
+    assert not P.fits_dense
     result = hitting_time(g)
     assert result.solver_residual <= 1e-10
     assert 129 * 127 / 2 - 4 <= result.t_c <= 129 * 127 + 4
+
+
+def test_hitting_time_above_dense_limit_n80():
+    # 3239 unmarked edges: dense P would be refused, so the solve must not
+    # ask for it
+    g = build_instance(80, [(0, 1)])
+    result = hitting_time(g)
+    assert result.solver_residual <= 1e-10
+    assert 81 * 79 / 2 - 4 <= result.t_c <= 81 * 79 + 4
 
 
 def test_mc_matches_exact_triangle():
@@ -78,14 +89,17 @@ def test_mc_deterministic():
 
 
 def test_classical_bounds_hypothesis_gate():
-    small = classical_bounds(build_instance(2, [(0, 1)]))
-    assert not small.hypothesis_holds
-    assert small.near_resolvent_passed is None
-    large = classical_bounds(build_instance(255, [(0, 1)]))
-    assert large.hypothesis_holds
-    assert large.near_resolvent_passed
-    assert large.bracket_passed
-    assert 0.45 <= large.t_c / 255**2 <= 1.1
+    # the hitting-time brackets are judged by the ledger under 64s <= n+1
+    small = verify_all(build_instance(2, [(0, 1)]))
+    for e in small.entries_for("tc_near_resolvent") + small.entries_for("tc_bracket"):
+        assert not e.hypothesis_holds and e.passed is None
+    g = build_instance(255, [(0, 1)])
+    large = verify_all(g)
+    near = large.entry("tc_near_resolvent")
+    assert near.hypothesis_holds and near.passed
+    assert near.lhs <= 4.0 + 1e-9
+    assert all(e.passed for e in large.entries_for("tc_bracket"))
+    assert 0.45 <= hitting_time(g).t_c / 255**2 <= 1.1
 
 
 @pytest.mark.parametrize(

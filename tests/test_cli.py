@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from edgewalk import cli
+from edgewalk import cli, spectral
 from edgewalk.cli import main
 from edgewalk.errors import NoConvergence, SolverFailure
 
@@ -121,6 +121,24 @@ def test_subgraph_from_file(tmp_path):
     assert not payload["degenerate"]
 
 
+def test_spectrum_solves_T_once(tmp_path, monkeypatch):
+    orders = []
+    real_eigh = spectral.eigh
+
+    def counting_eigh(matrix):
+        orders.append(len(matrix))
+        return real_eigh(matrix)
+
+    monkeypatch.setattr(spectral, "eigh", counting_eigh)
+    monkeypatch.setattr(cli, "eigh", counting_eigh)
+    code = main(
+        ["spectrum", "--n", "9", "--subgraph", '{"kind": "path", "k": 2}',
+         "--out", str(tmp_path)]
+    )
+    assert code == 0
+    assert orders == [10]
+
+
 def test_classical_with_mc(tmp_path):
     code = main(
         [
@@ -138,6 +156,23 @@ def test_classical_with_mc(tmp_path):
     mc = report["mc_estimate"]
     assert mc["trials"] == 20000
     assert abs(mc["mean"] - 5.2) <= 3 * mc["standard_error"]
+
+
+def test_classical_above_dense_limit(tmp_path):
+    # 3239 unmarked edges; exited 2 ("config error") while the solve asked
+    # for a dense kernel above its size guard
+    code = main(
+        [
+            "classical",
+            "--n", "80",
+            "--subgraph", '{"kind": "path", "k": 1}',
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    report = read_json(tmp_path / "report.json")
+    assert report["solver_residual"] <= 1e-10
+    assert report["mc_estimate"] is None
 
 
 def test_verify_exit_zero_and_ledger(tmp_path):

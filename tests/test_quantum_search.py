@@ -15,6 +15,7 @@ from edgewalk import (
     principal_pair,
     quantum_time,
     run_series,
+    verify_all,
 )
 from edgewalk.errors import DimensionMismatch
 
@@ -118,25 +119,39 @@ def test_series_matches_dense_eigendecomposition():
 
 
 def test_diagnostics_k100_single_edge():
-    d = asymptotic_diagnostics(build_instance(99, path_edges(1)))
+    # the rotation-picture bounds are judged by the ledger, at its relative
+    # tolerance 1e-9 * max(1, |rhs|)
+    g = build_instance(99, path_edges(1))
+    d = asymptotic_diagnostics(g)
     assert d.t_f == 55
-    assert d.hyp_half and not d.hyp_small
-    by_name = {c.name: c for c in d.checks}
-    assert by_name["rotation_gap"].passed
-    assert by_name["rotation_gap_spectral"].passed
-    start = by_name["start_gap"]
-    assert start.passed
-    assert start.bound == pytest.approx(
-        (12 + 8 * np.sqrt(2)) / (100 * 98), rel=1e-12
-    )
-    assert by_name["fp_lower"].passed is None  # gated by 66s <= n+3
+    ledger = verify_all(g)
+    assert ledger.entry("beta_close").passed
+    spectral_bound = 4 * (1 - d.lambda_max)  # no ledger entry: judged here
+    assert d.rotation_gap_sq <= spectral_bound + 1e-9 * max(1.0, spectral_bound)
+    start = ledger.entry("beta_minus_close")
+    assert start.hypothesis_holds and start.passed
+    assert start.lhs == d.start_gap_sq
+    assert start.rhs == pytest.approx((12 + 8 * np.sqrt(2)) / (100 * 98), rel=1e-12)
+    fp = ledger.entry("fp_lower")  # gated by 66s <= n+3
+    assert not fp.hypothesis_holds and fp.passed is None
+    assert fp.lhs == d.fp_at_tf
 
 
 def test_diagnostics_all_bounds_at_large_n():
-    d = asymptotic_diagnostics(build_instance(260, [(0, 1)]))
-    assert d.hyp_half and d.hyp_ratio and d.hyp_small
-    assert d.all_passed
-    assert all(c.passed for c in d.checks)
+    g = build_instance(260, [(0, 1)])
+    d = asymptotic_diagnostics(g)
+    spectral_bound = 4 * (1 - d.lambda_max)  # no ledger entry: judged here
+    assert d.rotation_gap_sq <= spectral_bound + 1e-9 * max(1.0, spectral_bound)
+    ledger = verify_all(g)
+    for name, value in (
+        ("beta_close", d.rotation_gap_sq),
+        ("beta_minus_close", d.start_gap_sq),
+        ("beta_plus_mass", d.target_mass),
+        ("fp_lower", d.fp_at_tf),
+    ):
+        entry = ledger.entry(name)
+        assert entry.hypothesis_holds and entry.passed
+        assert entry.lhs == value
 
 
 @pytest.mark.parametrize("seed", range(5))

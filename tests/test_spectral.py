@@ -11,6 +11,7 @@ from edgewalk import (
     build_U_dense,
     eigh,
     lift_eigenvectors,
+    operators,
     line_principal_pair,
     principal_pair,
     spectral_mapping_check,
@@ -157,10 +158,11 @@ def test_mapping_check_excludes_unit_eigenvalue():
     assert report.ok
 
 
-def test_line_principal_pair_dense_vs_iterative():
+def test_line_principal_pair_dense_vs_iterative(monkeypatch):
     g = build_instance(24, [(0, 1), (2, 3)])
     P = build_P(g)
     lam_dense, vec_dense = line_principal_pair(P)
-    lam_iter, vec_iter = line_principal_pair(P, dense_limit=1)
+    monkeypatch.setattr(operators, "DENSE_LINE_LIMIT", 0)
+    lam_iter, vec_iter = line_principal_pair(P)
     assert lam_iter == pytest.approx(lam_dense, abs=1e-10)
     assert np.abs(np.abs(vec_dense @ vec_iter) - 1.0) <= 1e-8
