@@ -92,7 +92,9 @@ class LineTransitionMatrix:
     get weight 1/(2(n-1)).  Rows of edges adjacent to a marked edge sum to
     less than one, which makes I - P invertible and the absorption time
     finite.  ``q_matrix`` is the (n+1)-dimensional companion with the same
-    spectrum apart from the value -1/(n-1).
+    spectrum apart from the value -1/(n-1), and ``gram`` the integer Gram
+    matrix N N^T = 2(n-1) Q + 2I of the vertex-edge incidence matrix N
+    (stored as float64; its entries are exact).
 
     Application is matrix-free through per-vertex accumulators: for x over
     unmarked edges, (P x)_{uv} = (C_u + C_v - 2 x_{uv}) / (2(n-1)) where
@@ -103,6 +105,7 @@ class LineTransitionMatrix:
     n: int
     complement: ComplementGraph
     q_matrix: np.ndarray
+    gram: np.ndarray
 
     @property
     def num_edges(self) -> int:
@@ -168,14 +171,14 @@ def build_P(g: SignedCompleteGraph) -> LineTransitionMatrix:
         - np.diag(g.gamma_degrees)
     )
     inc = delta.incidence()
-    gram_num = (inc @ inc.T).toarray().astype(np.int64) - 2 * np.eye(
-        order, dtype=np.int64
-    )
-    if not np.array_equal(q_num, gram_num):
+    gram = (inc @ inc.T).toarray().astype(np.int64)
+    if not np.array_equal(q_num + 2 * np.eye(order, dtype=np.int64), gram):
         raise AssertionError("vertex companion disagrees with incidence identity")
     q = q_num / (2.0 * (n - 1))
     q.setflags(write=False)
-    return LineTransitionMatrix(n=n, complement=delta, q_matrix=q)
+    gram = gram.astype(np.float64)
+    gram.setflags(write=False)
+    return LineTransitionMatrix(n=n, complement=delta, q_matrix=q, gram=gram)
 
 
 def arc_matrix(g: SignedCompleteGraph, psi: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Inequality ledger: coverage, gating, determinism, norm inequalities."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +9,24 @@ import pytest
 from edgewalk import (
     build_instance,
     build_P,
+    build_T,
+    cycle_edges,
     line_principal_pair,
+    matching_edges,
     operators,
     path_edges,
+    star_edges,
     verify_all,
     verify_random_suite,
 )
-from edgewalk.bounds import _entry, _pq_spectra_mismatch, random_instance
+from edgewalk.bounds import (
+    _entry,
+    _gershgorin_violation,
+    _pq_spectra_mismatch,
+    random_instance,
+)
+from edgewalk.spectral import eigh
+from pq_oracle import companion_eigendata
 
 BASE_NAMES = {
     "gershgorin",
@@ -159,12 +171,85 @@ def test_spanning_bipartite_skips_quantum_entries():
 )
 def test_pq_spectra_lift_matches_dense(monkeypatch, edges):
     # the lifted-residual certificate against the full multiset comparison
-    P = build_P(build_instance(30, edges))
+    g = build_instance(30, edges)
+    P = build_P(g)
     lam, _ = line_principal_pair(P)
-    dense = _pq_spectra_mismatch(P, lam)
+    values, vectors = companion_eigendata(g)
+    dense = _pq_spectra_mismatch(P, lam, values, vectors)
     monkeypatch.setattr(operators, "DENSE_LINE_LIMIT", 0)
-    lifted = _pq_spectra_mismatch(P, lam)
+    lifted = _pq_spectra_mismatch(P, lam, values, vectors)
     assert dense <= 1e-12 and lifted <= 1e-12
+
+
+@pytest.mark.parametrize("n", [40, 130, 260, 400])
+def test_derived_vertex_eigendata_match_direct_solves(n):
+    # verify_all takes Y = n(T - I) and Q = Z/(2(n-1)) + I from the
+    # eigendata of T and Z; the direct solves agree to rounding
+    eps = np.finfo(float).eps
+    order = n + 1
+    for edges in ([(0, 1)], path_edges(3), star_edges(3), matching_edges(2), cycle_edges(4)):
+        g = build_instance(n, edges)
+        y = np.ones((order, order)) - order * np.eye(order) - 2.0 * g.marked_matrix
+        t_values, t_vectors = eigh(build_T(g).matrix)
+        y_derived = n * (t_values - 1.0)
+        assert np.abs(y_derived - eigh(y)[0]).max() <= 64 * eps * order
+        assert np.abs(y @ t_vectors - t_vectors * y_derived).max() <= 128 * eps * order
+        q_values, _ = companion_eigendata(g)
+        assert np.abs(q_values - eigh(build_P(g).q_matrix)[0]).max() <= 32 * eps
+
+
+def _gershgorin_loop(matrix, values):
+    # the per-eigenvalue form the broadcast replaced
+    centers = np.diag(matrix)
+    radii = np.abs(matrix).sum(axis=1) - np.abs(centers)
+    worst = 0.0
+    for lam in values:
+        nearest = float((np.abs(lam - centers) - radii).min())
+        worst = max(worst, max(0.0, nearest))
+    return worst
+
+
+def test_gershgorin_violation_matches_per_eigenvalue_loop():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        k = int(rng.integers(1, 40))
+        a = rng.normal(size=(k, k))
+        a = a + a.T
+        # shifted values leave the discs, so the violation is often positive
+        values = np.linalg.eigvalsh(a)[::-1] + rng.choice([0.0, 3.0, 50.0])
+        assert _gershgorin_violation(a, values) == _gershgorin_loop(a, values)
+    assert _gershgorin_violation(np.zeros((2, 2)), np.array([1.0, -2.0])) == 2.0
+
+
+def test_sweep_verdicts_unchanged():
+    # the ledger_sweep benchmark instances: every entry keeps its name,
+    # relation, hypothesis and verdict
+    fixture = json.loads(
+        (Path(__file__).parent / "data" / "ledger_sweep_verdicts.json").read_text()
+    )
+    rows = [tuple(row) for row in fixture["entries"]]
+    code = {True: "P", False: "F", None: "S"}
+    assert len(fixture["instances"]) == 32
+    for instance in fixture["instances"]:
+        g = build_instance(instance["n"], [tuple(e) for e in instance["edges"]])
+        ledger = verify_all(g)
+        assert [(e.name, e.relation, e.hypothesis_description) for e in ledger] == rows
+        assert "".join(code[e.passed] for e in ledger) == instance["verdicts"]
+
+
+def test_verify_all_solves_two_vertex_matrices(monkeypatch):
+    # T and Z, plus the order-s adjacency of the marked subgraph
+    orders = []
+    real_eigh = np.linalg.eigh
+
+    def counting(matrix, *args, **kwargs):
+        orders.append(len(matrix))
+        return real_eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    ledger = verify_all(build_instance(260, path_edges(2)))
+    assert ledger.all_passed
+    assert sorted(orders) == [3, 261, 261]
 
 
 def test_k5_gating():
