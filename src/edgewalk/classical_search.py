@@ -142,20 +142,30 @@ def mc_hitting_time(
     the unmarked edges and stopping when the current edge is marked; trial i
     draws from its own counter-derived stream keyed by (seed, i), so the
     estimate is independent of execution order.  Returns (mean, standard
-    error).
+    error).  Raises ZeroTrials for fewer than one trial and ValueError
+    unless 0 <= seed < 2**64.
     """
     if trials < 1:
         raise ZeroTrials(f"need at least one trial, got {trials}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     delta = build_complement(g)
     start_edges = delta.edges
     marked = g.marked_matrix
     n = g.n
     moves = 2 * (n - 1)
     counts = np.empty(trials, dtype=np.float64)
+    # One bit generator, restarted for each trial at key (seed, trial) from
+    # its fresh state (counter 0, empty buffer): the stream of
+    # Philox(key=[seed, trial]) without constructing one per trial, which
+    # would also seed a SeedSequence from OS entropy that the key overrides.
+    bit_generator = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bit_generator)
+    fresh = bit_generator.state
+    key = fresh["state"]["key"]
     for trial in range(trials):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, trial], dtype=np.uint64))
-        )
+        key[1] = trial
+        bit_generator.state = fresh
         u, v = start_edges[int(rng.integers(len(start_edges)))]
         u, v = int(u), int(v)
         steps = 0

@@ -143,6 +143,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_classical(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     g, descriptor = _instance_from_args(args)
     result = hitting_time(g)
     mc = None

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DegenerateSpectrum, DimensionMismatch
 from .operators import arc_matrix, arc_vector, build_T, walk_arc_matrix
 from .signed_graph import SignedCompleteGraph
-from .spectral import SpectralSummary, lift_eigenvectors, principal_pair
+from .spectral import SpectralSummary, principal_pair
 
 __all__ = [
     "WalkSeries",
@@ -149,24 +149,41 @@ def asymptotic_diagnostics(
     """
     if summary is None:
         summary = principal_pair(build_T(g))
-    lifted = lift_eigenvectors(g, summary)
     t_f = quantum_time(summary)
+    start, target = _rotation_states(g, summary)
+    uniform = arc_matrix(g, initial_state(g))
+    marked = g.marked_matrix
 
-    start = 1j * lifted.beta_minus
-    target = -lifted.beta_plus
-    if max(np.abs(start.imag).max(), np.abs(target.imag).max()) > 1e-12:
-        raise AssertionError("rotation combinations should be real-valued")
-    start = start.real
-    target = target.real
-
-    evolved = evolve_state(g, start, t_f)
-    uniform = initial_state(g)
+    # The walks run in place, so the start gap is read first.
+    start_gap_sq = float(np.sum((start - uniform) ** 2))
+    evolved = walk_arc_matrix(g, start, t_f)
+    found = walk_arc_matrix(g, uniform, t_f)[marked]
     return WalkDiagnostics(
         lambda_max=summary.lambda_max,
         theta_max=summary.theta_max,
         t_f=t_f,
         rotation_gap_sq=float(np.sum((evolved - target) ** 2)),
-        start_gap_sq=float(np.sum((start - uniform) ** 2)),
-        target_mass=float(np.sum(target[g.marked_arcs] ** 2)),
-        fp_at_tf=finding_probability(g, evolve_state(g, uniform, t_f)),
+        start_gap_sq=start_gap_sq,
+        target_mass=float(np.sum(target[marked] ** 2)),
+        fp_at_tf=float(np.sum(found**2)),
     )
+
+
+def _rotation_states(
+    g: SignedCompleteGraph, summary: SpectralSummary
+) -> tuple[np.ndarray, np.ndarray]:
+    """The real rotation states i beta_- and -beta_+ in square layout.
+
+    d* f is X[u, v] = sigma(u, v) f_v / sqrt(n) with a zero diagonal, and
+    S d* f is its transpose.  The lift (``spectral.lift_eigenvectors``)
+    gives i beta_- = S d* f and -beta_+ = (cos theta S d* f - d* f) / sin theta
+    exactly, so neither complex eigenvector is formed.
+    """
+    theta = summary.theta_max
+    base = np.tile(summary.f / np.sqrt(g.n), (g.n + 1, 1))
+    np.fill_diagonal(base, 0.0)
+    neg_o, neg_t = np.array(g.sigma_negative_arcs, dtype=np.int64).T
+    base[neg_o, neg_t] *= -1.0
+    start = np.ascontiguousarray(base.T)
+    target = (np.cos(theta) * start - base) / np.sin(theta)
+    return start, target

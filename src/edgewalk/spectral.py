@@ -248,8 +248,13 @@ def line_principal_pair(P: LineTransitionMatrix) -> tuple[float, np.ndarray]:
     """Top eigenpair of the line-graph kernel.
 
     Dense decomposition when ``P.fits_dense``; Lanczos on the matrix-free
-    operator beyond it (deterministic start vector).  The eigenvector is
-    sign-fixed against the uniform direction.
+    operator beyond it, from the uniform start vector, in a three-vector
+    workspace.  The uniform vector is constant on the edge orbits of the
+    permutations of the vertices outside the marked subgraph, and P maps
+    that class-constant space (at most C(s, 2) - m + s + 1 dimensions) into
+    itself, so the Krylov space closes after a few steps and holds the top
+    eigenvector.  The eigenvector is sign-fixed against the uniform
+    direction.
     """
     edges = P.num_edges
     if edges == 1:
@@ -260,8 +265,12 @@ def line_principal_pair(P: LineTransitionMatrix) -> tuple[float, np.ndarray]:
         return float(values[0]), vec
     start = np.full(edges, 1.0 / np.sqrt(edges))
     try:
+        # ncv = 3: with ARPACK's default of 20 the factorization breaks down
+        # once the Krylov space closes, and ARPACK pads it with random
+        # vectors that it orthogonalizes and restarts over, about 22
+        # products where 4 or 5 converge.
         values, vectors = spla.eigsh(
-            P.as_linear_operator(), k=1, which="LA", v0=start, tol=0.0
+            P.as_linear_operator(), k=1, which="LA", v0=start, tol=0.0, ncv=3
         )
     except spla.ArpackNoConvergence as exc:
         raise NoConvergence(str(exc)) from exc

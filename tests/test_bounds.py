@@ -281,6 +281,16 @@ def test_ledger_json_roundtrip_and_determinism():
     } == set(entries[0])
 
 
+def test_ledger_deterministic_on_the_iterative_path():
+    # beyond the dense limit (Lanczos, CG): no solver state carries over
+    # from one verify_all call to the next
+    g = build_instance(260, path_edges(2))
+    assert not build_P(g).fits_dense
+    first = json.dumps(verify_all(g).to_json_entries())
+    verify_all(build_instance(300, star_edges(3)))
+    assert json.dumps(verify_all(g).to_json_entries()) == first
+
+
 def test_entry_slack_conventions():
     e = _entry("x", "<=", 1.0, 3.0)
     assert e.slack == 2.0 and e.passed

@@ -13,6 +13,7 @@ from edgewalk import (
 )
 from edgewalk.classical_search import solve_absorption
 from edgewalk.errors import ZeroTrials
+from mc_oracle import per_trial_generator_mc
 
 
 def test_triangle_exact():
@@ -86,6 +87,27 @@ def test_mc_deterministic():
     g = build_instance(4, [(0, 1), (2, 3)])
     assert mc_hitting_time(g, 400, seed=9) == mc_hitting_time(g, 400, seed=9)
     assert mc_hitting_time(g, 400, seed=9) != mc_hitting_time(g, 400, seed=10)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63])
+@pytest.mark.parametrize(
+    "n,edges",
+    [(2, [(0, 1)]), (3, [(0, 1)]), (4, [(0, 1), (2, 3)]), (10, [(0, 1), (1, 2)])],
+)
+def test_mc_matches_per_trial_generator_oracle(n, edges, seed):
+    # restarting one bit generator per trial reproduces the per-trial
+    # Philox(key=[seed, trial]) streams exactly
+    g = build_instance(n, edges)
+    assert mc_hitting_time(g, 300, seed=seed) == per_trial_generator_mc(g, 300, seed)
+
+
+def test_mc_seed_range():
+    g = build_instance(2, [(0, 1)])
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            mc_hitting_time(g, 10, seed=seed)
+    mean, _ = mc_hitting_time(g, 10, seed=2**64 - 1)
+    assert mean >= 1.0
 
 
 def test_classical_bounds_hypothesis_gate():

@@ -158,6 +158,42 @@ def test_classical_with_mc(tmp_path):
     assert abs(mc["mean"] - 5.2) <= 3 * mc["standard_error"]
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_classical_seed_out_of_range_is_config_error(tmp_path, capsys, seed):
+    # the Philox key is two unsigned 64-bit words; an out-of-range seed used
+    # to escape as OverflowError and exit 1 ("verification failed")
+    code = main(
+        [
+            "classical",
+            "--n", "3",
+            "--subgraph", '{"kind": "edges", "edges": [[0, 1]]}',
+            "--trials", "10",
+            "--seed", seed,
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == cli.EXIT_CONFIG == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "seed" in err["message"]
+
+
+def test_classical_negative_trials_is_config_error(tmp_path, capsys):
+    # used to skip the Monte-Carlo check silently and exit 0
+    code = main(
+        [
+            "classical",
+            "--n", "3",
+            "--subgraph", '{"kind": "edges", "edges": [[0, 1]]}',
+            "--trials", "-5",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == cli.EXIT_CONFIG == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "trials" in err["message"]
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_classical_above_dense_limit(tmp_path):
     # 3239 unmarked edges; exited 2 ("config error") while the solve asked
     # for a dense kernel above its size guard

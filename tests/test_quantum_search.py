@@ -4,20 +4,26 @@ import numpy as np
 import pytest
 
 from edgewalk import (
+    arc_matrix,
     asymptotic_diagnostics,
     build_instance,
     build_T,
     build_U_dense,
+    cycle_edges,
     evolve_state,
     finding_probability,
     initial_state,
+    lift_eigenvectors,
+    matching_edges,
     path_edges,
     principal_pair,
     quantum_time,
     run_series,
+    star_edges,
     verify_all,
 )
 from edgewalk.errors import DimensionMismatch
+from edgewalk.quantum_search import _rotation_states
 
 K5_EDGES = [(0, 1), (1, 2), (2, 3)]
 
@@ -152,6 +158,22 @@ def test_diagnostics_all_bounds_at_large_n():
         entry = ledger.entry(name)
         assert entry.hypothesis_holds and entry.passed
         assert entry.lhs == value
+
+
+@pytest.mark.parametrize("orientation", ["canonical", "reversed"])
+@pytest.mark.parametrize(
+    "edges", [path_edges(3), star_edges(3), matching_edges(2), cycle_edges(4)]
+)
+@pytest.mark.parametrize("n", [7, 40, 99])
+def test_rotation_states_match_lift(n, edges, orientation):
+    # the real closed forms against the complex lifted eigenvectors
+    g = build_instance(n, edges, orientation=orientation)
+    summary = principal_pair(build_T(g))
+    lifted = lift_eigenvectors(g, summary)
+    start, target = _rotation_states(g, summary)
+    assert start.dtype == target.dtype == np.float64
+    assert np.abs(start - arc_matrix(g, 1j * lifted.beta_minus)).max() <= 1e-14
+    assert np.abs(target - arc_matrix(g, -lifted.beta_plus)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("seed", range(5))

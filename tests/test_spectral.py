@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgewalk import (
     apply_U,
@@ -9,12 +11,16 @@ from edgewalk import (
     build_P,
     build_T,
     build_U_dense,
+    cycle_edges,
     eigh,
     lift_eigenvectors,
+    matching_edges,
     operators,
     line_principal_pair,
+    path_edges,
     principal_pair,
     spectral_mapping_check,
+    star_edges,
 )
 from edgewalk.errors import DegenerateSpectrum, NotSymmetric
 from edgewalk.spectral import d_star_apply, principal_vector
@@ -166,3 +172,67 @@ def test_line_principal_pair_dense_vs_iterative(monkeypatch):
     lam_iter, vec_iter = line_principal_pair(P)
     assert lam_iter == pytest.approx(lam_dense, abs=1e-10)
     assert np.abs(np.abs(vec_dense @ vec_iter) - 1.0) <= 1e-8
+
+
+def _top_companion_value(P):
+    # lambda_max(P) = lambda_max(Q): the spectra differ only at -1/(n-1)
+    return eigh(P.q_matrix)[0][0]
+
+
+@pytest.mark.parametrize("n,edges", [(300, path_edges(2)), (384, path_edges(1))])
+def test_line_lanczos_matvec_budget(monkeypatch, n, edges):
+    # The uniform start spans a Krylov space of a few dimensions, so the
+    # three-vector Lanczos workspace converges in a handful of products.
+    monkeypatch.setattr(operators, "DENSE_LINE_LIMIT", 0)
+    P = build_P(build_instance(n, edges))
+    calls = []
+    real_matvec = operators.LineTransitionMatrix.matvec
+
+    def counting(self, x):
+        calls.append(1)
+        return real_matvec(self, x)
+
+    monkeypatch.setattr(operators.LineTransitionMatrix, "matvec", counting)
+    lam, _ = line_principal_pair(P)
+    assert len(calls) <= 8
+    assert abs(lam - _top_companion_value(P)) <= 1e-13
+
+
+LINE_FAMILIES = {
+    "edge": lambda draw: path_edges(1),
+    "path": lambda draw: path_edges(draw(st.integers(1, 7), label="k")),
+    "matching": lambda draw: matching_edges(draw(st.integers(1, 4), label="k")),
+    "star": lambda draw: star_edges(draw(st.integers(1, 7), label="k")),
+    "cycle": lambda draw: cycle_edges(draw(st.integers(3, 8), label="k")),
+    "random": lambda draw: _random_edges(draw),
+}
+
+
+def _random_edges(draw):
+    size = draw(st.integers(2, 8), label="vertices")
+    pairs = [(i, k) for i in range(size) for k in range(i + 1, size)]
+    keep = draw(
+        st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))
+        .filter(any),
+        label="keep",
+    )
+    return [p for p, kept in zip(pairs, keep) if kept]
+
+
+@pytest.mark.parametrize("family", sorted(LINE_FAMILIES))
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_line_lanczos_matches_companion(family, data):
+    n = data.draw(st.integers(64, 300), label="n")
+    edges = LINE_FAMILIES[family](data.draw)
+    used = 1 + max(max(e) for e in edges)
+    labels = data.draw(
+        st.lists(st.integers(0, n), min_size=used, max_size=used, unique=True),
+        label="labels",
+    )
+    P = build_P(build_instance(n, [(labels[u], labels[v]) for u, v in edges]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "DENSE_LINE_LIMIT", 0)
+        lam, vec = line_principal_pair(P)
+    assert abs(lam - _top_companion_value(P)) <= 1e-13
+    assert np.linalg.norm(P.matvec(vec) - lam * vec) <= 1e-13
