@@ -88,6 +88,8 @@ def _load_descriptor(text: str) -> dict:
 
 
 def _config_echo(args, **resolved) -> dict:
+    # Every report carries the same keys; an option the command does not
+    # take is recorded with its default.
     echo = {
         "n": getattr(args, "n", None),
         "subgraph": resolved.pop("subgraph"),
@@ -301,16 +303,15 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser, *, subgraph_required: bool = True) -> None:
+def _add_instance(parser) -> None:
+    """The options of a command that reads one instance: --n, --subgraph
+    and --out.  Each command adds only the further options it reads."""
     parser.add_argument("--n", type=int, required=True, help="host graph is K_{n+1}")
     parser.add_argument(
         "--subgraph",
-        required=subgraph_required,
+        required=True,
         help="subgraph descriptor as JSON or a path to a JSON file",
     )
-    parser.add_argument("--t-max", dest="t_max", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=0)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="edgewalk-out")
 
 
@@ -324,15 +325,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="finding-probability series and report")
-    _add_common(p)
+    _add_instance(p)
+    p.add_argument("--t-max", dest="t_max", type=int, default=None,
+                   help="last step of the series (default: twice the searching time)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("classical", help="hitting time with optional Monte-Carlo check")
-    _add_common(p)
+    _add_instance(p)
+    p.add_argument("--trials", type=int, default=0,
+                   help="Monte-Carlo walks (default 0: no Monte-Carlo check)")
+    p.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed in [0, 2**64)")
     p.set_defaults(func=cmd_classical)
 
     p = sub.add_parser("verify", help="evaluate the inequality ledger")
-    _add_common(p)
+    _add_instance(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("fig2", help="reproduce the K_100 path benchmark")
@@ -344,12 +350,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated host sizes, e.g. 64,128,256")
     p.add_argument("--subgraph", default='{"kind": "path", "k": 1}',
                    help="subgraph descriptor (default: a single edge)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="edgewalk-out")
     p.set_defaults(func=cmd_speedup)
 
     p = sub.add_parser("spectrum", help="discriminant spectrum summary")
-    _add_common(p)
+    _add_instance(p)
     p.set_defaults(func=cmd_spectrum)
 
     return parser

@@ -13,7 +13,10 @@ sum, S a transpose, and the signs differ from +1 only on the m negative
 arcs.  The kernel stores X and X^T on alternate steps, so no transpose is
 formed and a step is one reduction plus one in-place broadcast update,
 O(n^2) with no index arrays; a dense U exists only as a small-instance test
-oracle.
+oracle.  ``walk_arc_matrix`` serves arbitrary arc states; the finding
+probability series and the rotation gap walk states of range[d*, S d*],
+which ``quantum_search`` evolves exactly as vertex pairs at O(n + m) per
+step, with this kernel as their test oracle.
 
 In K_{n+1} every vertex has degree n, so the general normalizations
 1/sqrt(deg u * deg v) specialize to 1/n throughout this module.
@@ -232,7 +235,9 @@ def walk_arc_matrix(
     When ``fp`` is given, ``fp[t]`` receives the squared mass on the marked
     arcs after t steps, for t = 0..steps.  The marked arcs are closed under
     reversal, so that mass does not depend on which orientation the buffer
-    holds.
+    holds.  The tests use this series as the oracle of
+    ``quantum_search.run_series``, which walks the uniform state in the
+    2(n+1)-dimensional vertex-pair space instead.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")

@@ -1,9 +1,35 @@
 """Quantum search: exact walk simulation and its closeness diagnostics.
 
-The walk starts from the uniform arc state and is evolved by repeated
-applications of the walk operator through the square-layout kernel
-``walk_arc_matrix``; the finding probability at step t is the squared
-amplitude mass on the marked arcs.  The searching time
+The walk U = S(2 d* d - I) maps L = range[d*, S d*] into itself:
+U (d* a + S d* b) = d* (-b) + S d* (a + 2 T b), and on the orthogonal
+complement of L it acts as -S.  This spectral-mapping structure, which
+``spectral.lift_eigenvectors`` also rests on, is exact, so a state
+d* a + S d* b of L is walked as the pair of vertex vectors (a, b), that is
+in a 2(n+1)-dimensional space.  T b = (<1, b> 1 - b - 2 A b) / n costs
+O(n + m), since A b sums b over the 2m marked arcs, against O(n^2) for a
+step over every arc.  Two walks use it:
+
+- ``run_series``: the uniform state is j = d* alpha + S d* alpha + r0 with
+  (I + T) alpha = d j and r0 orthogonal to L.  r0 evolves as (-S)^t and is
+  the same on both arcs of a marked edge, so on the 2m marked arcs it only
+  changes sign; the finding probability at step t is the squared mass of
+  the (a, b) part plus (-1)^t r0 on those arcs.
+- ``asymptotic_diagnostics``: the start i beta_- is (0, f), the target
+  -beta_+ is (-f, cos theta f) / sin theta, and the rotation gap is read
+  from one square-layout lift of their difference after t_f steps.
+
+The (a, b) coordinates have the Gram matrix [[I, T], [T, I]], whose
+eigenvalue 1 - lambda_max comes close to 0, so coordinates of size
+1/sin theta carry a unit state.  In float64 the cancellation that leaves the
+small rotation gap would cost one to two digits more than the arc walk does,
+so the recurrence runs in long double.  That gain assumes an 80-bit or wider
+``np.longdouble`` (x86-64 Linux).  Where long double is float64 (Windows,
+macOS on arm64) ``rotation_gap_sq`` carries up to about 3e-9 relative
+error at n <= 400 (against 2.5e-10 for the arc walk), about 1e-15 absolute
+and far inside its 16m / (n(n+1)) bound; where it is a software binary128
+(aarch64 Linux) the results are as accurate but each step is slower.
+``operators.walk_arc_matrix`` walks arbitrary arc states (``evolve_state``,
+``apply_U``) and is the tests' oracle for both walks.  The searching time
 t_f = floor(pi / (2 theta_max)) comes from the spectrum, never from the
 simulated peak.
 
@@ -93,15 +119,19 @@ def run_series(
 ) -> WalkSeries:
     """Exact finding-probability series for t = 0..t_max.
 
-    The evolution is sequential (no spectral shortcut) and deterministic;
-    a degenerate spectrum only leaves the searching-time fields unset.
-    ``summary``, when the caller already holds the principal pair of the
-    instance, is used for t_f instead of solving the eigenproblem again.
+    The evolution is sequential (no spectral shortcut) and deterministic:
+    the uniform state's component in L is walked as a vertex pair (see the
+    module docstring) and its remainder changes sign each step, so a step
+    costs O(n + m) after one order-(s + 1) least-squares solve.  The marked
+    arcs are read out in blocks of steps, so the memory does not grow with
+    ``t_max``.  A degenerate spectrum only
+    leaves the searching-time fields unset.  ``summary``, when the caller
+    already holds the principal pair of the instance, is used for t_f
+    instead of solving the eigenproblem again.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
-    fp = np.empty(t_max + 1)
-    walk_arc_matrix(g, arc_matrix(g, initial_state(g)), t_max, fp=fp)
+    fp = _uniform_series(g, t_max)
     t_f: Optional[int] = None
     fp_at_tf: Optional[float] = None
     degenerate = False
@@ -143,30 +173,59 @@ def asymptotic_diagnostics(
 ) -> WalkDiagnostics:
     """Evaluate the rotation-picture quantities exactly.
 
-    Raises DegenerateSpectrum when the rotation angle vanishes.  ``summary``
-    is the principal pair of the instance when the caller has already
-    solved for it.
+    The rotation gap comes from walking (0, f) for t_f steps as a vertex
+    pair and ``fp_at_tf`` from ``run_series``; the start gap and the target
+    mass are read from the square-layout states.  Raises DegenerateSpectrum
+    when the rotation angle vanishes.  ``summary`` is the principal pair of
+    the instance when the caller has already solved for it.
     """
     if summary is None:
         summary = principal_pair(build_T(g))
     t_f = quantum_time(summary)
-    start, target = _rotation_states(g, summary)
-    uniform = arc_matrix(g, initial_state(g))
-    marked = g.marked_matrix
+    start_gap_sq, target_mass = _rotation_state_measures(g, summary)
 
-    # The walks run in place, so the start gap is read first.
-    start_gap_sq = float(np.sum((start - uniform) ** 2))
-    evolved = walk_arc_matrix(g, start, t_f)
-    found = walk_arc_matrix(g, uniform, t_f)[marked]
+    f = summary.f.astype(np.longdouble)
+    theta = np.longdouble(summary.theta_max)
+    a, b = _walk_pair(g, np.zeros_like(f), f, t_f)
+    # U^{t_f}(i beta_-) - (-beta_+) in (a, b) coordinates, lifted once.
+    gap = _d_star(g, (a + f / np.sin(theta)).astype(np.float64))
+    gap += _d_star(g, (b - np.cos(theta) * f / np.sin(theta)).astype(np.float64)).T
     return WalkDiagnostics(
         lambda_max=summary.lambda_max,
         theta_max=summary.theta_max,
         t_f=t_f,
-        rotation_gap_sq=float(np.sum((evolved - target) ** 2)),
+        rotation_gap_sq=float(np.vdot(gap, gap)),
         start_gap_sq=start_gap_sq,
-        target_mass=float(np.sum(target[marked] ** 2)),
-        fp_at_tf=float(np.sum(found**2)),
+        target_mass=target_mass,
+        fp_at_tf=run_series(g, t_f, summary).fp_at_tf,
     )
+
+
+def _rotation_state_measures(
+    g: SignedCompleteGraph, summary: SpectralSummary
+) -> tuple[float, float]:
+    """||i beta_- - j||^2 and the marked mass of -beta_+, read from the
+    square-layout states, which are freed on return."""
+    start, target = _rotation_states(g, summary)
+    start_gap_sq = float(np.sum((start - arc_matrix(g, initial_state(g))) ** 2))
+    return start_gap_sq, float(np.sum(target[g.marked_matrix] ** 2))
+
+
+def _d_star(g: SignedCompleteGraph, vec: np.ndarray) -> np.ndarray:
+    """d* vec in square layout: X[u, v] = sigma(u, v) vec_v / sqrt(n) with a
+    zero diagonal.  S d* vec is its transpose."""
+    x = np.tile(vec / np.sqrt(g.n), (g.n + 1, 1))
+    np.fill_diagonal(x, 0.0)
+    neg_o, neg_t = _negative_arcs(g)
+    x[neg_o, neg_t] *= -1.0
+    return x
+
+
+def _negative_arcs(g: SignedCompleteGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Origins and termini of the m arcs with sign -1 (all inside the
+    marked block)."""
+    neg_o, neg_t = np.array(g.sigma_negative_arcs, dtype=np.int64).T
+    return neg_o, neg_t
 
 
 def _rotation_states(
@@ -174,16 +233,122 @@ def _rotation_states(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The real rotation states i beta_- and -beta_+ in square layout.
 
-    d* f is X[u, v] = sigma(u, v) f_v / sqrt(n) with a zero diagonal, and
-    S d* f is its transpose.  The lift (``spectral.lift_eigenvectors``)
-    gives i beta_- = S d* f and -beta_+ = (cos theta S d* f - d* f) / sin theta
-    exactly, so neither complex eigenvector is formed.
+    The lift (``spectral.lift_eigenvectors``) gives i beta_- = S d* f and
+    -beta_+ = (cos theta S d* f - d* f) / sin theta exactly, so neither
+    complex eigenvector is formed.
     """
     theta = summary.theta_max
-    base = np.tile(summary.f / np.sqrt(g.n), (g.n + 1, 1))
-    np.fill_diagonal(base, 0.0)
-    neg_o, neg_t = np.array(g.sigma_negative_arcs, dtype=np.int64).T
-    base[neg_o, neg_t] *= -1.0
+    base = _d_star(g, summary.f)
     start = np.ascontiguousarray(base.T)
     target = (np.cos(theta) * start - base) / np.sin(theta)
     return start, target
+
+
+def _walk_pair(
+    g: SignedCompleteGraph,
+    a: np.ndarray,
+    b: np.ndarray,
+    steps: int,
+    history: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Walk the state d* a + S d* b of L for ``steps`` steps, in long double,
+    and return its final coordinates (a, b).
+
+    A step maps (a, b) to (-b, a + 2 T b), so a_t = -b_{t-1} and
+    b_{t+1} = 2 T b_t - b_{t-1}; only b is carried.  When ``history`` is
+    given (shape (steps + 2, s), any float dtype), row t + 1 receives the
+    marked-block entries of b_t for t = -1..steps, which is all the marked
+    arcs read.
+    """
+    s = g.s
+    neg_o, neg_t = _negative_arcs(g)
+    # (A b)_v sums b over the marked neighbours of v: one term per arc
+    ends, starts = np.concatenate((neg_o, neg_t)), np.concatenate((neg_t, neg_o))
+    scale = np.longdouble(2.0) / g.n
+    prev = -np.asarray(a, dtype=np.longdouble)
+    b = np.array(b, dtype=np.longdouble)
+    if history is not None:
+        history[0] = prev[:s]
+        history[1] = b[:s]
+    for step in range(steps):
+        # n T b = <1, b> 1 - b - 2 A b, O(n + m)
+        nt_b = b.sum() - b
+        np.subtract.at(nt_b, ends, 2.0 * b[starts])
+        prev, b = b, scale * nt_b - prev
+        if history is not None:
+            history[step + 2] = b[:s]
+    return -prev, b
+
+
+# Entries of b that the series reads out at once; the walk is cut into
+# blocks of as many steps as this allows, so memory does not grow with t_max.
+_READOUT_ENTRIES = 1 << 15
+
+
+def _uniform_series(g: SignedCompleteGraph, t_max: int) -> np.ndarray:
+    """Finding probability of U^t j for t = 0..t_max, through the split
+    j = d* alpha + S d* alpha + r0 with r0 orthogonal to L.
+
+    r0 = j - d* alpha - S d* alpha reads j + (alpha_t - alpha_o) / sqrt(n) on
+    both arcs of the marked edge whose negative arc is (o, t), and U^t r0 =
+    (-S)^t r0 is (-1)^t times that on the marked arcs.
+    """
+    alpha = _uniform_coordinates(g)
+    neg_o, neg_t = _negative_arcs(g)
+    j = 1.0 / np.sqrt(np.longdouble(g.num_arcs))
+    r0 = j + (alpha[neg_t] - alpha[neg_o]) / np.sqrt(np.longdouble(g.n))
+    # The walk takes the cancellation in long double; the marked amplitudes
+    # are O(1), so they are read out in float64.
+    r0, sqrt_n = r0.astype(np.float64), np.sqrt(g.n)
+    block = max(1, _READOUT_ENTRIES // max(g.s, g.num_marked))
+    fp = np.empty(t_max + 1)
+    a, b = alpha, alpha
+    first = 0
+    while True:
+        # fp[first..last] from b_{first-1}..b_last; the next block starts
+        # again at last, so one value per block is computed twice
+        steps = min(block, t_max - first)
+        history = np.empty((steps + 2, g.s))
+        a, b = _walk_pair(g, a, b, steps, history)
+        prev, cur = history[:-1], history[1:]  # b_{t-1} = -a_t and b_t
+        signs = np.where((first + np.arange(steps + 1)) % 2 == 0, 1.0, -1.0)
+        remainder = signs[:, None] * r0
+        # d* a + S d* b on the arcs (o, t) and (t, o), where sigma(o, t) = -1
+        forward = (prev[:, neg_t] + cur[:, neg_o]) / sqrt_n + remainder
+        backward = remainder - (prev[:, neg_o] + cur[:, neg_t]) / sqrt_n
+        fp[first : first + steps + 1] = np.sum(forward**2 + backward**2, axis=1)
+        first += steps
+        if first == t_max:
+            return fp
+
+
+def _uniform_coordinates(g: SignedCompleteGraph) -> np.ndarray:
+    """A solution alpha of (I + T) alpha = d j, in long double.
+
+    d j and T commute with the permutations of the t vertices outside the
+    marked subgraph, and I + T is 1 - 1/n on the zero-sum vectors supported
+    there, so a solution is constant off the marked block.  It comes from
+    the symmetric order-(s+1) quotient in the basis (e_1..e_s, 1_rest /
+    sqrt(t)) by least squares: I + T is singular when lambda_min(T) = -1 (a
+    triangle with every edge marked), and any solution serves, because a
+    kernel vector x lifts to d* x + S d* x = 0.
+    """
+    n, s, t = g.n, g.s, g.t
+    neg_t = _negative_arcs(g)[1]
+    norm = np.sqrt(n * g.num_arcs)
+    # (d j)_v = (n - 2 * #negative arcs into v) / sqrt(n * n(n+1))
+    rhs = np.append((n - 2.0 * np.bincount(neg_t, minlength=s)) / norm, n / norm)
+    quotient = np.empty((s + 1, s + 1))
+    quotient[:s, :s] = (1.0 - 2.0 * g.marked_matrix[:s, :s]) / n
+    np.fill_diagonal(quotient, 1.0)
+    quotient[:s, s] = quotient[s, :s] = np.sqrt(t) / n
+    quotient[s, s] = 1.0 + (t - 1.0) / n
+    rhs[s] *= np.sqrt(t)
+    if t == 0:
+        quotient, rhs = quotient[:s, :s], rhs[:s]
+    y = np.linalg.lstsq(quotient, rhs, rcond=None)[0].astype(np.longdouble)
+    alpha = np.empty(n + 1, dtype=np.longdouble)
+    alpha[:s] = y[:s]
+    if t:
+        alpha[s:] = y[s] / np.sqrt(np.longdouble(t))
+    return alpha

@@ -103,6 +103,48 @@ def test_internal_errors_exit_code(tmp_path, capsys, monkeypatch, exc):
     assert type(exc).__name__ in err["message"]
 
 
+PATH1 = '{"kind": "path", "k": 1}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--n", "5", "--subgraph", PATH1, "--trials", "-5", "--seed", "-3"],
+        ["verify", "--n", "5", "--subgraph", PATH1, "--t-max", "3"],
+        ["simulate", "--n", "5", "--subgraph", PATH1, "--seed", "1"],
+        ["speedup", "--n-list", "8", "--seed", "1"],
+    ],
+    ids=["spectrum-trials-seed", "verify-t-max", "simulate-seed", "speedup-seed"],
+)
+def test_option_a_command_does_not_read_is_usage_error(tmp_path, capsys, argv):
+    # these options used to be accepted, ignored and echoed as configuration;
+    # simulate --t-max and classical --trials/--seed are exercised by
+    # test_simulate_small and test_classical_with_mc
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == cli.EXIT_CONFIG == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv,report",
+    [
+        (["spectrum", "--n", "5", "--subgraph", PATH1], "spectrum.json"),
+        (["verify", "--n", "5", "--subgraph", PATH1], "report.json"),
+        (["speedup", "--n-list", "8", "--subgraph", PATH1], "speedup.json"),
+    ],
+)
+def test_config_keeps_every_key(tmp_path, argv, report):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    config = read_json(tmp_path / report)["config"]
+    assert {k: config[k] for k in ("t_max", "trials", "seed", "out")} == {
+        "t_max": None, "trials": 0, "seed": 0, "out": str(tmp_path),
+    }
+    assert config["subgraph"] == {"kind": "path", "k": 1}
+    assert config["n"] == (None if argv[0] == "speedup" else 5)
+
+
 def test_subgraph_from_file(tmp_path):
     descriptor = tmp_path / "gamma.json"
     descriptor.write_text('{"kind": "matching", "k": 2}')

@@ -1,0 +1,185 @@
+"""The vertex-pair walk behind ``run_series`` and ``asymptotic_diagnostics``
+against its oracles: the square-layout kernel ``walk_arc_matrix`` and the
+gather formula, the latter also in long double as an accuracy reference."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from edgewalk import (
+    arc_matrix,
+    asymptotic_diagnostics,
+    build_instance,
+    build_T,
+    complete_bipartite_edges,
+    cycle_edges,
+    finding_probability,
+    initial_state,
+    lift_eigenvectors,
+    matching_edges,
+    path_edges,
+    principal_pair,
+    quantum_time,
+    run_series,
+    star_edges,
+    walk_arc_matrix,
+)
+from walk_oracle import gather_walk
+
+TRIANGLE_ALL_MARKED = [(0, 1), (1, 2), (0, 2)]
+K4_ALL_MARKED = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+
+
+def gather_series(g, t_max):
+    states = gather_walk(g, initial_state(g), t_max)
+    return np.array([finding_probability(g, psi) for psi in states])
+
+
+def gather_diagnostics(g):
+    """rotation_gap_sq, start_gap_sq, target_mass and fp_at_tf from the
+    complex lifted eigenvectors and the gather walk."""
+    summary = principal_pair(build_T(g))
+    t_f = quantum_time(summary)
+    lifted = lift_eigenvectors(g, summary)
+    start, target = (1j * lifted.beta_minus).real, (-lifted.beta_plus).real
+    evolved = gather_walk(g, start, t_f)[-1]
+    return (
+        float(np.sum((evolved - target) ** 2)),
+        float(np.sum((start - initial_state(g)) ** 2)),
+        finding_probability(g, target),
+        float(gather_series(g, t_f)[t_f]),
+    )
+
+
+@pytest.mark.parametrize(
+    "n,edges",
+    [(2, TRIANGLE_ALL_MARKED), (3, K4_ALL_MARKED)],
+    ids=["K3-all-marked", "K4-all-marked"],
+)
+def test_singular_uniform_system(n, edges):
+    # lambda_min(T) = -1 makes I + T singular; the least-squares split must
+    # still give the exact series and a finite fp_at_tf
+    g = build_instance(n, edges)
+    assert np.linalg.eigvalsh(build_T(g).matrix).min() == pytest.approx(-1.0)
+    d = asymptotic_diagnostics(g)
+    assert np.isfinite(d.fp_at_tf)
+    expected = gather_diagnostics(g)
+    got = (d.rotation_gap_sq, d.start_gap_sq, d.target_mass, d.fp_at_tf)
+    assert np.abs(np.subtract(got, expected)).max() <= 1e-12
+    assert np.abs(run_series(g, 12).fp - gather_series(g, 12)).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n,edges",
+    [(3, complete_bipartite_edges(2, 2)), (5, complete_bipartite_edges(3, 3))],
+    ids=["K22-spanning", "K33-spanning"],
+)
+def test_degenerate_series(n, edges):
+    g = build_instance(n, edges)
+    series = run_series(g, 20)
+    assert series.degenerate
+    assert np.abs(series.fp - gather_series(g, 20)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [12, 99])
+def test_reversed_star_shares_a_terminus(n):
+    # every negative arc of a reversed star ends at its centre
+    g = build_instance(n, star_edges(4), orientation="reversed")
+    assert len({t for _, t in g.sigma_negative_arcs}) == 1
+    d = asymptotic_diagnostics(g)
+    expected = gather_diagnostics(g)
+    got = (d.rotation_gap_sq, d.start_gap_sq, d.target_mass, d.fp_at_tf)
+    assert np.isfinite(d.fp_at_tf)
+    assert np.abs(np.subtract(got, expected)).max() <= 1e-12
+    t_max = 2 * d.t_f
+    assert np.abs(run_series(g, t_max).fp - gather_series(g, t_max)).max() <= 1e-12
+
+
+FAMILIES = {
+    "edge": lambda k: [(0, 1)],
+    "path": path_edges,
+    "matching": matching_edges,
+    "star": star_edges,
+    "cycle": lambda k: cycle_edges(k + 2),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_series_matches_arc_walk(data):
+    # up to twice the searching time; the arc walk's own rounding dominates
+    # the difference (measured <= 3.7e-13 over 150 random instances)
+    family = data.draw(st.sampled_from(sorted(FAMILIES)), label="family")
+    k = data.draw(st.integers(1, 4), label="k")
+    n = data.draw(st.integers(12, 400), label="n")
+    orientation = data.draw(st.sampled_from(["canonical", "reversed"]))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="placement")
+    labels = np.random.default_rng(seed).permutation(n + 1)
+    edges = [(int(labels[u]), int(labels[v])) for u, v in FAMILIES[family](k)]
+    g = build_instance(n, edges, orientation=orientation)
+    t_max = 2 * quantum_time(principal_pair(build_T(g)))
+    expected = np.empty(t_max + 1)
+    walk_arc_matrix(g, arc_matrix(g, initial_state(g)), t_max, fp=expected)
+    assert np.abs(run_series(g, t_max).fp - expected).max() <= 5e-12
+
+
+@pytest.mark.parametrize(
+    "n,edges",
+    [(150, path_edges(150)), (60, complete_bipartite_edges(20, 20))],
+    ids=["spanning-path", "K20,20"],
+)
+def test_series_across_readout_blocks(n, edges):
+    # a large s (151) or m (400) cuts 600 steps into 3 or 8 readout blocks
+    g = build_instance(n, edges)
+    t_max = 600
+    expected = np.empty(t_max + 1)
+    walk_arc_matrix(g, arc_matrix(g, initial_state(g)), t_max, fp=expected)
+    assert np.abs(run_series(g, t_max).fp - expected).max() <= 5e-12
+
+
+def test_series_memory_does_not_grow_with_t_max():
+    # a spanning path at n = 400 (s = 401, m = 400): a history of all 4000
+    # steps would take 13 MB in float64, and each readout temporary as much
+    g = build_instance(400, path_edges(400))
+    summary = principal_pair(build_T(g))
+    tracemalloc.start()
+    try:
+        series = run_series(g, 4000, summary)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
+    assert series.fp[0] == pytest.approx(2 * 400 / (400 * 401), rel=1e-14)
+    assert np.all((series.fp >= 0.0) & (series.fp <= 1.0 + 1e-12))
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="np.longdouble is no wider than float64 on this platform, so the "
+    "long-double oracle is not a higher-precision reference",
+)
+@pytest.mark.parametrize(
+    "n,edges,orientation",
+    [
+        (100, path_edges(2), "canonical"),
+        (200, star_edges(3), "reversed"),
+        (294, [(0, 1)], "canonical"),
+    ],
+)
+def test_rotation_gap_against_long_double_reference(n, edges, orientation):
+    # the gather walk of i beta_- in long double, from the same float64 f
+    g = build_instance(n, edges, orientation=orientation)
+    summary = principal_pair(build_T(g))
+    t_f = quantum_time(summary)
+    f = summary.f.astype(np.longdouble)
+    theta = np.longdouble(summary.theta_max)
+    d_star = g.sigma_arcs * f[g.arcs.termini] / np.sqrt(np.longdouble(n))
+    start = d_star[g.arcs.inverse_index]
+    target = (np.cos(theta) * start - d_star) / np.sin(theta)
+    evolved = gather_walk(g, start, t_f)[-1]
+    reference = float(np.sum((evolved - target) ** 2))
+    got = asymptotic_diagnostics(g, summary).rotation_gap_sq
+    assert abs(got - reference) <= 2e-11 * reference

@@ -6,7 +6,10 @@ sigma(b) psi_b:
 
     (U psi)_a = (2/sqrt(n)) * sigma(a^{-1}) * m_u - psi_{a^{-1}}.
 
-It shares no code with the square-layout kernel in ``edgewalk.operators``.
+It shares no code with the square-layout kernel in ``edgewalk.operators``
+or with the vertex-pair walk in ``edgewalk.quantum_search``.  A real
+``np.longdouble`` state is walked in long double throughout, which makes the
+oracle a higher-precision reference.
 """
 
 import numpy as np
@@ -17,9 +20,13 @@ def gather_apply_U(g, psi):
     arcs = g.arcs
     psi = np.asarray(psi)
     assert psi.shape == (arcs.num_arcs,)
-    sqrt_n = np.sqrt(g.n)
+    sqrt_n = np.sqrt(psi.real.dtype.type(g.n))
     signed = g.sigma_arcs * psi
-    if np.iscomplexobj(psi):
+    if psi.dtype == np.longdouble:
+        # bincount would round the weights to float64
+        m = np.zeros(g.n + 1, dtype=np.longdouble)
+        np.add.at(m, arcs.termini, signed)
+    elif np.iscomplexobj(psi):
         m = np.bincount(
             arcs.termini, weights=signed.real, minlength=g.n + 1
         ) + 1j * np.bincount(arcs.termini, weights=signed.imag, minlength=g.n + 1)
