@@ -13,10 +13,11 @@ sum, S a transpose, and the signs differ from +1 only on the m negative
 arcs.  The kernel stores X and X^T on alternate steps, so no transpose is
 formed and a step is one reduction plus one in-place broadcast update,
 O(n^2) with no index arrays; a dense U exists only as a small-instance test
-oracle.  ``walk_arc_matrix`` serves arbitrary arc states; the finding
-probability series and the rotation gap walk states of range[d*, S d*],
-which ``quantum_search`` evolves exactly as vertex pairs at O(n + m) per
-step, with this kernel as their test oracle.
+oracle.  ``walk_arc_matrix`` serves arbitrary arc states.  The finding
+probability series and the rotation diagnostics need only states of
+range[d*, S d*]: ``quantum_search`` walks those exactly as vertex pairs at
+O(n + m) per step and reads the diagnostics from closed forms in vertex
+space, with this kernel as their test oracle.
 
 In K_{n+1} every vertex has degree n, so the general normalizations
 1/sqrt(deg u * deg v) specialize to 1/n throughout this module.

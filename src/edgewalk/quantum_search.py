@@ -15,19 +15,21 @@ step over every arc.  Two walks use it:
   changes sign; the finding probability at step t is the squared mass of
   the (a, b) part plus (-1)^t r0 on those arcs.
 - ``asymptotic_diagnostics``: the start i beta_- is (0, f), the target
-  -beta_+ is (-f, cos theta f) / sin theta, and the rotation gap is read
-  from one square-layout lift of their difference after t_f steps.
+  -beta_+ is (-f, cos theta f) / sin theta, and the rotation gap is the norm
+  of the difference after t_f steps under the Gram matrix [[I, T], [T, I]]
+  of the (a, b) coordinates.  The start gap and the target mass have closed
+  forms in f (see the function), so no arc-indexed state is formed.
 
-The (a, b) coordinates have the Gram matrix [[I, T], [T, I]], whose
-eigenvalue 1 - lambda_max comes close to 0, so coordinates of size
-1/sin theta carry a unit state.  In float64 the cancellation that leaves the
-small rotation gap would cost one to two digits more than the arc walk does,
-so the recurrence runs in long double.  That gain assumes an 80-bit or wider
-``np.longdouble`` (x86-64 Linux).  Where long double is float64 (Windows,
-macOS on arm64) ``rotation_gap_sq`` carries up to about 3e-9 relative
-error at n <= 400 (against 2.5e-10 for the arc walk), about 1e-15 absolute
-and far inside its 16m / (n(n+1)) bound; where it is a software binary128
-(aarch64 Linux) the results are as accurate but each step is slower.
+The Gram matrix has the eigenvalue 1 - lambda_max, which comes close to 0,
+so coordinates of size 1/sin theta carry a unit state.  In float64 the
+cancellation that leaves the small rotation gap would cost one to two digits
+more than the arc walk does, so the recurrence and the gap's quadratic form
+run in long double.  That gain assumes an 80-bit or wider ``np.longdouble``
+(x86-64 Linux).  Where long double is float64 (Windows, macOS on arm64)
+``rotation_gap_sq`` carries up to about 2.9e-9 relative error at n <= 400
+(against 2.5e-10 for the arc walk), about 1e-15 absolute and far inside its
+16m / (n(n+1)) bound; where it is a software binary128 (aarch64 Linux) the
+results are as accurate but each step is slower.
 ``operators.walk_arc_matrix`` walks arbitrary arc states (``evolve_state``,
 ``apply_U``) and is the tests' oracle for both walks.  The searching time
 t_f = floor(pi / (2 theta_max)) comes from the spectrum, never from the
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -171,54 +173,51 @@ class WalkDiagnostics:
 def asymptotic_diagnostics(
     g: SignedCompleteGraph, summary: Optional[SpectralSummary] = None
 ) -> WalkDiagnostics:
-    """Evaluate the rotation-picture quantities exactly.
+    """Evaluate the rotation-picture quantities exactly, at O(n + m) memory.
 
-    The rotation gap comes from walking (0, f) for t_f steps as a vertex
-    pair and ``fp_at_tf`` from ``run_series``; the start gap and the target
-    mass are read from the square-layout states.  Raises DegenerateSpectrum
-    when the rotation angle vanishes.  ``summary`` is the principal pair of
-    the instance when the caller has already solved for it.
+    With j_V = 1 / sqrt(n+1), f the principal vector and sums over the m
+    negative arcs (o, t):
+
+    - ``start_gap_sq`` = ||f - j_V||^2 + 4 sum f_t / (n sqrt(n+1)), since S is
+      unitary and S j = j;
+    - ``target_mass`` = sum [(cos theta f_o + f_t)^2 + (cos theta f_t + f_o)^2]
+      / (n sin^2 theta), the entries of -beta_+ on the marked arcs;
+    - ``rotation_gap_sq`` walks (0, f) for t_f steps as a vertex pair (a, b)
+      and reads the squared norm of (da, db) = (a + f / sin theta,
+      b - cos theta f / sin theta) through the Gram matrix [[I, T], [T, I]]
+      of L, in long double.
+
+    ``fp_at_tf`` comes from ``run_series``.  Raises DegenerateSpectrum when
+    the rotation angle vanishes.  ``summary`` is the principal pair of the
+    instance when the caller has already solved for it.
     """
     if summary is None:
         summary = principal_pair(build_T(g))
     t_f = quantum_time(summary)
-    start_gap_sq, target_mass = _rotation_state_measures(g, summary)
+    n, f, root = g.n, summary.f, np.sqrt(g.n + 1)
+    neg_o, neg_t = _negative_arcs(g)
+    start_gap_sq = np.sum((f - 1.0 / root) ** 2) + 4.0 * np.sum(f[neg_t]) / (n * root)
+    # sqrt(n) sin theta times -beta_+ on the arcs (o, t) and (t, o), up to sign
+    cos, sin = np.cos(summary.theta_max), np.sin(summary.theta_max)
+    forward, backward = cos * f[neg_o] + f[neg_t], cos * f[neg_t] + f[neg_o]
+    target_mass = np.sum(forward**2 + backward**2) / (n * sin**2)
 
-    f = summary.f.astype(np.longdouble)
+    f = f.astype(np.longdouble)
     theta = np.longdouble(summary.theta_max)
     a, b = _walk_pair(g, np.zeros_like(f), f, t_f)
-    # U^{t_f}(i beta_-) - (-beta_+) in (a, b) coordinates, lifted once.
-    gap = _d_star(g, (a + f / np.sin(theta)).astype(np.float64))
-    gap += _d_star(g, (b - np.cos(theta) * f / np.sin(theta)).astype(np.float64)).T
+    # U^{t_f}(i beta_-) - (-beta_+) = d* da + S d* db
+    da = a + f / np.sin(theta)
+    db = b - np.cos(theta) * f / np.sin(theta)
+    gap_sq = np.dot(da, da) + np.dot(db, db) + 2.0 * np.dot(da, _times_nT(g)(db)) / n
     return WalkDiagnostics(
         lambda_max=summary.lambda_max,
         theta_max=summary.theta_max,
         t_f=t_f,
-        rotation_gap_sq=float(np.vdot(gap, gap)),
-        start_gap_sq=start_gap_sq,
-        target_mass=target_mass,
+        rotation_gap_sq=float(gap_sq),
+        start_gap_sq=float(start_gap_sq),
+        target_mass=float(target_mass),
         fp_at_tf=run_series(g, t_f, summary).fp_at_tf,
     )
-
-
-def _rotation_state_measures(
-    g: SignedCompleteGraph, summary: SpectralSummary
-) -> tuple[float, float]:
-    """||i beta_- - j||^2 and the marked mass of -beta_+, read from the
-    square-layout states, which are freed on return."""
-    start, target = _rotation_states(g, summary)
-    start_gap_sq = float(np.sum((start - arc_matrix(g, initial_state(g))) ** 2))
-    return start_gap_sq, float(np.sum(target[g.marked_matrix] ** 2))
-
-
-def _d_star(g: SignedCompleteGraph, vec: np.ndarray) -> np.ndarray:
-    """d* vec in square layout: X[u, v] = sigma(u, v) vec_v / sqrt(n) with a
-    zero diagonal.  S d* vec is its transpose."""
-    x = np.tile(vec / np.sqrt(g.n), (g.n + 1, 1))
-    np.fill_diagonal(x, 0.0)
-    neg_o, neg_t = _negative_arcs(g)
-    x[neg_o, neg_t] *= -1.0
-    return x
 
 
 def _negative_arcs(g: SignedCompleteGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -228,20 +227,18 @@ def _negative_arcs(g: SignedCompleteGraph) -> tuple[np.ndarray, np.ndarray]:
     return neg_o, neg_t
 
 
-def _rotation_states(
-    g: SignedCompleteGraph, summary: SpectralSummary
-) -> tuple[np.ndarray, np.ndarray]:
-    """The real rotation states i beta_- and -beta_+ in square layout.
+def _times_nT(g: SignedCompleteGraph) -> Callable[[np.ndarray], np.ndarray]:
+    """The map b -> n T b = <1, b> 1 - b - 2 A b, at O(n + m)."""
+    neg_o, neg_t = _negative_arcs(g)
+    # (A b)_v sums b over the marked neighbours of v: one term per arc
+    ends, starts = np.concatenate((neg_o, neg_t)), np.concatenate((neg_t, neg_o))
 
-    The lift (``spectral.lift_eigenvectors``) gives i beta_- = S d* f and
-    -beta_+ = (cos theta S d* f - d* f) / sin theta exactly, so neither
-    complex eigenvector is formed.
-    """
-    theta = summary.theta_max
-    base = _d_star(g, summary.f)
-    start = np.ascontiguousarray(base.T)
-    target = (np.cos(theta) * start - base) / np.sin(theta)
-    return start, target
+    def times_nT(b: np.ndarray) -> np.ndarray:
+        nt_b = b.sum() - b
+        np.subtract.at(nt_b, ends, 2.0 * b[starts])
+        return nt_b
+
+    return times_nT
 
 
 def _walk_pair(
@@ -261,9 +258,7 @@ def _walk_pair(
     arcs read.
     """
     s = g.s
-    neg_o, neg_t = _negative_arcs(g)
-    # (A b)_v sums b over the marked neighbours of v: one term per arc
-    ends, starts = np.concatenate((neg_o, neg_t)), np.concatenate((neg_t, neg_o))
+    times_nT = _times_nT(g)
     scale = np.longdouble(2.0) / g.n
     prev = -np.asarray(a, dtype=np.longdouble)
     b = np.array(b, dtype=np.longdouble)
@@ -271,10 +266,7 @@ def _walk_pair(
         history[0] = prev[:s]
         history[1] = b[:s]
     for step in range(steps):
-        # n T b = <1, b> 1 - b - 2 A b, O(n + m)
-        nt_b = b.sum() - b
-        np.subtract.at(nt_b, ends, 2.0 * b[starts])
-        prev, b = b, scale * nt_b - prev
+        prev, b = b, scale * times_nT(b) - prev
         if history is not None:
             history[step + 2] = b[:s]
     return -prev, b

@@ -14,6 +14,7 @@ back on output.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -101,14 +102,15 @@ def build_arc_table(n: int) -> ArcTable:
 
 
 def _normalize_edge(edge) -> tuple[int, int]:
-    if isinstance(edge, (set, frozenset)):
-        pair = sorted(edge)
-    else:
-        pair = list(edge)
-    if len(pair) != 2:
-        raise InvalidEdge(f"an edge needs exactly two endpoints, got {edge!r}")
-    u, v = int(pair[0]), int(pair[1])
-    return u, v
+    """The endpoints of an edge given as a pair or a set of two integer
+    labels; raises InvalidEdge for anything else."""
+    try:
+        pair = sorted(edge) if isinstance(edge, (set, frozenset)) else list(edge)
+        if len(pair) == 2:
+            return operator.index(pair[0]), operator.index(pair[1])
+    except TypeError:
+        pass
+    raise InvalidEdge(f"an edge is a pair of integer vertex labels, got {edge!r}")
 
 
 class SignedCompleteGraph:
@@ -175,15 +177,11 @@ class SignedCompleteGraph:
 
         self.n = int(n)
         self.marked_edges = tuple(edges)
-        gamma: list[int] = []
-        for u, v in edges:
-            if u not in gamma:
-                gamma.append(u)
-            if v not in gamma:
-                gamma.append(v)
+        # keys in order of first appearance, with O(1) membership
+        gamma = dict.fromkeys(w for edge in edges for w in edge)
         self.gamma_vertices = tuple(gamma)
-        rest = [w for w in range(n + 1) if w not in set(gamma)]
-        self.canonical_order = tuple(gamma + rest)
+        rest = [w for w in range(n + 1) if w not in gamma]
+        self.canonical_order = self.gamma_vertices + tuple(rest)
         self.s = len(gamma)
         self.t = n + 1 - self.s
 
@@ -411,17 +409,23 @@ def edges_from_descriptor(descriptor: dict) -> list[tuple[int, int]]:
     if not isinstance(descriptor, dict) or "kind" not in descriptor:
         raise ValueError("subgraph descriptor must be an object with a 'kind'")
     kind = descriptor["kind"]
+
+    def integer(key: str) -> int:
+        value = descriptor.get(key)
+        try:
+            return operator.index(value)
+        except TypeError:
+            raise ValueError(
+                f"descriptor of kind {kind!r} needs an integer {key!r}, got {value!r}"
+            ) from None
+
     if kind in _GENERATORS:
-        if "k" not in descriptor:
-            raise ValueError(f"descriptor of kind {kind!r} needs an integer 'k'")
-        return _GENERATORS[kind](int(descriptor["k"]))
+        return _GENERATORS[kind](integer("k"))
     if kind == "complete_bipartite":
-        if "a" not in descriptor or "b" not in descriptor:
-            raise ValueError("complete_bipartite descriptor needs 'a' and 'b'")
-        return complete_bipartite_edges(int(descriptor["a"]), int(descriptor["b"]))
+        return complete_bipartite_edges(integer("a"), integer("b"))
     if kind == "edges":
         edges = descriptor.get("edges")
         if not isinstance(edges, (list, tuple)) or not edges:
             raise ValueError("descriptor of kind 'edges' needs a nonempty 'edges' list")
-        return [(int(e[0]), int(e[1])) for e in edges]
+        return [_normalize_edge(e) for e in edges]
     raise ValueError(f"unknown subgraph kind {kind!r}")

@@ -71,10 +71,22 @@ def test_simulate_degenerate_exit_code(tmp_path, capsys):
 
 
 def test_bad_descriptor_exit_code(tmp_path):
-    code = main(
+    assert main(
         ["simulate", "--n", "5", "--subgraph", "nonsense", "--out", str(tmp_path)]
-    )
-    assert code == 2
+    ) == 2
+    # malformed descriptors are configuration errors, not failed verifications
+    for descriptor in (
+        '{"kind": "edges", "edges": [[0]]}',
+        '{"kind": "edges", "edges": [5]}',
+        '{"kind": "edges", "edges": [[0.5, 1]]}',
+        '{"kind": "edges", "edges": [[0, 1, 2]]}',
+        '{"kind": "path", "k": null}',
+        '{"kind": "path", "k": 1.7}',
+    ):
+        code = main(
+            ["spectrum", "--n", "5", "--subgraph", descriptor, "--out", str(tmp_path)]
+        )
+        assert code == 2, descriptor
 
 
 @pytest.mark.parametrize(

@@ -120,10 +120,13 @@ def test_series_matches_arc_walk(data):
     labels = np.random.default_rng(seed).permutation(n + 1)
     edges = [(int(labels[u]), int(labels[v])) for u, v in FAMILIES[family](k)]
     g = build_instance(n, edges, orientation=orientation)
-    t_max = 2 * quantum_time(principal_pair(build_T(g)))
+    summary = principal_pair(build_T(g))
+    t_max = 2 * quantum_time(summary)
     expected = np.empty(t_max + 1)
     walk_arc_matrix(g, arc_matrix(g, initial_state(g)), t_max, fp=expected)
-    assert np.abs(run_series(g, t_max).fp - expected).max() <= 5e-12
+    assert np.abs(run_series(g, t_max, summary).fp - expected).max() <= 5e-12
+    gap_sq = asymptotic_diagnostics(g, summary).rotation_gap_sq
+    assert abs(gap_sq - gather_diagnostics(g)[0]) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -154,6 +157,20 @@ def test_series_memory_does_not_grow_with_t_max():
     assert peak <= 6 * 2**20
     assert series.fp[0] == pytest.approx(2 * 400 / (400 * 401), rel=1e-14)
     assert np.all((series.fp >= 0.0) & (series.fp <= 1.0 + 1e-12))
+
+
+def test_diagnostics_memory_is_linear_in_n():
+    # n = 1000 with one edge: a single (n+1)^2 float64 state takes 8 MB
+    g = build_instance(1000, [(0, 1)])
+    summary = principal_pair(build_T(g))
+    tracemalloc.start()
+    try:
+        d = asymptotic_diagnostics(g, summary)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+    assert 0.0 < d.rotation_gap_sq <= 16 / (1000 * 1001)
 
 
 @pytest.mark.skipif(

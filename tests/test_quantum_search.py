@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from edgewalk import (
-    arc_matrix,
     asymptotic_diagnostics,
     build_instance,
     build_T,
@@ -23,7 +22,6 @@ from edgewalk import (
     verify_all,
 )
 from edgewalk.errors import DimensionMismatch
-from edgewalk.quantum_search import _rotation_states
 
 K5_EDGES = [(0, 1), (1, 2), (2, 3)]
 
@@ -166,14 +164,17 @@ def test_diagnostics_all_bounds_at_large_n():
 )
 @pytest.mark.parametrize("n", [7, 40, 99])
 def test_rotation_states_match_lift(n, edges, orientation):
-    # the real closed forms against the complex lifted eigenvectors
+    # the vertex-space closed forms of the start gap and the target mass
+    # against the complex lifted eigenvectors in arc space
     g = build_instance(n, edges, orientation=orientation)
     summary = principal_pair(build_T(g))
     lifted = lift_eigenvectors(g, summary)
-    start, target = _rotation_states(g, summary)
-    assert start.dtype == target.dtype == np.float64
-    assert np.abs(start - arc_matrix(g, 1j * lifted.beta_minus)).max() <= 1e-14
-    assert np.abs(target - arc_matrix(g, -lifted.beta_plus)).max() <= 1e-14
+    start = (1j * lifted.beta_minus).real
+    start_gap_sq = float(np.sum((start - initial_state(g)) ** 2))
+    target_mass = finding_probability(g, -lifted.beta_plus)
+    d = asymptotic_diagnostics(g, summary)
+    assert d.start_gap_sq == pytest.approx(start_gap_sq, rel=1e-14)
+    assert d.target_mass == pytest.approx(target_mass, rel=1e-14)
 
 
 @pytest.mark.parametrize("seed", range(5))

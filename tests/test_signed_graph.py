@@ -205,6 +205,17 @@ def test_descriptor_parsing():
         edges_from_descriptor({"kind": "path"})
     with pytest.raises(ValueError):
         edges_from_descriptor({"kind": "edges", "edges": []})
+    # numpy integers are labels; non-integers are rejected, not truncated
+    assert edges_from_descriptor(
+        {"kind": "edges", "edges": [(np.int64(0), np.int32(3))]}
+    ) == [(0, 3)]
+    for bad in ({"kind": "path", "k": None}, {"kind": "path", "k": 1.7},
+                {"kind": "star", "k": "2"}, {"kind": "complete_bipartite", "a": 1}):
+        with pytest.raises(ValueError):
+            edges_from_descriptor(bad)
+    for bad_edges in ([[0]], [5], [[0.5, 1]], [[0, 1, 2]], ["01"]):
+        with pytest.raises(InvalidEdge):
+            edges_from_descriptor({"kind": "edges", "edges": bad_edges})
 
 
 @pytest.mark.parametrize(
