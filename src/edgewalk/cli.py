@@ -110,7 +110,8 @@ def _out_dir(args) -> Path:
 
 def _instance_from_args(args):
     descriptor = _load_descriptor(args.subgraph)
-    return build_instance(args.n, edges_from_descriptor(descriptor)), descriptor
+    edges = edges_from_descriptor(descriptor, n=args.n)
+    return build_instance(args.n, edges), descriptor
 
 
 def cmd_simulate(args) -> int:
@@ -235,7 +236,7 @@ def cmd_speedup(args) -> int:
     if not n_list:
         raise ValueError("empty n list")
     descriptor = _load_descriptor(args.subgraph)
-    edges = edges_from_descriptor(descriptor)
+    edges = edges_from_descriptor(descriptor, n=max(n_list))
     rows = []
     for n in n_list:
         g = build_instance(n, edges)

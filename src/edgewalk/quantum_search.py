@@ -9,11 +9,11 @@ in a 2(n+1)-dimensional space.  T b = (<1, b> 1 - b - 2 A b) / n costs
 O(n + m), since A b sums b over the 2m marked arcs, against O(n^2) for a
 step over every arc.  Two walks use it:
 
-- ``run_series``: the uniform state is j = d* alpha + S d* alpha + r0 with
-  (I + T) alpha = d j and r0 orthogonal to L.  r0 evolves as (-S)^t and is
-  the same on both arcs of a marked edge, so on the 2m marked arcs it only
-  changes sign; the finding probability at step t is the squared mass of
-  the (a, b) part plus (-1)^t r0 on those arcs.
+- ``run_series``: the uniform state j has S j = j, so U j = -j + 2 S d* (d j)
+  and U^t j = (-1)^t j + d* a_t + S d* b_t, where (a, b) starts at (0, 0)
+  and each step adds the forcing 2 (-1)^t d j to b.  The finding
+  probability at step t is the squared mass of that state on the 2m marked
+  arcs.
 - ``asymptotic_diagnostics``: the start i beta_- is (0, f), the target
   -beta_+ is (-f, cos theta f) / sin theta, and the rotation gap is the norm
   of the difference after t_f steps under the Gram matrix [[I, T], [T, I]]
@@ -122,14 +122,13 @@ def run_series(
     """Exact finding-probability series for t = 0..t_max.
 
     The evolution is sequential (no spectral shortcut) and deterministic:
-    the uniform state's component in L is walked as a vertex pair (see the
-    module docstring) and its remainder changes sign each step, so a step
-    costs O(n + m) after one order-(s + 1) least-squares solve.  The marked
-    arcs are read out in blocks of steps, so the memory does not grow with
-    ``t_max``.  A degenerate spectrum only
-    leaves the searching-time fields unset.  ``summary``, when the caller
-    already holds the principal pair of the instance, is used for t_f
-    instead of solving the eigenproblem again.
+    U^t j - (-1)^t j lies in L and is walked as a vertex pair forced by
+    2 (-1)^t d j (see the module docstring), so a step costs O(n + m) and no
+    linear system is solved.  The marked arcs are read out in blocks of
+    steps, so the memory does not grow with ``t_max``.  A degenerate
+    spectrum only leaves the searching-time fields unset.  ``summary``, when
+    the caller already holds the principal pair of the instance, is used for
+    t_f instead of solving the eigenproblem again.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
@@ -247,15 +246,17 @@ def _walk_pair(
     b: np.ndarray,
     steps: int,
     history: Optional[np.ndarray] = None,
+    forcing: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Walk the state d* a + S d* b of L for ``steps`` steps, in long double,
     and return its final coordinates (a, b).
 
     A step maps (a, b) to (-b, a + 2 T b), so a_t = -b_{t-1} and
-    b_{t+1} = 2 T b_t - b_{t-1}; only b is carried.  When ``history`` is
-    given (shape (steps + 2, s), any float dtype), row t + 1 receives the
-    marked-block entries of b_t for t = -1..steps, which is all the marked
-    arcs read.
+    b_{t+1} = 2 T b_t - b_{t-1}; only b is carried.  ``forcing`` adds
+    ``forcing[0]`` to b after even steps and ``forcing[1]`` after odd ones.
+    When ``history`` is given (shape (steps + 2, s), any float dtype), row
+    t + 1 receives the marked-block entries of b_t for t = -1..steps, which
+    is all the marked arcs read.
     """
     s = g.s
     times_nT = _times_nT(g)
@@ -267,6 +268,8 @@ def _walk_pair(
         history[1] = b[:s]
     for step in range(steps):
         prev, b = b, scale * times_nT(b) - prev
+        if forcing is not None:
+            b += forcing[step % 2]
         if history is not None:
             history[step + 2] = b[:s]
     return -prev, b
@@ -278,69 +281,41 @@ _READOUT_ENTRIES = 1 << 15
 
 
 def _uniform_series(g: SignedCompleteGraph, t_max: int) -> np.ndarray:
-    """Finding probability of U^t j for t = 0..t_max, through the split
-    j = d* alpha + S d* alpha + r0 with r0 orthogonal to L.
+    """Finding probability of U^t j for t = 0..t_max.
 
-    r0 = j - d* alpha - S d* alpha reads j + (alpha_t - alpha_o) / sqrt(n) on
-    both arcs of the marked edge whose negative arc is (o, t), and U^t r0 =
-    (-S)^t r0 is (-1)^t times that on the marked arcs.
+    Since S j = j, U j = -j + 2 S d* (d j), so U^t j = (-1)^t j + d* a_t +
+    S d* b_t with (a_0, b_0) = (0, 0) and the pair walk forced by
+    2 (-1)^t d j: b_{t+1} = 2 T b_t - b_{t-1} + 2 (-1)^t d j.
     """
-    alpha = _uniform_coordinates(g)
+    n = g.n
     neg_o, neg_t = _negative_arcs(g)
-    j = 1.0 / np.sqrt(np.longdouble(g.num_arcs))
-    r0 = j + (alpha[neg_t] - alpha[neg_o]) / np.sqrt(np.longdouble(g.n))
+    # (d j)_v = (n - 2 * #negative arcs into v) / (n sqrt(n+1))
+    into = np.bincount(neg_t, minlength=n + 1).astype(np.longdouble)
+    twice_dj = 2.0 * (n - 2.0 * into) / (n * np.sqrt(np.longdouble(n + 1)))
+    forcing = (twice_dj, -twice_dj)
     # The walk takes the cancellation in long double; the marked amplitudes
     # are O(1), so they are read out in float64.
-    r0, sqrt_n = r0.astype(np.float64), np.sqrt(g.n)
+    j, sqrt_n = 1.0 / np.sqrt(g.num_arcs), np.sqrt(n)
     block = max(1, _READOUT_ENTRIES // max(g.s, g.num_marked))
     fp = np.empty(t_max + 1)
-    a, b = alpha, alpha
+    a = b = np.zeros(n + 1, dtype=np.longdouble)
     first = 0
     while True:
         # fp[first..last] from b_{first-1}..b_last; the next block starts
         # again at last, so one value per block is computed twice
         steps = min(block, t_max - first)
         history = np.empty((steps + 2, g.s))
-        a, b = _walk_pair(g, a, b, steps, history)
+        # step t adds 2 (-1)^t d j, and this block starts at t = first
+        a, b = _walk_pair(
+            g, a, b, steps, history, forcing[::-1] if first % 2 else forcing
+        )
         prev, cur = history[:-1], history[1:]  # b_{t-1} = -a_t and b_t
-        signs = np.where((first + np.arange(steps + 1)) % 2 == 0, 1.0, -1.0)
-        remainder = signs[:, None] * r0
-        # d* a + S d* b on the arcs (o, t) and (t, o), where sigma(o, t) = -1
-        forward = (prev[:, neg_t] + cur[:, neg_o]) / sqrt_n + remainder
-        backward = remainder - (prev[:, neg_o] + cur[:, neg_t]) / sqrt_n
+        signs = np.where((first + np.arange(steps + 1)) % 2 == 0, j, -j)
+        # (-1)^t j + d* a + S d* b on the arcs (o, t) and (t, o), where
+        # sigma(o, t) = -1
+        forward = (prev[:, neg_t] + cur[:, neg_o]) / sqrt_n + signs[:, None]
+        backward = signs[:, None] - (prev[:, neg_o] + cur[:, neg_t]) / sqrt_n
         fp[first : first + steps + 1] = np.sum(forward**2 + backward**2, axis=1)
         first += steps
         if first == t_max:
             return fp
-
-
-def _uniform_coordinates(g: SignedCompleteGraph) -> np.ndarray:
-    """A solution alpha of (I + T) alpha = d j, in long double.
-
-    d j and T commute with the permutations of the t vertices outside the
-    marked subgraph, and I + T is 1 - 1/n on the zero-sum vectors supported
-    there, so a solution is constant off the marked block.  It comes from
-    the symmetric order-(s+1) quotient in the basis (e_1..e_s, 1_rest /
-    sqrt(t)) by least squares: I + T is singular when lambda_min(T) = -1 (a
-    triangle with every edge marked), and any solution serves, because a
-    kernel vector x lifts to d* x + S d* x = 0.
-    """
-    n, s, t = g.n, g.s, g.t
-    neg_t = _negative_arcs(g)[1]
-    norm = np.sqrt(n * g.num_arcs)
-    # (d j)_v = (n - 2 * #negative arcs into v) / sqrt(n * n(n+1))
-    rhs = np.append((n - 2.0 * np.bincount(neg_t, minlength=s)) / norm, n / norm)
-    quotient = np.empty((s + 1, s + 1))
-    quotient[:s, :s] = (1.0 - 2.0 * g.marked_matrix[:s, :s]) / n
-    np.fill_diagonal(quotient, 1.0)
-    quotient[:s, s] = quotient[s, :s] = np.sqrt(t) / n
-    quotient[s, s] = 1.0 + (t - 1.0) / n
-    rhs[s] *= np.sqrt(t)
-    if t == 0:
-        quotient, rhs = quotient[:s, :s], rhs[:s]
-    y = np.linalg.lstsq(quotient, rhs, rcond=None)[0].astype(np.longdouble)
-    alpha = np.empty(n + 1, dtype=np.longdouble)
-    alpha[:s] = y[:s]
-    if t:
-        alpha[s:] = y[s] / np.sqrt(np.longdouble(t))
-    return alpha

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -101,13 +101,19 @@ def build_arc_table(n: int) -> ArcTable:
     )
 
 
+def _index(value) -> int:
+    """``operator.index``, which also raises TypeError for a bool (JSON true
+    or false)."""
+    return operator.index(None if isinstance(value, bool) else value)
+
+
 def _normalize_edge(edge) -> tuple[int, int]:
     """The endpoints of an edge given as a pair or a set of two integer
     labels; raises InvalidEdge for anything else."""
     try:
         pair = sorted(edge) if isinstance(edge, (set, frozenset)) else list(edge)
         if len(pair) == 2:
-            return operator.index(pair[0]), operator.index(pair[1])
+            return _index(pair[0]), _index(pair[1])
     except TypeError:
         pass
     raise InvalidEdge(f"an edge is a pair of integer vertex labels, got {edge!r}")
@@ -390,39 +396,49 @@ def complete_bipartite_edges(a: int, b: int) -> list[tuple[int, int]]:
     return [(i, a + j) for i in range(a) for j in range(b)]
 
 
+# Each generator with its integer parameters and the number of vertices they
+# span, so that a descriptor too large for its host fails before any edge.
 _GENERATORS = {
-    "path": path_edges,
-    "matching": matching_edges,
-    "star": star_edges,
-    "cycle": cycle_edges,
+    "path": (path_edges, ("k",), lambda k: k + 1),
+    "matching": (matching_edges, ("k",), lambda k: 2 * k),
+    "star": (star_edges, ("k",), lambda k: k + 1),
+    "cycle": (cycle_edges, ("k",), lambda k: k),
+    "complete_bipartite": (complete_bipartite_edges, ("a", "b"), lambda a, b: a + b),
 }
 
 
-def edges_from_descriptor(descriptor: dict) -> list[tuple[int, int]]:
+def edges_from_descriptor(
+    descriptor: dict, *, n: Optional[int] = None
+) -> list[tuple[int, int]]:
     """Materialize a subgraph descriptor into an edge list.
 
     The descriptor is a JSON-style mapping with a ``kind`` of ``path``,
     ``matching``, ``star``, ``cycle`` (parameter ``k``),
     ``complete_bipartite`` (parameters ``a`` and ``b``) or ``edges``
-    (explicit ``edges`` list of pairs).
+    (explicit ``edges`` list of pairs).  Given the host size ``n``, a
+    generated subgraph on more than n + 1 vertices raises InvalidVertex.
     """
-    if not isinstance(descriptor, dict) or "kind" not in descriptor:
-        raise ValueError("subgraph descriptor must be an object with a 'kind'")
-    kind = descriptor["kind"]
+    kind = descriptor.get("kind") if isinstance(descriptor, dict) else None
+    if not isinstance(kind, str):
+        raise ValueError("subgraph descriptor must be an object with a string 'kind'")
 
     def integer(key: str) -> int:
         value = descriptor.get(key)
         try:
-            return operator.index(value)
+            return _index(value)
         except TypeError:
             raise ValueError(
                 f"descriptor of kind {kind!r} needs an integer {key!r}, got {value!r}"
             ) from None
 
     if kind in _GENERATORS:
-        return _GENERATORS[kind](integer("k"))
-    if kind == "complete_bipartite":
-        return complete_bipartite_edges(integer("a"), integer("b"))
+        generate, keys, span = _GENERATORS[kind]
+        params = [integer(key) for key in keys]
+        if n is not None and span(*params) > n + 1:
+            raise InvalidVertex(
+                f"a {kind} on {span(*params)} vertices does not fit in K_{n + 1}"
+            )
+        return generate(*params)
     if kind == "edges":
         edges = descriptor.get("edges")
         if not isinstance(edges, (list, tuple)) or not edges:

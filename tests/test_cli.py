@@ -1,6 +1,7 @@
 """CLI contract: file formats, config echo, exit codes."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -82,11 +83,28 @@ def test_bad_descriptor_exit_code(tmp_path):
         '{"kind": "edges", "edges": [[0, 1, 2]]}',
         '{"kind": "path", "k": null}',
         '{"kind": "path", "k": 1.7}',
+        '{"kind": "path", "k": true}',
+        '{"kind": "edges", "edges": [[true, 2]]}',
+        '{"kind": "path", "k": 6}',
+        '{"kind": ["path"], "k": 1}',
     ):
         code = main(
             ["spectrum", "--n", "5", "--subgraph", descriptor, "--out", str(tmp_path)]
         )
         assert code == 2, descriptor
+    # a million-edge path cannot fit in K_6; it is refused before any edge
+    # list is made
+    descriptor = '{"kind": "path", "k": 1000000}'
+    tracemalloc.start()
+    try:
+        code = main(
+            ["spectrum", "--n", "5", "--subgraph", descriptor, "--out", str(tmp_path)]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak <= 2**20
 
 
 @pytest.mark.parametrize(

@@ -60,8 +60,9 @@ def gather_diagnostics(g):
     ids=["K3-all-marked", "K4-all-marked"],
 )
 def test_singular_uniform_system(n, edges):
-    # lambda_min(T) = -1 makes I + T singular; the least-squares split must
-    # still give the exact series and a finite fp_at_tf
+    # lambda_min(T) = -1, the eigenvalue the (-1)^t forcing of the uniform
+    # walk could resonate with; d j has no component along it, so the
+    # series stays exact over many steps and fp_at_tf is finite
     g = build_instance(n, edges)
     assert np.linalg.eigvalsh(build_T(g).matrix).min() == pytest.approx(-1.0)
     d = asymptotic_diagnostics(g)
@@ -70,6 +71,8 @@ def test_singular_uniform_system(n, edges):
     got = (d.rotation_gap_sq, d.start_gap_sq, d.target_mass, d.fp_at_tf)
     assert np.abs(np.subtract(got, expected)).max() <= 1e-12
     assert np.abs(run_series(g, 12).fp - gather_series(g, 12)).max() <= 1e-12
+    t_max = 10**4
+    assert np.abs(run_series(g, t_max).fp - gather_series(g, t_max)).max() <= 1e-11
 
 
 @pytest.mark.parametrize(
@@ -141,6 +144,26 @@ def test_series_across_readout_blocks(n, edges):
     expected = np.empty(t_max + 1)
     walk_arc_matrix(g, arc_matrix(g, initial_state(g)), t_max, fp=expected)
     assert np.abs(run_series(g, t_max).fp - expected).max() <= 5e-12
+
+
+@pytest.mark.parametrize(
+    "n,edges", [(300, [(0, 1)]), (60, path_edges(60))], ids=["edge", "spanning-path"]
+)
+def test_series_needs_no_linear_solve(monkeypatch, n, edges):
+    # the uniform state is walked as a forced pair, with no split to solve for
+    g = build_instance(n, edges)
+    summary = principal_pair(build_T(g))
+    t_max = 2 * quantum_time(summary)
+    expected = np.empty(t_max + 1)
+    walk_arc_matrix(g, arc_matrix(g, initial_state(g)), t_max, fp=expected)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_series solved a linear system")
+
+    for name in ("lstsq", "solve", "svd", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    series = run_series(g, t_max, summary)
+    assert np.abs(series.fp - expected).max() <= 5e-12
 
 
 def test_series_memory_does_not_grow_with_t_max():

@@ -209,13 +209,27 @@ def test_descriptor_parsing():
     assert edges_from_descriptor(
         {"kind": "edges", "edges": [(np.int64(0), np.int32(3))]}
     ) == [(0, 3)]
+    # JSON booleans are not integers, although Python's bool subclasses int
     for bad in ({"kind": "path", "k": None}, {"kind": "path", "k": 1.7},
-                {"kind": "star", "k": "2"}, {"kind": "complete_bipartite", "a": 1}):
+                {"kind": "star", "k": "2"}, {"kind": "complete_bipartite", "a": 1},
+                {"kind": "path", "k": True},
+                {"kind": "complete_bipartite", "a": 1, "b": False}):
         with pytest.raises(ValueError):
             edges_from_descriptor(bad)
-    for bad_edges in ([[0]], [5], [[0.5, 1]], [[0, 1, 2]], ["01"]):
+    for bad_edges in ([[0]], [5], [[0.5, 1]], [[0, 1, 2]], ["01"], [[True, 2]],
+                      [[0, np.bool_(True)]]):
         with pytest.raises(InvalidEdge):
             edges_from_descriptor({"kind": "edges", "edges": bad_edges})
+    with pytest.raises(InvalidEdge):
+        build_instance(5, [(True, 2)])
+    # the host size bounds a generated subgraph before any edge is made
+    for too_large in ({"kind": "path", "k": 10**9}, {"kind": "matching", "k": 4},
+                      {"kind": "star", "k": 6}, {"kind": "cycle", "k": 7},
+                      {"kind": "complete_bipartite", "a": 3, "b": 4}):
+        with pytest.raises(InvalidVertex):
+            edges_from_descriptor(too_large, n=5)
+    assert edges_from_descriptor({"kind": "path", "k": 5}, n=5) == path_edges(5)
+    assert edges_from_descriptor({"kind": "cycle", "k": 6}, n=5) == cycle_edges(6)
 
 
 @pytest.mark.parametrize(
