@@ -55,6 +55,7 @@ from .spectral import (
     lift_eigenvectors,
     line_principal_pair,
     principal_pair,
+    quotient_eigh,
     spectral_mapping_check,
     summarize_spectrum,
 )
@@ -88,6 +89,7 @@ __all__ = [
     "LiftedPair",
     "MappingReport",
     "eigh",
+    "quotient_eigh",
     "principal_pair",
     "summarize_spectrum",
     "lift_eigenvectors",

@@ -8,6 +8,10 @@ judges pass, fail or skip.  Inequalities stated only under a hypothesis are
 recorded as *skipped* (not passed) when the hypothesis fails, so a report
 always distinguishes "verified" from "not applicable".
 
+T and Z are solved on their order-(s+1) equitable quotient
+(``spectral.quotient_eigh``) and pq_spectra applies Q and G through their
+first s columns, so the ledger makes no order-(n+1) eigensolve or product.
+
 Throughout, n+1 is the host order, m the number of marked edges, s the
 order of the marked subgraph, Y = J - (n+1)I - 2A and
 Z = J - (n+1)I - A - D the integer-shifted companions of the vertex
@@ -57,7 +61,13 @@ from .signed_graph import (
     path_edges,
     star_edges,
 )
-from .spectral import eigh, line_principal_pair, principal_vector, summarize_spectrum
+from .spectral import (
+    eigh,
+    line_principal_pair,
+    principal_vector,
+    quotient_eigh,
+    summarize_spectrum,
+)
 
 __all__ = [
     "BoundEntry",
@@ -201,6 +211,22 @@ def _gershgorin_violation(matrix: np.ndarray, values: np.ndarray) -> float:
     return max(0.0, float(nearest.max()))
 
 
+def _rest_matmul(matrix: np.ndarray, s: int, x: np.ndarray) -> np.ndarray:
+    """matrix @ x, O(n s) per column, for a canonical-order vertex matrix that
+    is alpha J + beta I outside its leading s x s block, with column c towards
+    it: c, alpha and beta are read from the matrix's first rest column."""
+    t = matrix.shape[0] - s
+    out = matrix[:, :s] @ x[:s]
+    if t:
+        rest = x[s:]
+        sums = rest.sum(axis=0)
+        alpha = matrix[s + 1, s] if t > 1 else 0.0
+        out[:s] += np.outer(matrix[:s, s], sums)
+        out[s:] += (matrix[s, s] - alpha) * rest
+        out[s:] += alpha * sums
+    return out
+
+
 def _pq_spectra_mismatch(
     P: LineTransitionMatrix,
     lambda_max_p: float,
@@ -218,9 +244,11 @@ def _pq_spectra_mismatch(
     integers by ``build_P``) give P N^T = N^T Q, so the lifted residual is
     P N^T w - q N^T w = N^T r with r = Qw - qw, and its relative size
     ||N^T r|| / ||N^T w|| = sqrt(r^T G r / w^T G w) is evaluated in vertex
-    space for all pairs at once.  The remaining line eigenvalues equal
-    -1/(n-1) by the rank of N.  The largest relative residual is combined
-    with the distance between lambda_max(P) and the top companion value.
+    space for all pairs at once, through ``_rest_matmul`` (the s vertices of
+    complement degree below n come first).  The remaining line eigenvalues
+    equal -1/(n-1) by the rank of N.  The largest relative residual is
+    combined with the distance between lambda_max(P) and the top companion
+    value.
     """
     n = P.n
     kernel_value = -1.0 / (n - 1)
@@ -234,11 +262,12 @@ def _pq_spectra_mismatch(
         if p_keep.size == 0:
             return 0.0
         return float(np.abs(p_keep - q_keep).max())
+    s = int(np.count_nonzero(P.complement.degrees < n))
     keep = np.abs(q_values - kernel_value) > PQ_KERNEL_TOL
     w, q = q_vectors[:, keep], q_values[keep]
-    r = P.q_matrix @ w - w * q
-    residual_sq = np.maximum(np.sum(r * (P.gram @ r), axis=0), 0.0)
-    lifted_sq = np.sum(w * (P.gram @ w), axis=0)
+    r = _rest_matmul(P.q_matrix, s, w) - w * q
+    residual_sq = np.maximum(np.sum(r * _rest_matmul(P.gram, s, r), axis=0), 0.0)
+    lifted_sq = np.sum(w * _rest_matmul(P.gram, s, w), axis=0)
     return max(
         abs(lambda_max_p - float(q_values[0])),
         float(np.sqrt(residual_sq / lifted_sq).max()),
@@ -269,8 +298,8 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
     z_matrix = ones - (n + 1) * eye - adj - deg
     # Y = n(T - I) and Q = Z/(2(n-1)) + I hold exactly, so T and Z are the
     # only vertex matrices solved; Y and Q reuse their eigenvectors.
-    z_values, z_vectors = eigh(z_matrix)
-    t_values, t_vectors = eigh(build_T(g).matrix)
+    z_values, z_vectors = quotient_eigh(z_matrix, s)
+    t_values, t_vectors = quotient_eigh(build_T(g).matrix, s)
     y_values, y_vectors = n * (t_values - 1.0), t_vectors
     f_y = principal_vector(y_values, y_vectors)
     f_z = principal_vector(z_values, z_vectors)

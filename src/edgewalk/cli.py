@@ -27,11 +27,17 @@ import numpy as np
 
 from .bounds import verify_all
 from .classical_search import hitting_time, mc_hitting_time
-from .errors import DegenerateSpectrum, EdgeWalkError, NoConvergence, SolverFailure
+from .errors import (
+    DegenerateSpectrum,
+    EdgeWalkError,
+    NoConvergence,
+    SolverFailure,
+    TooSmall,
+)
 from .operators import build_T
 from .quantum_search import quantum_time, run_series
 from .signed_graph import build_instance, edges_from_descriptor, path_edges
-from .spectral import eigh, principal_pair, summarize_spectrum
+from .spectral import principal_pair, quotient_eigh, summarize_spectrum
 
 __all__ = ["main"]
 
@@ -235,8 +241,11 @@ def cmd_speedup(args) -> int:
     n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     if not n_list:
         raise ValueError("empty n list")
+    # Every host must hold the subgraph: check them all before any row.
+    if min(n_list) < 2:
+        raise TooSmall(f"need n >= 2, got n = {min(n_list)}")
     descriptor = _load_descriptor(args.subgraph)
-    edges = edges_from_descriptor(descriptor, n=max(n_list))
+    edges = edges_from_descriptor(descriptor, n=min(n_list))
     rows = []
     for n in n_list:
         g = build_instance(n, edges)
@@ -276,7 +285,7 @@ def cmd_speedup(args) -> int:
 
 def cmd_spectrum(args) -> int:
     g, descriptor = _instance_from_args(args)
-    values, vectors = eigh(build_T(g).matrix)
+    values, vectors = quotient_eigh(build_T(g).matrix, g.s)
     degenerate = False
     scalars = {"lambda_max": float(values[0]), "gap": float(values[0] - values[1])}
     try:

@@ -416,7 +416,8 @@ def edges_from_descriptor(
     ``matching``, ``star``, ``cycle`` (parameter ``k``),
     ``complete_bipartite`` (parameters ``a`` and ``b``) or ``edges``
     (explicit ``edges`` list of pairs).  Given the host size ``n``, a
-    generated subgraph on more than n + 1 vertices raises InvalidVertex.
+    generated subgraph on more than n + 1 vertices, or an explicit edge with
+    a vertex outside 0..n, raises InvalidVertex.
     """
     kind = descriptor.get("kind") if isinstance(descriptor, dict) else None
     if not isinstance(kind, str):
@@ -443,5 +444,10 @@ def edges_from_descriptor(
         edges = descriptor.get("edges")
         if not isinstance(edges, (list, tuple)) or not edges:
             raise ValueError("descriptor of kind 'edges' needs a nonempty 'edges' list")
-        return [_normalize_edge(e) for e in edges]
+        pairs = [_normalize_edge(e) for e in edges]
+        if n is not None:
+            for w in (w for pair in pairs for w in pair):
+                if not 0 <= w <= n:
+                    raise InvalidVertex(f"vertex {w} outside 0..{n}")
+        return pairs
     raise ValueError(f"unknown subgraph kind {kind!r}")

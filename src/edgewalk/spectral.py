@@ -9,6 +9,11 @@ eigenvector f:
 
 The principal pair of the discriminant matrix fixes the rotation angle
 theta_max = arccos(lambda_max) that defines the quantum searching time.
+
+In canonical order T, Y, Z and Q are each alpha J + beta I outside the s x s
+block on the marked subgraph's vertices, an equitable partition (Godsil and
+Royle, Algebraic Graph Theory, section 9.3): ``quotient_eigh`` solves them on
+the order-(s+1) quotient, and full ``eigh`` is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ __all__ = [
     "LiftedPair",
     "MappingReport",
     "eigh",
+    "quotient_eigh",
     "principal_vector",
     "principal_pair",
     "summarize_spectrum",
@@ -69,6 +75,53 @@ def eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     return values[::-1].copy(), vectors[:, ::-1].copy()
+
+
+def quotient_eigh(matrix: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of a canonical-order vertex matrix from its equitable quotient.
+
+    Outside its leading s x s block B the matrix must be alpha J + beta I with
+    column c towards B, read from its t = order - s rest columns (else
+    ValueError).  The quotient [[B, sqrt(t) c], [sqrt(t) c^T, alpha t + beta]]
+    gives s+1 pairs, lifted back with the last entry over sqrt(t) on the rest;
+    beta takes the other t-1, with the Helmert basis of the zero-sum vectors
+    on the rest.  With t = 0 the quotient is the matrix itself.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    order = matrix.shape[0]
+    t = order - s
+    rest = matrix[:, s:]
+    diagonal = rest[s, 0] if t else 0.0
+    alpha = rest[s + 1, 0] if t > 1 else 0.0
+    expected = np.full((order, t), alpha)
+    expected[:s] = rest[:s, :1]
+    np.fill_diagonal(expected[s:], diagonal)
+    symmetric = np.array_equal(matrix[s:, :s], expected[:s].T)
+    if not (symmetric and np.array_equal(rest, expected)):
+        raise ValueError(f"not alpha J + beta I outside the leading {s} x {s} block")
+    cells = s + min(t, 1)
+    quotient = matrix[:cells, :cells].copy()
+    quotient[:s, s:] *= np.sqrt(t)
+    quotient[s:, :s] *= np.sqrt(t)
+    quotient[s:, s:] += alpha * (t - 1)
+    q_values, q_vectors = eigh(quotient)
+
+    # The t-1 copies of beta go between the quotient values above and below
+    # it, so the spectrum comes out descending without a sort.
+    beta = diagonal - alpha
+    k = np.arange(1, max(t, 1))
+    top = int(np.count_nonzero(q_values >= beta))
+    values = np.concatenate([q_values[:top], np.full(k.size, beta), q_values[top:]])
+    vectors = np.zeros((order, order))
+    lifted = np.r_[0:top, top + k.size : order]
+    vectors[:s, lifted] = q_vectors[:s]
+    vectors[s:, lifted] = q_vectors[s:] / np.sqrt(t)
+    # Helmert column k: k entries 1/sqrt(k(k+1)), then -sqrt(k/(k+1)).
+    helmert = vectors[s:, top : top + k.size]
+    helmert[...] = np.arange(t)[:, None] < k
+    helmert /= np.sqrt(k * (k + 1.0))
+    helmert[k, k - 1] = -np.sqrt(k / (k + 1.0))
+    return values, vectors
 
 
 def principal_vector(
@@ -119,19 +172,21 @@ class SpectralSummary:
 
 
 def principal_pair(T: DiscriminantMatrix) -> SpectralSummary:
-    """Principal eigenpair of the discriminant matrix.
+    """Principal eigenpair of the discriminant matrix, solved on its
+    order-(s+1) equitable quotient (``quotient_eigh``).
 
     Raises DegenerateSpectrum when lambda_max >= 1 - 1e-12, which happens
     exactly when the marked subgraph is a spanning complete bipartite graph;
     the rotation angle is then zero and the searching time undefined.
     """
-    return summarize_spectrum(*eigh(T.matrix))
+    return summarize_spectrum(*quotient_eigh(T.matrix, T.s))
 
 
 def summarize_spectrum(values: np.ndarray, vectors: np.ndarray) -> SpectralSummary:
     """Principal spectral data from a descending eigendecomposition of the
-    discriminant matrix (the output of ``eigh``), so that a caller holding
-    one does not solve again.  Raises DegenerateSpectrum as principal_pair.
+    discriminant matrix (the output of ``quotient_eigh`` or ``eigh``), so
+    that a caller holding one does not solve again.  Raises
+    DegenerateSpectrum as principal_pair.
     """
     lam = float(values[0])
     if lam >= 1.0 - DEGENERACY_TOL:
@@ -221,9 +276,10 @@ def spectral_mapping_check(
     g: SignedCompleteGraph, tolerance: float = 1e-8
 ) -> MappingReport:
     """Check that every lifted discriminant eigenvalue appears in the dense
-    walk spectrum.  Small instances only (dense walk operator)."""
+    walk spectrum, the dense oracle of ``quotient_eigh``.  Small instances
+    only (dense walk operator)."""
     walk_values = np.linalg.eigvals(build_U_dense(g))
-    t_values, _ = eigh(build_T(g).matrix)
+    t_values, _ = quotient_eigh(build_T(g).matrix, g.s)
     entries = []
     excluded = []
     for lam in t_values:

@@ -238,7 +238,8 @@ def test_sweep_verdicts_unchanged():
 
 
 def test_verify_all_solves_two_vertex_matrices(monkeypatch):
-    # T and Z, plus the order-s adjacency of the marked subgraph
+    # T and Z, each on its order-(s+1) quotient, plus the order-s adjacency
+    # of the marked subgraph
     orders = []
     real_eigh = np.linalg.eigh
 
@@ -249,7 +250,7 @@ def test_verify_all_solves_two_vertex_matrices(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     ledger = verify_all(build_instance(260, path_edges(2)))
     assert ledger.all_passed
-    assert sorted(orders) == [3, 261, 261]
+    assert sorted(orders) == [3, 4, 4]
 
 
 def test_k5_gating():

@@ -201,14 +201,14 @@ def test_spectrum_solves_T_once(tmp_path, monkeypatch):
         orders.append(len(matrix))
         return real_eigh(matrix)
 
+    # one solve of T's order-(s+1) quotient
     monkeypatch.setattr(spectral, "eigh", counting_eigh)
-    monkeypatch.setattr(cli, "eigh", counting_eigh)
     code = main(
         ["spectrum", "--n", "9", "--subgraph", '{"kind": "path", "k": 2}',
          "--out", str(tmp_path)]
     )
     assert code == 0
-    assert orders == [10]
+    assert orders == [4]
 
 
 def test_classical_with_mc(tmp_path):
@@ -342,6 +342,24 @@ def test_speedup_small(tmp_path):
 
 def test_speedup_empty_n_list(tmp_path):
     assert main(["speedup", "--n-list", " ", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "n_list,subgraph",
+    [
+        ("200,8", '{"kind": "path", "k": 10}'),
+        ("64,1", '{"kind": "path", "k": 1}'),
+        ("200,8", '{"kind": "edges", "edges": [[0, 9]]}'),
+    ],
+    ids=["host-too-small-for-path", "n-below-2", "host-too-small-for-edge"],
+)
+def test_speedup_checks_every_host_before_any_row(tmp_path, capsys, n_list, subgraph):
+    code = main(
+        ["speedup", "--n-list", n_list, "--subgraph", subgraph, "--out", str(tmp_path)]
+    )
+    assert code == cli.EXIT_CONFIG == 2
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "speedup.json").exists()
 
 
 def test_spectrum_degenerate_reports(tmp_path):

@@ -1,6 +1,8 @@
 """The vertex-space pq_spectra certificate against the edge-space lift
 oracle, and its sensitivity to a wrong companion eigenpair."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,15 +100,15 @@ def test_ledger_fails_pq_spectra_on_a_wrong_companion_value(monkeypatch):
     # value by 1e-6: every other entry stays inside its bound.
     g = build_instance(300, path_edges(2))
     z = z_matrix(g)
-    real_eigh = bounds.eigh
+    real_eigh = bounds.quotient_eigh
 
-    def corrupted_eigh(matrix):
-        values, vectors = real_eigh(matrix)
+    def corrupted_eigh(matrix, s):
+        values, vectors = real_eigh(matrix, s)
         if matrix.shape == z.shape and np.array_equal(matrix, z):
             values[-1] += 2.0 * (g.n - 1) * 1e-6
         return values, vectors
 
-    monkeypatch.setattr(bounds, "eigh", corrupted_eigh)
+    monkeypatch.setattr(bounds, "quotient_eigh", corrupted_eigh)
     ledger = verify_all(g)
     assert [e.name for e in ledger.failures] == ["pq_spectra"]
     assert ledger.entry("pq_spectra").lhs >= 1e-7
@@ -121,3 +123,31 @@ def test_certificate_makes_no_edge_space_products(line_instance, monkeypatch):
 
     monkeypatch.setattr(LineTransitionMatrix, "matvec", refuse)
     assert _pq_spectra_mismatch(P, lam, values, vectors) <= 1e-13
+
+
+def _narrow_products(array, columns):
+    """A view of ``array`` whose products refuse a left operand with more
+    than ``columns`` columns."""
+
+    class NarrowProducts(np.ndarray):
+        def __matmul__(self, other):
+            if self.shape[-1] > columns:
+                raise AssertionError(f"product with {self.shape[-1]} columns")
+            return np.asarray(self) @ other
+
+    return array.view(NarrowProducts)
+
+
+def test_certificate_makes_no_vertex_sized_products(line_instance):
+    # Q and G act through their first s columns and their constant rest
+    # pattern: no order-(n+1) x order-(n+1) product
+    g, P, lam = line_instance
+    narrow = dataclasses.replace(
+        P,
+        q_matrix=_narrow_products(P.q_matrix, g.s),
+        gram=_narrow_products(P.gram, g.s),
+    )
+    values, vectors = companion_eigendata(g)
+    with pytest.raises(AssertionError):
+        narrow.gram @ vectors
+    assert _pq_spectra_mismatch(narrow, lam, values, vectors) <= 1e-13

@@ -230,6 +230,11 @@ def test_descriptor_parsing():
             edges_from_descriptor(too_large, n=5)
     assert edges_from_descriptor({"kind": "path", "k": 5}, n=5) == path_edges(5)
     assert edges_from_descriptor({"kind": "cycle", "k": 6}, n=5) == cycle_edges(6)
+    # and the labels of an explicit edge list
+    for outside in ([[0, 6]], [[-1, 2]]):
+        with pytest.raises(InvalidVertex):
+            edges_from_descriptor({"kind": "edges", "edges": outside}, n=5)
+    assert edges_from_descriptor({"kind": "edges", "edges": [[0, 5]]}, n=5) == [(0, 5)]
 
 
 @pytest.mark.parametrize(

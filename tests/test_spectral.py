@@ -11,6 +11,7 @@ from edgewalk import (
     build_P,
     build_T,
     build_U_dense,
+    complete_bipartite_edges,
     cycle_edges,
     eigh,
     lift_eigenvectors,
@@ -19,6 +20,7 @@ from edgewalk import (
     line_principal_pair,
     path_edges,
     principal_pair,
+    quotient_eigh,
     spectral_mapping_check,
     star_edges,
 )
@@ -236,3 +238,102 @@ def test_line_lanczos_matches_companion(family, data):
         lam, vec = line_principal_pair(P)
     assert abs(lam - _top_companion_value(P)) <= 1e-13
     assert np.linalg.norm(P.matvec(vec) - lam * vec) <= 1e-13
+
+
+def _vertex_matrices(g):
+    """T, Y, Z and Q of an instance, all in canonical order."""
+    n, order = g.n, g.n + 1
+    adj = g.marked_matrix.astype(np.float64)
+    base = np.ones((order, order)) - order * np.eye(order)
+    z = base - adj - np.diag(g.gamma_degrees)
+    return {
+        "T": build_T(g).matrix,
+        "Y": base - 2.0 * adj,
+        "Z": z,
+        "Q": z / (2.0 * (n - 1)) + np.eye(order),
+    }
+
+
+def _assert_matches_full_eigh(matrix, s):
+    values, vectors = quotient_eigh(matrix, s)
+    full_values, full_vectors = eigh(matrix)
+    scale = max(1.0, float(np.abs(full_values).max()))
+    assert np.all(np.diff(values) <= 0.0)
+    assert np.abs(values - full_values).max() <= 1e-13 * scale
+    assert np.abs(matrix @ vectors - vectors * values).max() <= 1e-13 * scale
+    identity = np.eye(len(values))
+    assert np.abs(vectors.T @ vectors - identity).max() <= 1e-13
+    principal = principal_vector(values, vectors)
+    assert np.abs(principal - principal_vector(full_values, full_vectors)).max() <= 1e-12
+
+
+QUOTIENT_FAMILIES = {
+    "path": lambda draw, n: path_edges(draw(st.integers(1, min(n, 9)), label="k")),
+    "star": lambda draw, n: star_edges(draw(st.integers(1, min(n, 9)), label="k")),
+    "matching": lambda draw, n: matching_edges(
+        draw(st.integers(1, min((n + 1) // 2, 5)), label="k")
+    ),
+    "cycle": lambda draw, n: cycle_edges(draw(st.integers(3, min(n + 1, 9)), label="k")),
+    "complete_bipartite": lambda draw, n: complete_bipartite_edges(
+        *draw(
+            st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(
+                lambda ab: sum(ab) <= n + 1
+            ),
+            label="a,b",
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(QUOTIENT_FAMILIES))
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_quotient_eigh_matches_full_eigh(family, data):
+    n = data.draw(st.integers(2, 400), label="n")
+    edges = QUOTIENT_FAMILIES[family](data.draw, n)
+    used = 1 + max(max(e) for e in edges)
+    labels = data.draw(
+        st.lists(st.integers(0, n), min_size=used, max_size=used, unique=True),
+        label="labels",
+    )
+    g = build_instance(n, [(labels[u], labels[v]) for u, v in edges])
+    for matrix in _vertex_matrices(g).values():
+        _assert_matches_full_eigh(matrix, g.s)
+
+
+@pytest.mark.parametrize(
+    "n,edges,t",
+    [
+        (2, cycle_edges(3), 0),  # K_3 fully marked
+        (3, complete_bipartite_edges(2, 2) + [(0, 1), (2, 3)], 0),  # K_4 fully marked
+        (3, complete_bipartite_edges(2, 2), 0),  # spanning K_{2,2}
+        (4, path_edges(3), 1),
+        (2, [(0, 1)], 1),
+        (5, path_edges(3), 2),
+        (3, [(0, 1)], 2),
+    ],
+)
+def test_quotient_eigh_small_rest_cells(n, edges, t):
+    g = build_instance(n, edges)
+    assert g.t == t
+    for matrix in _vertex_matrices(g).values():
+        _assert_matches_full_eigh(matrix, g.s)
+
+
+def test_quotient_eigh_rejects_a_broken_rest_pattern():
+    g = build_instance(8, path_edges(2))
+    s = g.s
+    matrix = np.array(build_T(g).matrix)
+    quotient_eigh(matrix, s)
+    off_pattern = matrix.copy()
+    off_pattern[s + 1, s + 2] = off_pattern[s + 2, s + 1] = 0.5
+    uneven_column = matrix.copy()
+    uneven_column[0, s + 1] = uneven_column[s + 1, 0] = 0.5
+    asymmetric = matrix.copy()
+    asymmetric[s + 1, 0] = 0.5
+    for broken in (off_pattern, uneven_column, asymmetric):
+        with pytest.raises(ValueError):
+            quotient_eigh(broken, s)
+    # the marked block does not have the pattern either
+    with pytest.raises(ValueError):
+        quotient_eigh(matrix, s - 1)
