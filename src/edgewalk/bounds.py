@@ -289,13 +289,12 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
     n, m, s = g.n, g.num_marked, g.s
     order = n + 1
     j = np.full(order, 1.0 / np.sqrt(order))
-    adj = g.marked_matrix.astype(np.float64)
-    deg = np.diag(g.gamma_degrees.astype(np.float64))
-    ones = np.ones((order, order))
-    eye = np.eye(order)
-
-    y_matrix = ones - (n + 1) * eye - 2.0 * adj
-    z_matrix = ones - (n + 1) * eye - adj - deg
+    # Y = J - (n+1) I - 2A and Z = J - (n+1) I - A - D, with A the marked
+    # adjacency (zero diagonal) and D its degrees.
+    y_matrix = np.where(g.marked_matrix, -1.0, 1.0)
+    np.fill_diagonal(y_matrix, -n)
+    z_matrix = 1.0 - g.marked_matrix
+    np.fill_diagonal(z_matrix, -n - g.gamma_degrees)
     # Y = n(T - I) and Q = Z/(2(n-1)) + I hold exactly, so T and Z are the
     # only vertex matrices solved; Y and Q reuse their eigenvectors.
     z_values, z_vectors = quotient_eigh(z_matrix, s)
@@ -362,7 +361,8 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
         ("lambda1_bracket.Z.lower", ">=",
          lambda: z_values[0], lambda: rayleigh, ALWAYS),
         ("adjacency_max", "<=",
-         lambda: eigh(adj[:s, :s])[0][0], lambda: np.sqrt(2.0 * m - s + 1.0), ALWAYS),
+         lambda: eigh(g.marked_matrix[:s, :s].astype(np.float64))[0][0],
+         lambda: np.sqrt(2.0 * m - s + 1.0), ALWAYS),
         ("lambda2_Y", "<=", lambda: y_values[1], lambda: 2.0 * s - (n + 3), ALWAYS),
         ("lambda2_Z", "<=", lambda: z_values[1], lambda: -(n + 1.0), ALWAYS),
         ("gap_T", ">=", lambda: t_values[0] - t_values[1],

@@ -161,23 +161,26 @@ def build_P(g: SignedCompleteGraph) -> LineTransitionMatrix:
 
     The companion is assembled from the canonical block closed form and
     cross-checked, exactly in integer arithmetic, against the incidence
-    identity 2(n-1) Q + 2I = N N^T.
+    identity 2(n-1) Q + 2I = N N^T.  N N^T is evaluated from its
+    definition by one scatter over the unmarked edges: 1 at (u, v) and
+    (v, u) for each edge uv, and each vertex's edge count on the diagonal.
     """
     delta = build_complement(g)
     if delta.num_edges == 0:
         raise EmptyComplement("every edge of the host graph is marked")
     n = g.n
     order = n + 1
-    q_num = (
-        np.ones((order, order), dtype=np.int64)
-        + (n - 3) * np.eye(order, dtype=np.int64)
-        - g.marked_matrix.astype(np.int64)
-        - np.diag(g.gamma_degrees)
-    )
-    inc = delta.incidence()
-    gram = (inc @ inc.T).toarray().astype(np.int64)
-    if not np.array_equal(q_num + 2 * np.eye(order, dtype=np.int64), gram):
+    # 2(n-1) Q + 2I = J + (n-1) I - A - D, with A the marked adjacency
+    # (zero diagonal) and D its degrees.
+    q_num = np.subtract(1, g.marked_matrix, dtype=np.int64)
+    np.fill_diagonal(q_num, n - g.gamma_degrees)
+    eu, ev = delta.edges.T
+    gram = np.zeros((order, order), dtype=np.int64)
+    gram[eu, ev] = gram[ev, eu] = 1
+    np.fill_diagonal(gram, np.bincount(delta.edges.ravel(), minlength=order))
+    if not np.array_equal(q_num, gram):
         raise AssertionError("vertex companion disagrees with incidence identity")
+    q_num.flat[:: order + 1] -= 2  # now 2(n-1) Q
     q = q_num / (2.0 * (n - 1))
     q.setflags(write=False)
     gram = gram.astype(np.float64)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -144,19 +145,26 @@ class SignedCompleteGraph:
         The arc of each marked edge carrying sign -1, in canonical indices.
     s, t : int
         Order of the marked subgraph and n + 1 - s.
+    marked_matrix : ndarray of bool, shape (n+1, n+1)
+        Adjacency indicator of the marked subgraph in canonical indices.
+    gamma_degrees : ndarray of int
+        Marked-subgraph degree of each canonical vertex (0 outside it).
     arcs : ArcTable
         Arc enumeration of the host graph (canonical indices).
     sigma_arcs : ndarray of float
         Sign of each arc, indexed like ``arcs``.
     marked_arcs : ndarray of bool
         True on the 2m arcs of the marked subgraph.
-    marked_matrix : ndarray of bool, shape (n+1, n+1)
-        Adjacency indicator of the marked subgraph in canonical indices.
-    gamma_degrees : ndarray of int
-        Marked-subgraph degree of each canonical vertex (0 outside it).
+
+    The last three hold n(n+1) entries each.  Only the arc-space helpers
+    and the dense oracles read them, so they are built on first use and
+    cached; the ledger, the finding-probability series and the solvers
+    never build them.
 
     Instances are immutable after construction and safe to share between
-    threads; the numpy members are marked read-only.
+    threads; the numpy members are marked read-only.  Two threads that read
+    a per-arc member for the first time at once may each build it; the
+    copies are equal, and the instance keeps one of them.
     """
 
     def __init__(self, n: int, marked_edges: Iterable, orientation: str = "canonical"):
@@ -196,7 +204,6 @@ class SignedCompleteGraph:
             canon[label] = pos
         self._canon = _readonly(canon)
 
-        self.arcs = build_arc_table(n)
         marked_matrix = np.zeros((n + 1, n + 1), dtype=bool)
         negatives: list[tuple[int, int]] = []
         for u, v in edges:
@@ -209,13 +216,20 @@ class SignedCompleteGraph:
         self.marked_matrix = _readonly(marked_matrix)
         self.gamma_degrees = _readonly(marked_matrix.sum(axis=1).astype(np.int64))
 
-        sigma = np.ones(self.arcs.num_arcs)
-        for o, tm in negatives:
-            sigma[self.arcs.index(o, tm)] = -1.0
-        self.sigma_arcs = _readonly(sigma)
-        self.marked_arcs = _readonly(
-            marked_matrix[self.arcs.origins, self.arcs.termini]
-        )
+    @cached_property
+    def arcs(self) -> ArcTable:
+        return build_arc_table(self.n)
+
+    @cached_property
+    def sigma_arcs(self) -> np.ndarray:
+        sigma = np.ones(self.num_arcs)
+        o, tm = np.array(self.sigma_negative_arcs, dtype=np.int64).T
+        sigma[o * self.n + tm - (tm > o)] = -1.0
+        return _readonly(sigma)
+
+    @cached_property
+    def marked_arcs(self) -> np.ndarray:
+        return _readonly(self.marked_matrix[self.arcs.origins, self.arcs.termini])
 
     @property
     def num_marked(self) -> int:
@@ -224,7 +238,7 @@ class SignedCompleteGraph:
 
     @property
     def num_arcs(self) -> int:
-        return self.arcs.num_arcs
+        return self.n * (self.n + 1)
 
     def to_canonical(self, label: int) -> int:
         """Canonical index of an external vertex label."""
@@ -237,15 +251,16 @@ class SignedCompleteGraph:
         return self.canonical_order[index]
 
     def sigma(self, arc: Sequence[int]) -> int:
-        """Sign of an arc given in external labels."""
+        """Sign of an arc given in external labels: -1 exactly on
+        ``sigma_negative_arcs``, read in O(m)."""
         u, v = int(arc[0]), int(arc[1])
         for w in (u, v):
             if not 0 <= w <= self.n:
                 raise InvalidArc(f"vertex {w} outside 0..{self.n}")
         if u == v:
             raise InvalidArc(f"({u}, {u}) is a loop, not an arc")
-        i = self.arcs.index(self.to_canonical(u), self.to_canonical(v))
-        return int(self.sigma_arcs[i])
+        arc = (self.to_canonical(u), self.to_canonical(v))
+        return -1 if arc in self.sigma_negative_arcs else 1
 
     def tau(self, edge) -> int:
         """Edge sign: -1 exactly on marked edges."""
@@ -324,8 +339,13 @@ class ComplementGraph:
         return self.edges.shape[0]
 
     def incidence(self) -> sp.csr_matrix:
-        """Vertex-by-edge incidence matrix (entry 1 iff the vertex lies on
-        the edge), float64 CSR."""
+        """Vertex-by-edge incidence matrix N (entry 1 iff the vertex lies on
+        the edge), float64 CSR with sorted indices.
+
+        It is the transpose of N^T, whose CSR rows are the edges themselves
+        (two ascending entries each), so the conversion is one counting
+        sort and no comparison sort or duplicate merge is needed.
+        """
         return self._incidence
 
     def edge_index(self, u: int, v: int) -> int:
@@ -341,18 +361,19 @@ class ComplementGraph:
 def build_complement(g: SignedCompleteGraph) -> ComplementGraph:
     """Edges of K_{n+1} that are not marked, their degrees and incidence."""
     n = g.n
-    iu, ju = np.triu_indices(n + 1, k=1)
-    keep = ~g.marked_matrix[iu, ju]
-    edges = np.column_stack([iu[keep], ju[keep]]).astype(np.int64)
-    degrees = n - g.gamma_degrees
+    edges = np.stack(np.nonzero(np.triu(~g.marked_matrix, k=1)), axis=1)
     num = edges.shape[0]
-    rows = edges.T.ravel()
-    cols = np.tile(np.arange(num), 2)
-    incidence = sp.csr_matrix(
-        (np.ones(2 * num), (rows, cols)), shape=(n + 1, num)
+    # N^T in CSR: row e holds the endpoints i < j of edge e, already sorted,
+    # and the row-major ``edges`` is its column-index array as it stands.
+    incidence_t = sp.csr_matrix(
+        (np.ones(2 * num), edges.ravel(), np.arange(0, 2 * num + 1, 2)),
+        shape=(num, n + 1),
     )
     return ComplementGraph(
-        n=n, edges=_readonly(edges), degrees=degrees, _incidence=incidence
+        n=n,
+        edges=_readonly(edges),
+        degrees=n - g.gamma_degrees,
+        _incidence=incidence_t.T.tocsr(),
     )
 
 

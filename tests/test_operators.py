@@ -1,10 +1,26 @@
 """Operator fixtures and cross-checks: T against its closed forms, the dense
 walk operator against the entrywise formula, matrix-free against dense."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edgewalk import apply_U, build_instance, build_P, build_T, build_U_dense
+from edgewalk import (
+    apply_U,
+    build_complement,
+    build_instance,
+    build_P,
+    build_T,
+    build_U_dense,
+    cycle_edges,
+    matching_edges,
+    operators,
+    path_edges,
+    star_edges,
+)
 from edgewalk.errors import DimensionMismatch, EmptyComplement, TooLarge
 from edgewalk.operators import build_d_dense
 
@@ -197,6 +213,78 @@ def test_Q_incidence_identity():
         inc = P.complement.incidence().toarray()
         lhs = 2 * (n - 1) * P.q_matrix + 2 * np.eye(n + 1)
         assert np.array_equal(lhs, inc @ inc.T)
+
+
+# Each family with the largest size that fits in K_{n+1}, and its smallest.
+FAMILIES = {
+    "path": (path_edges, 1, lambda n: n),
+    "star": (star_edges, 1, lambda n: n),
+    "matching": (matching_edges, 1, lambda n: (n + 1) // 2),
+    "cycle": (cycle_edges, 3, lambda n: n + 1),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_incidence_and_gram_match_their_definitions(data):
+    n = data.draw(st.integers(2, 60), label="n")
+    generate, smallest, largest = FAMILIES[
+        data.draw(st.sampled_from(sorted(FAMILIES)), label="family")
+    ]
+    edges = generate(data.draw(st.integers(smallest, largest(n)), label="size"))
+    labels = data.draw(st.permutations(range(n + 1)), label="labels")
+    orientation = data.draw(st.sampled_from(["canonical", "reversed"]))
+    g = build_instance(n, [(labels[u], labels[v]) for u, v in edges], orientation)
+
+    delta = build_complement(g)
+    order = n + 1
+    unmarked = [
+        (i, j)
+        for i in range(order)
+        for j in range(i + 1, order)
+        if not g.marked_matrix[i, j]
+    ]
+    assert delta.edges.tolist() == [list(e) for e in unmarked]
+    dense = np.zeros((order, len(unmarked)))
+    for e, (i, j) in enumerate(unmarked):
+        dense[i, e] = dense[j, e] = 1.0
+    inc = delta.incidence()
+    assert inc.format == "csr" and inc.dtype == np.float64
+    assert inc.has_sorted_indices
+    rows = np.repeat(np.arange(order), np.diff(inc.indptr))
+    assert np.array_equal(np.lexsort((inc.indices, rows)), np.arange(inc.nnz))
+    assert np.array_equal(inc.toarray(), dense)
+    if not unmarked:
+        with pytest.raises(EmptyComplement):
+            build_P(g)
+        return
+
+    # the sparse product that build_P's edge scatter replaced
+    P = build_P(g)
+    assert np.array_equal(P.gram, (inc @ inc.T).toarray())
+    x = np.random.default_rng(n).normal(size=P.num_edges)
+    assert np.abs(P.matvec(x) - P.dense() @ x).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dropped", [0, 7, -1])
+def test_P_check_sees_a_dropped_edge(monkeypatch, dropped):
+    g = build_instance(7, [(0, 1), (1, 2)])
+
+    def short_complement(g):
+        delta = build_complement(g)
+        keep = np.ones(delta.num_edges, dtype=bool)
+        keep[dropped] = False
+        return dataclasses.replace(
+            delta,
+            edges=delta.edges[keep],
+            _incidence=delta.incidence()[:, keep].tocsr(),
+        )
+
+    monkeypatch.setattr(operators, "build_complement", short_complement)
+    with pytest.raises(
+        AssertionError, match="vertex companion disagrees with incidence identity"
+    ):
+        build_P(g)
 
 
 def test_P_empty_complement():

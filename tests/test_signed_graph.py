@@ -1,5 +1,7 @@
 """Instance construction: arcs, signs, canonical order, complement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,14 @@ from edgewalk import (
     complete_bipartite_edges,
     cycle_edges,
     edges_from_descriptor,
+    hitting_time,
     matching_edges,
+    mc_hitting_time,
     path_edges,
+    run_series,
+    signed_graph,
     star_edges,
+    verify_all,
 )
 from edgewalk.errors import (
     EmptySubgraph,
@@ -72,6 +79,56 @@ def test_sigma_k5_values():
         g.sigma((2, 2))
     with pytest.raises(InvalidArc):
         g.sigma((0, 9))
+
+
+@pytest.mark.parametrize("orientation", ["canonical", "reversed"])
+@pytest.mark.parametrize(
+    "n,edges",
+    [
+        (2, [(0, 1)]),
+        (4, K5_EDGES),
+        (5, [(5, 2), (2, 0)]),
+        (7, [(6, 1), (1, 3), (3, 6)]),
+        (8, [(8, 0), (8, 4), (8, 7), (2, 5)]),
+    ],
+)
+def test_sigma_matches_sigma_arcs(n, edges, orientation):
+    g = build_instance(n, edges, orientation=orientation)
+    for a in range(g.num_arcs):
+        i, j = g.arcs.pair(a)
+        u, v = g.to_external(i), g.to_external(j)
+        assert g.sigma((u, v)) == g.sigma_arcs[a]
+    assert np.sum(g.sigma_arcs == -1.0) == g.num_marked
+
+
+def test_hot_paths_build_no_arc_table(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"arc table of K_{n + 1} built on a hot path")
+
+    monkeypatch.setattr(signed_graph, "build_arc_table", refuse)
+    g = build_instance(300, path_edges(2))
+    assert not verify_all(g).failures
+    assert g.num_arcs == 300 * 301
+    assert len(run_series(g, 40).fp) == 41
+    k4 = build_instance(3, [(0, 1)])
+    assert hitting_time(k4).t_c == pytest.approx(5.2, rel=1e-12)
+    mean, _ = mc_hitting_time(k4, 20, seed=1)
+    assert mean > 0
+    # the patch is live: the per-arc members that need the table build it
+    with pytest.raises(AssertionError, match="arc table"):
+        g.marked_arcs
+
+
+def test_instance_holds_no_per_arc_array():
+    # K_2001 has 4.0M arcs; the (n+1)^2 bool marked_matrix is 4.0 MB, while
+    # one float64 per arc would be 32 MB.
+    tracemalloc.start()
+    try:
+        build_instance(2000, [(0, 1)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_sigma_product_detects_marked_edges():
