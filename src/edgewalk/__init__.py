@@ -13,8 +13,8 @@ from . import errors
 from .bounds import BoundEntry, BoundLedger, SuiteReport, verify_all, verify_random_suite
 from .classical_search import HittingTimeResult, hitting_time, mc_hitting_time
 from .operators import (
-    DiscriminantMatrix,
     LineTransitionMatrix,
+    VertexMatrix,
     apply_U,
     arc_matrix,
     arc_vector,
@@ -76,7 +76,7 @@ __all__ = [
     "cycle_edges",
     "complete_bipartite_edges",
     "edges_from_descriptor",
-    "DiscriminantMatrix",
+    "VertexMatrix",
     "LineTransitionMatrix",
     "build_T",
     "build_P",

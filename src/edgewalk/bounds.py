@@ -9,8 +9,8 @@ recorded as *skipped* (not passed) when the hypothesis fails, so a report
 always distinguishes "verified" from "not applicable".
 
 T and Z are solved on their order-(s+1) equitable quotient
-(``spectral.quotient_eigh``) and pq_spectra applies Q and G through their
-first s columns, so the ledger makes no order-(n+1) eigensolve or product.
+(``spectral.quotient_eigh``) and pq_spectra applies the ``VertexMatrix``
+forms of Q and G, so the ledger makes no order-(n+1) eigensolve or product.
 
 Throughout, n+1 is the host order, m the number of marked edges, s the
 order of the marked subgraph, Y = J - (n+1)I - 2A and
@@ -51,7 +51,13 @@ import numpy as np
 
 from .classical_search import solve_absorption
 from .errors import DegenerateSpectrum, EmptyComplement
-from .operators import LineTransitionMatrix, build_P, build_T
+from .operators import (
+    LineTransitionMatrix,
+    VertexMatrix,
+    build_P,
+    build_T,
+    vertex_matrix,
+)
 from .quantum_search import asymptotic_diagnostics
 from .signed_graph import (
     SignedCompleteGraph,
@@ -204,27 +210,17 @@ class BoundLedger:
         return [e.as_dict() for e in self.entries]
 
 
-def _gershgorin_violation(matrix: np.ndarray, values: np.ndarray) -> float:
-    centers = np.diag(matrix)
-    radii = np.abs(matrix).sum(axis=1) - np.abs(centers)
+def _gershgorin_violation(matrix: VertexMatrix, values: np.ndarray) -> float:
+    """Largest distance of an eigenvalue from the union of the row discs,
+    read from the s + 1 distinct rows: the block's and one rest row."""
+    block, t = matrix.block, matrix.t
+    centers = np.diag(block)
+    radii = np.abs(block).sum(axis=1) - np.abs(centers) + t * abs(matrix.off)
+    if t:
+        centers = np.append(centers, matrix.diagonal)
+        radii = np.append(radii, (matrix.order - 1) * abs(matrix.off))
     nearest = (np.abs(values[:, None] - centers) - radii).min(axis=1)
     return max(0.0, float(nearest.max()))
-
-
-def _rest_matmul(matrix: np.ndarray, s: int, x: np.ndarray) -> np.ndarray:
-    """matrix @ x, O(n s) per column, for a canonical-order vertex matrix that
-    is alpha J + beta I outside its leading s x s block, with column c towards
-    it: c, alpha and beta are read from the matrix's first rest column."""
-    t = matrix.shape[0] - s
-    out = matrix[:, :s] @ x[:s]
-    if t:
-        rest = x[s:]
-        sums = rest.sum(axis=0)
-        alpha = matrix[s + 1, s] if t > 1 else 0.0
-        out[:s] += np.outer(matrix[:s, s], sums)
-        out[s:] += (matrix[s, s] - alpha) * rest
-        out[s:] += alpha * sums
-    return out
 
 
 def _pq_spectra_mismatch(
@@ -244,8 +240,8 @@ def _pq_spectra_mismatch(
     integers by ``build_P``) give P N^T = N^T Q, so the lifted residual is
     P N^T w - q N^T w = N^T r with r = Qw - qw, and its relative size
     ||N^T r|| / ||N^T w|| = sqrt(r^T G r / w^T G w) is evaluated in vertex
-    space for all pairs at once, through ``_rest_matmul`` (the s vertices of
-    complement degree below n come first).  The remaining line eigenvalues
+    space for all pairs at once, through the O(n + s^2) products of the
+    ``VertexMatrix`` forms of Q and G.  The remaining line eigenvalues
     equal -1/(n-1) by the rank of N.  The largest relative residual is
     combined with the distance between lambda_max(P) and the top companion
     value.
@@ -262,12 +258,11 @@ def _pq_spectra_mismatch(
         if p_keep.size == 0:
             return 0.0
         return float(np.abs(p_keep - q_keep).max())
-    s = int(np.count_nonzero(P.complement.degrees < n))
     keep = np.abs(q_values - kernel_value) > PQ_KERNEL_TOL
     w, q = q_vectors[:, keep], q_values[keep]
-    r = _rest_matmul(P.q_matrix, s, w) - w * q
-    residual_sq = np.maximum(np.sum(r * _rest_matmul(P.gram, s, r), axis=0), 0.0)
-    lifted_sq = np.sum(w * _rest_matmul(P.gram, s, w), axis=0)
+    r = P.q_matrix @ w - w * q
+    residual_sq = np.maximum(np.sum(r * (P.gram @ r), axis=0), 0.0)
+    lifted_sq = np.sum(w * (P.gram @ w), axis=0)
     return max(
         abs(lambda_max_p - float(q_values[0])),
         float(np.sqrt(residual_sq / lifted_sq).max()),
@@ -291,14 +286,12 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
     j = np.full(order, 1.0 / np.sqrt(order))
     # Y = J - (n+1) I - 2A and Z = J - (n+1) I - A - D, with A the marked
     # adjacency (zero diagonal) and D its degrees.
-    y_matrix = np.where(g.marked_matrix, -1.0, 1.0)
-    np.fill_diagonal(y_matrix, -n)
-    z_matrix = 1.0 - g.marked_matrix
-    np.fill_diagonal(z_matrix, -n - g.gamma_degrees)
+    y_matrix = vertex_matrix(g, -1, -n)
+    z_matrix = vertex_matrix(g, 0, -n, degree=-1)
     # Y = n(T - I) and Q = Z/(2(n-1)) + I hold exactly, so T and Z are the
     # only vertex matrices solved; Y and Q reuse their eigenvectors.
-    z_values, z_vectors = quotient_eigh(z_matrix, s)
-    t_values, t_vectors = quotient_eigh(build_T(g).matrix, s)
+    z_values, z_vectors = quotient_eigh(z_matrix)
+    t_values, t_vectors = quotient_eigh(build_T(g))
     y_values, y_vectors = n * (t_values - 1.0), t_vectors
     f_y = principal_vector(y_values, y_vectors)
     f_z = principal_vector(z_values, z_vectors)

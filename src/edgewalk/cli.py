@@ -285,7 +285,7 @@ def cmd_speedup(args) -> int:
 
 def cmd_spectrum(args) -> int:
     g, descriptor = _instance_from_args(args)
-    values, vectors = quotient_eigh(build_T(g).matrix, g.s)
+    values, vectors = quotient_eigh(build_T(g))
     degenerate = False
     scalars = {"lambda_max": float(values[0]), "gap": float(values[0] - values[1])}
     try:

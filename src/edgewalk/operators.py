@@ -3,6 +3,7 @@
 Vertex space: the discriminant matrix T (order n+1, entries tau(uv)/n off
 the diagonal) carries the spectral analysis of the quantum walk, and Q is
 its companion built from the incidence structure of the unmarked remainder.
+Both, like the ledger's Y, Z and G = N N^T, are ``VertexMatrix`` instances.
 Edge space: P is the isotropic transition kernel on the line graph of the
 unmarked remainder, with entry 1/(2(n-1)) between distinct edges sharing an
 endpoint.  Arc space: the unitary evolution U = S(2 d* d - I) runs on the
@@ -26,6 +27,7 @@ In K_{n+1} every vertex has degree n, so the general normalizations
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -35,8 +37,9 @@ from .errors import DimensionMismatch, EmptyComplement, TooLarge
 from .signed_graph import ComplementGraph, SignedCompleteGraph, build_complement
 
 __all__ = [
-    "DiscriminantMatrix",
+    "VertexMatrix",
     "LineTransitionMatrix",
+    "vertex_matrix",
     "build_T",
     "build_P",
     "apply_U",
@@ -61,30 +64,65 @@ DENSE_LINE_LIMIT = 2000
 
 
 @dataclass(frozen=True)
-class DiscriminantMatrix:
-    """Dense symmetric vertex matrix of order n+1 with block sizes (s, t).
-
-    Off-diagonal entries are +1/n on unmarked pairs and -1/n on marked
-    pairs; the diagonal is zero.  In canonical order this equals
-    (J - I - 2*A)/n with A the zero-padded adjacency of the marked subgraph.
+class VertexMatrix:
+    """Symmetric vertex matrix of order n+1 in canonical order: the s x s
+    ``block`` on the marked subgraph's vertices, ``off`` at every other
+    off-diagonal entry and ``diagonal`` on the rest of the diagonal (the
+    equitable partition ``spectral.quotient_eigh`` solves on).  ``@``
+    costs O(n + s^2) per column; the dense ``matrix`` is built on first use.
     """
 
-    matrix: np.ndarray
-    s: int
-    t: int
+    order: int
+    block: np.ndarray
+    off: float
+    diagonal: float
 
     @property
-    def order(self) -> int:
-        return self.matrix.shape[0]
+    def s(self) -> int:
+        return self.block.shape[0]
+
+    @property
+    def t(self) -> int:
+        return self.order - self.s
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        s = self.s
+        dense = np.full((self.order, self.order), self.off)
+        dense[:s, :s] = self.block
+        np.fill_diagonal(dense[s:, s:], self.diagonal)
+        dense.setflags(write=False)
+        return dense
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        if x.shape[0] != self.order:
+            raise DimensionMismatch(f"{x.shape[0]} rows against order {self.order}")
+        s = self.s
+        # every row as a rest row, off J + (diagonal - off) I, then the block rows
+        out = self.off * x.sum(axis=0) + (self.diagonal - self.off) * x
+        out[:s] = self.block @ x[:s] + self.off * x[s:].sum(axis=0)
+        return out
 
 
-def build_T(g: SignedCompleteGraph) -> DiscriminantMatrix:
-    """Construct the discriminant matrix of an instance."""
-    order = g.n + 1
-    m = np.asarray(g.marked_matrix, dtype=np.float64)
-    matrix = (np.ones((order, order)) - np.eye(order) - 2.0 * m) / g.n
-    matrix.setflags(write=False)
-    return DiscriminantMatrix(matrix=matrix, s=g.s, t=g.t)
+def vertex_matrix(
+    g: SignedCompleteGraph, marked: int, diagonal: int, degree: int = 0, divisor: int = 1
+) -> VertexMatrix:
+    """The vertex matrix with entries 1 on unmarked pairs, ``marked`` on
+    marked pairs and ``diagonal + degree * deg(v)`` at the vertex v, deg its
+    marked-subgraph degree, each an exact integer over ``divisor``."""
+    s = g.s
+    numerator = np.where(g.marked_matrix[:s, :s], marked, 1)
+    np.fill_diagonal(numerator, diagonal + degree * g.gamma_degrees[:s])
+    block = numerator / np.float64(divisor)
+    block.setflags(write=False)
+    return VertexMatrix(g.n + 1, block, 1 / divisor, diagonal / divisor)
+
+
+def build_T(g: SignedCompleteGraph) -> VertexMatrix:
+    """The discriminant matrix (J - I - 2A)/n, A the zero-padded adjacency
+    of the marked subgraph."""
+    return vertex_matrix(g, -1, 0, divisor=g.n)
 
 
 @dataclass(frozen=True)
@@ -95,10 +133,10 @@ class LineTransitionMatrix:
     of the line graph of the complement): distinct edges sharing an endpoint
     get weight 1/(2(n-1)).  Rows of edges adjacent to a marked edge sum to
     less than one, which makes I - P invertible and the absorption time
-    finite.  ``q_matrix`` is the (n+1)-dimensional companion with the same
-    spectrum apart from the value -1/(n-1), and ``gram`` the integer Gram
-    matrix N N^T = 2(n-1) Q + 2I of the vertex-edge incidence matrix N
-    (stored as float64; its entries are exact).
+    finite.  ``q_matrix`` is the (n+1)-dimensional companion Q with the same
+    spectrum apart from the value -1/(n-1), and ``gram`` the Gram matrix
+    N N^T = 2(n-1) Q + 2I of the vertex-edge incidence matrix N, whose
+    entries are exact integers; both are ``VertexMatrix`` instances.
 
     Application is matrix-free through per-vertex accumulators: for x over
     unmarked edges, (P x)_{uv} = (C_u + C_v - 2 x_{uv}) / (2(n-1)) where
@@ -108,8 +146,8 @@ class LineTransitionMatrix:
 
     n: int
     complement: ComplementGraph
-    q_matrix: np.ndarray
-    gram: np.ndarray
+    q_matrix: VertexMatrix
+    gram: VertexMatrix
 
     @property
     def num_edges(self) -> int:
@@ -159,32 +197,25 @@ class LineTransitionMatrix:
 def build_P(g: SignedCompleteGraph) -> LineTransitionMatrix:
     """Construct the line-graph kernel and its vertex companion.
 
-    The companion is assembled from the canonical block closed form and
-    cross-checked, exactly in integer arithmetic, against the incidence
-    identity 2(n-1) Q + 2I = N N^T.  N N^T is evaluated from its
-    definition by one scatter over the unmarked edges: 1 at (u, v) and
-    (v, u) for each edge uv, and each vertex's edge count on the diagonal.
+    Both come from the closed form 2(n-1) Q + 2I = N N^T = J + (n-1) I - A - D,
+    with A the marked adjacency (zero diagonal) and D its degrees, and
+    N N^T is checked exactly against its definition, evaluated by one
+    integer scatter over the unmarked edges: 1 at (u, v) and (v, u) for
+    each edge uv, and each vertex's edge count on the diagonal.
     """
     delta = build_complement(g)
     if delta.num_edges == 0:
         raise EmptyComplement("every edge of the host graph is marked")
     n = g.n
     order = n + 1
-    # 2(n-1) Q + 2I = J + (n-1) I - A - D, with A the marked adjacency
-    # (zero diagonal) and D its degrees.
-    q_num = np.subtract(1, g.marked_matrix, dtype=np.int64)
-    np.fill_diagonal(q_num, n - g.gamma_degrees)
+    gram = vertex_matrix(g, 0, n, degree=-1)
     eu, ev = delta.edges.T
-    gram = np.zeros((order, order), dtype=np.int64)
-    gram[eu, ev] = gram[ev, eu] = 1
-    np.fill_diagonal(gram, np.bincount(delta.edges.ravel(), minlength=order))
-    if not np.array_equal(q_num, gram):
+    scatter = np.zeros((order, order), dtype=np.int64)
+    scatter[eu, ev] = scatter[ev, eu] = 1
+    np.fill_diagonal(scatter, np.bincount(delta.edges.ravel(), minlength=order))
+    if not np.array_equal(scatter, gram.matrix):
         raise AssertionError("vertex companion disagrees with incidence identity")
-    q_num.flat[:: order + 1] -= 2  # now 2(n-1) Q
-    q = q_num / (2.0 * (n - 1))
-    q.setflags(write=False)
-    gram = gram.astype(np.float64)
-    gram.setflags(write=False)
+    q = vertex_matrix(g, 0, n - 2, degree=-1, divisor=2 * (n - 1))
     return LineTransitionMatrix(n=n, complement=delta, q_matrix=q, gram=gram)
 
 

@@ -80,7 +80,7 @@ def finding_probability(g: SignedCompleteGraph, psi: np.ndarray) -> float:
         raise DimensionMismatch(
             f"state of shape {psi.shape} against {g.num_arcs} arcs"
         )
-    return float(np.sum(np.abs(psi[g.marked_arcs]) ** 2))
+    return float(np.sum(np.abs(psi[g.marked_arc_indices]) ** 2))
 
 
 def quantum_time(summary: SpectralSummary) -> int:

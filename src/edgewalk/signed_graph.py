@@ -153,13 +153,14 @@ class SignedCompleteGraph:
         Arc enumeration of the host graph (canonical indices).
     sigma_arcs : ndarray of float
         Sign of each arc, indexed like ``arcs``.
+    marked_arc_indices : ndarray of int
+        Ascending indices of the 2m arcs of the marked subgraph.
     marked_arcs : ndarray of bool
         True on the 2m arcs of the marked subgraph.
 
-    The last three hold n(n+1) entries each.  Only the arc-space helpers
-    and the dense oracles read them, so they are built on first use and
-    cached; the ledger, the finding-probability series and the solvers
-    never build them.
+    The last four are built on first use and cached.  All but the indices
+    hold n(n+1) entries; only the arc-space helpers and the dense oracles
+    read them, and the ledger, the series and the solvers never build them.
 
     Instances are immutable after construction and safe to share between
     threads; the numpy members are marked read-only.  Two threads that read
@@ -228,8 +229,17 @@ class SignedCompleteGraph:
         return _readonly(sigma)
 
     @cached_property
+    def marked_arc_indices(self) -> np.ndarray:
+        o, tm = np.array(self.sigma_negative_arcs, dtype=np.int64).T
+        origins, termini = np.concatenate((o, tm)), np.concatenate((tm, o))
+        indices = origins * self.n + termini - (termini > origins)
+        return _readonly(np.sort(indices))
+
+    @cached_property
     def marked_arcs(self) -> np.ndarray:
-        return _readonly(self.marked_matrix[self.arcs.origins, self.arcs.termini])
+        mask = np.zeros(self.num_arcs, dtype=bool)
+        mask[self.marked_arc_indices] = True
+        return _readonly(mask)
 
     @property
     def num_marked(self) -> int:
@@ -347,15 +357,6 @@ class ComplementGraph:
         sort and no comparison sort or duplicate merge is needed.
         """
         return self._incidence
-
-    def edge_index(self, u: int, v: int) -> int:
-        """Index of the unmarked edge {u, v} (canonical labels)."""
-        lo, hi = (u, v) if u < v else (v, u)
-        keys = self.edges[:, 0] * (self.n + 1) + self.edges[:, 1]
-        pos = int(np.searchsorted(keys, lo * (self.n + 1) + hi))
-        if pos >= self.num_edges or tuple(self.edges[pos]) != (lo, hi):
-            raise InvalidEdge(f"({u}, {v}) is not an unmarked edge")
-        return pos
 
 
 def build_complement(g: SignedCompleteGraph) -> ComplementGraph:

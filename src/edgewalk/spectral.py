@@ -10,10 +10,10 @@ eigenvector f:
 The principal pair of the discriminant matrix fixes the rotation angle
 theta_max = arccos(lambda_max) that defines the quantum searching time.
 
-In canonical order T, Y, Z and Q are each alpha J + beta I outside the s x s
-block on the marked subgraph's vertices, an equitable partition (Godsil and
-Royle, Algebraic Graph Theory, section 9.3): ``quotient_eigh`` solves them on
-the order-(s+1) quotient, and full ``eigh`` is the tests' oracle.
+In canonical order each ``VertexMatrix`` is alpha J + beta I outside the
+s x s block on the marked subgraph's vertices, an equitable partition (Godsil
+and Royle, Algebraic Graph Theory, section 9.3): ``quotient_eigh`` solves it
+on the order-(s+1) quotient, and full ``eigh`` is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import DegenerateSpectrum, NoConvergence, NotSymmetric
 from .operators import (
-    DiscriminantMatrix,
     LineTransitionMatrix,
+    VertexMatrix,
     build_T,
     build_U_dense,
 )
@@ -77,38 +77,26 @@ def eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[::-1].copy(), vectors[:, ::-1].copy()
 
 
-def quotient_eigh(matrix: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of a canonical-order vertex matrix from its equitable quotient.
+def quotient_eigh(matrix: VertexMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of a vertex matrix from its equitable quotient.
 
-    Outside its leading s x s block B the matrix must be alpha J + beta I with
-    column c towards B, read from its t = order - s rest columns (else
-    ValueError).  The quotient [[B, sqrt(t) c], [sqrt(t) c^T, alpha t + beta]]
-    gives s+1 pairs, lifted back with the last entry over sqrt(t) on the rest;
-    beta takes the other t-1, with the Helmert basis of the zero-sum vectors
-    on the rest.  With t = 0 the quotient is the matrix itself.
+    With alpha = ``off`` and d = ``diagonal``, the quotient
+    [[B, sqrt(t) alpha 1], [sqrt(t) alpha 1^T, alpha (t-1) + d]] gives s+1
+    pairs, lifted back with the last entry over sqrt(t) on the rest; beta =
+    d - alpha takes the other t-1, with the Helmert basis of the zero-sum
+    vectors on the rest.  With t = 0 the quotient is the block B itself.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    order = matrix.shape[0]
-    t = order - s
-    rest = matrix[:, s:]
-    diagonal = rest[s, 0] if t else 0.0
-    alpha = rest[s + 1, 0] if t > 1 else 0.0
-    expected = np.full((order, t), alpha)
-    expected[:s] = rest[:s, :1]
-    np.fill_diagonal(expected[s:], diagonal)
-    symmetric = np.array_equal(matrix[s:, :s], expected[:s].T)
-    if not (symmetric and np.array_equal(rest, expected)):
-        raise ValueError(f"not alpha J + beta I outside the leading {s} x {s} block")
+    s, t, order = matrix.s, matrix.t, matrix.order
     cells = s + min(t, 1)
-    quotient = matrix[:cells, :cells].copy()
-    quotient[:s, s:] *= np.sqrt(t)
-    quotient[s:, :s] *= np.sqrt(t)
-    quotient[s:, s:] += alpha * (t - 1)
+    quotient = np.empty((cells, cells))
+    quotient[:s, :s] = matrix.block
+    quotient[:s, s:] = quotient[s:, :s] = matrix.off * np.sqrt(t)
+    quotient[s:, s:] = matrix.diagonal + matrix.off * (t - 1)
     q_values, q_vectors = eigh(quotient)
 
     # The t-1 copies of beta go between the quotient values above and below
     # it, so the spectrum comes out descending without a sort.
-    beta = diagonal - alpha
+    beta = matrix.diagonal - matrix.off
     k = np.arange(1, max(t, 1))
     top = int(np.count_nonzero(q_values >= beta))
     values = np.concatenate([q_values[:top], np.full(k.size, beta), q_values[top:]])
@@ -171,7 +159,7 @@ class SpectralSummary:
         return float(self.eigenvalues[0])
 
 
-def principal_pair(T: DiscriminantMatrix) -> SpectralSummary:
+def principal_pair(T: VertexMatrix) -> SpectralSummary:
     """Principal eigenpair of the discriminant matrix, solved on its
     order-(s+1) equitable quotient (``quotient_eigh``).
 
@@ -179,7 +167,7 @@ def principal_pair(T: DiscriminantMatrix) -> SpectralSummary:
     exactly when the marked subgraph is a spanning complete bipartite graph;
     the rotation angle is then zero and the searching time undefined.
     """
-    return summarize_spectrum(*quotient_eigh(T.matrix, T.s))
+    return summarize_spectrum(*quotient_eigh(T))
 
 
 def summarize_spectrum(values: np.ndarray, vectors: np.ndarray) -> SpectralSummary:
@@ -279,7 +267,7 @@ def spectral_mapping_check(
     walk spectrum, the dense oracle of ``quotient_eigh``.  Small instances
     only (dense walk operator)."""
     walk_values = np.linalg.eigvals(build_U_dense(g))
-    t_values, _ = quotient_eigh(build_T(g).matrix, g.s)
+    t_values, _ = quotient_eigh(build_T(g))
     entries = []
     excluded = []
     for lam in t_values:

@@ -25,6 +25,7 @@ from edgewalk.bounds import (
     _pq_spectra_mismatch,
     random_instance,
 )
+from edgewalk.operators import VertexMatrix, vertex_matrix
 from edgewalk.spectral import eigh
 from pq_oracle import companion_eigendata
 
@@ -195,7 +196,7 @@ def test_derived_vertex_eigendata_match_direct_solves(n):
         assert np.abs(y_derived - eigh(y)[0]).max() <= 64 * eps * order
         assert np.abs(y @ t_vectors - t_vectors * y_derived).max() <= 128 * eps * order
         q_values, _ = companion_eigendata(g)
-        assert np.abs(q_values - eigh(build_P(g).q_matrix)[0]).max() <= 32 * eps
+        assert np.abs(q_values - eigh(build_P(g).q_matrix.matrix)[0]).max() <= 32 * eps
 
 
 def _gershgorin_loop(matrix, values):
@@ -212,13 +213,73 @@ def _gershgorin_loop(matrix, values):
 def test_gershgorin_violation_matches_per_eigenvalue_loop():
     rng = np.random.default_rng(17)
     for _ in range(50):
-        k = int(rng.integers(1, 40))
+        k, t = int(rng.integers(1, 40)), int(rng.choice([0, 1, 7]))
         a = rng.normal(size=(k, k))
+        if t:
+            # integer entries, so that every row sum is exact
+            a = np.round(4.0 * a)
         a = a + a.T
+        off, diagonal = (float(v) for v in rng.integers(-9, 10, size=2))
+        matrix = VertexMatrix(k + t, a, off, diagonal)
         # shifted values leave the discs, so the violation is often positive
-        values = np.linalg.eigvalsh(a)[::-1] + rng.choice([0.0, 3.0, 50.0])
-        assert _gershgorin_violation(a, values) == _gershgorin_loop(a, values)
-    assert _gershgorin_violation(np.zeros((2, 2)), np.array([1.0, -2.0])) == 2.0
+        values = np.linalg.eigvalsh(matrix.matrix)[::-1] + rng.choice([0.0, 3.0, 50.0])
+        expected = _gershgorin_loop(matrix.matrix, values)
+        assert _gershgorin_violation(matrix, values) == expected
+    zero = VertexMatrix(2, np.zeros((2, 2)), 0.0, 0.0)
+    assert _gershgorin_violation(zero, np.array([1.0, -2.0])) == 2.0
+
+
+def _dense_vertex_matrices(g):
+    """T, Y, Z, Q and G from their definitions, densely."""
+    n, order = g.n, g.n + 1
+    ones, eye = np.ones((order, order)), np.eye(order)
+    adj, deg = g.marked_matrix.astype(np.float64), np.diag(g.gamma_degrees)
+    gram = ones + (n - 1) * eye - adj - deg  # N N^T
+    return {
+        "T": (ones - eye - 2.0 * adj) / n,
+        "Y": ones - order * eye - 2.0 * adj,
+        "Z": ones - order * eye - adj - deg,
+        "Q": (gram - 2.0 * eye) / (2.0 * (n - 1)),
+        "G": gram,
+    }
+
+
+@pytest.mark.parametrize(
+    "n,edges",
+    [
+        (2, [(0, 1)]),
+        (3, [(2, 0)]),
+        (3, [(0, 1), (1, 2), (2, 3), (3, 0)]),  # t = 0
+        (4, path_edges(3)),
+        (9, star_edges(3)),
+        (40, [(7, 3), (3, 12), (20, 31), (31, 7)]),
+        (130, cycle_edges(5)),
+    ],
+)
+def test_vertex_matrices_match_their_dense_definitions(n, edges):
+    g = build_instance(n, edges)
+    P = build_P(g)
+    structured = {
+        # the forms build_T, verify_all and build_P make
+        "T": build_T(g),
+        "Y": vertex_matrix(g, -1, -n),
+        "Z": vertex_matrix(g, 0, -n, degree=-1),
+        "Q": P.q_matrix,
+        "G": P.gram,
+    }
+    rng = np.random.default_rng(n)
+    for name, dense in _dense_vertex_matrices(g).items():
+        matrix = structured[name]
+        assert (matrix.order, matrix.s, matrix.t) == (n + 1, g.s, g.t)
+        assert np.array_equal(matrix.matrix, dense), name
+        assert not matrix.matrix.flags.writeable
+        scale = max(1.0, float(np.abs(dense).max()))
+        for x in (rng.normal(size=n + 1), rng.normal(size=(n + 1, 3))):
+            assert np.abs(matrix @ x - dense @ x).max() <= 1e-13 * scale, name
+        values = np.linalg.eigvalsh(dense)[::-1]
+        for shift in (0.0, 3.0, 50.0 * np.abs(values).max()):
+            expected = _gershgorin_loop(dense, values + shift)
+            assert _gershgorin_violation(matrix, values + shift) == expected, name
 
 
 def test_sweep_verdicts_unchanged():

@@ -133,7 +133,7 @@ def test_pq_spectra_agree_small(n, edges):
     P = build_P(build_instance(n, edges))
     kernel = -1.0 / (n - 1)
     p_values = np.sort(np.linalg.eigvalsh(P.dense()))
-    q_values = np.sort(np.linalg.eigvalsh(P.q_matrix))
+    q_values = np.sort(np.linalg.eigvalsh(P.q_matrix.matrix))
     p_keep = p_values[np.abs(p_values - kernel) > 1e-8]
     q_keep = q_values[np.abs(q_values - kernel) > 1e-8]
     assert p_keep.size == q_keep.size

@@ -211,7 +211,7 @@ def test_Q_incidence_identity():
         g = build_instance(n, edges)
         P = build_P(g)
         inc = P.complement.incidence().toarray()
-        lhs = 2 * (n - 1) * P.q_matrix + 2 * np.eye(n + 1)
+        lhs = 2 * (n - 1) * P.q_matrix.matrix + 2 * np.eye(n + 1)
         assert np.array_equal(lhs, inc @ inc.T)
 
 
@@ -261,7 +261,7 @@ def test_incidence_and_gram_match_their_definitions(data):
 
     # the sparse product that build_P's edge scatter replaced
     P = build_P(g)
-    assert np.array_equal(P.gram, (inc @ inc.T).toarray())
+    assert np.array_equal(P.gram.matrix, (inc @ inc.T).toarray())
     x = np.random.default_rng(n).normal(size=P.num_edges)
     assert np.abs(P.matvec(x) - P.dense() @ x).max() <= 1e-12
 

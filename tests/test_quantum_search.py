@@ -1,5 +1,7 @@
 """Walk simulation: series values, searching time, rotation diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,24 @@ def test_finding_probability_concentrated():
     assert finding_probability(g, psi) == 0.0
     with pytest.raises(DimensionMismatch):
         finding_probability(g, np.zeros(3))
+
+
+def test_finding_probability_reads_only_the_marked_arcs():
+    g = build_instance(1000, [(17, 4)])
+    psi = initial_state(g)  # 8 MB
+    tracemalloc.start()
+    try:
+        fp = finding_probability(g, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+    assert fp == 2.0 * psi[0] ** 2
+    # the same sum, in arc order, as the whole-table mask gives
+    h = build_instance(30, [(3, 9), (9, 0), (0, 3), (12, 5)], orientation="reversed")
+    phi = np.random.default_rng(3).normal(size=h.num_arcs)
+    mask = h.marked_matrix[h.arcs.origins, h.arcs.termini]
+    assert finding_probability(h, phi) == float(np.sum(np.abs(phi[mask]) ** 2))
 
 
 def test_evolve_state_validates_input():

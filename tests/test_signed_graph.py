@@ -99,6 +99,8 @@ def test_sigma_matches_sigma_arcs(n, edges, orientation):
         u, v = g.to_external(i), g.to_external(j)
         assert g.sigma((u, v)) == g.sigma_arcs[a]
     assert np.sum(g.sigma_arcs == -1.0) == g.num_marked
+    marked = g.marked_matrix[g.arcs.origins, g.arcs.termini]
+    assert np.array_equal(g.marked_arcs, marked)
 
 
 def test_hot_paths_build_no_arc_table(monkeypatch):
@@ -114,9 +116,12 @@ def test_hot_paths_build_no_arc_table(monkeypatch):
     assert hitting_time(k4).t_c == pytest.approx(5.2, rel=1e-12)
     mean, _ = mc_hitting_time(k4, 20, seed=1)
     assert mean > 0
+    # the marked arcs come from their closed-form indices, not the table
+    assert np.flatnonzero(g.marked_arcs).tolist() == g.marked_arc_indices.tolist()
+    assert g.marked_arc_indices.size == 2 * g.num_marked
     # the patch is live: the per-arc members that need the table build it
     with pytest.raises(AssertionError, match="arc table"):
-        g.marked_arcs
+        g.arcs
 
 
 def test_instance_holds_no_per_arc_array():

@@ -25,6 +25,7 @@ from edgewalk import (
     star_edges,
 )
 from edgewalk.errors import DegenerateSpectrum, NotSymmetric
+from edgewalk.operators import vertex_matrix
 from edgewalk.spectral import d_star_apply, principal_vector
 
 K5_EDGES = [(0, 1), (1, 2), (2, 3)]
@@ -178,7 +179,7 @@ def test_line_principal_pair_dense_vs_iterative(monkeypatch):
 
 def _top_companion_value(P):
     # lambda_max(P) = lambda_max(Q): the spectra differ only at -1/(n-1)
-    return eigh(P.q_matrix)[0][0]
+    return eigh(P.q_matrix.matrix)[0][0]
 
 
 @pytest.mark.parametrize("n,edges", [(300, path_edges(2)), (384, path_edges(1))])
@@ -241,26 +242,24 @@ def test_line_lanczos_matches_companion(family, data):
 
 
 def _vertex_matrices(g):
-    """T, Y, Z and Q of an instance, all in canonical order."""
-    n, order = g.n, g.n + 1
-    adj = g.marked_matrix.astype(np.float64)
-    base = np.ones((order, order)) - order * np.eye(order)
-    z = base - adj - np.diag(g.gamma_degrees)
+    """T, Y, Z, Q and G of an instance, as the package builds them."""
+    n = g.n
     return {
-        "T": build_T(g).matrix,
-        "Y": base - 2.0 * adj,
-        "Z": z,
-        "Q": z / (2.0 * (n - 1)) + np.eye(order),
+        "T": build_T(g),
+        "Y": vertex_matrix(g, -1, -n),
+        "Z": vertex_matrix(g, 0, -n, degree=-1),
+        "Q": vertex_matrix(g, 0, n - 2, degree=-1, divisor=2 * (n - 1)),
+        "G": vertex_matrix(g, 0, n, degree=-1),
     }
 
 
-def _assert_matches_full_eigh(matrix, s):
-    values, vectors = quotient_eigh(matrix, s)
-    full_values, full_vectors = eigh(matrix)
+def _assert_matches_full_eigh(matrix):
+    values, vectors = quotient_eigh(matrix)
+    full_values, full_vectors = eigh(matrix.matrix)
     scale = max(1.0, float(np.abs(full_values).max()))
     assert np.all(np.diff(values) <= 0.0)
     assert np.abs(values - full_values).max() <= 1e-13 * scale
-    assert np.abs(matrix @ vectors - vectors * values).max() <= 1e-13 * scale
+    assert np.abs(matrix.matrix @ vectors - vectors * values).max() <= 1e-13 * scale
     identity = np.eye(len(values))
     assert np.abs(vectors.T @ vectors - identity).max() <= 1e-13
     principal = principal_vector(values, vectors)
@@ -298,7 +297,7 @@ def test_quotient_eigh_matches_full_eigh(family, data):
     )
     g = build_instance(n, [(labels[u], labels[v]) for u, v in edges])
     for matrix in _vertex_matrices(g).values():
-        _assert_matches_full_eigh(matrix, g.s)
+        _assert_matches_full_eigh(matrix)
 
 
 @pytest.mark.parametrize(
@@ -317,23 +316,4 @@ def test_quotient_eigh_small_rest_cells(n, edges, t):
     g = build_instance(n, edges)
     assert g.t == t
     for matrix in _vertex_matrices(g).values():
-        _assert_matches_full_eigh(matrix, g.s)
-
-
-def test_quotient_eigh_rejects_a_broken_rest_pattern():
-    g = build_instance(8, path_edges(2))
-    s = g.s
-    matrix = np.array(build_T(g).matrix)
-    quotient_eigh(matrix, s)
-    off_pattern = matrix.copy()
-    off_pattern[s + 1, s + 2] = off_pattern[s + 2, s + 1] = 0.5
-    uneven_column = matrix.copy()
-    uneven_column[0, s + 1] = uneven_column[s + 1, 0] = 0.5
-    asymmetric = matrix.copy()
-    asymmetric[s + 1, 0] = 0.5
-    for broken in (off_pattern, uneven_column, asymmetric):
-        with pytest.raises(ValueError):
-            quotient_eigh(broken, s)
-    # the marked block does not have the pattern either
-    with pytest.raises(ValueError):
-        quotient_eigh(matrix, s - 1)
+        _assert_matches_full_eigh(matrix)

@@ -15,11 +15,19 @@ oracle a higher-precision reference.
 import numpy as np
 
 
-def gather_apply_U(g, psi):
+def _reflection(g, dtype):
+    """(2/sqrt(n)) * sigma(a^{-1}) on every arc a, the same at every step."""
+    sqrt_n = np.sqrt(np.finfo(dtype).dtype.type(g.n))
+    return (2.0 / sqrt_n) * g.sigma_arcs[g.arcs.inverse_index]
+
+
+def gather_apply_U(g, psi, reflection=None):
     """One application of the walk operator by gathers over the arc table."""
     arcs = g.arcs
     psi = np.asarray(psi)
     assert psi.shape == (arcs.num_arcs,)
+    if reflection is None:
+        reflection = _reflection(g, psi.dtype)
     sqrt_n = np.sqrt(psi.real.dtype.type(g.n))
     signed = g.sigma_arcs * psi
     if psi.dtype == np.longdouble:
@@ -33,13 +41,13 @@ def gather_apply_U(g, psi):
     else:
         m = np.bincount(arcs.termini, weights=signed, minlength=g.n + 1)
     m /= sqrt_n
-    sigma_inverse = g.sigma_arcs[arcs.inverse_index]
-    return (2.0 / sqrt_n) * sigma_inverse * m[arcs.origins] - psi[arcs.inverse_index]
+    return reflection * m[arcs.origins] - psi[arcs.inverse_index]
 
 
 def gather_walk(g, psi, steps):
     """States psi, U psi, ..., U^steps psi by repeated gather steps."""
     states = [np.asarray(psi)]
+    reflection = _reflection(g, states[0].dtype)
     for _ in range(steps):
-        states.append(gather_apply_U(g, states[-1]))
+        states.append(gather_apply_U(g, states[-1], reflection))
     return states
