@@ -8,7 +8,8 @@ of steps until it stands on a marked edge is
     t_c = j^T (I - P)^{-1} j
 
 with P the substochastic kernel on unmarked edges and j the normalized
-all-ones vector, i.e. the mean of the absorption-time solve (I - P) x = 1.
+all-ones vector, i.e. the mean of the absorption-time solve (I - P) x = 1,
+which conjugate gradients run matrix-free at every size.
 A seeded Monte-Carlo walker provides an independent estimate of the same
 quantity.  This module returns raw quantities only; the ledger in
 ``bounds`` judges them against the spectral brackets.
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import SolverFailure, StepCapExceeded, ZeroTrials
@@ -57,19 +57,21 @@ class HittingTimeResult:
 def solve_absorption(P: LineTransitionMatrix) -> tuple[np.ndarray, float]:
     """Solve (I - P) x = 1 and return (x, relative residual).
 
-    A direct symmetric solve when ``P.fits_dense``, conjugate gradients
-    beyond: the kernel has a single eigenvalue near 1 and the rest below
-    ~1/2, which CG deflates in a handful of iterations.
+    Conjugate gradients at every size: the kernel has a single eigenvalue
+    near 1 and the rest below ~1/2, which CG deflates in a handful of
+    iterations.
     """
     edges = P.num_edges
     ones = np.ones(edges)
+    # scipy checks the residual at the top of an iteration only, so an
+    # exact step (one edge, or P = 0) needs one more iteration to report it.
+    maxiter = min(edges, 20000) + 1
 
     # Residuals are evaluated with the mean of x split off: the constant
     # part of (I - P)x follows exactly from integer degree sums, and the
     # remainder has O(1) spread, so the summation error no longer scales
     # with the (large) magnitude of the absorption times.
-    eu = P.complement.edges[:, 0]
-    ev = P.complement.edges[:, 1]
+    eu, ev = P.complement.edges.T
     deg = P.complement.degrees.astype(np.float64)
     ones_response = 1.0 - P.rate * (deg[eu] + deg[ev] - 2.0)
 
@@ -81,46 +83,32 @@ def solve_absorption(P: LineTransitionMatrix) -> tuple[np.ndarray, float]:
     def true_residual(x: np.ndarray) -> float:
         return float(np.linalg.norm(shortfall_of(x)) / np.sqrt(edges))
 
-    if P.fits_dense:
-        system = np.eye(edges) - P.dense()
-        try:
-            x = scipy.linalg.solve(system, ones, assume_a="pos")
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure(str(exc)) from exc
-    else:
-        op = LinearOperator(
-            (edges, edges),
-            matvec=lambda v: v - P.matvec(v),
-            dtype=np.float64,
-        )
-        x, info = cg(op, ones, rtol=1e-13, atol=0.0, maxiter=min(edges, 20000))
+    op = LinearOperator(
+        (edges, edges),
+        matvec=lambda v: v - P.matvec(v),
+        dtype=np.float64,
+    )
+    x, info = cg(op, ones, rtol=1e-13, atol=0.0, maxiter=maxiter)
+    if info != 0:
+        raise SolverFailure(f"conjugate gradients stopped with info={info}")
+    # The recursive CG residual drifts from the true one on this
+    # ill-conditioned system; iterative refinement restores it.  Keep the
+    # best iterate, since updates near the attainable floor can oscillate.
+    best, best_residual = x, true_residual(x)
+    for _ in range(5):
+        if best_residual <= 0.5 * RESIDUAL_TOL:
+            break
+        delta, info = cg(op, shortfall_of(best), rtol=1e-8, atol=0.0, maxiter=maxiter)
         if info != 0:
-            raise SolverFailure(f"conjugate gradients stopped with info={info}")
-        # The recursive CG residual drifts from the true one on this
-        # ill-conditioned system; iterative refinement restores it.  Keep
-        # the best iterate, since updates near the attainable floor can
-        # oscillate.
-        best = x
-        best_residual = true_residual(x)
-        for _ in range(5):
-            if best_residual <= 0.5 * RESIDUAL_TOL:
-                break
-            delta, info = cg(
-                op, shortfall_of(best), rtol=1e-8, atol=0.0,
-                maxiter=min(edges, 20000),
-            )
-            if info != 0:
-                break
-            candidate = best + delta
-            candidate_residual = true_residual(candidate)
-            if candidate_residual >= best_residual:
-                break
-            best, best_residual = candidate, candidate_residual
-        x = best
-    residual = true_residual(x)
-    if residual > RESIDUAL_TOL:
-        raise SolverFailure(f"residual {residual:.3e} above {RESIDUAL_TOL:.0e}")
-    return x, residual
+            break
+        candidate = best + delta
+        candidate_residual = true_residual(candidate)
+        if candidate_residual >= best_residual:
+            break
+        best, best_residual = candidate, candidate_residual
+    if best_residual > RESIDUAL_TOL:
+        raise SolverFailure(f"residual {best_residual:.3e} above {RESIDUAL_TOL:.0e}")
+    return best, best_residual
 
 
 def hitting_time(g: SignedCompleteGraph) -> HittingTimeResult:

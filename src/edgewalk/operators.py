@@ -6,10 +6,11 @@ its companion built from the incidence structure of the unmarked remainder.
 Both, like the ledger's Y, Z and G = N N^T, are ``VertexMatrix`` instances.
 Edge space: P is the isotropic transition kernel on the line graph of the
 unmarked remainder, with entry 1/(2(n-1)) between distinct edges sharing an
-endpoint.  Arc space: the unitary evolution U = S(2 d* d - I) runs on the
-square layout of the state, the (n+1) x (n+1) matrix X with X[u, v] the
-amplitude of the arc (u, v) and a zero diagonal; the lexicographic arc order
-is the row-major order of its off-diagonal entries.  There d* d is a column
+endpoint, applied matrix-free at every size (a dense P is a test oracle).
+Arc space: the unitary evolution U = S(2 d* d - I) runs on the square
+layout of the state, the (n+1) x (n+1) matrix X with X[u, v] the amplitude
+of the arc (u, v) and a zero diagonal; the lexicographic arc order is the
+row-major order of its off-diagonal entries.  There d* d is a column
 sum, S a transpose, and the signs differ from +1 only on the m negative
 arcs.  The kernel stores X and X^T on alternate steps, so no transpose is
 formed and a step is one reduction plus one in-place broadcast update,
@@ -54,12 +55,7 @@ __all__ = [
 
 # Dense U has (n(n+1))^2 entries; 40 keeps that under ~3M.
 DENSE_U_LIMIT = 40
-# The one dense/iterative policy on unmarked edges (``fits_dense``): the
-# line-kernel eigenpair, the absorption solve and the pq_spectra comparison
-# run dense up to this count and matrix-free (Lanczos, CG, lifted residuals)
-# beyond it.  Below it the dense paths are exact small-instance references,
-# notably the full pq_spectra multiset comparison; above it a dense solve
-# costs seconds where the iterative one takes milliseconds.
+# Dense P, a test oracle like dense U, has edges^2 entries; 2000 keeps it at 32 MB.
 DENSE_LINE_LIMIT = 2000
 
 
@@ -141,7 +137,7 @@ class LineTransitionMatrix:
     Application is matrix-free through per-vertex accumulators: for x over
     unmarked edges, (P x)_{uv} = (C_u + C_v - 2 x_{uv}) / (2(n-1)) where
     C_w sums x over unmarked edges at w.  ``dense()`` materializes the
-    kernel only when ``fits_dense``.
+    kernel, as a test oracle, only when ``fits_dense``.
     """
 
     n: int
@@ -159,8 +155,7 @@ class LineTransitionMatrix:
 
     @property
     def fits_dense(self) -> bool:
-        """Whether solvers take the dense path (at most DENSE_LINE_LIMIT
-        unmarked edges)."""
+        """Whether ``dense()`` may build the kernel (<= DENSE_LINE_LIMIT edges)."""
         return self.num_edges <= DENSE_LINE_LIMIT
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -170,8 +165,7 @@ class LineTransitionMatrix:
                 f"vector of length {x.shape[0]} against {self.num_edges} edges"
             )
         sums = self.complement.incidence() @ x
-        eu = self.complement.edges[:, 0]
-        ev = self.complement.edges[:, 1]
+        eu, ev = self.complement.edges.T
         return self.rate * (sums[eu] + sums[ev] - 2.0 * x)
 
     def as_linear_operator(self) -> LinearOperator:
@@ -199,21 +193,29 @@ def build_P(g: SignedCompleteGraph) -> LineTransitionMatrix:
 
     Both come from the closed form 2(n-1) Q + 2I = N N^T = J + (n-1) I - A - D,
     with A the marked adjacency (zero diagonal) and D its degrees, and
-    N N^T is checked exactly against its definition, evaluated by one
-    integer scatter over the unmarked edges: 1 at (u, v) and (v, u) for
-    each edge uv, and each vertex's edge count on the diagonal.
+    N N^T is checked exactly against the unmarked edges in O(E + s^2): each
+    vertex's edge count must be its diagonal entry, and as the off-diagonal
+    entries are 0 or 1, the edges, pairs u < v in strictly increasing order,
+    must be the pairs at a 1: none on a zero of the block, and as many.
     """
     delta = build_complement(g)
     if delta.num_edges == 0:
         raise EmptyComplement("every edge of the host graph is marked")
-    n = g.n
+    n, s = g.n, g.s
     order = n + 1
     gram = vertex_matrix(g, 0, n, degree=-1)
     eu, ev = delta.edges.T
-    scatter = np.zeros((order, order), dtype=np.int64)
-    scatter[eu, ev] = scatter[ev, eu] = 1
-    np.fill_diagonal(scatter, np.bincount(delta.edges.ravel(), minlength=order))
-    if not np.array_equal(scatter, gram.matrix):
+    counts = np.bincount(delta.edges.ravel(), minlength=order)
+    unit_pairs = order * n // 2 - np.count_nonzero(np.triu(gram.block == 0, 1))
+    inside = ev < s
+    if not (
+        np.array_equal(counts[:s], np.diag(gram.block))
+        and np.all(counts[s:] == gram.diagonal)
+        and np.all(eu < ev)
+        and np.all(np.diff(eu * order + ev) > 0)
+        and np.all(gram.block[eu[inside], ev[inside]] != 0)
+        and delta.num_edges == unit_pairs
+    ):
         raise AssertionError("vertex companion disagrees with incidence identity")
     q = vertex_matrix(g, 0, n - 2, degree=-1, divisor=2 * (n - 1))
     return LineTransitionMatrix(n=n, complement=delta, q_matrix=q, gram=gram)
@@ -277,14 +279,18 @@ def walk_arc_matrix(
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     neg_o, neg_t = np.array(g.sigma_negative_arcs, dtype=np.int64).T
-    marked_u, marked_v = np.nonzero(g.marked_matrix)
     scale = 2.0 / g.n
 
-    def marked_mass() -> float:
-        amp = x[marked_u, marked_v]
-        return float(np.vdot(amp, amp).real)
-
     if fp is not None:
+        # The 2m marked arcs: the negative arcs both ways, in row-major order.
+        order = g.n + 1
+        keys = np.sort(np.concatenate((neg_o * order + neg_t, neg_t * order + neg_o)))
+        marked_u, marked_v = np.divmod(keys, order)
+
+        def marked_mass() -> float:
+            amp = x[marked_u, marked_v]
+            return float(np.vdot(amp, amp).real)
+
         fp[0] = marked_mass()
     for step in range(steps):
         # Even steps hold X, odd steps X^T: the arcs into a vertex are then a

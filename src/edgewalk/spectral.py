@@ -291,32 +291,29 @@ def spectral_mapping_check(
 def line_principal_pair(P: LineTransitionMatrix) -> tuple[float, np.ndarray]:
     """Top eigenpair of the line-graph kernel.
 
-    Dense decomposition when ``P.fits_dense``; Lanczos on the matrix-free
-    operator beyond it, from the uniform start vector, in a three-vector
-    workspace.  The uniform vector is constant on the edge orbits of the
-    permutations of the vertices outside the marked subgraph, and P maps
-    that class-constant space (at most C(s, 2) - m + s + 1 dimensions) into
-    itself, so the Krylov space closes after a few steps and holds the top
-    eigenvector.  The eigenvector is sign-fixed against the uniform
-    direction.
+    Lanczos on the matrix-free operator, from the uniform start vector, in
+    a three-vector workspace.  The uniform vector is constant on the edge
+    orbits of the permutations of the vertices outside the marked subgraph,
+    and P maps that class-constant space (at most C(s, 2) - m + s + 1
+    dimensions) into itself, so the Krylov space closes after a few steps
+    and holds the top eigenvector.  The eigenvector is sign-fixed against
+    the uniform direction.  When no two unmarked edges share an endpoint,
+    P = 0 and the pair is (0, uniform): Lanczos would have no start.
     """
     edges = P.num_edges
-    if edges == 1:
-        return 0.0, np.ones(1)
-    if P.fits_dense:
-        values, vectors = eigh(P.dense())
-        vec = principal_vector(values, vectors)
-        return float(values[0]), vec
     start = np.full(edges, 1.0 / np.sqrt(edges))
+    if P.complement.degrees.max() <= 1:
+        return 0.0, start
     try:
         # ncv = 3: with ARPACK's default of 20 the factorization breaks down
         # once the Krylov space closes, and ARPACK pads it with random
         # vectors that it orthogonalizes and restarts over, about 22
-        # products where 4 or 5 converge.
+        # products where 4 or 5 converge.  Two edges allow only ncv = 2.
         values, vectors = spla.eigsh(
-            P.as_linear_operator(), k=1, which="LA", v0=start, tol=0.0, ncv=3
+            P.as_linear_operator(), k=1, which="LA", v0=start, tol=0.0,
+            ncv=min(3, edges),
         )
-    except spla.ArpackNoConvergence as exc:
+    except spla.ArpackError as exc:
         raise NoConvergence(str(exc)) from exc
     vec = vectors[:, 0]
     if vec.sum() < 0:

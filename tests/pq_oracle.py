@@ -1,6 +1,9 @@
-"""Reference pq_spectra certificate for the ledger tests: every companion
-eigenpair is lifted into edge space one at a time and its residual is taken
-under the line kernel's matrix-free application.
+"""Reference pq_spectra values for the ledger tests.
+
+The certificate oracle lifts every companion eigenpair into edge space one
+at a time and takes its residual under the line kernel's matrix-free
+application; on small instances the full multisets of the dense kernel and
+the companion are compared as well.
 
 For a companion eigenpair (q, w) with q != -1/(n-1), the lift is
 (N^T w)_{uv} = w_u + w_v over the unmarked edges uv, and the certificate is
@@ -47,3 +50,19 @@ def lifted_pq_mismatch(P, lambda_max_p, q_values, q_vectors, kernel_tol=1e-6):
             float(np.linalg.norm(residual) / np.linalg.norm(lifted)),
         )
     return worst
+
+
+def dense_pq_mismatch(P, q_values, kernel_tol=1e-6):
+    """Distance between the full multisets Spec(P) and Spec(Q) with the
+    value -1/(n-1) removed from both, from the dense kernel (small
+    instances only); infinite when the remaining counts differ."""
+    kernel_value = -1.0 / (P.n - 1)
+    p_values = np.sort(np.linalg.eigvalsh(P.dense()))
+    q_sorted = np.sort(q_values)
+    p_keep = p_values[np.abs(p_values - kernel_value) > kernel_tol]
+    q_keep = q_sorted[np.abs(q_sorted - kernel_value) > kernel_tol]
+    if p_keep.size != q_keep.size:
+        return float("inf")
+    if p_keep.size == 0:
+        return 0.0
+    return float(np.abs(p_keep - q_keep).max())

@@ -13,7 +13,6 @@ from edgewalk import (
     cycle_edges,
     line_principal_pair,
     matching_edges,
-    operators,
     path_edges,
     star_edges,
     verify_all,
@@ -27,7 +26,7 @@ from edgewalk.bounds import (
 )
 from edgewalk.operators import VertexMatrix, vertex_matrix
 from edgewalk.spectral import eigh
-from pq_oracle import companion_eigendata
+from pq_oracle import companion_eigendata, dense_pq_mismatch
 
 BASE_NAMES = {
     "gershgorin",
@@ -170,14 +169,13 @@ def test_spanning_bipartite_skips_quantum_entries():
 @pytest.mark.parametrize(
     "edges", [[(0, 1)], path_edges(3), [(0, 1), (0, 2), (0, 3)], [(0, 1), (2, 3)]]
 )
-def test_pq_spectra_lift_matches_dense(monkeypatch, edges):
+def test_pq_spectra_lift_matches_dense(edges):
     # the lifted-residual certificate against the full multiset comparison
     g = build_instance(30, edges)
     P = build_P(g)
     lam, _ = line_principal_pair(P)
     values, vectors = companion_eigendata(g)
-    dense = _pq_spectra_mismatch(P, lam, values, vectors)
-    monkeypatch.setattr(operators, "DENSE_LINE_LIMIT", 0)
+    dense = dense_pq_mismatch(P, values)
     lifted = _pq_spectra_mismatch(P, lam, values, vectors)
     assert dense <= 1e-12 and lifted <= 1e-12
 

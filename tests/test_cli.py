@@ -283,6 +283,23 @@ def test_classical_above_dense_limit(tmp_path):
     assert report["mc_estimate"] is None
 
 
+def test_verify_and_classical_on_degenerate_kernels(tmp_path):
+    # K_4 minus a 4-cycle leaves P = 0; K_3 minus one edge leaves two edges
+    code = main(
+        ["verify", "--n", "3", "--subgraph", '{"kind": "cycle", "k": 4}',
+         "--out", str(tmp_path / "verify")]
+    )
+    assert code == 0
+    entries = read_json(tmp_path / "verify" / "ledger.json")
+    assert entries and all(e["passed"] is not False for e in entries)
+    code = main(
+        ["classical", "--n", "2", "--subgraph", '{"kind": "path", "k": 1}',
+         "--out", str(tmp_path / "classical")]
+    )
+    assert code == 0
+    assert abs(read_json(tmp_path / "classical" / "report.json")["t_c"] - 2.0) <= 1e-12
+
+
 def test_verify_exit_zero_and_ledger(tmp_path):
     code = main(
         [

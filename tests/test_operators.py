@@ -259,7 +259,7 @@ def test_incidence_and_gram_match_their_definitions(data):
             build_P(g)
         return
 
-    # the sparse product that build_P's edge scatter replaced
+    # the sparse product that build_P's edge check stands in for
     P = build_P(g)
     assert np.array_equal(P.gram.matrix, (inc @ inc.T).toarray())
     x = np.random.default_rng(n).normal(size=P.num_edges)
@@ -285,6 +285,52 @@ def test_P_check_sees_a_dropped_edge(monkeypatch, dropped):
         AssertionError, match="vertex companion disagrees with incidence identity"
     ):
         build_P(g)
+
+
+def _trade_cycle_diagonals_for_sides(edges, a, b, c, d):
+    # every vertex keeps its count and the edge count stays: only the
+    # zeros of the block tell the edge sets apart
+    pairs = {tuple(e) for e in edges.tolist()}
+    pairs -= {tuple(sorted((a, c))), tuple(sorted((b, d)))}
+    pairs |= {tuple(sorted((a, b))), tuple(sorted((c, d)))}
+    return np.array(sorted(pairs))
+
+
+def _reverse_last_edge(edges, *cycle):
+    edges = edges.copy()
+    edges[-1] = edges[-1, ::-1]
+    return edges
+
+
+def _swap_first_edges(edges, *cycle):
+    return edges[[1, 0, *range(2, len(edges))]]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_trade_cycle_diagonals_for_sides, _reverse_last_edge, _swap_first_edges],
+    ids=["marked-pairs", "reversed", "out-of-order"],
+)
+def test_P_check_sees_a_wrong_edge_set_with_the_right_counts(monkeypatch, edit):
+    g = build_instance(7, cycle_edges(4))
+    cycle = [g.to_canonical(v) for v in range(4)]
+
+    def edited_complement(g):
+        delta = build_complement(g)
+        return dataclasses.replace(delta, edges=edit(delta.edges, *cycle))
+
+    monkeypatch.setattr(operators, "build_complement", edited_complement)
+    with pytest.raises(
+        AssertionError, match="vertex companion disagrees with incidence identity"
+    ):
+        build_P(g)
+
+
+@pytest.mark.parametrize("n,edges", [(7, [(0, 1), (1, 2)]), (1000, [(0, 1)])])
+def test_P_check_builds_no_dense_vertex_matrix(n, edges):
+    P = build_P(build_instance(n, edges))
+    assert "matrix" not in P.gram.__dict__
+    assert "matrix" not in P.q_matrix.__dict__
 
 
 def test_P_empty_complement():

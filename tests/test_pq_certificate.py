@@ -13,7 +13,6 @@ from edgewalk import (
     cycle_edges,
     line_principal_pair,
     matching_edges,
-    operators,
     path_edges,
     star_edges,
     verify_all,
@@ -44,13 +43,11 @@ def test_vertex_certificate_matches_lift_oracle(family, data):
         label="labels",
     )
     g = build_instance(n, [(labels[u], labels[v]) for u, v in edges])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(operators, "DENSE_LINE_LIMIT", 0)
-        P = build_P(g)
-        lam, _ = line_principal_pair(P)
-        values, vectors = companion_eigendata(g)
-        certificate = _pq_spectra_mismatch(P, lam, values, vectors)
-        oracle = lifted_pq_mismatch(P, lam, values, vectors)
+    P = build_P(g)
+    lam, _ = line_principal_pair(P)
+    values, vectors = companion_eigendata(g)
+    certificate = _pq_spectra_mismatch(P, lam, values, vectors)
+    oracle = lifted_pq_mismatch(P, lam, values, vectors)
     assert abs(certificate - oracle) <= 1e-13
     assert certificate <= PQ_MATCH_TOL
 

@@ -167,11 +167,11 @@ def test_mapping_check_excludes_unit_eigenvalue():
     assert report.ok
 
 
-def test_line_principal_pair_dense_vs_iterative(monkeypatch):
+def test_line_principal_pair_dense_vs_iterative():
     g = build_instance(24, [(0, 1), (2, 3)])
     P = build_P(g)
-    lam_dense, vec_dense = line_principal_pair(P)
-    monkeypatch.setattr(operators, "DENSE_LINE_LIMIT", 0)
+    values, vectors = eigh(P.dense())
+    lam_dense, vec_dense = values[0], principal_vector(values, vectors)
     lam_iter, vec_iter = line_principal_pair(P)
     assert lam_iter == pytest.approx(lam_dense, abs=1e-10)
     assert np.abs(np.abs(vec_dense @ vec_iter) - 1.0) <= 1e-8
@@ -186,7 +186,6 @@ def _top_companion_value(P):
 def test_line_lanczos_matvec_budget(monkeypatch, n, edges):
     # The uniform start spans a Krylov space of a few dimensions, so the
     # three-vector Lanczos workspace converges in a handful of products.
-    monkeypatch.setattr(operators, "DENSE_LINE_LIMIT", 0)
     P = build_P(build_instance(n, edges))
     calls = []
     real_matvec = operators.LineTransitionMatrix.matvec
@@ -234,9 +233,7 @@ def test_line_lanczos_matches_companion(family, data):
         label="labels",
     )
     P = build_P(build_instance(n, [(labels[u], labels[v]) for u, v in edges]))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(operators, "DENSE_LINE_LIMIT", 0)
-        lam, vec = line_principal_pair(P)
+    lam, vec = line_principal_pair(P)
     assert abs(lam - _top_companion_value(P)) <= 1e-13
     assert np.linalg.norm(P.matvec(vec) - lam * vec) <= 1e-13
 

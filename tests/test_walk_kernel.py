@@ -106,6 +106,22 @@ def test_norm_drift_after_two_searching_times():
     assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("orientation", ["canonical", "reversed"])
+def test_marked_mass_reads_the_buffer_in_row_major_order(orientation):
+    # fp[t] sums the marked entries of the buffer in row-major order, bit
+    # for bit, whichever of X and X^T the buffer holds
+    g = build_instance(9, [(3, 7), (7, 1), (0, 5), (5, 2)], orientation=orientation)
+    psi = random_state(g, 4, True)
+    steps = 5
+    fp = np.empty(steps + 1)
+    walk_arc_matrix(g, arc_matrix(g, psi), steps, fp=fp)
+    rows, cols = np.nonzero(g.marked_matrix)
+    for t in range(steps + 1):
+        x = walk_arc_matrix(g, arc_matrix(g, psi), t)
+        amp = (x.T if t % 2 else x)[rows, cols]
+        assert fp[t] == float(np.vdot(amp, amp).real)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_kernel_property_random_instances(data):
