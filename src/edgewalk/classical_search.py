@@ -11,8 +11,14 @@ with P the substochastic kernel on unmarked edges and j the normalized
 all-ones vector, i.e. the mean of the absorption-time solve (I - P) x = 1,
 which conjugate gradients run matrix-free at every size.
 A seeded Monte-Carlo walker provides an independent estimate of the same
-quantity.  This module returns raw quantities only; the ledger in
-``bounds`` judges them against the spectral brackets.
+quantity.  Trial i draws from the stream of
+``Generator(Philox(key=[seed, i]))``; the walker evaluates Philox4x64-10
+(a pure function of key and counter) in numpy for every trial at once, turns
+the draws into bounded integers with numpy's own method (Lemire's), and
+steps all trials in lockstep, so its estimate equals, bit for bit, that of
+a walk driven by per-trial numpy generators.  This module returns raw
+quantities only; the ledger in ``bounds`` judges them against the spectral
+brackets.
 """
 
 from __future__ import annotations
@@ -22,9 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .errors import SolverFailure, StepCapExceeded, ZeroTrials
+from .errors import (
+    EmptyComplement,
+    SolverFailure,
+    StepCapExceeded,
+    TooLarge,
+    ZeroTrials,
+)
 from .operators import LineTransitionMatrix, build_P
-from .signed_graph import SignedCompleteGraph, build_complement
+from .signed_graph import SignedCompleteGraph
 from .spectral import line_principal_pair
 
 __all__ = [
@@ -37,7 +49,26 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-10
 STEP_CAP = 10**8
-_MC_CHUNK = 64
+# A refill of the Monte-Carlo streams holds at most _REFILL_DRAWS draws and
+# starts at _FIRST_WIDTH per trial, which covers most K_3 and K_4 walks.
+_REFILL_DRAWS = 2**16
+_FIRST_WIDTH = 16
+# Lemire's method on uint32 draws bounds at most 2**32 - 1 values; numpy
+# switches to 64-bit draws above that.
+_MAX_BOUND = 2**32 - 1
+_LOW32 = np.uint64(0xFFFFFFFF)
+# Philox4x64-10: the multipliers of counter words 0 and 2, and the key
+# added in round r, r = 0..9, to the trial's key: r times the Weyl
+# increments, modulo 2**64.
+_PHILOX_MULT = np.array(
+    [0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64
+)[:, None, None]
+_PHILOX_MULT_LO = _PHILOX_MULT & _LOW32
+_PHILOX_MULT_HI = _PHILOX_MULT >> 32
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_KEY_BUMPS = np.array(
+    [[r * w % 2**64 for w in _PHILOX_WEYL] for r in range(10)], dtype=np.uint64
+)[:, :, None, None]
 
 
 @dataclass(frozen=True)
@@ -127,60 +158,174 @@ def mc_hitting_time(
     """Monte-Carlo estimate of the classical searching time.
 
     Each trial walks edge-to-edge on the host graph, starting uniformly on
-    the unmarked edges and stopping when the current edge is marked; trial i
-    draws from its own counter-derived stream keyed by (seed, i), so the
-    estimate is independent of execution order.  Returns (mean, standard
-    error).  Raises ZeroTrials for fewer than one trial and ValueError
-    unless 0 <= seed < 2**64.
+    the unmarked edges and stopping when the current edge is marked.  Trial
+    i takes its draws from the stream of ``Generator(Philox(key=[seed, i]))``
+    exactly as ``integers(E)`` for the start edge (E unmarked edges; none is
+    drawn when E = 1) and then ``integers(0, 2(n-1))`` for each step, so the
+    estimate is independent of execution order.  The streams are generated
+    here in numpy, every trial of a batch at once, and the trials step in
+    lockstep; a refill holds at most 2**16 draws, 16 per trial at first,
+    doubling as trials are absorbed.
+
+    Returns (mean, standard error).  Raises ZeroTrials for fewer than one
+    trial, ValueError unless 0 <= seed < 2**64, TooLarge when E or 2(n-1)
+    exceeds the 2**32 - 1 values a uint32 draw can bound, EmptyComplement
+    when every edge is marked, and StepCapExceeded when a trial is still
+    walking after STEP_CAP steps (checked between refills).
     """
     if trials < 1:
         raise ZeroTrials(f"need at least one trial, got {trials}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    delta = build_complement(g)
-    start_edges = delta.edges
-    marked = g.marked_matrix
     n = g.n
-    moves = 2 * (n - 1)
+    num_start = n * (n + 1) // 2 - g.num_marked
+    if max(num_start, 2 * (n - 1)) > _MAX_BOUND:
+        raise TooLarge(
+            f"{num_start} unmarked edges and {2 * (n - 1)} moves: bounded uint32 "
+            f"draws serve at most {_MAX_BOUND} values"
+        )
+    if num_start == 0:
+        raise EmptyComplement("every edge of the host graph is marked")
     counts = np.empty(trials, dtype=np.float64)
-    # One bit generator, restarted for each trial at key (seed, trial) from
-    # its fresh state (counter 0, empty buffer): the stream of
-    # Philox(key=[seed, trial]) without constructing one per trial, which
-    # would also seed a SeedSequence from OS entropy that the key overrides.
-    bit_generator = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    rng = np.random.Generator(bit_generator)
-    fresh = bit_generator.state
-    key = fresh["state"]["key"]
-    for trial in range(trials):
-        key[1] = trial
-        bit_generator.state = fresh
-        u, v = start_edges[int(rng.integers(len(start_edges)))]
-        u, v = int(u), int(v)
-        steps = 0
-        absorbed = False
-        while not absorbed:
-            if steps > STEP_CAP:
-                raise StepCapExceeded(
-                    f"trial {trial} exceeded {STEP_CAP} steps"
-                )
-            for r in rng.integers(0, moves, size=_MC_CHUNK):
-                steps += 1
-                if r < n - 1:
-                    keep, w = u, int(r)
-                else:
-                    keep, w = v, int(r) - (n - 1)
-                # w indexes the sorted vertices excluding u and v
-                lo, hi = (u, v) if u < v else (v, u)
-                if w >= lo:
-                    w += 1
-                if w >= hi:
-                    w += 1
-                u, v = keep, w
-                if marked[u, v]:
-                    absorbed = True
-                    break
-        counts[trial] = steps
+    batch = _REFILL_DRAWS // _FIRST_WIDTH
+    for first in range(0, trials, batch):
+        _walk(g, seed, np.arange(first, min(first + batch, trials)), counts)
     mean = float(counts.mean())
     if trials == 1:
         return mean, 0.0
     return mean, float(counts.std(ddof=1) / np.sqrt(trials))
+
+
+def _walk(
+    g: SignedCompleteGraph, seed: int, trials: np.ndarray, counts: np.ndarray
+) -> None:
+    """Walk ``trials`` in lockstep and write their absorption step counts
+    into ``counts``.
+
+    A trial on the ordered pair (u, v) is held at its flat index u (n+1) + v.
+    A step keeps u or v and moves the other end to the o-th of the n - 1
+    other vertices in ascending order, o + [o >= min(u, v)] +
+    [o >= max(u, v) - 1]; ``kept``, ``low`` and ``high`` hold those terms
+    for every pair.
+    """
+    n = g.n
+    stride = n + 1
+    marked = g.marked_matrix.ravel()
+    first, second = np.divmod(np.arange(stride * stride), stride)
+    kept = np.concatenate((first, second)) * stride  # keeping v adds stride**2
+    low = np.minimum(first, second)
+    high = np.maximum(first, second) - 1
+    # the unmarked edges (u, v), u < v, in the lexicographic order of
+    # build_complement(g).edges
+    start_pairs = np.flatnonzero((first < second) & ~marked)
+    # A trial waiting for its start draw sits on the pair (0, 0), which is
+    # never marked, and waits out every step.
+    at = np.zeros(trials.size, dtype=np.int64)
+    pending = np.ones(trials.size, dtype=bool)
+    taken = np.zeros(trials.size, dtype=np.int64)  # steps before this refill
+    counter, width = 1, _FIRST_WIDTH
+    while trials.size:
+        blocks = width // 8
+        draws = _uint32_draws(_philox(seed, trials, counter, blocks))
+        counter += blocks
+        values, usable = _bounded(draws, 2 * (n - 1))
+        lead = np.zeros(trials.size, dtype=np.int64)  # draws the start took
+        if pending.any():
+            rows = np.flatnonzero(pending)
+            if start_pairs.size > 1:
+                index, ok = _bounded(draws[rows], start_pairs.size)
+                found, first_ok = ok.any(axis=1), ok.argmax(axis=1)
+                lead[rows] = np.where(found, first_ok + 1, width)
+                rows, index = rows[found], index[found, first_ok[found]]
+            else:  # integers(1) draws nothing
+                index = np.zeros(rows.size, dtype=np.int64)
+            at[rows] = start_pairs[index]
+            pending[rows] = False
+        # every row's steps start at one column unless a start draw was rejected
+        if lead.min() == lead.max():
+            values, usable = values[:, lead[0] :], usable[:, lead[0] :]
+        else:
+            usable &= np.arange(width) >= lead[:, None]
+        # A rejected draw (probability below k / 2**32) leaves its row fewer
+        # steps: the accepted draws move to the front, and past ``have`` the
+        # row waits for the next refill.
+        have = np.full(trials.size, usable.shape[1])
+        if not usable.all():
+            order = np.argsort(~usable, axis=1, kind="stable")
+            values = np.take_along_axis(values, order, axis=1)
+            have = usable.sum(axis=1)
+        short = int(have.min())
+        # column j holds every row's (j+1)-th step: the kept end and offset o
+        side, offset = np.divmod(values.T.astype(np.int64), n - 1)
+        side *= stride * stride
+        done = start = 0  # columns stepped; columns sliced off side and offset
+        while side.size:
+            for keep_v, o in zip(side, offset):
+                step = kept[keep_v + at] + o + (o >= low[at]) + (o >= high[at])
+                if done >= short:
+                    step = np.where(have <= done, at, step)
+                at = step
+                done += 1
+                hit = marked[at]
+                if np.count_nonzero(hit):
+                    break
+            else:
+                break
+            counts[trials[hit]] = taken[hit] + done
+            alive = ~hit
+            trials, at, taken = trials[alive], at[alive], taken[alive]
+            have, pending = have[alive], pending[alive]
+            side, offset = side[done - start :, alive], offset[done - start :, alive]
+            start = done
+        if trials.size:
+            taken += have
+            if taken.max() >= STEP_CAP:
+                raise StepCapExceeded(
+                    f"trial {trials[taken.argmax()]} exceeded {STEP_CAP} steps"
+                )
+            width = min(2 * width, _REFILL_DRAWS // trials.size // 8 * 8)
+
+
+def _philox(seed: int, keys: np.ndarray, counter: int, blocks: int) -> np.ndarray:
+    """Philox4x64-10 (Salmon et al., SC 2011) under key (seed, k) for each
+    k in ``keys``, at block counters counter, ..., counter + blocks - 1.
+
+    Returns uint64 words of shape (keys.size, 4 * blocks) in stream order:
+    ``Philox(key=[seed, k]).random_raw`` starts at counter 1.
+    """
+    key = np.empty((2, keys.size, 1), dtype=np.uint64)
+    key[0] = seed
+    key[1, :, 0] = keys
+    # A round multiplies words 0 and 2 of the counter block ("even") and
+    # folds the high halves into words 1 and 3 ("odd") under the round key.
+    even = np.zeros((2, keys.size, blocks), dtype=np.uint64)
+    even[0] = np.arange(counter, counter + blocks, dtype=np.uint64)
+    odd = np.zeros_like(even)
+    for round_key in key + _PHILOX_KEY_BUMPS:
+        low = even * _PHILOX_MULT
+        # high 64 bits of the 128-bit product, from 32-bit halves
+        e_lo, e_hi = even & _LOW32, even >> 32
+        lo_lo = e_lo * _PHILOX_MULT_LO
+        t = e_hi * _PHILOX_MULT_LO + (lo_lo >> 32)
+        s = e_lo * _PHILOX_MULT_HI + (t & _LOW32)
+        high = e_hi * _PHILOX_MULT_HI + (t >> 32) + (s >> 32)
+        even, odd = high[::-1] ^ odd ^ round_key, low[::-1]
+    return np.stack((even[0], odd[0], even[1], odd[1]), axis=-1).reshape(keys.size, -1)
+
+
+def _uint32_draws(words: np.ndarray) -> np.ndarray:
+    """Split each uint64 word into two uint32 draws, low half first, as
+    numpy's ``next_uint32`` does; the draws are held as uint64."""
+    draws = np.empty(words.shape + (2,), dtype=np.uint64)
+    draws[..., 0] = words & _LOW32
+    draws[..., 1] = words >> 32
+    return draws.reshape(words.shape[0], -1)
+
+
+def _bounded(draws: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's method (ACM TOMACS 2019) for ``integers(0, bound)``, 1 <
+    bound < 2**32: the values of ``draws`` below ``bound`` and whether
+    each draw is accepted.  numpy rejects a draw whose low product half lies
+    below (2**32 - bound) mod bound and takes the next one."""
+    product = draws * np.uint64(bound)
+    return product >> 32, (product & _LOW32) >= (2**32 - bound) % bound

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import verify_all
-from .classical_search import hitting_time, mc_hitting_time
+from .classical_search import hitting_time, mc_hitting_time, solve_absorption
 from .errors import (
     DegenerateSpectrum,
     EdgeWalkError,
@@ -34,7 +34,7 @@ from .errors import (
     SolverFailure,
     TooSmall,
 )
-from .operators import build_T
+from .operators import build_P, build_T
 from .quantum_search import quantum_time, run_series
 from .signed_graph import build_instance, edges_from_descriptor, path_edges
 from .spectral import principal_pair, quotient_eigh, summarize_spectrum
@@ -251,7 +251,9 @@ def cmd_speedup(args) -> int:
         g = build_instance(n, edges)
         summary = principal_pair(build_T(g))
         t_f = quantum_time(summary)
-        t_c = hitting_time(g).t_c
+        # the absorption solve alone: hitting_time would add a Lanczos
+        # solve for lambda_max(P), which no row reports
+        t_c = float(solve_absorption(build_P(g))[0].mean())
         m = g.num_marked
         rows.append(
             {

@@ -34,7 +34,8 @@ class EmptyComplement(EdgeWalkError):
 
 
 class TooLarge(EdgeWalkError):
-    """The instance is too large for a dense construction."""
+    """The instance is too large for a dense construction, or has more
+    unmarked edges than the Monte-Carlo walker's 32-bit bounded draws serve."""
 
 
 class DimensionMismatch(EdgeWalkError):

@@ -1,9 +1,10 @@
 """Reference Monte-Carlo walker for the classical-search tests: one
-``Generator(Philox(key=[seed, trial]))`` constructed per trial.
+``Generator(Philox(key=[seed, trial]))`` constructed per trial, stepped one
+draw at a time.
 
-``edgewalk.classical_search.mc_hitting_time`` restarts a single bit
-generator instead; the per-trial streams, and so the returned
-(mean, standard error), must be identical.
+``edgewalk.classical_search.mc_hitting_time`` generates the same Philox
+streams in numpy and steps all trials in lockstep instead; the per-trial
+streams, and so the returned (mean, standard error), must be identical.
 """
 
 import numpy as np

@@ -1,5 +1,7 @@
 """Hitting times: exact solves, the Monte-Carlo oracle, spectral brackets."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,33 @@ from edgewalk import (
     build_P,
     hitting_time,
     mc_hitting_time,
+    star_edges,
     verify_all,
 )
-from edgewalk.classical_search import solve_absorption
-from edgewalk.errors import ZeroTrials
+from edgewalk import classical_search
+from edgewalk.classical_search import (
+    _bounded,
+    _philox,
+    _uint32_draws,
+    solve_absorption,
+)
+from edgewalk.errors import EmptyComplement, StepCapExceeded, TooLarge, ZeroTrials
 from mc_oracle import per_trial_generator_mc
+
+
+def _key(*words):
+    return np.array(words, dtype=np.uint64)
+
+
+def _generator(seed, trial):
+    return np.random.Generator(np.random.Philox(key=_key(seed, trial)))
+
+
+def _accepted(seed, trial, bound, counter, blocks):
+    """The accepted bounded draws of blocks counter, ..., counter+blocks-1."""
+    draws = _uint32_draws(_philox(seed, _key(trial), counter, blocks))
+    values, accepted = _bounded(draws, bound)
+    return values[accepted]
 
 
 def test_triangle_exact():
@@ -88,14 +112,166 @@ def test_mc_deterministic():
 
 @pytest.mark.parametrize("seed", [0, 7, 2**63])
 @pytest.mark.parametrize(
-    "n,edges",
-    [(2, [(0, 1)]), (3, [(0, 1)]), (4, [(0, 1), (2, 3)]), (10, [(0, 1), (1, 2)])],
+    "n,edges,trials",
+    [
+        pytest.param(2, [(0, 1)], 300, id="2-edges0"),
+        pytest.param(3, [(0, 1)], 300, id="3-edges1"),
+        pytest.param(4, [(0, 1), (2, 3)], 300, id="4-edges2"),
+        pytest.param(10, [(0, 1), (1, 2)], 300, id="10-edges3"),
+        # one unmarked edge: the start draws nothing
+        pytest.param(2, [(0, 1), (1, 2)], 300, id="one-unmarked-edge"),
+        pytest.param(10, [(0, 1), (1, 2)], 1, id="one-trial"),
+        # more trials than one refill holds
+        pytest.param(3, [(0, 1)], 5000, id="two-batches"),
+        # long walks: the width doubles up to the draw cap
+        pytest.param(30, [(0, 1)], 400, id="width-cap"),
+    ],
 )
-def test_mc_matches_per_trial_generator_oracle(n, edges, seed):
-    # restarting one bit generator per trial reproduces the per-trial
-    # Philox(key=[seed, trial]) streams exactly
+def test_mc_matches_per_trial_generator_oracle(n, edges, trials, seed):
+    # the numpy-generated streams reproduce the per-trial
+    # Philox(key=[seed, trial]) generators exactly
     g = build_instance(n, edges)
-    assert mc_hitting_time(g, 300, seed=seed) == per_trial_generator_mc(g, 300, seed)
+    expected = per_trial_generator_mc(g, trials, seed)
+    assert mc_hitting_time(g, trials, seed=seed) == expected
+
+
+@pytest.mark.parametrize(
+    "seed,trials,trial,position",
+    [
+        (3899, 8, 7, 0),  # the start draw, among trials that need none
+        (2757, 8, 3, 13),  # a step draw, among trials that need none
+        (72912, 1, 0, 11),  # a step draw of the only trial
+    ],
+)
+def test_mc_matches_oracle_through_rejected_draws(seed, trials, trial, position):
+    # On the spanning star at n = 411 a draw is rejected with probability
+    # 68671 / 2**32 for the start (84255 unmarked edges) and 816 / 2**32 for
+    # a step (820 moves); these streams each reject one early draw.
+    g = build_instance(411, star_edges(411))
+    draws = _uint32_draws(_philox(seed, _key(trial), 1, 8))[0]
+    _, start_ok = _bounded(draws[:1], 84255)
+    _, step_ok = _bounded(draws[1:], 820)
+    rejected = np.flatnonzero(~np.concatenate((start_ok, step_ok)))
+    assert rejected.tolist() == [position]
+    expected = per_trial_generator_mc(g, trials, seed)
+    assert mc_hitting_time(g, trials, seed=seed) == expected
+
+
+def test_mc_rejections_ignore_refill_splits(monkeypatch):
+    # Reject a fifth of all draws on top of Lemire's rule, so that rows run
+    # short of accepted draws in most refills.  A short row must wait out
+    # the rest of its refill: only then does the estimate not depend on
+    # where the refills split the streams.
+    def lossy(draws, bound):
+        values, accepted = _bounded(draws, bound)
+        return values, accepted & (draws % 5 != 0)
+
+    monkeypatch.setattr(classical_search, "_bounded", lossy)
+    g = build_instance(10, [(0, 1), (1, 2)])
+    estimates = set()
+    for first, cap in ((16, 2**16), (8, 2**7), (40, 2**9)):
+        monkeypatch.setattr(classical_search, "_FIRST_WIDTH", first)
+        monkeypatch.setattr(classical_search, "_REFILL_DRAWS", cap)
+        estimates.add(mc_hitting_time(g, 50, seed=3))
+    assert len(estimates) == 1
+
+
+def test_mc_refill_rule(monkeypatch):
+    # every refill holds at most _REFILL_DRAWS draws; the width starts at
+    # _FIRST_WIDTH per trial and doubles until the cap binds
+    refills = []
+
+    def recording(seed, keys, counter, blocks):
+        refills.append((keys.size, 8 * blocks))
+        return _philox(seed, keys, counter, blocks)
+
+    monkeypatch.setattr(classical_search, "_philox", recording)
+    mc_hitting_time(build_instance(30, [(0, 1)]), 400, seed=5)
+    cap, first = classical_search._REFILL_DRAWS, classical_search._FIRST_WIDTH
+    assert refills[0] == (400, first)
+    assert all(rows * width <= cap for rows, width in refills)
+    for (_, before), (rows, width) in zip(refills, refills[1:]):
+        assert width == min(2 * before, cap // rows // 8 * 8)
+    widths = [width for _, width in refills]
+    assert any(width < 2 * before for before, width in zip(widths, widths[1:]))
+    # trials beyond one refill's share start a new batch
+    refills.clear()
+    mc_hitting_time(build_instance(2, [(0, 1)]), 5000, seed=5)
+    batch = cap // first
+    starts = [rows for rows, width in refills if width == first]
+    assert starts == [batch, 5000 - batch]
+
+
+def test_mc_step_cap_names_the_trial(monkeypatch):
+    monkeypatch.setattr(classical_search, "STEP_CAP", 50)
+    g = build_instance(30, [(0, 1)])
+    with pytest.raises(StepCapExceeded, match=r"^trial \d+ exceeded 50 steps$"):
+        mc_hitting_time(g, 20, seed=1)
+
+
+def test_mc_draw_range_guard():
+    # Lemire's method on uint32 draws bounds at most 2**32 - 1 values.  No
+    # buildable instance gets there (its marked matrix alone would take
+    # 8.6 GB), so stand-ins carry only the fields read before any draw.
+    with pytest.raises(TooLarge, match="4294967296 unmarked edges"):
+        mc_hitting_time(SimpleNamespace(n=92682, num_marked=55607), 1)
+    # 2**32 - 1 unmarked edges pass the guard and reach the walk, which
+    # needs the stand-in's missing marked matrix
+    with pytest.raises(AttributeError, match="marked_matrix"):
+        mc_hitting_time(SimpleNamespace(n=92682, num_marked=55608), 1)
+
+
+def test_mc_empty_complement():
+    with pytest.raises(EmptyComplement):
+        mc_hitting_time(build_instance(2, [(0, 1), (1, 2), (0, 2)]), 10)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+def test_numpy_philox_matches_random_raw(seed):
+    trials = _key(0, 1, 2**32 - 1, 2**32 + 7, 2**64 - 1)
+    words = _philox(seed, trials, 1, 5)
+    for row, trial in zip(words, trials):
+        raw = np.random.Philox(key=_key(seed, trial)).random_raw(20)
+        assert (row == raw).all()
+    # a later counter continues the same streams
+    assert (_philox(seed, trials, 3, 3) == words[:, 8:]).all()
+
+
+def test_uint32_draws_take_the_low_half_first():
+    words = np.array([[0x0123456789ABCDEF, 0xFEDCBA9876543210]], dtype=np.uint64)
+    halves = [0x89ABCDEF, 0x01234567, 0x76543210, 0xFEDCBA98]
+    assert _uint32_draws(words).tolist() == [halves]
+
+
+@pytest.mark.parametrize("bound", [2, 158, 2**31 + 1])
+def test_bounded_draws_match_generator_integers(bound):
+    expected = _generator(11, 2**33).integers(0, bound, size=600)
+    draws = _uint32_draws(_philox(11, _key(2**33), 1, 200))
+    values, accepted = _bounded(draws, bound)
+    assert (values[accepted][:600] == expected).all()
+    if bound == 2**31 + 1:
+        # about half of the draws fall below the threshold 2**31 - 1
+        assert 0.45 <= 1 - accepted.mean() <= 0.55
+
+
+def test_accepted_sequence_ignores_refill_boundaries():
+    # numpy draws every call from one uint32 stream, so refills of any
+    # width split the same accepted sequence
+    rng = _generator(7, 3)
+    bound = 2**31 + 1
+    expected = np.concatenate([rng.integers(0, bound, size=k) for k in (3, 40, 1, 40)])
+    splits = ((1, 1), (2, 3), (5, 9), (14, 12))
+    pieces = [_accepted(7, 3, bound, counter, blocks) for counter, blocks in splits]
+    whole = _accepted(7, 3, bound, 1, 25)
+    assert (np.concatenate(pieces) == whole).all()
+    assert (whole[: expected.size] == expected).all()
+
+
+def test_single_value_bound_draws_nothing():
+    # integers(1) consumes no draw: the next draws are a fresh stream's
+    rng, fresh = _generator(9, 4), _generator(9, 4)
+    assert rng.integers(1) == 0
+    assert (rng.integers(0, 158, size=50) == fresh.integers(0, 158, size=50)).all()
 
 
 def test_mc_seed_range():
