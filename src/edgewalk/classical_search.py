@@ -8,8 +8,16 @@ of steps until it stands on a marked edge is
     t_c = j^T (I - P)^{-1} j
 
 with P the substochastic kernel on unmarked edges and j the normalized
-all-ones vector, i.e. the mean of the absorption-time solve (I - P) x = 1,
-which conjugate gradients run matrix-free at every size.
+all-ones vector.  With N the vertex-edge incidence of the unmarked edges,
+I - P = (2nI - N^T N)/(2(n-1)), and the push-through identity gives
+
+    t_c = (n-1)/n * [1 + h^T (M - 1 1^T)^{-1} h],   h = N j,
+
+with M = (n+1)I + A + D, A and D the marked adjacency and its degrees.
+``hitting_time`` evaluates that in vertex space, from one s x s solve.  The
+edge-space absorption solve (I - P) x = 1, whose mean is t_c, runs
+matrix-free by conjugate gradients (``solve_absorption``); the ledger keeps
+it, and the tests use it as the oracle of the vertex path.
 A seeded Monte-Carlo walker provides an independent estimate of the same
 quantity.  Trial i draws from the stream of
 ``Generator(Philox(key=[seed, i]))``; the walker evaluates Philox4x64-10
@@ -26,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import (
@@ -35,9 +44,9 @@ from .errors import (
     TooLarge,
     ZeroTrials,
 )
-from .operators import LineTransitionMatrix, build_P
+from .operators import LineTransitionMatrix, build_Q
 from .signed_graph import SignedCompleteGraph
-from .spectral import line_principal_pair
+from .spectral import quotient_lambda_max
 
 __all__ = [
     "solve_absorption",
@@ -76,8 +85,9 @@ class HittingTimeResult:
     """Exact classical searching time with solver diagnostics.
 
     ``t_c`` is the expected absorption step count from the uniform start on
-    unmarked edges; ``solver_residual`` is the relative residual of the
-    linear solve (guaranteed <= 1e-10).
+    unmarked edges and ``lambda_max_P`` the top eigenvalue of the line-graph
+    kernel; ``solver_residual`` is the relative residual (Frobenius norm)
+    of the s x s vertex-space solve behind ``t_c`` (guaranteed <= 1e-10).
     """
 
     t_c: float
@@ -143,12 +153,51 @@ def solve_absorption(P: LineTransitionMatrix) -> tuple[np.ndarray, float]:
 
 
 def hitting_time(g: SignedCompleteGraph) -> HittingTimeResult:
-    """Classical searching time via the absorption-time linear solve."""
-    P = build_P(g)
-    x, residual = solve_absorption(P)
-    lam, _ = line_principal_pair(P)
+    """Classical searching time and lambda_max(P), in vertex space.
+
+    M is (n+1)I outside the marked block, so Sherman-Morrison reduces
+    h^T (M - 1 1^T)^{-1} h to three numbers.  With K = ((n+1)I + A + D)^{-1}
+    on the block (eigenvalues in [n+1, n+1+2 max D], condition number at
+    most 3), t = n+1-s, E the number of unmarked edges and h = N j scaled
+    by sqrt(E) (n - D on the block, n on the rest),
+
+        h^T M^{-1} h = h^T K h + t n^2/(n+1),
+        h^T M^{-1} 1 = h^T K 1 + t n/(n+1),
+        1 - 1^T M^{-1} 1 = 2 d^T K 1/(n+1),
+
+    the last from (n+1) K 1 = 1 - 2 K d (d the degrees), so no difference
+    of nearly equal terms is formed.  One Cholesky solve with the two
+    right-hand sides (h, 1) on the block gives all three, in O(s^3) whatever
+    n is.  lambda_max(P) = lambda_max(Q), since N^T N and N N^T share their
+    nonzero spectrum, and comes from Q's equitable quotient.  Raises
+    EmptyComplement when every edge is marked and SolverFailure when the
+    solve's relative residual exceeds 1e-10.
+    """
+    n, s, t = g.n, g.s, g.t
+    edges = n * (n + 1) // 2 - g.num_marked
+    if edges == 0:
+        raise EmptyComplement("every edge of the host graph is marked")
+    degrees = g.gamma_degrees[:s].astype(np.float64)
+    block = g.marked_matrix[:s, :s].astype(np.float64)
+    block[np.diag_indices(s)] = n + 1 + degrees
+    h = n - degrees
+    rhs = np.column_stack((h, np.ones(s)))
+    try:
+        solution = sla.cho_solve(sla.cho_factor(block), rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"Cholesky factorization failed: {exc}") from exc
+    residual = float(np.linalg.norm(rhs - block @ solution) / np.linalg.norm(rhs))
+    if not residual <= RESIDUAL_TOL:
+        raise SolverFailure(f"residual {residual:.3e} above {RESIDUAL_TOL:.0e}")
+    h_k, ones_k = solution.T
+    quadratic = h @ h_k + t * n**2 / (n + 1)
+    cross = h @ ones_k + t * n / (n + 1)
+    denominator = 2.0 * (degrees @ ones_k) / (n + 1)
+    t_c = (n - 1) / n * (1.0 + (quadratic + cross**2 / denominator) / edges)
     return HittingTimeResult(
-        t_c=float(x.mean()), lambda_max_P=lam, solver_residual=residual
+        t_c=float(t_c),
+        lambda_max_P=quotient_lambda_max(build_Q(g)),
+        solver_residual=residual,
     )
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "vertex_matrix",
     "build_T",
     "build_P",
+    "build_Q",
     "apply_U",
     "arc_matrix",
     "arc_vector",
@@ -217,8 +218,14 @@ def build_P(g: SignedCompleteGraph) -> LineTransitionMatrix:
         and delta.num_edges == unit_pairs
     ):
         raise AssertionError("vertex companion disagrees with incidence identity")
-    q = vertex_matrix(g, 0, n - 2, degree=-1, divisor=2 * (n - 1))
-    return LineTransitionMatrix(n=n, complement=delta, q_matrix=q, gram=gram)
+    return LineTransitionMatrix(n=n, complement=delta, q_matrix=build_Q(g), gram=gram)
+
+
+def build_Q(g: SignedCompleteGraph) -> VertexMatrix:
+    """The vertex companion Q = (N N^T - 2I)/(2(n-1)) of the line-graph
+    kernel, from the closed form of N N^T (see ``build_P``); O(s^2), with no
+    edge-space work."""
+    return vertex_matrix(g, 0, g.n - 2, degree=-1, divisor=2 * (g.n - 1))
 
 
 def arc_matrix(g: SignedCompleteGraph, psi: np.ndarray) -> np.ndarray:

@@ -13,7 +13,8 @@ theta_max = arccos(lambda_max) that defines the quantum searching time.
 In canonical order each ``VertexMatrix`` is alpha J + beta I outside the
 s x s block on the marked subgraph's vertices, an equitable partition (Godsil
 and Royle, Algebraic Graph Theory, section 9.3): ``quotient_eigh`` solves it
-on the order-(s+1) quotient, and full ``eigh`` is the tests' oracle.
+on the order-(s+1) quotient, ``quotient_lambda_max`` reads only its largest
+eigenvalue there, and full ``eigh`` is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .errors import DegenerateSpectrum, NoConvergence, NotSymmetric
@@ -38,6 +40,7 @@ __all__ = [
     "MappingReport",
     "eigh",
     "quotient_eigh",
+    "quotient_lambda_max",
     "principal_vector",
     "principal_pair",
     "summarize_spectrum",
@@ -77,22 +80,28 @@ def eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[::-1].copy(), vectors[:, ::-1].copy()
 
 
-def quotient_eigh(matrix: VertexMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of a vertex matrix from its equitable quotient.
-
-    With alpha = ``off`` and d = ``diagonal``, the quotient
-    [[B, sqrt(t) alpha 1], [sqrt(t) alpha 1^T, alpha (t-1) + d]] gives s+1
-    pairs, lifted back with the last entry over sqrt(t) on the rest; beta =
-    d - alpha takes the other t-1, with the Helmert basis of the zero-sum
-    vectors on the rest.  With t = 0 the quotient is the block B itself.
-    """
-    s, t, order = matrix.s, matrix.t, matrix.order
+def _quotient(matrix: VertexMatrix) -> np.ndarray:
+    """The equitable quotient of a vertex matrix: with alpha = ``off`` and
+    d = ``diagonal``, [[B, sqrt(t) alpha 1], [sqrt(t) alpha 1^T,
+    alpha (t-1) + d]], or the block B itself when t = 0."""
+    s, t = matrix.s, matrix.t
     cells = s + min(t, 1)
     quotient = np.empty((cells, cells))
     quotient[:s, :s] = matrix.block
     quotient[:s, s:] = quotient[s:, :s] = matrix.off * np.sqrt(t)
     quotient[s:, s:] = matrix.diagonal + matrix.off * (t - 1)
-    q_values, q_vectors = eigh(quotient)
+    return quotient
+
+
+def quotient_eigh(matrix: VertexMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of a vertex matrix from its equitable quotient.
+
+    The quotient gives s+1 pairs, lifted back with the last entry over
+    sqrt(t) on the rest; beta = ``diagonal - off`` takes the other t-1,
+    with the Helmert basis of the zero-sum vectors on the rest.
+    """
+    s, t, order = matrix.s, matrix.t, matrix.order
+    q_values, q_vectors = eigh(_quotient(matrix))
 
     # The t-1 copies of beta go between the quotient values above and below
     # it, so the spectrum comes out descending without a sort.
@@ -110,6 +119,21 @@ def quotient_eigh(matrix: VertexMatrix) -> tuple[np.ndarray, np.ndarray]:
     helmert /= np.sqrt(k * (k + 1.0))
     helmert[k, k - 1] = -np.sqrt(k / (k + 1.0))
     return values, vectors
+
+
+def quotient_lambda_max(matrix: VertexMatrix) -> float:
+    """Largest eigenvalue of a vertex matrix: the top eigenvalue of its
+    equitable quotient, or beta = ``diagonal - off`` when that is larger
+    and t >= 2.  No eigenvector is formed."""
+    quotient = _quotient(matrix)
+    top = quotient.shape[0] - 1
+    try:
+        values = sla.eigh(quotient, eigvals_only=True, subset_by_index=[top, top])
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    if matrix.t >= 2:
+        return max(float(values[0]), matrix.diagonal - matrix.off)
+    return float(values[0])
 
 
 def principal_vector(

@@ -4,16 +4,23 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgewalk import (
     build_instance,
     build_P,
+    complete_bipartite_edges,
+    cycle_edges,
     hitting_time,
+    line_principal_pair,
+    matching_edges,
     mc_hitting_time,
+    path_edges,
     star_edges,
     verify_all,
 )
-from edgewalk import classical_search
+from edgewalk import classical_search, operators, signed_graph
 from edgewalk.classical_search import (
     _bounded,
     _philox,
@@ -56,6 +63,100 @@ def test_k4_exact():
     assert result.t_c == pytest.approx(26 / 5, abs=1e-12)
 
 
+def test_k4_minus_four_cycle():
+    # the two unmarked edges share no endpoint: P = 0, so every walk ends
+    # after one step
+    result = hitting_time(build_instance(3, cycle_edges(4)))
+    assert result.t_c == pytest.approx(1.0, abs=1e-12)
+    assert result.lambda_max_P == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n,edges", [(2, cycle_edges(3)), (3, complete_bipartite_edges(2, 2) + [(0, 1), (2, 3)])]
+)
+def test_hitting_time_all_marked(n, edges):
+    with pytest.raises(EmptyComplement):
+        hitting_time(build_instance(n, edges))
+
+
+# Families drawn on random labels: the first five keep the marked subgraph
+# small, the last two span the host (s = n + 1).
+VERTEX_PATH_FAMILIES = {
+    "path": lambda draw, n: path_edges(draw(st.integers(1, min(n, 9)), label="k")),
+    "star": lambda draw, n: star_edges(draw(st.integers(1, min(n, 9)), label="k")),
+    "matching": lambda draw, n: matching_edges(
+        draw(st.integers(1, min((n + 1) // 2, 5)), label="k")
+    ),
+    "cycle": lambda draw, n: cycle_edges(draw(st.integers(3, min(n + 1, 9)), label="k")),
+    "complete_bipartite": lambda draw, n: complete_bipartite_edges(
+        *draw(
+            st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(
+                lambda ab: sum(ab) <= n + 1
+            ),
+            label="a,b",
+        )
+    ),
+    "spanning_path": lambda draw, n: path_edges(n),
+    "spanning_star": lambda draw, n: star_edges(n),
+}
+
+
+def _assert_matches_edge_space(g):
+    # the edge-space CG and Lanczos are the oracles of the vertex path
+    result = hitting_time(g)
+    assert result.solver_residual <= 1e-10
+    P = build_P(g)
+    expected = solve_absorption(P)[0].mean()
+    assert abs(result.t_c - expected) <= 1e-11 * expected
+    assert abs(result.lambda_max_P - line_principal_pair(P)[0]) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_vertex_path_matches_edge_space_solvers(data):
+    n = data.draw(st.integers(2, 400), label="n")
+    family = data.draw(st.sampled_from(sorted(VERTEX_PATH_FAMILIES)), label="family")
+    edges = VERTEX_PATH_FAMILIES[family](data.draw, n)
+    labels = data.draw(st.permutations(range(n + 1)), label="labels")
+    g = build_instance(n, [(labels[u], labels[v]) for u, v in edges])
+    if g.num_marked == n * (n + 1) // 2:  # K_3 as a 3-cycle
+        with pytest.raises(EmptyComplement):
+            hitting_time(g)
+        return
+    _assert_matches_edge_space(g)
+
+
+@pytest.mark.parametrize(
+    "n,edges",
+    [(400, path_edges(400)), (400, star_edges(400)), (299, matching_edges(150))],
+    ids=["spanning-path", "spanning-star", "perfect-matching"],
+)
+def test_vertex_path_matches_edge_space_on_spanning_subgraphs(n, edges):
+    # s = n + 1: the largest s x s solve and quotient at the largest host
+    g = build_instance(n, edges)
+    assert g.t == 0
+    _assert_matches_edge_space(g)
+
+
+def test_hitting_time_takes_no_edge_space_step(monkeypatch):
+    g = build_instance(300, path_edges(3))
+    P = build_P(g)
+    expected = solve_absorption(P)[0].mean()
+    expected_lambda = line_principal_pair(P)[0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("edge-space work in hitting_time")
+
+    monkeypatch.setattr(signed_graph, "build_complement", refuse)
+    monkeypatch.setattr(operators, "build_complement", refuse)
+    monkeypatch.setattr(operators, "build_P", refuse)
+    monkeypatch.setattr(classical_search, "build_P", refuse, raising=False)
+    monkeypatch.setattr(operators.LineTransitionMatrix, "matvec", refuse)
+    result = hitting_time(g)
+    assert abs(result.t_c - expected) <= 1e-11 * expected
+    assert abs(result.lambda_max_P - expected_lambda) <= 1e-12
+
+
 def test_k100_single_edge_bracket():
     result = hitting_time(build_instance(99, [(0, 1)]))
     assert 101 * 99 / 2 - 4 <= result.t_c <= 101 * 99 + 4
@@ -75,18 +176,17 @@ def test_large_instance_uses_cg():
     g = build_instance(128, [(0, 1)])
     P = build_P(g)
     assert not P.fits_dense
-    result = hitting_time(g)
-    assert result.solver_residual <= 1e-10
-    assert 129 * 127 / 2 - 4 <= result.t_c <= 129 * 127 + 4
+    x, residual = solve_absorption(P)
+    assert residual <= 1e-10
+    assert 129 * 127 / 2 - 4 <= x.mean() <= 129 * 127 + 4
 
 
 def test_hitting_time_above_dense_limit_n80():
     # 3239 unmarked edges: dense P would be refused, so the solve must not
     # ask for it
-    g = build_instance(80, [(0, 1)])
-    result = hitting_time(g)
-    assert result.solver_residual <= 1e-10
-    assert 81 * 79 / 2 - 4 <= result.t_c <= 81 * 79 + 4
+    x, residual = solve_absorption(build_P(build_instance(80, [(0, 1)])))
+    assert residual <= 1e-10
+    assert 81 * 79 / 2 - 4 <= x.mean() <= 81 * 79 + 4
 
 
 def test_mc_matches_exact_triangle():

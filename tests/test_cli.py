@@ -379,6 +379,21 @@ def test_speedup_checks_every_host_before_any_row(tmp_path, capsys, n_list, subg
     assert not (tmp_path / "speedup.json").exists()
 
 
+def test_speedup_prints_no_row_before_a_degenerate_host(tmp_path, capsys):
+    # C_4 spans K_4 as K_{2,2}: the n = 3 row has no quantum time, and the
+    # n = 200 row before it must not be printed or written either
+    code = main(
+        ["speedup", "--n-list", "200,3", "--subgraph", '{"kind": "cycle", "k": 4}',
+         "--out", str(tmp_path)]
+    )
+    assert code == cli.EXIT_DEGENERATE == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "degenerate_spectrum"
+    assert not (tmp_path / "speedup.json").exists()
+    assert not (tmp_path / "speedup.csv").exists()
+
+
 def test_spectrum_degenerate_reports(tmp_path):
     code = main(
         [

@@ -25,8 +25,8 @@ from edgewalk import (
     star_edges,
 )
 from edgewalk.errors import DegenerateSpectrum, NotSymmetric
-from edgewalk.operators import vertex_matrix
-from edgewalk.spectral import d_star_apply, principal_vector
+from edgewalk.operators import VertexMatrix, vertex_matrix
+from edgewalk.spectral import d_star_apply, principal_vector, quotient_lambda_max
 
 K5_EDGES = [(0, 1), (1, 2), (2, 3)]
 
@@ -261,6 +261,7 @@ def _assert_matches_full_eigh(matrix):
     assert np.abs(vectors.T @ vectors - identity).max() <= 1e-13
     principal = principal_vector(values, vectors)
     assert np.abs(principal - principal_vector(full_values, full_vectors)).max() <= 1e-12
+    assert abs(quotient_lambda_max(matrix) - full_values[0]) <= 1e-13 * scale
 
 
 QUOTIENT_FAMILIES = {
@@ -314,3 +315,11 @@ def test_quotient_eigh_small_rest_cells(n, edges, t):
     assert g.t == t
     for matrix in _vertex_matrices(g).values():
         _assert_matches_full_eigh(matrix)
+
+
+def test_quotient_lambda_max_takes_beta_above_the_quotient():
+    # With off > 0 the quotient's top is at least beta + off * t; with
+    # off < 0 beta = diagonal - off can lie above every quotient eigenvalue.
+    matrix = VertexMatrix(6, np.array([[-3.0, 0.0], [0.0, -3.0]]), -0.1, 0.0)
+    assert np.linalg.eigvalsh(matrix.matrix).max() == pytest.approx(0.1, abs=1e-15)
+    assert quotient_lambda_max(matrix) == pytest.approx(0.1, abs=1e-15)
