@@ -287,9 +287,7 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
     f_t = principal_vector(t_values, t_vectors)
     # Per-vertex counts of negatively signed marked arcs by terminus;
     # entries lie in [0, n] and sum to m.
-    sign_counts = np.zeros(order)
-    for _, terminus in g.sigma_negative_arcs:
-        sign_counts[terminus] += 1.0
+    sign_counts = np.bincount(g.negative_arcs[1], minlength=order).astype(np.float64)
 
     try:
         P = build_P(g)
@@ -343,7 +341,7 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
         ("lambda1_bracket.Z.lower", ">=",
          lambda: z_values[0], lambda: rayleigh, ALWAYS),
         ("adjacency_max", "<=",
-         lambda: eigh(g.marked_matrix[:s, :s].astype(np.float64))[0][0],
+         lambda: eigh(g.marked_block.astype(np.float64))[0][0],
          lambda: np.sqrt(2.0 * m - s + 1.0), ALWAYS),
         ("lambda2_Y", "<=", lambda: y_values[1], lambda: 2.0 * s - (n + 3), ALWAYS),
         ("lambda2_Z", "<=", lambda: z_values[1], lambda: -(n + 1.0), ALWAYS),

@@ -86,8 +86,9 @@ class HittingTimeResult:
 
     ``t_c`` is the expected absorption step count from the uniform start on
     unmarked edges and ``lambda_max_P`` the top eigenvalue of the line-graph
-    kernel; ``solver_residual`` is the relative residual (Frobenius norm)
-    of the s x s vertex-space solve behind ``t_c`` (guaranteed <= 1e-10).
+    kernel, with about 1e-16 absolute error (it can exceed 1 at n ~ 1e9);
+    ``solver_residual`` is the relative residual (Frobenius norm) of the
+    s x s vertex-space solve behind ``t_c`` (guaranteed <= 1e-10).
     """
 
     t_c: float
@@ -177,8 +178,8 @@ def hitting_time(g: SignedCompleteGraph) -> HittingTimeResult:
     edges = n * (n + 1) // 2 - g.num_marked
     if edges == 0:
         raise EmptyComplement("every edge of the host graph is marked")
-    degrees = g.gamma_degrees[:s].astype(np.float64)
-    block = g.marked_matrix[:s, :s].astype(np.float64)
+    degrees = g.marked_block.sum(axis=1).astype(np.float64)
+    block = g.marked_block.astype(np.float64)
     block[np.diag_indices(s)] = n + 1 + degrees
     h = n - degrees
     rhs = np.column_stack((h, np.ones(s)))

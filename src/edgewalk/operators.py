@@ -108,9 +108,8 @@ def vertex_matrix(
     """The vertex matrix with entries 1 on unmarked pairs, ``marked`` on
     marked pairs and ``diagonal + degree * deg(v)`` at the vertex v, deg its
     marked-subgraph degree, each an exact integer over ``divisor``."""
-    s = g.s
-    numerator = np.where(g.marked_matrix[:s, :s], marked, 1)
-    np.fill_diagonal(numerator, diagonal + degree * g.gamma_degrees[:s])
+    numerator = np.where(g.marked_block, marked, 1)
+    np.fill_diagonal(numerator, diagonal + degree * g.marked_block.sum(axis=1))
     block = numerator / np.float64(divisor)
     block.setflags(write=False)
     return VertexMatrix(g.n + 1, block, 1 / divisor, diagonal / divisor)
@@ -285,7 +284,7 @@ def walk_arc_matrix(
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    neg_o, neg_t = np.array(g.sigma_negative_arcs, dtype=np.int64).T
+    neg_o, neg_t = g.negative_arcs
     scale = 2.0 / g.n
 
     if fp is not None:

@@ -194,7 +194,7 @@ def asymptotic_diagnostics(
         summary = principal_pair(build_T(g))
     t_f = quantum_time(summary)
     n, f, root = g.n, summary.f, np.sqrt(g.n + 1)
-    neg_o, neg_t = _negative_arcs(g)
+    neg_o, neg_t = g.negative_arcs
     start_gap_sq = np.sum((f - 1.0 / root) ** 2) + 4.0 * np.sum(f[neg_t]) / (n * root)
     # sqrt(n) sin theta times -beta_+ on the arcs (o, t) and (t, o), up to sign
     cos, sin = np.cos(summary.theta_max), np.sin(summary.theta_max)
@@ -219,16 +219,9 @@ def asymptotic_diagnostics(
     )
 
 
-def _negative_arcs(g: SignedCompleteGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Origins and termini of the m arcs with sign -1 (all inside the
-    marked block)."""
-    neg_o, neg_t = np.array(g.sigma_negative_arcs, dtype=np.int64).T
-    return neg_o, neg_t
-
-
 def _times_nT(g: SignedCompleteGraph) -> Callable[[np.ndarray], np.ndarray]:
     """The map b -> n T b = <1, b> 1 - b - 2 A b, at O(n + m)."""
-    neg_o, neg_t = _negative_arcs(g)
+    neg_o, neg_t = g.negative_arcs
     # (A b)_v sums b over the marked neighbours of v: one term per arc
     ends, starts = np.concatenate((neg_o, neg_t)), np.concatenate((neg_t, neg_o))
 
@@ -288,7 +281,7 @@ def _uniform_series(g: SignedCompleteGraph, t_max: int) -> np.ndarray:
     2 (-1)^t d j: b_{t+1} = 2 T b_t - b_{t-1} + 2 (-1)^t d j.
     """
     n = g.n
-    neg_o, neg_t = _negative_arcs(g)
+    neg_o, neg_t = g.negative_arcs
     # (d j)_v = (n - 2 * #negative arcs into v) / (n sqrt(n+1))
     into = np.bincount(neg_t, minlength=n + 1).astype(np.longdouble)
     twice_dj = 2.0 * (n - 2.0 * into) / (n * np.sqrt(np.longdouble(n + 1)))

@@ -138,15 +138,19 @@ class SignedCompleteGraph:
         Marked edges in the caller's labels, input order, duplicates removed.
     gamma_vertices : tuple of int
         Endpoints of marked edges in order of first appearance.
+    s, t : int
+        Order of the marked subgraph and n + 1 - s.
+    sigma_negative_arcs : tuple of (int, int)
+        The arc of each marked edge carrying sign -1, in canonical indices.
+    marked_block : ndarray of bool, shape (s, s)
+        Adjacency indicator of the marked subgraph (canonical 0..s-1).
+    negative_arcs : ndarray of int64, shape (2, m)
+        ``sigma_negative_arcs`` as an array of origins and termini.
     canonical_order : tuple of int
         External label at each canonical position: marked-subgraph vertices
         first (in ``gamma_vertices`` order), remaining vertices ascending.
-    sigma_negative_arcs : tuple of (int, int)
-        The arc of each marked edge carrying sign -1, in canonical indices.
-    s, t : int
-        Order of the marked subgraph and n + 1 - s.
     marked_matrix : ndarray of bool, shape (n+1, n+1)
-        Adjacency indicator of the marked subgraph in canonical indices.
+        ``marked_block`` zero-padded to the host graph.
     gamma_degrees : ndarray of int
         Marked-subgraph degree of each canonical vertex (0 outside it).
     arcs : ArcTable
@@ -158,13 +162,16 @@ class SignedCompleteGraph:
     marked_arcs : ndarray of bool
         True on the 2m arcs of the marked subgraph.
 
-    The last four are built on first use and cached.  All but the indices
-    hold n(n+1) entries; only the arc-space helpers and the dense oracles
-    read them, and the ledger, the series and the solvers never build them.
+    Construction builds the members through ``marked_block``, in O(s^2 + m)
+    whatever n is; the rest are built on first use and cached.  The modules
+    read the marked subgraph from ``marked_block`` and ``negative_arcs``;
+    only ``build_complement`` and the Monte-Carlo walker read
+    ``marked_matrix``, and only the arc-space helpers and the dense oracles
+    the per-arc members.
 
     Instances are immutable after construction and safe to share between
     threads; the numpy members are marked read-only.  Two threads that read
-    a per-arc member for the first time at once may each build it; the
+    a cached member for the first time at once may each build it; the
     copies are equal, and the instance keeps one of them.
     """
 
@@ -192,30 +199,38 @@ class SignedCompleteGraph:
 
         self.n = int(n)
         self.marked_edges = tuple(edges)
-        # keys in order of first appearance, with O(1) membership
-        gamma = dict.fromkeys(w for edge in edges for w in edge)
-        self.gamma_vertices = tuple(gamma)
-        rest = [w for w in range(n + 1) if w not in gamma]
-        self.canonical_order = self.gamma_vertices + tuple(rest)
-        self.s = len(gamma)
+        self.gamma_vertices = tuple(dict.fromkeys(w for edge in edges for w in edge))
+        position = {w: i for i, w in enumerate(self.gamma_vertices)}  # canonical
+        self.s = len(position)
         self.t = n + 1 - self.s
 
-        canon = np.empty(n + 1, dtype=np.int64)
-        for pos, label in enumerate(self.canonical_order):
-            canon[label] = pos
-        self._canon = _readonly(canon)
-
-        marked_matrix = np.zeros((n + 1, n + 1), dtype=bool)
+        block = np.zeros((self.s, self.s), dtype=bool)
         negatives: list[tuple[int, int]] = []
         for u, v in edges:
-            i, j = int(canon[u]), int(canon[v])
-            marked_matrix[i, j] = marked_matrix[j, i] = True
-            lo, hi = (i, j) if i < j else (j, i)
+            lo, hi = sorted((position[u], position[v]))
+            block[lo, hi] = block[hi, lo] = True
             negatives.append((lo, hi) if orientation == "canonical" else (hi, lo))
         self.orientation = orientation
         self.sigma_negative_arcs = tuple(negatives)
-        self.marked_matrix = _readonly(marked_matrix)
-        self.gamma_degrees = _readonly(marked_matrix.sum(axis=1).astype(np.int64))
+        self.marked_block = _readonly(block)
+
+    @cached_property
+    def negative_arcs(self) -> np.ndarray:
+        return _readonly(np.array(self.sigma_negative_arcs, dtype=np.int64).T.copy())
+
+    @cached_property
+    def canonical_order(self) -> tuple[int, ...]:
+        rest = np.setdiff1d(np.arange(self.n + 1), self.gamma_vertices)
+        return self.gamma_vertices + tuple(rest.tolist())
+
+    @cached_property
+    def marked_matrix(self) -> np.ndarray:
+        return _readonly(np.pad(self.marked_block, (0, self.t)))
+
+    @cached_property
+    def gamma_degrees(self) -> np.ndarray:
+        degrees = self.marked_block.sum(axis=1, dtype=np.int64)
+        return _readonly(np.pad(degrees, (0, self.t)))
 
     @cached_property
     def arcs(self) -> ArcTable:
@@ -224,13 +239,13 @@ class SignedCompleteGraph:
     @cached_property
     def sigma_arcs(self) -> np.ndarray:
         sigma = np.ones(self.num_arcs)
-        o, tm = np.array(self.sigma_negative_arcs, dtype=np.int64).T
+        o, tm = self.negative_arcs
         sigma[o * self.n + tm - (tm > o)] = -1.0
         return _readonly(sigma)
 
     @cached_property
     def marked_arc_indices(self) -> np.ndarray:
-        o, tm = np.array(self.sigma_negative_arcs, dtype=np.int64).T
+        o, tm = self.negative_arcs
         origins, termini = np.concatenate((o, tm)), np.concatenate((tm, o))
         indices = origins * self.n + termini - (termini > origins)
         return _readonly(np.sort(indices))
@@ -251,10 +266,14 @@ class SignedCompleteGraph:
         return self.n * (self.n + 1)
 
     def to_canonical(self, label: int) -> int:
-        """Canonical index of an external vertex label."""
+        """Canonical index of an external vertex label, in O(s): a label
+        outside the marked subgraph follows the s inside it, in ascending
+        order."""
         if not 0 <= label <= self.n:
             raise InvalidVertex(f"vertex {label} outside 0..{self.n}")
-        return int(self._canon[label])
+        if label in self.gamma_vertices:
+            return self.gamma_vertices.index(label)
+        return int(self.s + label - sum(w < label for w in self.gamma_vertices))
 
     def to_external(self, index: int) -> int:
         """External label at a canonical position."""
@@ -280,32 +299,20 @@ class SignedCompleteGraph:
                 raise InvalidEdge(f"vertex {w} outside 0..{self.n}")
         if u == v:
             raise InvalidEdge(f"({u}, {u}) is a loop, not an edge")
-        return -1 if self.marked_matrix[self.to_canonical(u), self.to_canonical(v)] else 1
+        i, j = self.to_canonical(u), self.to_canonical(v)
+        return -1 if max(i, j) < self.s and self.marked_block[i, j] else 1
 
     def is_spanning_complete_bipartite(self) -> bool:
-        """Decide combinatorially whether the marked subgraph is a complete
-        bipartite graph on all n+1 vertices (the degenerate search case)."""
-        if self.s != self.n + 1:
+        """Decide in O(s + m) whether the marked subgraph is a complete
+        bipartite graph on all n+1 vertices (the degenerate search case):
+        with R the marked neighbours of canonical vertex 0, every marked edge
+        joins R to the rest, and there are |R| (s - |R|) of them."""
+        if self.t:
             return False
-        color = np.full(self.n + 1, -1, dtype=np.int64)
-        color[0] = 0
-        queue = [0]
-        reached = 1
-        while queue:
-            u = queue.pop()
-            nbrs = np.nonzero(self.marked_matrix[u])[0]
-            for v in nbrs:
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    reached += 1
-                    queue.append(int(v))
-                elif color[v] == color[u]:
-                    return False
-        if reached != self.n + 1:
-            return False
-        n_left = int(np.sum(color == 0))
-        n_right = self.n + 1 - n_left
-        return self.num_marked == n_left * n_right
+        side = self.marked_block[0]
+        o, tm = self.negative_arcs
+        r = int(np.count_nonzero(side))
+        return bool(np.all(side[o] != side[tm])) and self.num_marked == r * (self.s - r)
 
     def __repr__(self) -> str:
         return (

@@ -1,5 +1,6 @@
 """Hitting times: exact solves, the Monte-Carlo oracle, spectral brackets."""
 
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +28,13 @@ from edgewalk.classical_search import (
     _uint32_draws,
     solve_absorption,
 )
-from edgewalk.errors import EmptyComplement, StepCapExceeded, TooLarge, ZeroTrials
+from edgewalk.errors import (
+    EmptyComplement,
+    SolverFailure,
+    StepCapExceeded,
+    TooLarge,
+    ZeroTrials,
+)
 from mc_oracle import per_trial_generator_mc
 
 
@@ -187,6 +194,88 @@ def test_hitting_time_above_dense_limit_n80():
     x, residual = solve_absorption(build_P(build_instance(80, [(0, 1)])))
     assert residual <= 1e-10
     assert 81 * 79 / 2 - 4 <= x.mean() <= 81 * 79 + 4
+
+
+def _patch_refinement(monkeypatch, correction_sign):
+    """Make the first CG solve return a perturbed x, and every refinement
+    solve return ``correction_sign`` times the exact correction; returns
+    the list of right-hand sides the solves received."""
+    real_cg, calls = classical_search.cg, []
+
+    def fake_cg(op, rhs, **kwargs):
+        x, info = real_cg(op, rhs, **kwargs)
+        calls.append(rhs)
+        if len(calls) == 1:
+            noise = np.random.default_rng(0).standard_normal(x.size)
+            return x * (1.0 + 1e-6 * noise), info
+        return correction_sign * x, info
+
+    monkeypatch.setattr(classical_search, "cg", fake_cg)
+    return calls
+
+
+def test_refinement_restores_a_perturbed_first_solve(monkeypatch):
+    P = build_P(build_instance(30, path_edges(2)))
+    expected = solve_absorption(P)[0].mean()
+    calls = _patch_refinement(monkeypatch, 1.0)
+    x, residual = solve_absorption(P)
+    assert len(calls) >= 2  # refinement ran
+    assert residual <= 1e-10
+    assert abs(x.mean() - expected) <= 1e-12 * expected
+
+
+def test_refinement_that_never_improves_raises(monkeypatch):
+    P = build_P(build_instance(30, path_edges(2)))
+    calls = _patch_refinement(monkeypatch, -1.0)
+    with pytest.raises(SolverFailure, match="above 1e-10"):
+        solve_absorption(P)
+    assert len(calls) == 2  # one round, rejected
+
+
+def _exact_t_c(n, edges):
+    """t_c from exact rational arithmetic: Sherman-Morrison on the s x s
+    block M_s = (n+1) I + A + D, with h = n - D on the block and n on the
+    t = n + 1 - s rest vertices (see ``hitting_time``)."""
+    labels = sorted({w for edge in edges for w in edge})
+    s, t = len(labels), n + 1 - len(labels)
+    where = {w: i for i, w in enumerate(labels)}
+    matrix = [[Fraction(0)] * s for _ in range(s)]
+    for u, v in edges:
+        matrix[where[u]][where[v]] = matrix[where[v]][where[u]] = Fraction(1)
+    degrees = [sum(row) for row in matrix]
+    for i in range(s):
+        matrix[i][i] = n + 1 + degrees[i]
+    h = [n - d for d in degrees]
+    # Gauss-Jordan on [M_s | h 1]
+    rows = [row + [h[i], Fraction(1)] for i, row in enumerate(matrix)]
+    for i in range(s):
+        pivot = rows[i][i]
+        rows[i] = [x / pivot for x in rows[i]]
+        for k in range(s):
+            if k != i:
+                rows[k] = [a - rows[k][i] * b for a, b in zip(rows[k], rows[i])]
+    h_k, ones_k = [row[s] for row in rows], [row[s + 1] for row in rows]
+    quadratic = sum(a * b for a, b in zip(h, h_k)) + Fraction(t * n * n, n + 1)
+    cross = sum(a * b for a, b in zip(h, ones_k)) + Fraction(t * n, n + 1)
+    ones = sum(ones_k) + Fraction(t, n + 1)
+    edges_e = n * (n + 1) // 2 - len(edges)
+    inner = quadratic + cross**2 / (1 - ones)
+    return Fraction(n - 1, n) * (1 + inner / edges_e)
+
+
+@pytest.mark.parametrize("n", [400, 10**6, 10**9])
+@pytest.mark.parametrize(
+    "edges",
+    [[(0, 1)], [(0, 1), (1, 2)], [(0, 1), (1, 2), (3, 4)]],
+    ids=["edge", "path-2", "forest-3"],
+)
+def test_hitting_time_at_large_n_against_exact_arithmetic(n, edges):
+    # the instance and the solve cost O(s^2 + m) whatever n is; the labels
+    # are taken from the top of 0..n
+    edges = [(n - u, n - v) for u, v in edges]
+    exact = _exact_t_c(n, edges)
+    t_c = hitting_time(build_instance(n, edges)).t_c
+    assert abs(Fraction(t_c) - exact) <= Fraction(1, 10**15) * exact
 
 
 def test_mc_matches_exact_triangle():

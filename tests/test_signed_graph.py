@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgewalk import (
     build_arc_table,
@@ -30,6 +32,7 @@ from edgewalk.errors import (
     LoopEdge,
     TooSmall,
 )
+from edgewalk.spectral import quotient_lambda_max
 
 K5_EDGES = [(0, 1), (1, 2), (2, 3)]
 
@@ -125,8 +128,8 @@ def test_hot_paths_build_no_arc_table(monkeypatch):
 
 
 def test_instance_holds_no_per_arc_array():
-    # K_2001 has 4.0M arcs; the (n+1)^2 bool marked_matrix is 4.0 MB, while
-    # one float64 per arc would be 32 MB.
+    # K_2001 has 4.0M arcs: one float64 per arc would be 32 MB, and even the
+    # (n+1)^2 bool marked_matrix, built on first use, is 4.0 MB.
     tracemalloc.start()
     try:
         build_instance(2000, [(0, 1)])
@@ -134,6 +137,42 @@ def test_instance_holds_no_per_arc_array():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+def test_vertex_space_work_reads_only_the_marked_subgraph():
+    # hitting_time, the quotient of T and the signs need the s x s block
+    # alone; the (n+1)^2 marked_matrix would take 4.0 MB here
+    warm = build_instance(5, path_edges(2))
+    hitting_time(warm)
+    quotient_lambda_max(build_T(warm))
+    tracemalloc.start()
+    try:
+        g = build_instance(2000, path_edges(2))
+        hitting_time(g)
+        quotient_lambda_max(build_T(g))
+        assert g.tau((0, 1)) == g.sigma((1, 2)) == -1 and g.tau((0, 2)) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert not {"marked_matrix", "gamma_degrees", "canonical_order"} & set(vars(g))
+
+
+def test_derived_members_follow_the_block():
+    g = build_instance(5, [(5, 2), (2, 0)], orientation="reversed")
+    assert g.marked_block.tolist() == [
+        [False, True, False], [True, False, True], [False, True, False]
+    ]
+    assert g.negative_arcs.tolist() == [[1, 2], [0, 1]]
+    assert g.sigma_negative_arcs == ((1, 0), (2, 1))
+    padded = np.zeros((6, 6), dtype=bool)
+    padded[:3, :3] = g.marked_block
+    assert np.array_equal(g.marked_matrix, padded)
+    assert g.gamma_degrees.tolist() == [1, 2, 1, 0, 0, 0]
+    assert [g.to_canonical(w) for w in range(6)] == [2, 3, 1, 4, 5, 0]
+    for member in ("marked_block", "negative_arcs", "marked_matrix", "gamma_degrees"):
+        assert not getattr(g, member).flags.writeable, member
+        assert getattr(g, member).dtype == (bool if "marked" in member else np.int64)
 
 
 def test_sigma_product_detects_marked_edges():
@@ -313,3 +352,71 @@ def test_descriptor_parsing():
 )
 def test_spanning_complete_bipartite_detection(n, edges, expected):
     assert build_instance(n, edges).is_spanning_complete_bipartite() is expected
+
+
+def _bfs_spanning_complete_bipartite(n, edges):
+    """Oracle: 2-colour the marked subgraph by search from one of its
+    vertices; it is spanning complete bipartite when it covers all n+1
+    vertices, the search reaches them all with no edge inside a colour, and
+    every pair across the colours is an edge."""
+    neighbours = {}
+    for u, v in edges:
+        neighbours.setdefault(u, set()).add(v)
+        neighbours.setdefault(v, set()).add(u)
+    if len(neighbours) != n + 1:
+        return False
+    start = next(iter(neighbours))
+    colour, queue = {start: 0}, [start]
+    while queue:
+        u = queue.pop()
+        for v in neighbours[u]:
+            if v not in colour:
+                colour[v] = 1 - colour[u]
+                queue.append(v)
+            elif colour[v] == colour[u]:
+                return False
+    left = sum(1 for c in colour.values() if c == 0)
+    return len(colour) == n + 1 and len(edges) == left * (n + 1 - left)
+
+
+def _assert_decision_matches_search(n, edges):
+    expected = _bfs_spanning_complete_bipartite(n, edges)
+    for orientation in ("canonical", "reversed"):
+        g = build_instance(n, edges, orientation=orientation)
+        assert g.is_spanning_complete_bipartite() is expected, (n, edges, orientation)
+    return expected
+
+
+@st.composite
+def _labelled_graphs(draw):
+    """A graph on at most 8 vertices in K_{n+1}, n in {s - 1, s, s + 3},
+    on random labels, each edge given in a random direction."""
+    k = draw(st.integers(2, 8), label="k")
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True), label="edges")
+    touched = sorted({w for edge in edges for w in edge})
+    s = len(touched)
+    n = draw(st.sampled_from([h for h in (s - 1, s, s + 3) if h >= 2]), label="n")
+    labels = draw(st.permutations(range(n + 1)), label="labels")
+    relabel = {w: labels[i] for i, w in enumerate(touched)}
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return n, [
+        (relabel[v], relabel[u]) if flip else (relabel[u], relabel[v])
+        for (u, v), flip in zip(edges, flips)
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graph=_labelled_graphs())
+def test_spanning_complete_bipartite_matches_search(graph):
+    _assert_decision_matches_search(*graph)
+
+
+def test_every_small_complete_bipartite_graph_and_one_edge_less():
+    for a in range(1, 8):
+        for b in range(max(1, 3 - a), 9 - a):
+            edges = complete_bipartite_edges(a, b)
+            assert _assert_decision_matches_search(a + b - 1, edges)
+            for i in range(len(edges)):
+                fewer = edges[:i] + edges[i + 1 :]
+                assert not _assert_decision_matches_search(a + b - 1, fewer)
