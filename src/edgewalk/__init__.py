@@ -13,12 +13,14 @@ from . import errors
 from .bounds import BoundEntry, BoundLedger, SuiteReport, verify_all, verify_random_suite
 from .classical_search import HittingTimeResult, hitting_time, mc_hitting_time
 from .operators import (
+    LineQuotientMatrix,
     LineTransitionMatrix,
     VertexMatrix,
     apply_U,
     arc_matrix,
     arc_vector,
     build_P,
+    build_P_quotient,
     build_T,
     build_U_dense,
     walk_arc_matrix,
@@ -78,8 +80,10 @@ __all__ = [
     "edges_from_descriptor",
     "VertexMatrix",
     "LineTransitionMatrix",
+    "LineQuotientMatrix",
     "build_T",
     "build_P",
+    "build_P_quotient",
     "apply_U",
     "arc_matrix",
     "arc_vector",

@@ -9,9 +9,13 @@ recorded as *skipped* (not passed) when the hypothesis fails, so a report
 always distinguishes "verified" from "not applicable".
 
 T and Z are solved on their order-(s+1) equitable quotient
-(``spectral.quotient_eigh``), pq_spectra applies the ``VertexMatrix`` forms
-of Q and G, and Lanczos and CG only apply the line kernel, so at no size
-does the ledger make an order-(n+1) eigensolve or form a dense matrix.
+(``spectral.quotient_eigh``), and pq_spectra applies the ``VertexMatrix``
+forms of Q and G.  The line kernel's Lanczos and CG run on its edge-orbit
+quotient (``operators.build_P_quotient``), r = C(s,2) - m + s + 1 orbits
+for t >= 2, and norm_l1 reads N j from its closed form, so the ledger
+builds no edge-space array beyond the r orbits, makes no order-(n+1)
+eigensolve and forms no dense matrix; ``build_P`` and
+``LineTransitionMatrix`` are the tests' oracles.
 
 Throughout, n+1 is the host order, m the number of marked edges, s the
 order of the marked subgraph, Y = J - (n+1)I - 2A and
@@ -53,9 +57,10 @@ import numpy as np
 from .classical_search import solve_absorption
 from .errors import DegenerateSpectrum, EmptyComplement
 from .operators import (
+    LineQuotientMatrix,
     LineTransitionMatrix,
     VertexMatrix,
-    build_P,
+    build_P_quotient,
     build_T,
     vertex_matrix,
 )
@@ -225,7 +230,7 @@ def _gershgorin_violation(matrix: VertexMatrix, values: np.ndarray) -> float:
 
 
 def _pq_spectra_mismatch(
-    P: LineTransitionMatrix,
+    P: LineTransitionMatrix | LineQuotientMatrix,
     lambda_max_p: float,
     q_values: np.ndarray,
     q_vectors: np.ndarray,
@@ -237,7 +242,8 @@ def _pq_spectra_mismatch(
     certified as an eigenpair of the line kernel through its lift N^T w, N
     the vertex-edge incidence matrix of the complement.
     P = (N^T N - 2I)/(2(n-1)) and G = N N^T = 2(n-1)Q + 2I (checked in
-    integers by ``build_P``) give P N^T = N^T Q, so the lifted residual is
+    integers by ``build_P``, G's diagonal also by ``build_P_quotient``) give
+    P N^T = N^T Q, so the lifted residual is
     P N^T w - q N^T w = N^T r with r = Qw - qw, and its relative size
     ||N^T r|| / ||N^T w|| = sqrt(r^T G r / w^T G w) is evaluated in vertex
     space for all pairs at once, through the O(n + s^2) products of the
@@ -290,17 +296,19 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
     sign_counts = np.bincount(g.negative_arcs[1], minlength=order).astype(np.float64)
 
     try:
-        P = build_P(g)
+        P = build_P_quotient(g)
     except EmptyComplement:
         P = None
     else:
         # Without a complement these names stay unbound: the thunks of a
         # group without data are never called.
         lambda_max_p, f_p = line_principal_pair(P)
-        t_c = float(solve_absorption(P)[0].mean())
+        t_c = P.edge_mean(solve_absorption(P)[0])
         resolvent = 1.0 / (1.0 - lambda_max_p)
-        j_edges = np.full(P.num_edges, 1.0 / np.sqrt(P.num_edges))
-        h = P.complement.incidence() @ j_edges
+        # h = N j_E: (n - D_v)/sqrt(E) at v, on the marked subgraph's
+        # vertices and then at each of the t others
+        h = np.append(np.diag(P.gram.block), n) / np.sqrt(P.num_edges)
+        h_count = np.append(np.ones(s), g.t)
     try:
         diag = asymptotic_diagnostics(g, summarize_spectrum(t_values, t_vectors))
     except DegenerateSpectrum:
@@ -367,8 +375,8 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
          lambda: n * float(np.sum(sign_counts)), ALWAYS),
     )
     line_rows = (
-        ("norm_l1", "<=", lambda: float(np.sum(np.abs(h)) ** 2),
-         lambda: order * float(np.sum(h**2)), ALWAYS),
+        ("norm_l1", "<=", lambda: float(h_count @ np.abs(h)) ** 2,
+         lambda: order * float(h_count @ h**2), ALWAYS),
         ("pq_spectra", "<=",
          lambda: _pq_spectra_mismatch(
              P, lambda_max_p, z_values / (2.0 * (n - 1)) + 1.0, z_vectors),
@@ -377,7 +385,7 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
          lambda: 1.0 - (1.0 - delta_z) * 2.0 * m / ((n + 1.0) * (n - 1.0)), ALWAYS),
         ("cor_P.lower", ">=", lambda: lambda_max_p,
          lambda: 1.0 - 2.0 * m / ((n + 1.0) * (n - 1.0)), ALWAYS),
-        ("cor_P.overlap", ">=", lambda: float(f_p @ j_edges) ** 2,
+        ("cor_P.overlap", ">=", lambda: float(P.uniform @ f_p) ** 2,
          lambda: 1.0 - 4.0 * m / (n + 1.0) ** 2, ALWAYS),
         ("tc_near_resolvent", "<=", lambda: abs(t_c - resolvent), lambda: 4.0, TC),
         ("tc_bracket.lower", ">=",

@@ -385,6 +385,10 @@ def main(argv=None) -> int:
     except (EdgeWalkError, ValueError, OSError) as exc:
         _print_error("config", str(exc))
         return EXIT_CONFIG
+    except Exception as exc:
+        # any other failure is a defect, never "verification failed" (1)
+        _print_error("internal", f"{type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -6,7 +6,10 @@ its companion built from the incidence structure of the unmarked remainder.
 Both, like the ledger's Y, Z and G = N N^T, are ``VertexMatrix`` instances.
 Edge space: P is the isotropic transition kernel on the line graph of the
 unmarked remainder, with entry 1/(2(n-1)) between distinct edges sharing an
-endpoint, applied matrix-free at every size (a dense P is a test oracle).
+endpoint, applied matrix-free at every size: on the edges
+(``LineTransitionMatrix``, a test oracle, as is a dense P) or on the
+orbits of the permutations of the vertices outside the marked subgraph
+(``LineQuotientMatrix``, which the ledger solves on).
 Arc space: the unitary evolution U = S(2 d* d - I) runs on the square
 layout of the state, the (n+1) x (n+1) matrix X with X[u, v] the amplitude
 of the arc (u, v) and a zero diagonal; the lexicographic arc order is the
@@ -32,17 +35,26 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
 from .errors import DimensionMismatch, EmptyComplement, TooLarge
-from .signed_graph import ComplementGraph, SignedCompleteGraph, build_complement
+from .signed_graph import (
+    ComplementGraph,
+    SignedCompleteGraph,
+    build_complement,
+    pair_incidence,
+    unmarked_pairs,
+)
 
 __all__ = [
     "VertexMatrix",
     "LineTransitionMatrix",
+    "LineQuotientMatrix",
     "vertex_matrix",
     "build_T",
     "build_P",
+    "build_P_quotient",
     "build_Q",
     "apply_U",
     "arc_matrix",
@@ -121,8 +133,56 @@ def build_T(g: SignedCompleteGraph) -> VertexMatrix:
     return vertex_matrix(g, -1, 0, divisor=g.n)
 
 
+class _LineKernel:
+    """What the line-kernel solvers read from either form of P, for edge
+    vectors constant on each edge orbit O_k: ``orbit_matvec`` applies P to
+    the orbit values x_k, and ``matvec`` to the coordinates y_k =
+    sqrt(|O_k|) x_k in the orthonormal basis of normalized orbit
+    indicators, where P is symmetric.
+
+    A subclass gives ``n``, ``q_matrix``, ``gram``, ``num_edges`` (E), the
+    ``orbit_sizes``, the ``absorption`` (I - P)1 per orbit and both
+    products.
+    """
+
+    @property
+    def moves(self) -> float:
+        """2(n-1), the edges one step may move to.  P is an integer matrix
+        over it, and dividing by it rounds each entry once, where
+        multiplying by a rounded 1/(2(n-1)) would scale all of P by the same
+        relative error and t_c, through the condition of I - P, by about
+        t_c times as much."""
+        return 2.0 * (self.n - 1)
+
+    @property
+    def max_degree(self) -> int:
+        """Most unmarked edges at one vertex, the largest diagonal entry of
+        N N^T; P = 0 exactly when it is at most 1."""
+        gram = self.gram
+        return int(max(np.diag(gram.block).max(), gram.diagonal if gram.t else 0))
+
+    @cached_property
+    def uniform(self) -> np.ndarray:
+        """The unit uniform edge vector in orthonormal orbit coordinates:
+        sqrt(|O_k| / E); read-only."""
+        uniform = np.sqrt(self.orbit_sizes) / np.sqrt(self.num_edges)
+        uniform.setflags(write=False)
+        return uniform
+
+    def edge_mean(self, x: np.ndarray) -> float:
+        """Mean over the unmarked edges of the edge vector with orbit
+        values x: sum |O_k| x_k / E."""
+        return float(np.sum(self.orbit_sizes * x) / self.num_edges)
+
+    def as_linear_operator(self) -> LinearOperator:
+        size = self.orbit_sizes.size
+        return LinearOperator(
+            (size, size), matvec=self.matvec, matmat=self.matvec, dtype=np.float64
+        )
+
+
 @dataclass(frozen=True)
-class LineTransitionMatrix:
+class LineTransitionMatrix(_LineKernel):
     """Transition kernel on the unmarked edges, plus its vertex companion.
 
     The kernel acts on vectors indexed by the unmarked edges (the vertices
@@ -136,8 +196,10 @@ class LineTransitionMatrix:
 
     Application is matrix-free through per-vertex accumulators: for x over
     unmarked edges, (P x)_{uv} = (C_u + C_v - 2 x_{uv}) / (2(n-1)) where
-    C_w sums x over unmarked edges at w.  ``dense()`` materializes the
-    kernel, as a test oracle, only when ``fits_dense``.
+    C_w sums x over unmarked edges at w.  Every edge is its own orbit, so
+    the solvers read it as they read ``LineQuotientMatrix``, of which it
+    is the oracle.  ``dense()`` materializes the kernel, as a test oracle,
+    only when ``fits_dense``.
     """
 
     n: int
@@ -149,9 +211,15 @@ class LineTransitionMatrix:
     def num_edges(self) -> int:
         return self.complement.num_edges
 
+    @cached_property
+    def orbit_sizes(self) -> np.ndarray:
+        return np.ones(self.num_edges, dtype=np.int64)
+
     @property
-    def rate(self) -> float:
-        return 1.0 / (2.0 * (self.n - 1))
+    def absorption(self) -> np.ndarray:
+        eu, ev = self.complement.edges.T
+        deg = self.complement.degrees.astype(np.float64)
+        return (2.0 * self.n - deg[eu] - deg[ev]) / self.moves
 
     @property
     def fits_dense(self) -> bool:
@@ -166,15 +234,11 @@ class LineTransitionMatrix:
             )
         sums = self.complement.incidence() @ x
         eu, ev = self.complement.edges.T
-        return self.rate * (sums[eu] + sums[ev] - 2.0 * x)
+        return (sums[eu] + sums[ev] - 2.0 * x) / self.moves
 
-    def as_linear_operator(self) -> LinearOperator:
-        return LinearOperator(
-            (self.num_edges, self.num_edges),
-            matvec=self.matvec,
-            matmat=self.matvec,
-            dtype=np.float64,
-        )
+    def orbit_matvec(self, x: np.ndarray) -> np.ndarray:
+        """``matvec``: every orbit is a single edge."""
+        return self.matvec(x)
 
     def dense(self) -> np.ndarray:
         """Dense kernel; guarded because it is quadratic in the edge count."""
@@ -185,7 +249,7 @@ class LineTransitionMatrix:
             )
         inc = self.complement.incidence()
         gram = (inc.T @ inc).toarray()
-        return self.rate * (gram - 2.0 * np.eye(self.num_edges))
+        return (gram - 2.0 * np.eye(self.num_edges)) / self.moves
 
 
 def build_P(g: SignedCompleteGraph) -> LineTransitionMatrix:
@@ -218,6 +282,139 @@ def build_P(g: SignedCompleteGraph) -> LineTransitionMatrix:
     ):
         raise AssertionError("vertex companion disagrees with incidence identity")
     return LineTransitionMatrix(n=n, complement=delta, q_matrix=build_Q(g), gram=gram)
+
+
+@dataclass(frozen=True)
+class LineQuotientMatrix(_LineKernel):
+    """The line kernel P on the edge vectors that are constant on the orbits
+    of the permutations of the t = n+1-s vertices outside the marked
+    subgraph, in normalized orbit coordinates.
+
+    P commutes with those permutations, so its top eigenpair and
+    (I - P)^{-1} 1 lie in that space (an equitable partition: Godsil and
+    Royle, Algebraic Graph Theory, chapter 9), as do the Krylov spaces of
+    Lanczos and CG from the uniform start.  The orbits, in this order:
+    each unmarked pair {i, j} of the marked subgraph's vertices (``pairs``,
+    size 1); O_i = {i, rest} for each of its s vertices i (size t, when
+    t >= 1); and O_R, the pairs of two rest vertices (size C(t, 2), when
+    t >= 2).  E = sum |O_k|.
+
+    On the orbit values x, with the per-vertex sums C_i = sum of x over
+    the unmarked pairs at i plus t x_{O_i} and, at any rest vertex,
+    C_r = sum_i x_{O_i} + (t-1) x_R, P x is (C_i + C_j - 2x)/(2(n-1)) on
+    {i, j}, (C_i + C_r - 2x)/(2(n-1)) on O_i and (2 C_r - 2x)/(2(n-1)) on
+    O_R: ``orbit_matvec`` applies it in O(s + r) through the s x p
+    incidence of the pairs, with the integer coefficients of the edge
+    space, and ``matvec`` scales it to the orthonormal coordinates.  When
+    t <= 1 the orbits are single edges and this is P itself.
+    """
+
+    n: int
+    pairs: np.ndarray
+    q_matrix: VertexMatrix
+    gram: VertexMatrix
+    _incidence: sp.csr_matrix
+
+    @property
+    def t(self) -> int:
+        return self.gram.t
+
+    @property
+    def num_edges(self) -> int:
+        return self.pairs.shape[0] + self.gram.s * self.t + self.t * (self.t - 1) // 2
+
+    @cached_property
+    def orbit_sizes(self) -> np.ndarray:
+        t = self.t
+        sizes = [np.ones(self.pairs.shape[0], dtype=np.int64)]
+        if t:
+            sizes.append(np.full(self.gram.s, t))
+        if t >= 2:
+            sizes.append([t * (t - 1) // 2])
+        return np.concatenate(sizes)
+
+    @property
+    def absorption(self) -> np.ndarray:
+        # (I - P)1 is (2n - d_u - d_v)/(2(n-1)), d the unmarked degrees
+        # (the diagonal of N N^T): n - D_i at i and n at a rest vertex
+        degrees, rest = np.diag(self.gram.block), self.gram.diagonal
+        pu, pv = self.pairs.T
+        ends = [degrees[pu] + degrees[pv]]
+        if self.t:
+            ends.append(degrees + rest)
+        if self.t >= 2:
+            ends.append([2.0 * rest])
+        return (2.0 * self.n - np.concatenate(ends)) / self.moves
+
+    @cached_property
+    def _root_sizes(self) -> np.ndarray:
+        return np.sqrt(self.orbit_sizes)
+
+    def _orbit_vector(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[0] != self.orbit_sizes.size:
+            raise DimensionMismatch(
+                f"vector of length {x.shape[0]} against {self.orbit_sizes.size} orbits"
+            )
+        return x
+
+    def orbit_matvec(self, x: np.ndarray) -> np.ndarray:
+        x = self._orbit_vector(x)
+        p, s, t = self.pairs.shape[0], self.gram.s, self.t
+        pair = x[:p]
+        sums = self._incidence @ pair
+        out = np.empty_like(x)
+        if t:
+            side, rest = x[p : p + s], x[p + s :]
+            rest_sums = side.sum(axis=0) + (t - 1) * rest.sum(axis=0)
+            sums += t * side
+            out[p : p + s] = (sums + rest_sums - 2.0 * side) / self.moves
+            out[p + s :] = (2.0 * rest_sums - 2.0 * rest) / self.moves
+        # The s sums are divided, not the p pairs (all the edges when t <= 1):
+        # the rounded factor of the -2x term only shifts P by at most
+        # eps/(n-1) times I.
+        sums /= self.moves
+        pu, pv = self.pairs.T
+        np.add(sums[pu], sums[pv], out=out[:p])
+        out[:p] -= (2.0 / self.moves) * pair
+        return out
+
+    def matvec(self, y: np.ndarray) -> np.ndarray:
+        if self.t <= 1:  # every orbit is one edge: the coordinates agree
+            return self.orbit_matvec(y)
+        # transposed, so that the sizes run along the last axis of a block
+        root = self._root_sizes
+        return (root * self.orbit_matvec((self._orbit_vector(y).T / root).T).T).T
+
+
+def build_P_quotient(g: SignedCompleteGraph) -> LineQuotientMatrix:
+    """The line kernel on its edge orbits (``LineQuotientMatrix``), from the
+    marked subgraph in O(s^2 + r), with no edge-space array when t >= 2.
+
+    As ``build_P`` does for the edges, it checks in integers that the orbit
+    sizes sum to the E = n(n+1)/2 - m unmarked edges and that each vertex
+    class meets as many of them as the diagonal of N N^T says: n - D_i at
+    the marked subgraph's vertex i, n at a rest vertex.  Raises
+    EmptyComplement when every edge is marked.
+    """
+    n, s, t = g.n, g.s, g.t
+    edges = n * (n + 1) // 2 - g.num_marked
+    if edges == 0:
+        raise EmptyComplement("every edge of the host graph is marked")
+    gram = vertex_matrix(g, 0, n, degree=-1)
+    pairs = unmarked_pairs(g.marked_block)
+    P = LineQuotientMatrix(
+        n=n, pairs=pairs, q_matrix=build_Q(g), gram=gram,
+        _incidence=pair_incidence(pairs, s),
+    )
+    counts = np.bincount(pairs.ravel(), minlength=s) + t
+    if not (
+        int(P.orbit_sizes.sum()) == P.num_edges == edges
+        and np.array_equal(counts, np.diag(gram.block))
+        and (t == 0 or s + t - 1 == gram.diagonal)
+    ):
+        raise AssertionError("edge orbits disagree with the incidence identity")
+    return P
 
 
 def build_Q(g: SignedCompleteGraph) -> VertexMatrix:

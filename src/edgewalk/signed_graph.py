@@ -276,8 +276,22 @@ class SignedCompleteGraph:
         return int(self.s + label - sum(w < label for w in self.gamma_vertices))
 
     def to_external(self, index: int) -> int:
-        """External label at a canonical position."""
-        return self.canonical_order[index]
+        """External label at a canonical position, in O(log s): the k-th
+        label outside the marked subgraph is k + #{i : g_i - i <= k}, with
+        g_0 < g_1 < ... its sorted labels."""
+        index = _index(index)
+        if not 0 <= index <= self.n:
+            raise InvalidVertex(f"position {index} outside 0..{self.n}")
+        if index < self.s:
+            return self.gamma_vertices[index]
+        k = index - self.s
+        return k + int(np.searchsorted(self._label_gaps, k, side="right"))
+
+    @cached_property
+    def _label_gaps(self) -> np.ndarray:
+        # g_i - i, nondecreasing: how many labels outside the marked
+        # subgraph precede g_i
+        return _readonly(np.sort(self.gamma_vertices) - np.arange(self.s))
 
     def sigma(self, arc: Sequence[int]) -> int:
         """Sign of an arc given in external labels: -1 exactly on
@@ -356,32 +370,43 @@ class ComplementGraph:
         return self.edges.shape[0]
 
     def incidence(self) -> sp.csr_matrix:
-        """Vertex-by-edge incidence matrix N (entry 1 iff the vertex lies on
-        the edge), float64 CSR with sorted indices.
-
-        It is the transpose of N^T, whose CSR rows are the edges themselves
-        (two ascending entries each), so the conversion is one counting
-        sort and no comparison sort or duplicate merge is needed.
-        """
+        """Vertex-by-edge incidence matrix N (``pair_incidence``)."""
         return self._incidence
+
+
+def unmarked_pairs(marked: np.ndarray) -> np.ndarray:
+    """The pairs (i, j), i < j, at the zeros of a square adjacency
+    indicator, in lexicographic order, as a read-only (pairs, 2) array."""
+    return _readonly(np.stack(np.nonzero(np.triu(~marked, k=1)), axis=1))
+
+
+def pair_incidence(pairs: np.ndarray, order: int) -> sp.csr_matrix:
+    """Vertex-by-pair incidence matrix of ``unmarked_pairs`` on ``order``
+    vertices (entry 1 iff the vertex lies on the pair), float64 CSR with
+    sorted indices.
+
+    It is the transpose of its own transpose, whose CSR rows are the pairs
+    themselves (two ascending entries each, and the row-major ``pairs`` is
+    its column-index array as it stands), so the conversion is one counting
+    sort and no comparison sort or duplicate merge is needed.
+    """
+    num = pairs.shape[0]
+    incidence_t = sp.csr_matrix(
+        (np.ones(2 * num), pairs.ravel(), np.arange(0, 2 * num + 1, 2)),
+        shape=(num, order),
+    )
+    return incidence_t.T.tocsr()
 
 
 def build_complement(g: SignedCompleteGraph) -> ComplementGraph:
     """Edges of K_{n+1} that are not marked, their degrees and incidence."""
     n = g.n
-    edges = np.stack(np.nonzero(np.triu(~g.marked_matrix, k=1)), axis=1)
-    num = edges.shape[0]
-    # N^T in CSR: row e holds the endpoints i < j of edge e, already sorted,
-    # and the row-major ``edges`` is its column-index array as it stands.
-    incidence_t = sp.csr_matrix(
-        (np.ones(2 * num), edges.ravel(), np.arange(0, 2 * num + 1, 2)),
-        shape=(num, n + 1),
-    )
+    edges = unmarked_pairs(g.marked_matrix)
     return ComplementGraph(
         n=n,
-        edges=_readonly(edges),
+        edges=edges,
         degrees=n - g.gamma_degrees,
-        _incidence=incidence_t.T.tocsr(),
+        _incidence=pair_incidence(edges, n + 1),
     )
 
 

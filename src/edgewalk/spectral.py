@@ -27,6 +27,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import DegenerateSpectrum, NoConvergence, NotSymmetric
 from .operators import (
+    LineQuotientMatrix,
     LineTransitionMatrix,
     VertexMatrix,
     build_T,
@@ -312,34 +313,38 @@ def spectral_mapping_check(
     )
 
 
-def line_principal_pair(P: LineTransitionMatrix) -> tuple[float, np.ndarray]:
-    """Top eigenpair of the line-graph kernel.
+def line_principal_pair(
+    P: LineTransitionMatrix | LineQuotientMatrix,
+) -> tuple[float, np.ndarray]:
+    """Top eigenpair of the line-graph kernel, the eigenvector in P's orbit
+    coordinates (unit norm, as in edge space; edge coordinates for
+    ``LineTransitionMatrix``).
 
     Lanczos on the matrix-free operator, from the uniform start vector, in
     a three-vector workspace.  The uniform vector is constant on the edge
     orbits of the permutations of the vertices outside the marked subgraph,
-    and P maps that class-constant space (at most C(s, 2) - m + s + 1
-    dimensions) into itself, so the Krylov space closes after a few steps
-    and holds the top eigenvector.  The eigenvector is sign-fixed against
-    the uniform direction.  When no two unmarked edges share an endpoint,
-    P = 0 and the pair is (0, uniform): Lanczos would have no start.
+    and P maps that orbit-constant space (at most C(s, 2) - m + s + 1
+    dimensions, all of ``LineQuotientMatrix``) into itself, so the Krylov
+    space closes after a few steps and holds the top eigenvector.  The
+    eigenvector is sign-fixed against the uniform direction.  When no two
+    unmarked edges share an endpoint, P = 0 and the pair is (0, uniform):
+    Lanczos would have no start.
     """
-    edges = P.num_edges
-    start = np.full(edges, 1.0 / np.sqrt(edges))
-    if P.complement.degrees.max() <= 1:
+    start = P.uniform
+    if P.max_degree <= 1:
         return 0.0, start
     try:
         # ncv = 3: with ARPACK's default of 20 the factorization breaks down
         # once the Krylov space closes, and ARPACK pads it with random
         # vectors that it orthogonalizes and restarts over, about 22
-        # products where 4 or 5 converge.  Two edges allow only ncv = 2.
+        # products where 4 or 5 converge.  Two orbits allow only ncv = 2.
         values, vectors = spla.eigsh(
             P.as_linear_operator(), k=1, which="LA", v0=start, tol=0.0,
-            ncv=min(3, edges),
+            ncv=min(3, start.size),
         )
     except spla.ArpackError as exc:
         raise NoConvergence(str(exc)) from exc
     vec = vectors[:, 0]
-    if vec.sum() < 0:
+    if start @ vec < 0:
         vec = -vec
     return float(values[0]), vec / np.linalg.norm(vec)

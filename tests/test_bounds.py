@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from edgewalk import (
+    bounds,
     build_instance,
     build_P,
     build_T,
@@ -18,12 +19,14 @@ from edgewalk import (
     verify_all,
     verify_random_suite,
 )
+from edgewalk import operators, signed_graph
 from edgewalk.bounds import (
     _entry,
     _gershgorin_violation,
     _pq_spectra_mismatch,
     random_instance,
 )
+from edgewalk.classical_search import solve_absorption
 from edgewalk.operators import VertexMatrix, vertex_matrix
 from edgewalk.spectral import eigh
 from pq_oracle import companion_eigendata, dense_pq_mismatch
@@ -294,6 +297,31 @@ def test_sweep_verdicts_unchanged():
         ledger = verify_all(g)
         assert [(e.name, e.relation, e.hypothesis_description) for e in ledger] == rows
         assert "".join(code[e.passed] for e in ledger) == instance["verdicts"]
+
+
+def test_verify_all_takes_no_edge_space_step(monkeypatch):
+    # the line rows read the orbit quotient: with every edge-space builder
+    # and product refused, the ledger keeps its verdicts (all 34 pass here)
+    # and agrees with the edge-space solvers it no longer calls
+    g = build_instance(300, path_edges(2))
+    P = build_P(g)
+    lam, f = line_principal_pair(P)
+    resolvent_gap = abs(solve_absorption(P)[0].mean() - 1.0 / (1.0 - lam))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("edge-space work in verify_all")
+
+    monkeypatch.setattr(signed_graph, "build_complement", refuse)
+    monkeypatch.setattr(operators, "build_complement", refuse)
+    monkeypatch.setattr(operators, "build_P", refuse)
+    monkeypatch.setattr(bounds, "build_P", refuse, raising=False)
+    monkeypatch.setattr(operators.LineTransitionMatrix, "matvec", refuse)
+    ledger = verify_all(g)
+    assert [e.passed for e in ledger] == [True] * 34
+    assert abs(ledger.entry("cor_P.lower").lhs - lam) <= 1e-13
+    assert abs(ledger.entry("cor_P.overlap").lhs - (P.uniform @ f) ** 2) <= 1e-12
+    # 1/(1 - lambda) magnifies lambda's rounding by about 5e8 here
+    assert abs(ledger.entry("tc_near_resolvent").lhs - resolvent_gap) <= 1e-4
 
 
 def test_verify_all_solves_two_vertex_matrices(monkeypatch):

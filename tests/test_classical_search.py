@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from edgewalk import (
     build_instance,
     build_P,
+    build_P_quotient,
     complete_bipartite_edges,
     cycle_edges,
     hitting_time,
@@ -131,6 +132,40 @@ def test_vertex_path_matches_edge_space_solvers(data):
             hitting_time(g)
         return
     _assert_matches_edge_space(g)
+
+
+# The vertex-path families plus the two with one vertex outside the marked
+# subgraph (t = 1), where the orbit quotient is the whole edge space.
+QUOTIENT_FAMILIES = {
+    **VERTEX_PATH_FAMILIES,
+    "path_missing_one": lambda draw, n: path_edges(n - 1),
+    "star_missing_one": lambda draw, n: star_edges(n - 1),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_orbit_quotient_matches_edge_space_and_vertex_path(data):
+    n = data.draw(st.integers(2, 400), label="n")
+    family = data.draw(st.sampled_from(sorted(QUOTIENT_FAMILIES)), label="family")
+    edges = QUOTIENT_FAMILIES[family](data.draw, n)
+    labels = data.draw(st.permutations(range(n + 1)), label="labels")
+    g = build_instance(n, [(labels[u], labels[v]) for u, v in edges])
+    if g.num_marked == n * (n + 1) // 2:  # K_3 as a 3-cycle
+        with pytest.raises(EmptyComplement):
+            build_P_quotient(g)
+        return
+    P, Q = build_P(g), build_P_quotient(g)
+    lam, f = line_principal_pair(P)
+    lam_q, f_q = line_principal_pair(Q)
+    assert abs(lam_q - lam) <= 1e-13
+    assert abs((Q.uniform @ f_q) ** 2 - (P.uniform @ f) ** 2) <= 1e-12
+    x_q, residual = solve_absorption(Q)
+    assert residual <= 1e-10
+    t_c = Q.edge_mean(x_q)
+    expected = solve_absorption(P)[0].mean()
+    assert abs(t_c - expected) <= 1e-11 * expected
+    assert abs(t_c - hitting_time(g).t_c) <= 1e-11 * t_c
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,11 @@
 """CLI contract: file formats, config echo, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +118,8 @@ def test_bad_descriptor_exit_code(tmp_path):
         MemoryError(),
         NoConvergence("eigensolver did not converge"),
         SolverFailure("residual above tolerance"),
+        IndexError("index 7 is out of bounds"),
+        TypeError("unsupported operand"),
     ],
 )
 def test_internal_errors_exit_code(tmp_path, capsys, monkeypatch, exc):
@@ -131,6 +137,27 @@ def test_internal_errors_exit_code(tmp_path, capsys, monkeypatch, exc):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "internal"
     assert type(exc).__name__ in err["message"]
+
+
+def test_module_entry_point_exits_4_on_a_defect(tmp_path):
+    # a fresh ``python -m edgewalk`` whose ledger raises IndexError, planted
+    # by a sitecustomize module that the interpreter imports at start-up
+    (tmp_path / "sitecustomize.py").write_text(
+        "import edgewalk.cli\n"
+        "def fail(*args, **kwargs):\n"
+        "    raise IndexError('planted')\n"
+        "edgewalk.cli.verify_all = fail\n"
+    )
+    source = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), str(source)])}
+    done = subprocess.run(
+        [sys.executable, "-m", "edgewalk", "verify", "--n", "5",
+         "--subgraph", '{"kind": "path", "k": 1}', "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == cli.EXIT_INTERNAL == 4
+    err = json.loads(done.stderr.strip().splitlines()[-1])
+    assert err == {"error": "internal", "message": "IndexError: planted"}
 
 
 PATH1 = '{"kind": "path", "k": 1}'

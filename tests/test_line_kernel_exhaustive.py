@@ -1,6 +1,7 @@
 """The matrix-free line-kernel path against its dense oracles on every
-instance of K_3, K_4 and K_5, and its two degenerate kernels: P = 0 and a
-single unmarked edge."""
+instance of K_3, K_4 and K_5, the orbit quotient against that edge-space
+path, and their two degenerate kernels: P = 0 and a single unmarked
+edge."""
 
 import itertools
 
@@ -8,7 +9,14 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from edgewalk import build_instance, build_P, cycle_edges, eigh, line_principal_pair
+from edgewalk import (
+    build_instance,
+    build_P,
+    build_P_quotient,
+    cycle_edges,
+    eigh,
+    line_principal_pair,
+)
 from edgewalk import spectral
 from edgewalk.bounds import _pq_spectra_mismatch
 from edgewalk.classical_search import solve_absorption
@@ -47,6 +55,15 @@ def test_every_small_instance_matches_the_dense_oracles(n, count):
         q_values, q_vectors = companion_eigendata(g)
         assert _pq_spectra_mismatch(P, lam, q_values, q_vectors) <= 64 * EPS
         assert dense_pq_mismatch(P, q_values) <= 64 * EPS
+        # the same solvers on the orbit quotient
+        Q = build_P_quotient(g)
+        lam_q, f_q = line_principal_pair(Q)
+        assert abs(lam_q - lam) <= 16 * EPS
+        assert abs((Q.uniform @ f_q) ** 2 - (P.uniform @ f) ** 2) <= 16 * EPS
+        x_q, residual_q = solve_absorption(Q)
+        assert residual_q <= 1e-10
+        assert abs(Q.edge_mean(x_q) - x.mean()) <= 16 * EPS * x.mean()
+        assert _pq_spectra_mismatch(Q, lam_q, q_values, q_vectors) <= 64 * EPS
         seen += 1
     assert seen == count
 
@@ -60,6 +77,24 @@ def test_kernel_without_shared_endpoints_is_zero():
     assert lam == 0.0 and np.array_equal(f, np.full(2, 1 / np.sqrt(2)))
     x, residual = solve_absorption(P)
     assert np.array_equal(x, np.ones(2)) and residual == 0.0
+
+
+def test_quotient_without_shared_endpoints_is_zero():
+    # the same kernel on its orbits: t = 0, so the two edges are two orbits
+    Q = build_P_quotient(build_instance(3, cycle_edges(4)))
+    assert Q.num_edges == 2 and not Q.matvec(np.eye(2)).any()
+    lam, f = line_principal_pair(Q)
+    assert lam == 0.0 and np.array_equal(f, np.full(2, 1 / np.sqrt(2)))
+    x, residual = solve_absorption(Q)
+    assert np.array_equal(x, np.ones(2)) and residual == 0.0
+
+
+def test_quotient_single_unmarked_edge():
+    Q = build_P_quotient(build_instance(2, [(0, 1), (1, 2)]))
+    assert Q.num_edges == 1
+    assert line_principal_pair(Q) == (0.0, np.ones(1))
+    x, residual = solve_absorption(Q)
+    assert np.array_equal(x, np.ones(1)) and residual == 0.0
 
 
 def test_single_unmarked_edge():

@@ -2,6 +2,7 @@
 walk operator against the entrywise formula, matrix-free against dense."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +14,15 @@ from edgewalk import (
     build_complement,
     build_instance,
     build_P,
+    build_P_quotient,
     build_T,
     build_U_dense,
+    complete_bipartite_edges,
     cycle_edges,
     matching_edges,
     operators,
     path_edges,
+    signed_graph,
     star_edges,
 )
 from edgewalk.errors import DimensionMismatch, EmptyComplement, TooLarge
@@ -337,3 +341,96 @@ def test_P_empty_complement():
     full = [(u, v) for u in range(3) for v in range(u + 1, 3)]
     with pytest.raises(EmptyComplement):
         build_P(build_instance(2, full))
+
+
+def _orbit_basis(g, edges):
+    """The normalized orbit indicators of the unmarked edges, as columns in
+    the order of ``LineQuotientMatrix``: the unmarked pairs inside the
+    marked subgraph, then {i, rest} for each of its vertices i, then the
+    rest-rest pairs."""
+    s = g.s
+    pairs = [tuple(e) for e in edges.tolist() if e[1] < s]
+    orbit = [
+        pairs.index((u, v)) if v < s else len(pairs) + u if u < s else len(pairs) + s
+        for u, v in edges.tolist()
+    ]
+    basis = np.zeros((len(orbit), max(orbit) + 1))
+    basis[np.arange(len(orbit)), orbit] = 1.0
+    return basis / np.sqrt(basis.sum(axis=0))
+
+
+@pytest.mark.parametrize(
+    "n,edges",
+    [
+        (2, [(0, 1)]),  # t = 1
+        (3, cycle_edges(4)),  # t = 0 and P = 0
+        (4, path_edges(3)),  # t = 1
+        (5, path_edges(3)),  # t = 2: O_R is one edge
+        (6, star_edges(3)),
+        (7, path_edges(7)),  # t = 0
+        (9, [(0, 1), (4, 5), (5, 6)]),
+        (12, complete_bipartite_edges(2, 3)),
+        (5, [(u, v) for u in range(4) for v in range(u + 1, 4)]),  # no pair left
+    ],
+)
+def test_quotient_is_the_kernel_on_orbit_indicators(n, edges):
+    # W^T P W from the dense kernel and the edge list; P W = W (W^T P W)
+    # says that P maps the orbit-constant vectors into themselves
+    g = build_instance(n, edges)
+    P, Q = build_P(g), build_P_quotient(g)
+    basis = _orbit_basis(g, P.complement.edges)
+    dense = P.dense()
+    projected = basis.T @ dense @ basis
+    size = Q.orbit_sizes.size
+    assert basis.shape == (P.num_edges, size) and Q.num_edges == P.num_edges
+    assert np.array_equal(np.count_nonzero(basis, axis=0), Q.orbit_sizes)
+    assert np.abs(Q.matvec(np.eye(size)) - projected).max() <= 1e-15
+    assert np.abs(dense @ basis - basis @ projected).max() <= 1e-15
+    assert np.abs(basis.T @ P.absorption - np.sqrt(Q.orbit_sizes) * Q.absorption).max() <= 1e-15
+    assert np.abs(basis.T @ P.uniform - Q.uniform).max() <= 1e-15
+    assert Q.max_degree == P.complement.degrees.max()
+    # orbit values: the edge vector is the plain indicators times x
+    x = np.random.default_rng(n).normal(size=size)
+    edge_vector = (basis > 0) @ x
+    assert np.abs((basis > 0) @ Q.orbit_matvec(x) - dense @ edge_vector).max() <= 1e-15
+    assert Q.edge_mean(x) == pytest.approx(edge_vector.mean(), abs=1e-15)
+
+
+def test_quotient_check_sees_a_dropped_pair(monkeypatch):
+    g = build_instance(7, cycle_edges(4))
+
+    def short_pairs(marked):
+        return signed_graph.unmarked_pairs(marked)[1:]
+
+    monkeypatch.setattr(operators, "unmarked_pairs", short_pairs)
+    with pytest.raises(
+        AssertionError, match="edge orbits disagree with the incidence identity"
+    ):
+        build_P_quotient(g)
+
+
+def test_quotient_rejects_a_vector_of_another_length():
+    Q = build_P_quotient(build_instance(9, path_edges(2)))
+    assert Q.orbit_sizes.tolist() == [1, 7, 7, 7, 21]
+    with pytest.raises(DimensionMismatch):
+        Q.matvec(np.zeros(6))
+
+
+def test_quotient_empty_complement():
+    full = [(u, v) for u in range(3) for v in range(u + 1, 3)]
+    with pytest.raises(EmptyComplement):
+        build_P_quotient(build_instance(2, full))
+
+
+def test_quotient_builds_nothing_of_host_size():
+    # O(s^2 + r): at n = 10^6, five orbits and a few kilobytes
+    g = build_instance(10**6, path_edges(2))
+    tracemalloc.start()
+    try:
+        Q = build_P_quotient(g)
+        Q.matvec(Q.uniform)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Q.orbit_sizes.size == 5 and Q.num_edges == 10**6 * (10**6 + 1) // 2 - 2
+    assert peak <= 2**16

@@ -278,6 +278,29 @@ def test_canonical_order_arbitrary_labels():
     assert g.tau((2, 5)) == -1
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_to_external_matches_canonical_order(data):
+    n = data.draw(st.integers(2, 60), label="n")
+    gamma = data.draw(
+        st.lists(st.integers(0, n), min_size=2, max_size=min(n + 1, 8), unique=True),
+        label="gamma",
+    )
+    g = build_instance(n, list(zip(gamma, gamma[1:])))
+    external = [g.to_external(i) for i in range(n + 1)]
+    assert "canonical_order" not in vars(g)  # O(log s) each, no (n+1)-tuple
+    assert external == list(g.canonical_order)
+    assert all(g.to_canonical(g.to_external(i)) == i for i in range(n + 1))
+
+
+@pytest.mark.parametrize("position", [-1, -7, 6, 10**9])
+def test_to_external_rejects_a_position_outside_the_host(position):
+    # a negative index used to wrap around to the last labels
+    g = build_instance(5, [(5, 2), (2, 0)])
+    with pytest.raises(InvalidVertex):
+        g.to_external(position)
+
+
 def test_generators():
     assert path_edges(3) == [(0, 1), (1, 2), (2, 3)]
     assert matching_edges(2) == [(0, 1), (2, 3)]
