@@ -10,12 +10,14 @@ always distinguishes "verified" from "not applicable".
 
 T and Z are solved on their order-(s+1) equitable quotient
 (``spectral.quotient_eigh``), and pq_spectra applies the ``VertexMatrix``
-forms of Q and G.  The line kernel's Lanczos and CG run on its edge-orbit
+forms of Q and G.  The line kernel's Lanczos runs on its edge-orbit
 quotient (``operators.build_P_quotient``), r = C(s,2) - m + s + 1 orbits
-for t >= 2, and norm_l1 reads N j from its closed form, so the ledger
-builds no edge-space array beyond the r orbits, makes no order-(n+1)
-eigensolve and forms no dense matrix; ``build_P`` and
-``LineTransitionMatrix`` are the tests' oracles.
+for t >= 2, t_c is ``classical_search.hitting_time``'s order-s solve, the
+one that ``classical`` and ``speedup`` report, and norm_l1 reads N j from
+its closed form, so the ledger builds no edge-space array beyond the r
+orbits, makes no order-(n+1) eigensolve and forms no dense matrix;
+``build_P``, ``LineTransitionMatrix`` and ``solve_absorption`` are the
+tests' oracles.
 
 Throughout, n+1 is the host order, m the number of marked edges, s the
 order of the marked subgraph, Y = J - (n+1)I - 2A and
@@ -54,7 +56,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .classical_search import solve_absorption
+from .classical_search import hitting_time
 from .errors import DegenerateSpectrum, EmptyComplement
 from .operators import (
     LineQuotientMatrix,
@@ -303,7 +305,7 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
         # Without a complement these names stay unbound: the thunks of a
         # group without data are never called.
         lambda_max_p, f_p = line_principal_pair(P)
-        t_c = P.edge_mean(solve_absorption(P)[0])
+        t_c = hitting_time(g).t_c
         resolvent = 1.0 / (1.0 - lambda_max_p)
         # h = N j_E: (n - D_v)/sqrt(E) at v, on the marked subgraph's
         # vertices and then at each of the t others

@@ -14,12 +14,11 @@ I - P = (2nI - N^T N)/(2(n-1)), and the push-through identity gives
     t_c = (n-1)/n * [1 + h^T (M - 1 1^T)^{-1} h],   h = N j,
 
 with M = (n+1)I + A + D, A and D the marked adjacency and its degrees.
-``hitting_time`` evaluates that in vertex space, from one s x s solve.  The
-absorption solve (I - P) x = 1, whose mean over the edges is t_c, runs
-matrix-free by conjugate gradients (``solve_absorption``) on either form of
-P: the ledger solves it on P's edge-orbit quotient, where x holds one
-value per orbit and t_c = sum |O_k| x_k / E, and the tests solve it on the
-edges as the oracle of both.
+``hitting_time`` evaluates that in vertex space, from one s x s solve; it
+is the one t_c that ``classical``, ``speedup`` and the ledger report.  The
+edge-space absorption solve (I - P) x = 1, whose mean is t_c, runs
+matrix-free by conjugate gradients (``solve_absorption``), and the tests use
+it as the oracle of the vertex path.
 A seeded Monte-Carlo walker provides an independent estimate of the same
 quantity.  Trial i draws from the stream of
 ``Generator(Philox(key=[seed, i]))``; the walker evaluates Philox4x64-10
@@ -46,7 +45,7 @@ from .errors import (
     TooLarge,
     ZeroTrials,
 )
-from .operators import LineQuotientMatrix, LineTransitionMatrix, build_Q
+from .operators import LineTransitionMatrix, build_Q
 from .signed_graph import SignedCompleteGraph
 from .spectral import quotient_lambda_max
 
@@ -98,63 +97,57 @@ class HittingTimeResult:
     solver_residual: float
 
 
-def solve_absorption(
-    P: LineTransitionMatrix | LineQuotientMatrix,
-) -> tuple[np.ndarray, float]:
-    """Solve (I - P) x = 1 and return (x, relative residual), x the orbit
-    values of the solution (the edge vector for ``LineTransitionMatrix``);
-    its mean over the edges, ``P.edge_mean(x)``, is t_c.
+def solve_absorption(P: LineTransitionMatrix) -> tuple[np.ndarray, float]:
+    """Solve (I - P) x = 1 on the edges and return (x, relative residual);
+    the mean of x is t_c.
 
-    Conjugate gradients at every size, in P's orthonormal orbit
-    coordinates: the kernel has a single eigenvalue near 1 and the rest
-    below ~1/2, which CG deflates in a handful of iterations.  Residuals and
-    refinement are taken on the orbit values, where P has the integer
-    coefficients of the edge space.
+    Conjugate gradients at every size: the kernel has a single eigenvalue
+    near 1 and the rest below ~1/2, which CG deflates in a handful of
+    iterations.  This edge-space solve is the tests' oracle for
+    ``hitting_time``.
     """
     edges = P.num_edges
-    sizes = P.orbit_sizes
-    root_sizes = np.sqrt(sizes)
-    ones = np.ones(sizes.size)
+    ones = np.ones(edges)
     # scipy checks the residual at the top of an iteration only, so an
     # exact step (one edge, or P = 0) needs one more iteration to report it.
     maxiter = min(edges, 20000) + 1
 
     # Residuals are evaluated with the mean of x split off: the constant
-    # part of (I - P)x follows exactly from integer degree sums, and the
+    # part of (I - P)x, (2n - d_u - d_v)/(2(n-1)) at the edge uv with d the
+    # unmarked degrees, follows exactly from integer degree sums, and the
     # remainder has O(1) spread, so the summation error no longer scales
     # with the (large) magnitude of the absorption times.
-    ones_response = P.absorption
+    eu, ev = P.complement.edges.T
+    deg = P.complement.degrees.astype(np.float64)
+    ones_response = (2.0 * P.n - deg[eu] - deg[ev]) / P.moves
 
     def shortfall_of(x: np.ndarray) -> np.ndarray:
-        center = np.sum(sizes * x) / edges
+        center = x.mean()
         spread = x - center
-        return ones - center * ones_response - (spread - P.orbit_matvec(spread))
+        return ones - center * ones_response - (spread - P.matvec(spread))
 
     def true_residual(x: np.ndarray) -> float:
-        return float(np.linalg.norm(root_sizes * shortfall_of(x)) / np.sqrt(edges))
+        return float(np.linalg.norm(shortfall_of(x)) / np.sqrt(edges))
 
     op = LinearOperator(
-        (sizes.size, sizes.size),
+        (edges, edges),
         matvec=lambda v: v - P.matvec(v),
         dtype=np.float64,
     )
-    y, info = cg(op, root_sizes, rtol=1e-13, atol=0.0, maxiter=maxiter)
+    x, info = cg(op, ones, rtol=1e-13, atol=0.0, maxiter=maxiter)
     if info != 0:
         raise SolverFailure(f"conjugate gradients stopped with info={info}")
     # The recursive CG residual drifts from the true one on this
     # ill-conditioned system; iterative refinement restores it.  Keep the
     # best iterate, since updates near the attainable floor can oscillate.
-    best = y / root_sizes
-    best_residual = true_residual(best)
+    best, best_residual = x, true_residual(x)
     for _ in range(5):
         if best_residual <= 0.5 * RESIDUAL_TOL:
             break
-        delta, info = cg(
-            op, root_sizes * shortfall_of(best), rtol=1e-8, atol=0.0, maxiter=maxiter
-        )
+        delta, info = cg(op, shortfall_of(best), rtol=1e-8, atol=0.0, maxiter=maxiter)
         if info != 0:
             break
-        candidate = best + delta / root_sizes
+        candidate = best + delta
         candidate_residual = true_residual(candidate)
         if candidate_residual >= best_residual:
             break

@@ -80,7 +80,11 @@ def _print_error(kind: str, message: str) -> None:
 
 def _load_descriptor(text: str) -> dict:
     candidate = Path(text)
-    if candidate.is_file():
+    try:
+        is_file = candidate.is_file()
+    except OSError:  # inline JSON longer than a file name may be
+        is_file = False
+    if is_file:
         text = candidate.read_text()
     try:
         descriptor = json.loads(text)

@@ -9,7 +9,8 @@ unmarked remainder, with entry 1/(2(n-1)) between distinct edges sharing an
 endpoint, applied matrix-free at every size: on the edges
 (``LineTransitionMatrix``, a test oracle, as is a dense P) or on the
 orbits of the permutations of the vertices outside the marked subgraph
-(``LineQuotientMatrix``, which the ledger solves on).
+(``LineQuotientMatrix``, on which the ledger finds lambda_max(P) and its
+eigenvector).
 Arc space: the unitary evolution U = S(2 d* d - I) runs on the square
 layout of the state, the (n+1) x (n+1) matrix X with X[u, v] the amplitude
 of the arc (u, v) and a zero diagonal; the lexicographic arc order is the
@@ -36,7 +37,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator
 
 from .errors import DimensionMismatch, EmptyComplement, TooLarge
 from .signed_graph import (
@@ -134,15 +134,13 @@ def build_T(g: SignedCompleteGraph) -> VertexMatrix:
 
 
 class _LineKernel:
-    """What the line-kernel solvers read from either form of P, for edge
-    vectors constant on each edge orbit O_k: ``orbit_matvec`` applies P to
-    the orbit values x_k, and ``matvec`` to the coordinates y_k =
-    sqrt(|O_k|) x_k in the orthonormal basis of normalized orbit
-    indicators, where P is symmetric.
+    """What ``line_principal_pair`` reads from either form of P: ``matvec``
+    applies P to the coordinates y_k = sqrt(|O_k|) x_k of an edge vector
+    constant on each edge orbit O_k, in the orthonormal basis of normalized
+    orbit indicators, where P is symmetric.
 
     A subclass gives ``n``, ``q_matrix``, ``gram``, ``num_edges`` (E), the
-    ``orbit_sizes``, the ``absorption`` (I - P)1 per orbit and both
-    products.
+    ``orbit_sizes`` and ``matvec``.
     """
 
     @property
@@ -169,17 +167,6 @@ class _LineKernel:
         uniform.setflags(write=False)
         return uniform
 
-    def edge_mean(self, x: np.ndarray) -> float:
-        """Mean over the unmarked edges of the edge vector with orbit
-        values x: sum |O_k| x_k / E."""
-        return float(np.sum(self.orbit_sizes * x) / self.num_edges)
-
-    def as_linear_operator(self) -> LinearOperator:
-        size = self.orbit_sizes.size
-        return LinearOperator(
-            (size, size), matvec=self.matvec, matmat=self.matvec, dtype=np.float64
-        )
-
 
 @dataclass(frozen=True)
 class LineTransitionMatrix(_LineKernel):
@@ -197,9 +184,10 @@ class LineTransitionMatrix(_LineKernel):
     Application is matrix-free through per-vertex accumulators: for x over
     unmarked edges, (P x)_{uv} = (C_u + C_v - 2 x_{uv}) / (2(n-1)) where
     C_w sums x over unmarked edges at w.  Every edge is its own orbit, so
-    the solvers read it as they read ``LineQuotientMatrix``, of which it
-    is the oracle.  ``dense()`` materializes the kernel, as a test oracle,
-    only when ``fits_dense``.
+    ``line_principal_pair`` reads it as it reads ``LineQuotientMatrix``,
+    of which it is the oracle; ``solve_absorption`` reads it alone.
+    ``dense()`` materializes the kernel, as a test oracle, only when
+    ``fits_dense``.
     """
 
     n: int
@@ -216,12 +204,6 @@ class LineTransitionMatrix(_LineKernel):
         return np.ones(self.num_edges, dtype=np.int64)
 
     @property
-    def absorption(self) -> np.ndarray:
-        eu, ev = self.complement.edges.T
-        deg = self.complement.degrees.astype(np.float64)
-        return (2.0 * self.n - deg[eu] - deg[ev]) / self.moves
-
-    @property
     def fits_dense(self) -> bool:
         """Whether ``dense()`` may build the kernel (<= DENSE_LINE_LIMIT edges)."""
         return self.num_edges <= DENSE_LINE_LIMIT
@@ -235,10 +217,6 @@ class LineTransitionMatrix(_LineKernel):
         sums = self.complement.incidence() @ x
         eu, ev = self.complement.edges.T
         return (sums[eu] + sums[ev] - 2.0 * x) / self.moves
-
-    def orbit_matvec(self, x: np.ndarray) -> np.ndarray:
-        """``matvec``: every orbit is a single edge."""
-        return self.matvec(x)
 
     def dense(self) -> np.ndarray:
         """Dense kernel; guarded because it is quadratic in the edge count."""
@@ -290,10 +268,10 @@ class LineQuotientMatrix(_LineKernel):
     of the permutations of the t = n+1-s vertices outside the marked
     subgraph, in normalized orbit coordinates.
 
-    P commutes with those permutations, so its top eigenpair and
-    (I - P)^{-1} 1 lie in that space (an equitable partition: Godsil and
-    Royle, Algebraic Graph Theory, chapter 9), as do the Krylov spaces of
-    Lanczos and CG from the uniform start.  The orbits, in this order:
+    P commutes with those permutations, so its top eigenpair lies in that
+    space (an equitable partition: Godsil and Royle, Algebraic Graph
+    Theory, chapter 9), as does the Krylov space of Lanczos from the
+    uniform start.  The orbits, in this order:
     each unmarked pair {i, j} of the marked subgraph's vertices (``pairs``,
     size 1); O_i = {i, rest} for each of its s vertices i (size t, when
     t >= 1); and O_R, the pairs of two rest vertices (size C(t, 2), when
@@ -332,19 +310,6 @@ class LineQuotientMatrix(_LineKernel):
         if t >= 2:
             sizes.append([t * (t - 1) // 2])
         return np.concatenate(sizes)
-
-    @property
-    def absorption(self) -> np.ndarray:
-        # (I - P)1 is (2n - d_u - d_v)/(2(n-1)), d the unmarked degrees
-        # (the diagonal of N N^T): n - D_i at i and n at a rest vertex
-        degrees, rest = np.diag(self.gram.block), self.gram.diagonal
-        pu, pv = self.pairs.T
-        ends = [degrees[pu] + degrees[pv]]
-        if self.t:
-            ends.append(degrees + rest)
-        if self.t >= 2:
-            ends.append([2.0 * rest])
-        return (2.0 * self.n - np.concatenate(ends)) / self.moves
 
     @cached_property
     def _root_sizes(self) -> np.ndarray:

@@ -72,10 +72,8 @@ class ArcTable:
 
     def index(self, origin: int, terminus: int) -> int:
         """Index of the arc (origin, terminus); raises InvalidArc otherwise."""
-        if not (0 <= origin <= self.n and 0 <= terminus <= self.n):
-            raise InvalidArc(
-                f"arc ({origin}, {terminus}) has a vertex outside 0..{self.n}"
-            )
+        origin = _vertex(origin, self.n, InvalidArc)
+        terminus = _vertex(terminus, self.n, InvalidArc)
         if origin == terminus:
             raise InvalidArc(f"({origin}, {origin}) is a loop, not an arc")
         return origin * self.n + terminus - (terminus > origin)
@@ -106,6 +104,18 @@ def _index(value) -> int:
     """``operator.index``, which also raises TypeError for a bool (JSON true
     or false)."""
     return operator.index(None if isinstance(value, bool) else value)
+
+
+def _vertex(label, n: int, error: type[Exception] = InvalidVertex) -> int:
+    """A vertex label from outside, as an int in 0..n; raises ``error`` for
+    any other value, a float, a bool or a string among them."""
+    try:
+        vertex = _index(label)
+    except TypeError:
+        raise error(f"a vertex is an integer label, got {label!r}") from None
+    if not 0 <= vertex <= n:
+        raise error(f"vertex {vertex} outside 0..{n}")
+    return vertex
 
 
 def _normalize_edge(edge) -> tuple[int, int]:
@@ -269,8 +279,7 @@ class SignedCompleteGraph:
         """Canonical index of an external vertex label, in O(s): a label
         outside the marked subgraph follows the s inside it, in ascending
         order."""
-        if not 0 <= label <= self.n:
-            raise InvalidVertex(f"vertex {label} outside 0..{self.n}")
+        label = _vertex(label, self.n)
         if label in self.gamma_vertices:
             return self.gamma_vertices.index(label)
         return int(self.s + label - sum(w < label for w in self.gamma_vertices))
@@ -279,9 +288,7 @@ class SignedCompleteGraph:
         """External label at a canonical position, in O(log s): the k-th
         label outside the marked subgraph is k + #{i : g_i - i <= k}, with
         g_0 < g_1 < ... its sorted labels."""
-        index = _index(index)
-        if not 0 <= index <= self.n:
-            raise InvalidVertex(f"position {index} outside 0..{self.n}")
+        index = _vertex(index, self.n)
         if index < self.s:
             return self.gamma_vertices[index]
         k = index - self.s
@@ -296,10 +303,7 @@ class SignedCompleteGraph:
     def sigma(self, arc: Sequence[int]) -> int:
         """Sign of an arc given in external labels: -1 exactly on
         ``sigma_negative_arcs``, read in O(m)."""
-        u, v = int(arc[0]), int(arc[1])
-        for w in (u, v):
-            if not 0 <= w <= self.n:
-                raise InvalidArc(f"vertex {w} outside 0..{self.n}")
+        u, v = _vertex(arc[0], self.n, InvalidArc), _vertex(arc[1], self.n, InvalidArc)
         if u == v:
             raise InvalidArc(f"({u}, {u}) is a loop, not an arc")
         arc = (self.to_canonical(u), self.to_canonical(v))
@@ -307,10 +311,7 @@ class SignedCompleteGraph:
 
     def tau(self, edge) -> int:
         """Edge sign: -1 exactly on marked edges."""
-        u, v = _normalize_edge(edge)
-        for w in (u, v):
-            if not 0 <= w <= self.n:
-                raise InvalidEdge(f"vertex {w} outside 0..{self.n}")
+        u, v = (_vertex(w, self.n, InvalidEdge) for w in _normalize_edge(edge))
         if u == v:
             raise InvalidEdge(f"({u}, {u}) is a loop, not an edge")
         i, j = self.to_canonical(u), self.to_canonical(v)

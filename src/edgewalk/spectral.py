@@ -333,14 +333,15 @@ def line_principal_pair(
     start = P.uniform
     if P.max_degree <= 1:
         return 0.0, start
+    size = start.size
+    op = spla.LinearOperator((size, size), matvec=P.matvec, dtype=np.float64)
     try:
         # ncv = 3: with ARPACK's default of 20 the factorization breaks down
         # once the Krylov space closes, and ARPACK pads it with random
         # vectors that it orthogonalizes and restarts over, about 22
         # products where 4 or 5 converge.  Two orbits allow only ncv = 2.
         values, vectors = spla.eigsh(
-            P.as_linear_operator(), k=1, which="LA", v0=start, tol=0.0,
-            ncv=min(3, start.size),
+            op, k=1, which="LA", v0=start, tol=0.0, ncv=min(3, size)
         )
     except spla.ArpackError as exc:
         raise NoConvergence(str(exc)) from exc

@@ -12,6 +12,7 @@ from edgewalk import (
     build_P,
     build_T,
     cycle_edges,
+    hitting_time,
     line_principal_pair,
     matching_edges,
     path_edges,
@@ -19,7 +20,7 @@ from edgewalk import (
     verify_all,
     verify_random_suite,
 )
-from edgewalk import operators, signed_graph
+from edgewalk import classical_search, operators, signed_graph
 from edgewalk.bounds import (
     _entry,
     _gershgorin_violation,
@@ -300,9 +301,10 @@ def test_sweep_verdicts_unchanged():
 
 
 def test_verify_all_takes_no_edge_space_step(monkeypatch):
-    # the line rows read the orbit quotient: with every edge-space builder
-    # and product refused, the ledger keeps its verdicts (all 34 pass here)
-    # and agrees with the edge-space solvers it no longer calls
+    # the line rows read the orbit quotient and hitting_time's t_c: with
+    # every edge-space builder, product and the CG solve refused, the ledger
+    # keeps its verdicts (all 34 pass here) and agrees with the edge-space
+    # solvers it no longer calls
     g = build_instance(300, path_edges(2))
     P = build_P(g)
     lam, f = line_principal_pair(P)
@@ -316,12 +318,18 @@ def test_verify_all_takes_no_edge_space_step(monkeypatch):
     monkeypatch.setattr(operators, "build_P", refuse)
     monkeypatch.setattr(bounds, "build_P", refuse, raising=False)
     monkeypatch.setattr(operators.LineTransitionMatrix, "matvec", refuse)
+    monkeypatch.setattr(classical_search, "solve_absorption", refuse)
+    monkeypatch.setattr(bounds, "solve_absorption", refuse, raising=False)
     ledger = verify_all(g)
     assert [e.passed for e in ledger] == [True] * 34
-    assert abs(ledger.entry("cor_P.lower").lhs - lam) <= 1e-13
+    lower = ledger.entry("cor_P.lower").lhs
+    assert abs(lower - lam) <= 1e-13
     assert abs(ledger.entry("cor_P.overlap").lhs - (P.uniform @ f) ** 2) <= 1e-12
+    # the one t_c of classical and speedup
+    near = ledger.entry("tc_near_resolvent").lhs
+    assert near == abs(hitting_time(g).t_c - 1.0 / (1.0 - lower))
     # 1/(1 - lambda) magnifies lambda's rounding by about 5e8 here
-    assert abs(ledger.entry("tc_near_resolvent").lhs - resolvent_gap) <= 1e-4
+    assert abs(near - resolvent_gap) <= 1e-4
 
 
 def test_verify_all_solves_two_vertex_matrices(monkeypatch):

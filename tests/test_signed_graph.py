@@ -301,6 +301,28 @@ def test_to_external_rejects_a_position_outside_the_host(position):
         g.to_external(position)
 
 
+# Each entry point that takes a vertex label from outside, with the error it
+# documents; the other end of an arc is vertex 3.
+LABEL_ENTRY_POINTS = {
+    "ArcTable.index": (lambda g, w: g.arcs.index(w, 3), InvalidArc),
+    "to_canonical": (lambda g, w: g.to_canonical(w), InvalidVertex),
+    "to_external": (lambda g, w: g.to_external(w), InvalidVertex),
+    "sigma": (lambda g, w: g.sigma((w, 3)), InvalidArc),
+}
+
+
+@pytest.mark.parametrize("label", [0.9, 1.0, True, "1", -1, 6], ids=repr)
+@pytest.mark.parametrize("entry", sorted(LABEL_ENTRY_POINTS))
+def test_vertex_labels_from_outside_are_checked_once(entry, label):
+    # a float, a bool or a string is no vertex label, even when it equals
+    # one, and neither is a label outside 0..n
+    g = build_instance(5, [(5, 2), (2, 0)])
+    call, error = LABEL_ENTRY_POINTS[entry]
+    with pytest.raises(error):
+        call(g, label)
+    assert call(g, np.int64(1)) == call(g, 1)  # integers of any kind pass
+
+
 def test_generators():
     assert path_edges(3) == [(0, 1), (1, 2), (2, 3)]
     assert matching_edges(2) == [(0, 1), (2, 3)]
