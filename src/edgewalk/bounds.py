@@ -8,16 +8,22 @@ judges pass, fail or skip.  Inequalities stated only under a hypothesis are
 recorded as *skipped* (not passed) when the hypothesis fails, so a report
 always distinguishes "verified" from "not applicable".
 
-T and Z are solved on their order-(s+1) equitable quotient
-(``spectral.quotient_eigh``), and pq_spectra applies the ``VertexMatrix``
-forms of Q and G.  The line kernel's Lanczos runs on its edge-orbit
-quotient (``operators.build_P_quotient``), r = C(s,2) - m + s + 1 orbits
-for t >= 2, t_c is ``classical_search.hitting_time``'s order-s solve, the
-one that ``classical`` and ``speedup`` report, and norm_l1 reads N j from
-its closed form, so the ledger builds no edge-space array beyond the r
-orbits, makes no order-(n+1) eigensolve and forms no dense matrix;
-``build_P``, ``LineTransitionMatrix`` and ``solve_absorption`` are the
-tests' oracles.
+T and Z are solved on their order-(s+1) equitable quotient and their
+eigendata stay there (``spectral.quotient_spectrum``): the principal
+vectors and the overlaps are read in the quotient's symmetric coordinates,
+Gershgorin reads the s + 2 distinct eigenvalues, and pq_spectra certifies
+the quotient pairs through the quotient forms of Q and G, plus one of the
+t - 1 zero-sum pairs on the rest, which share their value and residual.
+The rotation walk runs on the same quotient (``quantum_search``).  The line
+kernel's Lanczos runs on its edge-orbit quotient
+(``operators.build_P_quotient``), r = C(s,2) - m + s + 1 orbits for
+t >= 2, t_c is ``classical_search.hitting_time``'s order-s solve, the one
+that ``classical`` and ``speedup`` report, and norm_l1 reads N j from its
+closed form.  So the ledger builds no edge-space array beyond the r orbits,
+no vertex array beyond a few (n+1)-vectors (the list of T's eigenvalues,
+its lifted principal vector, the sign counts), makes no order-(n+1)
+eigensolve and forms no dense matrix; ``quotient_eigh``, ``build_P``,
+``LineTransitionMatrix`` and ``solve_absorption`` are the tests' oracles.
 
 Throughout, n+1 is the host order, m the number of marked edges, s the
 order of the marked subgraph, Y = J - (n+1)I - 2A and
@@ -56,7 +62,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .classical_search import hitting_time
+from .classical_search import _searching_time
 from .errors import DegenerateSpectrum, EmptyComplement
 from .operators import (
     LineQuotientMatrix,
@@ -75,13 +81,7 @@ from .signed_graph import (
     path_edges,
     star_edges,
 )
-from .spectral import (
-    eigh,
-    line_principal_pair,
-    principal_vector,
-    quotient_eigh,
-    summarize_spectrum,
-)
+from .spectral import QuotientSpectrum, eigh, line_principal_pair, quotient_spectrum
 
 __all__ = [
     "BoundEntry",
@@ -234,11 +234,10 @@ def _gershgorin_violation(matrix: VertexMatrix, values: np.ndarray) -> float:
 def _pq_spectra_mismatch(
     P: LineTransitionMatrix | LineQuotientMatrix,
     lambda_max_p: float,
-    q_values: np.ndarray,
-    q_vectors: np.ndarray,
+    companion: QuotientSpectrum,
 ) -> float:
     """Numeric distance between Spec(P) and Spec(Q) modulo -1/(n-1), given
-    the descending eigendata (q_values, q_vectors) of the companion Q.
+    the spectrum of the companion Q on its quotient.
 
     Each companion eigenpair (q, w) with a value other than -1/(n-1) is
     certified as an eigenpair of the line kernel through its lift N^T w, N
@@ -248,22 +247,28 @@ def _pq_spectra_mismatch(
     P N^T = N^T Q, so the lifted residual is
     P N^T w - q N^T w = N^T r with r = Qw - qw, and its relative size
     ||N^T r|| / ||N^T w|| = sqrt(r^T G r / w^T G w) is evaluated in vertex
-    space for all pairs at once, through the O(n + s^2) products of the
-    ``VertexMatrix`` forms of Q and G.  The remaining line eigenvalues
-    equal -1/(n-1) by the rank of N.  The largest relative residual is
-    combined with the distance between lambda_max(P) and the top companion
-    value.
+    space.  For the quotient pairs, all at once, Qw and Gw are the
+    ``VertexMatrix.quotient`` forms of Q and G applied to the symmetric
+    coordinates, at O(s^2) per pair.  The t - 1 zero-sum pairs on the rest
+    share the value beta = ``diagonal - off`` of the companion's quotient
+    spectrum, and for each of them Qw = (Q.diagonal - Q.off) w and
+    Gw = (G.diagonal - G.off) w exactly, so their relative residual is
+    |Q.diagonal - Q.off - beta|; one stands for all.  The remaining line
+    eigenvalues equal -1/(n-1) by the rank of N.  The largest relative
+    residual is combined with the distance between lambda_max(P) and the
+    top companion value.
     """
     kernel_value = -1.0 / (P.n - 1)
-    keep = np.abs(q_values - kernel_value) > PQ_KERNEL_TOL
-    w, q = q_vectors[:, keep], q_values[keep]
-    r = P.q_matrix @ w - w * q
-    residual_sq = np.maximum(np.sum(r * (P.gram @ r), axis=0), 0.0)
-    lifted_sq = np.sum(w * (P.gram @ w), axis=0)
-    return max(
-        abs(lambda_max_p - float(q_values[0])),
-        float(np.sqrt(residual_sq / lifted_sq).max()),
-    )
+    keep = np.abs(companion.values - kernel_value) > PQ_KERNEL_TOL
+    w, q = companion.vectors[:, keep], companion.values[keep]
+    gram = P.gram.quotient
+    r = P.q_matrix.quotient @ w - w * q
+    residual_sq = np.maximum(np.sum(r * (gram @ r), axis=0), 0.0)
+    lifted_sq = np.sum(w * (gram @ w), axis=0)
+    residuals = list(np.sqrt(residual_sq / lifted_sq))
+    if companion.copies and abs(companion.beta - kernel_value) > PQ_KERNEL_TOL:
+        residuals.append(abs(P.q_matrix.diagonal - P.q_matrix.off - companion.beta))
+    return max(abs(lambda_max_p - companion.lambda_max), *residuals)
 
 
 def verify_all(g: SignedCompleteGraph) -> BoundLedger:
@@ -280,19 +285,25 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
     """
     n, m, s = g.n, g.num_marked, g.s
     order = n + 1
-    j = np.full(order, 1.0 / np.sqrt(order))
     # Y = J - (n+1) I - 2A and Z = J - (n+1) I - A - D, with A the marked
     # adjacency (zero diagonal) and D its degrees.
     y_matrix = vertex_matrix(g, -1, -n)
     z_matrix = vertex_matrix(g, 0, -n, degree=-1)
     # Y = n(T - I) and Q = Z/(2(n-1)) + I hold exactly, so T and Z are the
-    # only vertex matrices solved; Y and Q reuse their eigenvectors.
-    z_values, z_vectors = quotient_eigh(z_matrix)
-    t_values, t_vectors = quotient_eigh(build_T(g))
-    y_values, y_vectors = n * (t_values - 1.0), t_vectors
-    f_y = principal_vector(y_values, y_vectors)
-    f_z = principal_vector(z_values, z_vectors)
-    f_t = principal_vector(t_values, t_vectors)
+    # only vertex matrices solved; Y and Q reuse their eigenvectors.  Only
+    # the top two values of each are read.
+    z_spectrum = quotient_spectrum(z_matrix)
+    t_spectrum = quotient_spectrum(build_T(g))
+    y_spectrum = t_spectrum.map(lambda value: n * (value - 1.0))
+    z_values, t_values, y_values = (
+        spectrum.descending(2) for spectrum in (z_spectrum, t_spectrum, y_spectrum)
+    )
+
+    def distance_to_uniform(spectrum: QuotientSpectrum) -> float:
+        """||f - j||^2 for the principal vector f, in the quotient."""
+        return float(np.sum((spectrum.principal() - spectrum.uniform) ** 2))
+
+    overlap_t = distance_to_uniform(t_spectrum)
     # Per-vertex counts of negatively signed marked arcs by terminus;
     # entries lie in [0, n] and sum to m.
     sign_counts = np.bincount(g.negative_arcs[1], minlength=order).astype(np.float64)
@@ -305,14 +316,14 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
         # Without a complement these names stay unbound: the thunks of a
         # group without data are never called.
         lambda_max_p, f_p = line_principal_pair(P)
-        t_c = hitting_time(g).t_c
+        t_c = _searching_time(g)[0]
         resolvent = 1.0 / (1.0 - lambda_max_p)
         # h = N j_E: (n - D_v)/sqrt(E) at v, on the marked subgraph's
         # vertices and then at each of the t others
         h = np.append(np.diag(P.gram.block), n) / np.sqrt(P.num_edges)
         h_count = np.append(np.ones(s), g.t)
     try:
-        diag = asymptotic_diagnostics(g, summarize_spectrum(t_values, t_vectors))
+        diag = asymptotic_diagnostics(g, t_spectrum.summary())
     except DegenerateSpectrum:
         diag = None
 
@@ -341,9 +352,11 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
     rayleigh = -4.0 * m / (n + 1)
     vertex_rows = (
         ("gershgorin.Y", "<=",
-         lambda: _gershgorin_violation(y_matrix, y_values), lambda: 0.0, ALWAYS),
+         lambda: _gershgorin_violation(y_matrix, y_spectrum.distinct),
+         lambda: 0.0, ALWAYS),
         ("gershgorin.Z", "<=",
-         lambda: _gershgorin_violation(z_matrix, z_values), lambda: 0.0, ALWAYS),
+         lambda: _gershgorin_violation(z_matrix, z_spectrum.distinct),
+         lambda: 0.0, ALWAYS),
         ("lambda1_bracket.Y.upper", "<=", lambda: y_values[0], lambda: 0.0, ALWAYS),
         ("lambda1_bracket.Y.lower", ">=",
          lambda: y_values[0], lambda: rayleigh, ALWAYS),
@@ -360,8 +373,8 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
         ("bipartite_iff", "==", lambda: float(t_values[0] >= 1.0 - 1e-10),
          lambda: float(g.is_spanning_complete_bipartite()), ALWAYS),
         ("overlap_generic.Y", "<=",
-         lambda: float(np.sum((f_y - j) ** 2)), overlap_bound, HALF),
-        ("overlap_generic.Z", "<=", lambda: float(np.sum((f_z - j) ** 2)),
+         lambda: distance_to_uniform(y_spectrum), overlap_bound, HALF),
+        ("overlap_generic.Z", "<=", lambda: distance_to_uniform(z_spectrum),
          lambda: 8.0 * m / (n + 1.0) ** 2, ALWAYS),
         ("lmax_upper_Y", "<=",
          lambda: y_values[0], lambda: -(1.0 - delta) * 4.0 * m / (n + 1.0), HALF),
@@ -371,8 +384,7 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
          lambda: 1.0 - (1.0 - delta) * 4.0 * m / (n * (n + 1.0)), HALF),
         ("cor_T.lower", ">=",
          lambda: t_values[0], lambda: 1.0 - 4.0 * m / (n * (n + 1.0)), ALWAYS),
-        ("cor_T.overlap", "<=",
-         lambda: float(np.sum((f_t - j) ** 2)), overlap_bound, HALF),
+        ("cor_T.overlap", "<=", lambda: overlap_t, overlap_bound, HALF),
         ("norm_l2", "<=", lambda: float(np.sum(sign_counts**2)),
          lambda: n * float(np.sum(sign_counts)), ALWAYS),
     )
@@ -381,7 +393,7 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
          lambda: order * float(h_count @ h**2), ALWAYS),
         ("pq_spectra", "<=",
          lambda: _pq_spectra_mismatch(
-             P, lambda_max_p, z_values / (2.0 * (n - 1)) + 1.0, z_vectors),
+             P, lambda_max_p, z_spectrum.map(lambda z: z / (2.0 * (n - 1)) + 1.0)),
          lambda: PQ_MATCH_TOL, ALWAYS),
         ("cor_P.upper", "<=", lambda: lambda_max_p,
          lambda: 1.0 - (1.0 - delta_z) * 2.0 * m / ((n + 1.0) * (n - 1.0)), ALWAYS),
@@ -396,8 +408,10 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
          lambda: resolvent, lambda: (n + 1.0) * (n - 1.0) / m, TC),
     )
     rotation_rows = (
+        # 1 - (f.j)^2 = d(1 - d/4) with d = ||f - j||^2 for unit f and j,
+        # which forms no difference of nearly equal numbers
         ("ratio", "<=",
-         lambda: (1.0 - float(f_t @ j) ** 2) / (1.0 - diag.lambda_max),
+         lambda: overlap_t * (1.0 - overlap_t / 4.0) / (1.0 - diag.lambda_max),
          lambda: 4.0 * n / (n + 1.0) * delta, DENSITY),
         ("beta_close", "<=", lambda: diag.rotation_gap_sq,
          lambda: 16.0 * m / (n * (n + 1.0)), ROTATION),

@@ -178,6 +178,17 @@ def hitting_time(g: SignedCompleteGraph) -> HittingTimeResult:
     EmptyComplement when every edge is marked and SolverFailure when the
     solve's relative residual exceeds 1e-10.
     """
+    t_c, residual = _searching_time(g)
+    return HittingTimeResult(
+        t_c=t_c,
+        lambda_max_P=quotient_lambda_max(build_Q(g)),
+        solver_residual=residual,
+    )
+
+
+def _searching_time(g: SignedCompleteGraph) -> tuple[float, float]:
+    """``hitting_time``'s t_c and the relative residual of its order-s
+    solve, without lambda_max(P): what the ledger reads."""
     n, s, t = g.n, g.s, g.t
     edges = n * (n + 1) // 2 - g.num_marked
     if edges == 0:
@@ -199,11 +210,7 @@ def hitting_time(g: SignedCompleteGraph) -> HittingTimeResult:
     cross = h @ ones_k + t * n / (n + 1)
     denominator = 2.0 * (degrees @ ones_k) / (n + 1)
     t_c = (n - 1) / n * (1.0 + (quadratic + cross**2 / denominator) / edges)
-    return HittingTimeResult(
-        t_c=float(t_c),
-        lambda_max_P=quotient_lambda_max(build_Q(g)),
-        solver_residual=residual,
-    )
+    return float(t_c), residual
 
 
 def mc_hitting_time(

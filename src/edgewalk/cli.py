@@ -37,7 +37,7 @@ from .errors import (
 from .operators import build_T
 from .quantum_search import quantum_time, run_series
 from .signed_graph import build_instance, edges_from_descriptor, path_edges
-from .spectral import principal_pair, quotient_eigh, summarize_spectrum
+from .spectral import principal_pair, quotient_spectrum
 
 __all__ = ["main"]
 
@@ -291,11 +291,12 @@ def cmd_speedup(args) -> int:
 
 def cmd_spectrum(args) -> int:
     g, descriptor = _instance_from_args(args)
-    values, vectors = quotient_eigh(build_T(g))
+    spectrum = quotient_spectrum(build_T(g))
+    values = spectrum.descending()
     degenerate = False
     scalars = {"lambda_max": float(values[0]), "gap": float(values[0] - values[1])}
     try:
-        summary = summarize_spectrum(values, vectors)
+        summary = spectrum.summary()
         scalars.update(
             theta_max=summary.theta_max,
             overlap=summary.overlap,

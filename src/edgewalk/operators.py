@@ -3,7 +3,10 @@
 Vertex space: the discriminant matrix T (order n+1, entries tau(uv)/n off
 the diagonal) carries the spectral analysis of the quantum walk, and Q is
 its companion built from the incidence structure of the unmarked remainder.
-Both, like the ledger's Y, Z and G = N N^T, are ``VertexMatrix`` instances.
+Both, like the ledger's Y, Z and G = N N^T, are ``VertexMatrix`` instances,
+held as their block on the marked subgraph and two scalars; their
+order-(s+1) ``quotient`` carries every vector constant on the other
+vertices, which is where the package solves and walks them.
 Edge space: P is the isotropic transition kernel on the line graph of the
 unmarked remainder, with entry 1/(2(n-1)) between distinct edges sharing an
 endpoint, applied matrix-free at every size: on the edges
@@ -21,9 +24,9 @@ formed and a step is one reduction plus one in-place broadcast update,
 O(n^2) with no index arrays; a dense U exists only as a small-instance test
 oracle.  ``walk_arc_matrix`` serves arbitrary arc states.  The finding
 probability series and the rotation diagnostics need only states of
-range[d*, S d*]: ``quantum_search`` walks those exactly as vertex pairs at
-O(n + m) per step and reads the diagnostics from closed forms in vertex
-space, with this kernel as their test oracle.
+range[d*, S d*]: ``quantum_search`` walks those exactly as vertex pairs on
+the order-(s+1) quotient at O(s + m) per step and reads the diagnostics
+from closed forms there, with this kernel as their test oracle.
 
 In K_{n+1} every vertex has degree n, so the general normalizations
 1/sqrt(deg u * deg v) specialize to 1/n throughout this module.
@@ -77,8 +80,9 @@ class VertexMatrix:
     """Symmetric vertex matrix of order n+1 in canonical order: the s x s
     ``block`` on the marked subgraph's vertices, ``off`` at every other
     off-diagonal entry and ``diagonal`` on the rest of the diagonal (the
-    equitable partition ``spectral.quotient_eigh`` solves on).  ``@``
-    costs O(n + s^2) per column; the dense ``matrix`` is built on first use.
+    equitable partition ``spectral.quotient_spectrum`` solves on).  ``@``
+    costs O(n + s^2) per column; the order-(s+1) ``quotient`` and the dense
+    ``matrix`` are built on first use.
     """
 
     order: int
@@ -102,6 +106,22 @@ class VertexMatrix:
         np.fill_diagonal(dense[s:, s:], self.diagonal)
         dense.setflags(write=False)
         return dense
+
+    @cached_property
+    def quotient(self) -> np.ndarray:
+        """The equitable quotient, which acts on the vectors constant on the
+        t rest vertices in the symmetric coordinates (x_block, sqrt(t) x_rest):
+        with alpha = ``off`` and d = ``diagonal``, [[B, sqrt(t) alpha 1],
+        [sqrt(t) alpha 1^T, alpha (t-1) + d]], or the block itself when
+        t = 0; read-only."""
+        s, t = self.s, self.t
+        cells = s + min(t, 1)
+        quotient = np.empty((cells, cells))
+        quotient[:s, :s] = self.block
+        quotient[:s, s:] = quotient[s:, :s] = self.off * np.sqrt(t)
+        quotient[s:, s:] = self.diagonal + self.off * (t - 1)
+        quotient.setflags(write=False)
+        return quotient
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -441,8 +461,8 @@ def walk_arc_matrix(
     arcs after t steps, for t = 0..steps.  The marked arcs are closed under
     reversal, so that mass does not depend on which orientation the buffer
     holds.  The tests use this series as the oracle of
-    ``quantum_search.run_series``, which walks the uniform state in the
-    2(n+1)-dimensional vertex-pair space instead.
+    ``quantum_search.run_series``, which walks the uniform state as a vertex
+    pair on the order-(s+1) quotient instead.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")

@@ -4,10 +4,15 @@ The walk U = S(2 d* d - I) maps L = range[d*, S d*] into itself:
 U (d* a + S d* b) = d* (-b) + S d* (a + 2 T b), and on the orthogonal
 complement of L it acts as -S.  This spectral-mapping structure, which
 ``spectral.lift_eigenvectors`` also rests on, is exact, so a state
-d* a + S d* b of L is walked as the pair of vertex vectors (a, b), that is
-in a 2(n+1)-dimensional space.  T b = (<1, b> 1 - b - 2 A b) / n costs
-O(n + m), since A b sums b over the 2m marked arcs, against O(n^2) for a
-step over every arc.  Two walks use it:
+d* a + S d* b of L is walked as the pair of vertex vectors (a, b).  Both
+walks below start from vectors that are constant on the t = n+1-s vertices
+outside the marked subgraph (the rest), are forced by such a vector, and T
+maps such vectors to such vectors, so a and b are held on the order-(s+1)
+quotient: the s entries on the marked subgraph's vertices, then the one
+value on the rest.  There n T b = <1, b> 1 - b - 2 A b with
+<1, b> = sum b_block + t b_rest, and A b sums b over the 2m marked arcs,
+so a step costs O(s + m) whatever n is, against O(n^2) for a step over
+every arc.  Two walks use it:
 
 - ``run_series``: the uniform state j has S j = j, so U j = -j + 2 S d* (d j)
   and U^t j = (-1)^t j + d* a_t + S d* b_t, where (a, b) starts at (0, 0)
@@ -17,8 +22,9 @@ step over every arc.  Two walks use it:
 - ``asymptotic_diagnostics``: the start i beta_- is (0, f), the target
   -beta_+ is (-f, cos theta f) / sin theta, and the rotation gap is the norm
   of the difference after t_f steps under the Gram matrix [[I, T], [T, I]]
-  of the (a, b) coordinates.  The start gap and the target mass have closed
-  forms in f (see the function), so no arc-indexed state is formed.
+  of the (a, b) coordinates, with weight t on the rest value.  The start
+  gap and the target mass have closed forms in f (see the function), so no
+  arc-indexed state is formed.
 
 The Gram matrix has the eigenvalue 1 - lambda_max, which comes close to 0,
 so coordinates of size 1/sin theta carry a unit state.  In float64 the
@@ -31,7 +37,8 @@ run in long double.  That gain assumes an 80-bit or wider ``np.longdouble``
 16m / (n(n+1)) bound; where it is a software binary128 (aarch64 Linux) the
 results are as accurate but each step is slower.
 ``operators.walk_arc_matrix`` walks arbitrary arc states (``evolve_state``,
-``apply_U``) and is the tests' oracle for both walks.  The searching time
+``apply_U``) and is the tests' oracle for both walks, next to the same pair
+walk on (n+1)-vectors.  The searching time
 t_f = floor(pi / (2 theta_max)) comes from the spectrum, never from the
 simulated peak.
 
@@ -123,12 +130,12 @@ def run_series(
 
     The evolution is sequential (no spectral shortcut) and deterministic:
     U^t j - (-1)^t j lies in L and is walked as a vertex pair forced by
-    2 (-1)^t d j (see the module docstring), so a step costs O(n + m) and no
-    linear system is solved.  The marked arcs are read out in blocks of
-    steps, so the memory does not grow with ``t_max``.  A degenerate
-    spectrum only leaves the searching-time fields unset.  ``summary``, when
-    the caller already holds the principal pair of the instance, is used for
-    t_f instead of solving the eigenproblem again.
+    2 (-1)^t d j, on the order-(s+1) quotient (see the module docstring), so
+    a step costs O(s + m) and no linear system is solved.  The marked arcs
+    are read out in blocks of steps, so the memory does not grow with
+    ``t_max``.  A degenerate spectrum only leaves the searching-time fields
+    unset.  ``summary``, when the caller already holds the principal pair of
+    the instance, is used for t_f instead of solving the eigenproblem again.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
@@ -172,9 +179,12 @@ class WalkDiagnostics:
 def asymptotic_diagnostics(
     g: SignedCompleteGraph, summary: Optional[SpectralSummary] = None
 ) -> WalkDiagnostics:
-    """Evaluate the rotation-picture quantities exactly, at O(n + m) memory.
+    """Evaluate the rotation-picture quantities exactly, at O(s + m) memory.
 
-    With j_V = 1 / sqrt(n+1), f the principal vector and sums over the m
+    The principal vector f is constant on the rest, and is read as its s
+    entries on the marked subgraph's vertices and its rest value (the first
+    s + 1 entries of ``summary.f``).  With j_V = 1 / sqrt(n+1), sums over
+    the vertices weighted by t at the rest value, and sums over the m
     negative arcs (o, t):
 
     - ``start_gap_sq`` = ||f - j_V||^2 + 4 sum f_t / (n sqrt(n+1)), since S is
@@ -182,20 +192,23 @@ def asymptotic_diagnostics(
     - ``target_mass`` = sum [(cos theta f_o + f_t)^2 + (cos theta f_t + f_o)^2]
       / (n sin^2 theta), the entries of -beta_+ on the marked arcs;
     - ``rotation_gap_sq`` walks (0, f) for t_f steps as a vertex pair (a, b)
-      and reads the squared norm of (da, db) = (a + f / sin theta,
-      b - cos theta f / sin theta) through the Gram matrix [[I, T], [T, I]]
-      of L, in long double.
+      on the quotient and reads the squared norm of (da, db) =
+      (a + f / sin theta, b - cos theta f / sin theta) through the Gram
+      matrix [[I, T], [T, I]] of L, in long double.
 
-    ``fp_at_tf`` comes from ``run_series``.  Raises DegenerateSpectrum when
-    the rotation angle vanishes.  ``summary`` is the principal pair of the
-    instance when the caller has already solved for it.
+    ``fp_at_tf`` is ``run_series``'s finding probability at t_f: the uniform
+    state's forced pair walks beside (0, f), as a second column of the same
+    walk.  Raises DegenerateSpectrum when the rotation angle vanishes.
+    ``summary`` is the principal pair of the instance when the caller has
+    already solved for it.
     """
     if summary is None:
         summary = principal_pair(build_T(g))
     t_f = quantum_time(summary)
-    n, f, root = g.n, summary.f, np.sqrt(g.n + 1)
+    n, root, weights = g.n, np.sqrt(g.n + 1), _weights(g)
+    f = summary.f[: weights.size]
     neg_o, neg_t = g.negative_arcs
-    start_gap_sq = np.sum((f - 1.0 / root) ** 2) + 4.0 * np.sum(f[neg_t]) / (n * root)
+    start_gap_sq = weights @ (f - 1.0 / root) ** 2 + 4.0 * np.sum(f[neg_t]) / (n * root)
     # sqrt(n) sin theta times -beta_+ on the arcs (o, t) and (t, o), up to sign
     cos, sin = np.cos(summary.theta_max), np.sin(summary.theta_max)
     forward, backward = cos * f[neg_o] + f[neg_t], cos * f[neg_t] + f[neg_o]
@@ -203,11 +216,23 @@ def asymptotic_diagnostics(
 
     f = f.astype(np.longdouble)
     theta = np.longdouble(summary.theta_max)
-    a, b = _walk_pair(g, np.zeros_like(f), f, t_f)
+    # (0, f) and the uniform state's pair (0, 0), side by side; only the
+    # second column is forced
+    zero = np.zeros_like(f)
+    a, b = _walk_pair(
+        g,
+        np.column_stack((zero, zero)),
+        np.column_stack((f, zero)),
+        t_f,
+        forcing=tuple(np.column_stack((zero, x)) for x in _uniform_forcing(g)),
+    )
+    s = g.s
+    fp_at_tf = _finding_probabilities(g, -a[None, :s, 1], b[None, :s, 1], t_f)[0]
+    a, b = a[:, 0], b[:, 0]
     # U^{t_f}(i beta_-) - (-beta_+) = d* da + S d* db
     da = a + f / np.sin(theta)
     db = b - np.cos(theta) * f / np.sin(theta)
-    gap_sq = np.dot(da, da) + np.dot(db, db) + 2.0 * np.dot(da, _times_nT(g)(db)) / n
+    gap_sq = weights @ (da * da + db * db + 2.0 * da * _times_nT(g)(db) / n)
     return WalkDiagnostics(
         lambda_max=summary.lambda_max,
         theta_max=summary.theta_max,
@@ -215,19 +240,31 @@ def asymptotic_diagnostics(
         rotation_gap_sq=float(gap_sq),
         start_gap_sq=float(start_gap_sq),
         target_mass=float(target_mass),
-        fp_at_tf=run_series(g, t_f, summary).fp_at_tf,
+        fp_at_tf=float(fp_at_tf),
     )
 
 
+def _weights(g: SignedCompleteGraph) -> np.ndarray:
+    """How many vertices each quotient coordinate stands for: 1 on the
+    marked subgraph's vertices, then t on the rest (no rest entry when
+    t = 0)."""
+    return np.append(np.ones(g.s), [g.t] if g.t else [])
+
+
 def _times_nT(g: SignedCompleteGraph) -> Callable[[np.ndarray], np.ndarray]:
-    """The map b -> n T b = <1, b> 1 - b - 2 A b, at O(n + m)."""
+    """The map b -> n T b = <1, b> 1 - b - 2 A b on the quotient, at
+    O(s + m), for a vector or a matrix of one vector per column."""
     neg_o, neg_t = g.negative_arcs
-    # (A b)_v sums b over the marked neighbours of v: one term per arc
-    ends, starts = np.concatenate((neg_o, neg_t)), np.concatenate((neg_t, neg_o))
+    # (2 A b)_v sums b twice over the marked neighbours of v: each arc is
+    # listed twice, so that no scalar multiple is formed (a long double
+    # array op with a scalar costs more than the sum itself at small s)
+    ends = np.tile(np.concatenate((neg_o, neg_t)), 2)
+    starts = np.tile(np.concatenate((neg_t, neg_o)), 2)
+    weights = _weights(g).astype(np.longdouble)[None, :]
 
     def times_nT(b: np.ndarray) -> np.ndarray:
-        nt_b = b.sum() - b
-        np.subtract.at(nt_b, ends, 2.0 * b[starts])
+        nt_b = weights @ b - b
+        np.subtract.at(nt_b, ends, b[starts])
         return nt_b
 
     return times_nT
@@ -242,7 +279,8 @@ def _walk_pair(
     forcing: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Walk the state d* a + S d* b of L for ``steps`` steps, in long double,
-    and return its final coordinates (a, b).
+    and return its final coordinates (a, b), all on the quotient (vectors, or
+    matrices with one walk per column).
 
     A step maps (a, b) to (-b, a + 2 T b), so a_t = -b_{t-1} and
     b_{t+1} = 2 T b_t - b_{t-1}; only b is carried.  ``forcing`` adds
@@ -253,7 +291,7 @@ def _walk_pair(
     """
     s = g.s
     times_nT = _times_nT(g)
-    scale = np.longdouble(2.0) / g.n
+    scale = np.longdouble(2) / g.n
     prev = -np.asarray(a, dtype=np.longdouble)
     b = np.array(b, dtype=np.longdouble)
     if history is not None:
@@ -273,6 +311,36 @@ def _walk_pair(
 _READOUT_ENTRIES = 1 << 15
 
 
+def _uniform_forcing(g: SignedCompleteGraph) -> tuple[np.ndarray, np.ndarray]:
+    """2 (-1)^t d j on the quotient, for even and odd t, in long double:
+    (d j)_v = (n - 2 * #negative arcs into v) / (n sqrt(n+1)), and no
+    negative arc ends on the rest."""
+    n = g.n
+    into = np.bincount(g.negative_arcs[1], minlength=g.s + min(g.t, 1))
+    twice_dj = 2.0 * (n - 2.0 * into.astype(np.longdouble))
+    twice_dj /= n * np.sqrt(np.longdouble(n + 1))
+    return twice_dj, -twice_dj
+
+
+def _finding_probabilities(
+    g: SignedCompleteGraph, prev: np.ndarray, cur: np.ndarray, first: int
+) -> np.ndarray:
+    """Finding probability of U^t j for t = first, first + 1, ..., from the
+    rows b_{t-1} = -a_t (``prev``) and b_t (``cur``) of the forced pair
+    walk on the marked subgraph's vertices."""
+    neg_o, neg_t = g.negative_arcs
+    # The walk takes the cancellation in long double; the marked amplitudes
+    # are O(1), so they are read out in float64.
+    prev, cur = np.asarray(prev, np.float64), np.asarray(cur, np.float64)
+    j, sqrt_n = 1.0 / np.sqrt(g.num_arcs), np.sqrt(g.n)
+    signs = np.where((first + np.arange(len(cur))) % 2 == 0, j, -j)[:, None]
+    # (-1)^t j + d* a + S d* b on the arcs (o, t) and (t, o), where
+    # sigma(o, t) = -1
+    forward = (prev[:, neg_t] + cur[:, neg_o]) / sqrt_n + signs
+    backward = signs - (prev[:, neg_o] + cur[:, neg_t]) / sqrt_n
+    return np.sum(forward**2 + backward**2, axis=1)
+
+
 def _uniform_series(g: SignedCompleteGraph, t_max: int) -> np.ndarray:
     """Finding probability of U^t j for t = 0..t_max.
 
@@ -280,18 +348,10 @@ def _uniform_series(g: SignedCompleteGraph, t_max: int) -> np.ndarray:
     S d* b_t with (a_0, b_0) = (0, 0) and the pair walk forced by
     2 (-1)^t d j: b_{t+1} = 2 T b_t - b_{t-1} + 2 (-1)^t d j.
     """
-    n = g.n
-    neg_o, neg_t = g.negative_arcs
-    # (d j)_v = (n - 2 * #negative arcs into v) / (n sqrt(n+1))
-    into = np.bincount(neg_t, minlength=n + 1).astype(np.longdouble)
-    twice_dj = 2.0 * (n - 2.0 * into) / (n * np.sqrt(np.longdouble(n + 1)))
-    forcing = (twice_dj, -twice_dj)
-    # The walk takes the cancellation in long double; the marked amplitudes
-    # are O(1), so they are read out in float64.
-    j, sqrt_n = 1.0 / np.sqrt(g.num_arcs), np.sqrt(n)
+    forcing = _uniform_forcing(g)
     block = max(1, _READOUT_ENTRIES // max(g.s, g.num_marked))
     fp = np.empty(t_max + 1)
-    a = b = np.zeros(n + 1, dtype=np.longdouble)
+    a = b = np.zeros_like(forcing[0])
     first = 0
     while True:
         # fp[first..last] from b_{first-1}..b_last; the next block starts
@@ -302,13 +362,9 @@ def _uniform_series(g: SignedCompleteGraph, t_max: int) -> np.ndarray:
         a, b = _walk_pair(
             g, a, b, steps, history, forcing[::-1] if first % 2 else forcing
         )
-        prev, cur = history[:-1], history[1:]  # b_{t-1} = -a_t and b_t
-        signs = np.where((first + np.arange(steps + 1)) % 2 == 0, j, -j)
-        # (-1)^t j + d* a + S d* b on the arcs (o, t) and (t, o), where
-        # sigma(o, t) = -1
-        forward = (prev[:, neg_t] + cur[:, neg_o]) / sqrt_n + signs[:, None]
-        backward = signs[:, None] - (prev[:, neg_o] + cur[:, neg_t]) / sqrt_n
-        fp[first : first + steps + 1] = np.sum(forward**2 + backward**2, axis=1)
+        fp[first : first + steps + 1] = _finding_probabilities(
+            g, history[:-1], history[1:], first
+        )
         first += steps
         if first == t_max:
             return fp

@@ -12,14 +12,23 @@ theta_max = arccos(lambda_max) that defines the quantum searching time.
 
 In canonical order each ``VertexMatrix`` is alpha J + beta I outside the
 s x s block on the marked subgraph's vertices, an equitable partition (Godsil
-and Royle, Algebraic Graph Theory, section 9.3): ``quotient_eigh`` solves it
-on the order-(s+1) quotient, ``quotient_lambda_max`` reads only its largest
-eigenvalue there, and full ``eigh`` is the tests' oracle.
+and Royle, Algebraic Graph Theory, section 9.3).  ``quotient_spectrum``
+solves it on the order-(s+1) quotient and keeps it there: the quotient
+pairs, which hold every vector constant on the t = n+1-s rest vertices (the
+uniform vector and the principal vector among them), and the value
+beta = diagonal - off of the t-1 zero-sum vectors on the rest.  So the
+principal pair, the overlaps and the top of the spectrum cost O(s^3) for
+the solve and O(s^2) to read, and only ``principal_pair``'s lifted f and
+the whole list of eigenvalues are O(n).  ``quotient_lambda_max`` reads only
+the largest eigenvalue.  ``quotient_eigh`` lifts the quotient to a dense
+order-(n+1) eigenvector matrix, and it and full ``eigh`` are the tests'
+oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -39,7 +48,9 @@ __all__ = [
     "SpectralSummary",
     "LiftedPair",
     "MappingReport",
+    "QuotientSpectrum",
     "eigh",
+    "quotient_spectrum",
     "quotient_eigh",
     "quotient_lambda_max",
     "principal_vector",
@@ -81,52 +92,132 @@ def eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[::-1].copy(), vectors[:, ::-1].copy()
 
 
-def _quotient(matrix: VertexMatrix) -> np.ndarray:
-    """The equitable quotient of a vertex matrix: with alpha = ``off`` and
-    d = ``diagonal``, [[B, sqrt(t) alpha 1], [sqrt(t) alpha 1^T,
-    alpha (t-1) + d]], or the block B itself when t = 0."""
-    s, t = matrix.s, matrix.t
-    cells = s + min(t, 1)
-    quotient = np.empty((cells, cells))
-    quotient[:s, :s] = matrix.block
-    quotient[:s, s:] = quotient[s:, :s] = matrix.off * np.sqrt(t)
-    quotient[s:, s:] = matrix.diagonal + matrix.off * (t - 1)
-    return quotient
+@dataclass(frozen=True)
+class QuotientSpectrum:
+    """The whole spectrum of a vertex matrix, held on its equitable quotient.
+
+    ``values`` (descending) and the orthonormal columns of ``vectors`` are
+    the pairs of ``VertexMatrix.quotient``, in the symmetric coordinates
+    (x_block, sqrt(t) x_rest) of the vectors constant on the t rest
+    vertices, where inner products are those of the order-(n+1) space.
+    ``beta`` = ``diagonal - off`` takes the zero-sum vectors on the rest,
+    ``copies`` = t - 1 of them.  Every read is O(s) or O(s^2), apart from
+    the whole list of ``descending`` values and the lifted vector of
+    ``summary``, which are O(n).
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
+    beta: float
+    s: int
+    t: int
+
+    @property
+    def copies(self) -> int:
+        return max(self.t - 1, 0)
+
+    @property
+    def uniform(self) -> np.ndarray:
+        """The unit uniform vector of the order-(n+1) space in the
+        symmetric coordinates: 1/sqrt(n+1) on the block, then
+        sqrt(t/(n+1))."""
+        root = np.sqrt(self.s + self.t)
+        uniform = np.full(self.values.size, 1.0 / root)
+        if self.t:
+            uniform[-1] = np.sqrt(self.t) / root
+        return uniform
+
+    @property
+    def distinct(self) -> np.ndarray:
+        """Every eigenvalue once or more: the quotient's and beta."""
+        return np.append(self.values, self.beta) if self.copies else self.values
+
+    @property
+    def lambda_max(self) -> float:
+        return float(self.descending(1)[0])
+
+    def descending(self, count: Optional[int] = None) -> np.ndarray:
+        """The first ``count`` eigenvalues of the order-(n+1) spectrum (all
+        of them by default), descending.  The copies of beta go between the
+        quotient values above and below it, so no sort is needed."""
+        copies = self.copies if count is None else min(self.copies, count)
+        top = int(np.count_nonzero(self.values >= self.beta))
+        values = np.concatenate(
+            [self.values[:top], np.full(copies, self.beta), self.values[top:]]
+        )
+        return values[:count]
+
+    def map(self, function: Callable) -> "QuotientSpectrum":
+        """The spectrum of a polynomial in the matrix, such as n(T - I):
+        ``function`` applied to each value, the vectors kept."""
+        return replace(self, values=function(self.values), beta=function(self.beta))
+
+    def principal(self, tie_tol: float = TIE_TOL) -> np.ndarray:
+        """``principal_vector``'s choice in the symmetric coordinates.  The
+        zero-sum vectors on the rest are orthogonal to the uniform vector,
+        so its projection onto the top eigenspace lies in the quotient."""
+        return _principal(self.values, self.vectors, self.uniform, tie_tol)
+
+    def lift(self, x: np.ndarray) -> np.ndarray:
+        """The order-(n+1) vectors of symmetric coordinates x (a vector, or
+        one per column)."""
+        s, t = self.s, self.t
+        return np.concatenate([x[:s], np.repeat(x[s:] / np.sqrt(t), t, axis=0)])
+
+    def summary(self) -> SpectralSummary:
+        """``summarize_spectrum`` of the matrix: the quotient vectors of the
+        top eigenspace (usually one) are lifted, in O(n) each, and combined
+        by the same operations as the dense eigenvectors would be, so that
+        f and the overlap do not depend on which form was solved.  Raises
+        DegenerateSpectrum as ``principal_pair``."""
+        top = self.values[0] - self.values < TIE_TOL
+        return _summarize(
+            self.descending(), self.values[top], self.lift(self.vectors[:, top])
+        )
+
+
+def quotient_spectrum(matrix: VertexMatrix) -> QuotientSpectrum:
+    """The spectrum of a vertex matrix from one ``eigh`` of its order-(s+1)
+    equitable quotient."""
+    values, vectors = eigh(matrix.quotient)
+    return QuotientSpectrum(
+        values=values,
+        vectors=vectors,
+        beta=matrix.diagonal - matrix.off,
+        s=matrix.s,
+        t=matrix.t,
+    )
 
 
 def quotient_eigh(matrix: VertexMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of a vertex matrix from its equitable quotient.
+    """``eigh`` of a vertex matrix from its equitable quotient, with a
+    dense order-(n+1) eigenvector matrix: the oracle of
+    ``quotient_spectrum`` and of ``spectral_mapping_check``.
 
     The quotient gives s+1 pairs, lifted back with the last entry over
     sqrt(t) on the rest; beta = ``diagonal - off`` takes the other t-1,
     with the Helmert basis of the zero-sum vectors on the rest.
     """
+    spectrum = quotient_spectrum(matrix)
     s, t, order = matrix.s, matrix.t, matrix.order
-    q_values, q_vectors = eigh(_quotient(matrix))
-
-    # The t-1 copies of beta go between the quotient values above and below
-    # it, so the spectrum comes out descending without a sort.
-    beta = matrix.diagonal - matrix.off
-    k = np.arange(1, max(t, 1))
-    top = int(np.count_nonzero(q_values >= beta))
-    values = np.concatenate([q_values[:top], np.full(k.size, beta), q_values[top:]])
+    k = np.arange(1, spectrum.copies + 1)
+    top = int(np.count_nonzero(spectrum.values >= spectrum.beta))
     vectors = np.zeros((order, order))
     lifted = np.r_[0:top, top + k.size : order]
-    vectors[:s, lifted] = q_vectors[:s]
-    vectors[s:, lifted] = q_vectors[s:] / np.sqrt(t)
+    vectors[:, lifted] = spectrum.lift(spectrum.vectors)
     # Helmert column k: k entries 1/sqrt(k(k+1)), then -sqrt(k/(k+1)).
     helmert = vectors[s:, top : top + k.size]
     helmert[...] = np.arange(t)[:, None] < k
     helmert /= np.sqrt(k * (k + 1.0))
     helmert[k, k - 1] = -np.sqrt(k / (k + 1.0))
-    return values, vectors
+    return spectrum.descending(), vectors
 
 
 def quotient_lambda_max(matrix: VertexMatrix) -> float:
     """Largest eigenvalue of a vertex matrix: the top eigenvalue of its
     equitable quotient, or beta = ``diagonal - off`` when that is larger
     and t >= 2.  No eigenvector is formed."""
-    quotient = _quotient(matrix)
+    quotient = matrix.quotient
     top = quotient.shape[0] - 1
     try:
         values = sla.eigh(quotient, eigvals_only=True, subset_by_index=[top, top])
@@ -135,6 +226,22 @@ def quotient_lambda_max(matrix: VertexMatrix) -> float:
     if matrix.t >= 2:
         return max(float(values[0]), matrix.diagonal - matrix.off)
     return float(values[0])
+
+
+def _principal(
+    values: np.ndarray, vectors: np.ndarray, uniform: np.ndarray, tie_tol: float
+) -> np.ndarray:
+    top = int(np.sum(values[0] - values < tie_tol))
+    basis = vectors[:, :top]
+    coeffs = basis.T @ uniform
+    norm = float(np.linalg.norm(coeffs))
+    if norm < 1e-12:
+        f = basis[:, 0]
+    else:
+        f = basis @ (coeffs / norm)
+    if f @ uniform < 0:
+        f = -f
+    return f / np.linalg.norm(f)
 
 
 def principal_vector(
@@ -149,18 +256,7 @@ def principal_vector(
     orthogonal to the eigenspace, the first basis vector is returned.
     """
     order = vectors.shape[0]
-    top = int(np.sum(values[0] - values < tie_tol))
-    j = np.full(order, 1.0 / np.sqrt(order))
-    basis = vectors[:, :top]
-    coeffs = basis.T @ j
-    norm = float(np.linalg.norm(coeffs))
-    if norm < 1e-12:
-        f = basis[:, 0]
-    else:
-        f = basis @ (coeffs / norm)
-    if f @ j < 0:
-        f = -f
-    return f / np.linalg.norm(f)
+    return _principal(values, vectors, np.full(order, 1.0 / np.sqrt(order)), tie_tol)
 
 
 @dataclass(frozen=True)
@@ -186,13 +282,13 @@ class SpectralSummary:
 
 def principal_pair(T: VertexMatrix) -> SpectralSummary:
     """Principal eigenpair of the discriminant matrix, solved on its
-    order-(s+1) equitable quotient (``quotient_eigh``).
+    order-(s+1) equitable quotient (``quotient_spectrum``) in O(n + s^3).
 
     Raises DegenerateSpectrum when lambda_max >= 1 - 1e-12, which happens
     exactly when the marked subgraph is a spanning complete bipartite graph;
     the rotation angle is then zero and the searching time undefined.
     """
-    return summarize_spectrum(*quotient_eigh(T))
+    return quotient_spectrum(T).summary()
 
 
 def summarize_spectrum(values: np.ndarray, vectors: np.ndarray) -> SpectralSummary:
@@ -201,6 +297,14 @@ def summarize_spectrum(values: np.ndarray, vectors: np.ndarray) -> SpectralSumma
     that a caller holding one does not solve again.  Raises
     DegenerateSpectrum as principal_pair.
     """
+    return _summarize(values, values, vectors)
+
+
+def _summarize(
+    values: np.ndarray, top_values: np.ndarray, top_vectors: np.ndarray
+) -> SpectralSummary:
+    """The summary of the descending spectrum ``values``, whose principal
+    vector lies in the span of the columns of ``top_vectors``."""
     lam = float(values[0])
     if lam >= 1.0 - DEGENERACY_TOL:
         raise DegenerateSpectrum(
@@ -208,8 +312,8 @@ def summarize_spectrum(values: np.ndarray, vectors: np.ndarray) -> SpectralSumma
             "bipartite graph, so the rotation angle is 0 and the quantum "
             "searching time is undefined"
         )
-    f = principal_vector(values, vectors)
-    order = vectors.shape[0]
+    f = principal_vector(top_values, top_vectors)
+    order = f.shape[0]
     j = np.full(order, 1.0 / np.sqrt(order))
     return SpectralSummary(
         eigenvalues=values,

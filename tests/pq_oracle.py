@@ -14,7 +14,8 @@ in ``edgewalk.bounds``.
 
 import numpy as np
 
-from edgewalk.spectral import eigh
+from edgewalk.operators import vertex_matrix
+from edgewalk.spectral import eigh, quotient_spectrum
 
 
 def z_matrix(g):
@@ -33,6 +34,33 @@ def companion_eigendata(g):
     eigenvectors of Z, with values z/(2(n-1)) + 1."""
     values, vectors = eigh(z_matrix(g))
     return values / (2.0 * (g.n - 1)) + 1.0, vectors
+
+
+def companion_spectrum(g):
+    """The companion Q's spectrum on its quotient as the ledger takes it:
+    Z's, with values z/(2(n-1)) + 1."""
+    n = g.n
+    spectrum = quotient_spectrum(vertex_matrix(g, 0, -n, degree=-1))
+    return spectrum.map(lambda z: z / (2.0 * (n - 1)) + 1.0)
+
+
+def dense_eigendata(spectrum):
+    """Descending (values, vectors) of order n+1 from a quotient spectrum:
+    each quotient vector lifted, and for beta an orthonormal basis of the
+    zero-sum vectors on the rest, from a QR factorization of the
+    differences e_1 - e_k."""
+    s, t = spectrum.s, spectrum.t
+    vectors = [spectrum.lift(v) for v in spectrum.vectors.T]
+    values = list(spectrum.values)
+    if spectrum.copies:
+        differences = np.zeros((t, t - 1))
+        differences[0] = 1.0
+        differences[np.arange(1, t), np.arange(t - 1)] = -1.0
+        basis = np.linalg.qr(differences)[0]
+        vectors.extend(np.concatenate([np.zeros(s), column]) for column in basis.T)
+        values.extend([spectrum.beta] * spectrum.copies)
+    order = np.argsort(values, kind="stable")[::-1]
+    return np.array(values)[order], np.column_stack(vectors)[:, order]
 
 
 def lifted_pq_mismatch(P, lambda_max_p, q_values, q_vectors, kernel_tol=1e-6):

@@ -1,6 +1,7 @@
 """Inequality ledger: coverage, gating, determinism, norm inequalities."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from edgewalk.bounds import (
 from edgewalk.classical_search import solve_absorption
 from edgewalk.operators import VertexMatrix, vertex_matrix
 from edgewalk.spectral import eigh
-from pq_oracle import companion_eigendata, dense_pq_mismatch
+from pq_oracle import companion_eigendata, companion_spectrum, dense_pq_mismatch
 
 BASE_NAMES = {
     "gershgorin",
@@ -178,9 +179,9 @@ def test_pq_spectra_lift_matches_dense(edges):
     g = build_instance(30, edges)
     P = build_P(g)
     lam, _ = line_principal_pair(P)
-    values, vectors = companion_eigendata(g)
+    values, _ = companion_eigendata(g)
     dense = dense_pq_mismatch(P, values)
-    lifted = _pq_spectra_mismatch(P, lam, values, vectors)
+    lifted = _pq_spectra_mismatch(P, lam, companion_spectrum(g))
     assert dense <= 1e-12 and lifted <= 1e-12
 
 
@@ -330,6 +331,40 @@ def test_verify_all_takes_no_edge_space_step(monkeypatch):
     assert near == abs(hitting_time(g).t_c - 1.0 / (1.0 - lower))
     # 1/(1 - lambda) magnifies lambda's rounding by about 5e8 here
     assert abs(near - resolvent_gap) <= 1e-4
+
+
+def test_verify_all_at_ten_thousand():
+    # one edge at n = 10^4: every entry judged and passed, in O(n) memory;
+    # the dense eigenvector matrices of T and Z would take 1.6 GB
+    g = build_instance(10**4, [(0, 1)])
+    tracemalloc.start()
+    try:
+        ledger = verify_all(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [e.passed for e in ledger] == [True] * 34
+    assert peak <= 2 * 2**20
+
+
+@pytest.mark.parametrize("n", [347, 374, 384, 396])
+def test_ratio_against_mpmath(n):
+    # ratio's lhs (1 - (f.j)^2) / (1 - lambda_max(T)) against a 50-digit
+    # eigensolve of the same float64 quotient of T; the form
+    # 1 - (f.j)^2 = d(1 - d/4), d = ||f - j||^2, has no cancellation, where
+    # subtracting (f.j)^2 from 1 lost up to 9.0e-9 relative on these hosts
+    mpmath = pytest.importorskip("mpmath")
+    g = build_instance(n, [(0, 1)])
+    quotient = build_T(g).quotient
+    with mpmath.workdps(50):
+        values, vectors = mpmath.eigsy(mpmath.matrix(quotient.tolist()))
+        top = max(range(len(values)), key=lambda i: values[i])
+        root = mpmath.sqrt(n + 1)
+        uniform = [1 / root] * g.s + [mpmath.sqrt(g.t) / root]
+        overlap = mpmath.fsum(vectors[i, top] * uniform[i] for i in range(len(uniform)))
+        reference = float((1 - overlap**2) / (1 - values[top]))
+    lhs = verify_all(g).entry("ratio").lhs
+    assert abs(lhs - reference) <= 1e-10 * reference
 
 
 def test_verify_all_solves_two_vertex_matrices(monkeypatch):

@@ -23,7 +23,7 @@ from edgewalk.bounds import _pq_spectra_mismatch
 from edgewalk.classical_search import solve_absorption
 from edgewalk.errors import NoConvergence
 from edgewalk.spectral import principal_vector
-from pq_oracle import companion_eigendata, dense_pq_mismatch
+from pq_oracle import companion_eigendata, companion_spectrum, dense_pq_mismatch
 
 EPS = np.finfo(float).eps
 
@@ -55,15 +55,16 @@ def test_every_small_instance_matches_the_dense_oracles(n, count):
         assert residual <= 1e-10
         assert abs(x.mean() - exact.mean()) <= 16 * EPS * exact.mean()
         assert abs(hitting_time(g).t_c - exact.mean()) <= 16 * EPS * exact.mean()
-        q_values, q_vectors = companion_eigendata(g)
-        assert _pq_spectra_mismatch(P, lam, q_values, q_vectors) <= 64 * EPS
+        q_values, _ = companion_eigendata(g)
+        companion = companion_spectrum(g)
+        assert _pq_spectra_mismatch(P, lam, companion) <= 64 * EPS
         assert dense_pq_mismatch(P, q_values) <= 64 * EPS
         # the same eigensolver on the orbit quotient
         Q = build_P_quotient(g)
         lam_q, f_q = line_principal_pair(Q)
         assert abs(lam_q - lam) <= 16 * EPS
         assert abs((Q.uniform @ f_q) ** 2 - (P.uniform @ f) ** 2) <= 16 * EPS
-        assert _pq_spectra_mismatch(Q, lam_q, q_values, q_vectors) <= 64 * EPS
+        assert _pq_spectra_mismatch(Q, lam_q, companion) <= 64 * EPS
         seen += 1
     assert seen == count
 

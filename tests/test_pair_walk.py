@@ -1,12 +1,13 @@
 """The vertex-pair walk behind ``run_series`` and ``asymptotic_diagnostics``
-against its oracles: the square-layout kernel ``walk_arc_matrix`` and the
-gather formula, the latter also in long double as an accuracy reference."""
+against its oracles: the same pair walk on (n+1)-vectors, the square-layout
+kernel ``walk_arc_matrix`` and the gather formula, the latter also in long
+double as an accuracy reference."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgewalk import (
@@ -27,7 +28,7 @@ from edgewalk import (
     star_edges,
     walk_arc_matrix,
 )
-from walk_oracle import gather_walk
+from walk_oracle import gather_walk, vertex_rotation_gap, vertex_uniform_series
 
 TRIANGLE_ALL_MARKED = [(0, 1), (1, 2), (0, 2)]
 K4_ALL_MARKED = [(u, v) for u in range(4) for v in range(u + 1, 4)]
@@ -142,6 +143,76 @@ def test_series_matches_arc_walk(data):
     assert np.abs(run_series(g, t_max, summary).fp - expected).max() <= 5e-12
     gap_sq = asymptotic_diagnostics(g, summary).rotation_gap_sq
     assert abs(gap_sq - gather_rotation_gap(g, summary)) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_quotient_walks_match_vertex_walks(data):
+    # the walks on the order-(s+1) quotient against the same walks on
+    # (n+1)-vectors: they differ only in how <1, b> is summed
+    family = data.draw(st.sampled_from(sorted(FAMILIES)), label="family")
+    k = data.draw(st.integers(1, 4), label="k")
+    pattern = FAMILIES[family](k)
+    used = 1 + max(max(e) for e in pattern)
+    # small hosts leave t = 0 or 1 vertices outside the marked subgraph
+    n = data.draw(st.integers(max(2, used - 1), 400), label="n")
+    orientation = data.draw(st.sampled_from(["canonical", "reversed"]))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="placement")
+    labels = np.random.default_rng(seed).permutation(n + 1)
+    edges = [(int(labels[u]), int(labels[v])) for u, v in pattern]
+    g = build_instance(n, edges, orientation=orientation)
+    assume(not g.is_spanning_complete_bipartite())
+    summary = principal_pair(build_T(g))
+    t_f = quantum_time(summary)
+    expected = vertex_uniform_series(g, 2 * t_f)
+    series = run_series(g, 2 * t_f, summary)
+    assert np.abs(series.fp - expected).max() <= 1e-14
+    d = asymptotic_diagnostics(g, summary)
+    reference = vertex_rotation_gap(g, summary, t_f)
+    assert abs(d.rotation_gap_sq - reference) <= 1e-12 * reference
+    assert abs(d.fp_at_tf - expected[t_f]) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "n,edges",
+    [
+        (5, cycle_edges(6)),
+        (4, path_edges(4)),
+        (5, path_edges(4)),
+        (2, TRIANGLE_ALL_MARKED),
+    ],
+    ids=["cycle6-t0", "path4-t0", "path4-t1", "K3-all-marked"],
+)
+def test_quotient_walks_without_a_rest_cell(n, edges):
+    # t = 0 leaves the quotient no rest coordinate, t = 1 a rest cell of one
+    # vertex
+    g = build_instance(n, edges)
+    summary = principal_pair(build_T(g))
+    t_f = quantum_time(summary)
+    t_max = max(2 * t_f, 40)
+    series = run_series(g, t_max, summary)
+    assert np.abs(series.fp - vertex_uniform_series(g, t_max)).max() <= 1e-14
+    reference = vertex_rotation_gap(g, summary, t_f)
+    gap_sq = asymptotic_diagnostics(g, summary).rotation_gap_sq
+    assert abs(gap_sq - reference) <= 1e-12 * reference
+
+
+def test_series_memory_at_ten_thousand():
+    # one edge at n = 10^4 to twice the searching time (11,108 steps): a
+    # single (n+1)^2 state would take 800 MB, and the vertex-vector walk's
+    # readout blocks about 6 MB
+    g = build_instance(10**4, [(0, 1)])
+    summary = principal_pair(build_T(g))
+    t_max = 2 * quantum_time(summary)
+    tracemalloc.start()
+    try:
+        series = run_series(g, t_max, summary)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
+    assert series.fp[0] == pytest.approx(2 / (10**4 * 10001), rel=1e-14)
+    assert series.fp_at_tf >= 0.9998
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """The vertex-space pq_spectra certificate against the edge-space lift
 oracle, and its sensitivity to a wrong companion eigenpair."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,12 @@ from edgewalk import (
 )
 from edgewalk.bounds import PQ_MATCH_TOL, _entry, _pq_spectra_mismatch
 from edgewalk.operators import LineTransitionMatrix, VertexMatrix
-from pq_oracle import companion_eigendata, lifted_pq_mismatch, z_matrix
+from pq_oracle import (
+    companion_spectrum,
+    dense_eigendata,
+    lifted_pq_mismatch,
+    z_matrix,
+)
 
 FAMILIES = {
     "edge": lambda size: path_edges(1),
@@ -45,9 +52,9 @@ def test_vertex_certificate_matches_lift_oracle(family, data):
     g = build_instance(n, [(labels[u], labels[v]) for u, v in edges])
     P = build_P(g)
     lam, _ = line_principal_pair(P)
-    values, vectors = companion_eigendata(g)
-    certificate = _pq_spectra_mismatch(P, lam, values, vectors)
-    oracle = lifted_pq_mismatch(P, lam, values, vectors)
+    spectrum = companion_spectrum(g)
+    certificate = _pq_spectra_mismatch(P, lam, spectrum)
+    oracle = lifted_pq_mismatch(P, lam, *dense_eigendata(spectrum))
     assert abs(certificate - oracle) <= 1e-13
     assert certificate <= PQ_MATCH_TOL
 
@@ -60,50 +67,60 @@ def line_instance():
     return g, P, lam
 
 
-def _shift_lowest_value(values, vectors):
-    values = values.copy()
+def _shift_lowest_value(spectrum):
+    values = spectrum.values.copy()
     values[-1] += 1e-6
-    return values, vectors
+    return dataclasses.replace(spectrum, values=values)
 
 
-def _tilt_lowest_vector(values, vectors):
+def _tilt_lowest_vector(spectrum):
     # Mix in the top eigenvector, whose companion value differs by about 1/2.
-    vectors = vectors.copy()
+    vectors = spectrum.vectors.copy()
     tilted = vectors[:, -1] + 1e-3 * vectors[:, 0]
     vectors[:, -1] = tilted / np.linalg.norm(tilted)
-    return values, vectors
+    return dataclasses.replace(spectrum, vectors=vectors)
+
+
+def _shift_beta(spectrum):
+    # the value of the t - 1 zero-sum pairs on the rest, which the
+    # certificate checks through one representative
+    return dataclasses.replace(spectrum, beta=spectrum.beta + 1e-6)
 
 
 @pytest.mark.parametrize(
-    "corrupt", [_shift_lowest_value, _tilt_lowest_vector], ids=["value", "vector"]
+    "corrupt",
+    [_shift_lowest_value, _tilt_lowest_vector, _shift_beta],
+    ids=["value", "vector", "beta"],
 )
 def test_certificate_catches_a_wrong_pair(line_instance, corrupt):
     g, P, lam = line_instance
     assert not P.fits_dense
-    values, vectors = companion_eigendata(g)
-    assert _pq_spectra_mismatch(P, lam, values, vectors) <= 1e-13
-    values, vectors = corrupt(values, vectors)
-    certificate = _pq_spectra_mismatch(P, lam, values, vectors)
-    oracle = lifted_pq_mismatch(P, lam, values, vectors)
+    spectrum = companion_spectrum(g)
+    assert _pq_spectra_mismatch(P, lam, spectrum) <= 1e-13
+    spectrum = corrupt(spectrum)
+    certificate = _pq_spectra_mismatch(P, lam, spectrum)
+    oracle = lifted_pq_mismatch(P, lam, *dense_eigendata(spectrum))
     assert certificate >= 1e-7 and oracle >= 1e-7
     assert abs(certificate - oracle) <= 1e-13
     assert _entry("pq_spectra", "<=", certificate, PQ_MATCH_TOL).passed is False
 
 
 def test_ledger_fails_pq_spectra_on_a_wrong_companion_value(monkeypatch):
-    # Shift the lowest eigenvalue of Z by 2(n-1) * 1e-6, i.e. the companion
-    # value by 1e-6: every other entry stays inside its bound.
+    # Shift the lowest eigenvalue of Z's quotient by 2(n-1) * 1e-6, i.e. the
+    # companion value by 1e-6: every other entry stays inside its bound.
     g = build_instance(300, path_edges(2))
     z = z_matrix(g)
-    real_eigh = bounds.quotient_eigh
+    real_spectrum = bounds.quotient_spectrum
 
-    def corrupted_eigh(matrix):
-        values, vectors = real_eigh(matrix)
+    def corrupted_spectrum(matrix):
+        spectrum = real_spectrum(matrix)
         if matrix.order == len(z) and np.array_equal(matrix.matrix, z):
+            values = spectrum.values.copy()
             values[-1] += 2.0 * (g.n - 1) * 1e-6
-        return values, vectors
+            spectrum = dataclasses.replace(spectrum, values=values)
+        return spectrum
 
-    monkeypatch.setattr(bounds, "quotient_eigh", corrupted_eigh)
+    monkeypatch.setattr(bounds, "quotient_spectrum", corrupted_spectrum)
     ledger = verify_all(g)
     assert [e.name for e in ledger.failures] == ["pq_spectra"]
     assert ledger.entry("pq_spectra").lhs >= 1e-7
@@ -111,20 +128,20 @@ def test_ledger_fails_pq_spectra_on_a_wrong_companion_value(monkeypatch):
 
 def test_certificate_makes_no_edge_space_products(line_instance, monkeypatch):
     g, P, lam = line_instance
-    values, vectors = companion_eigendata(g)
+    spectrum = companion_spectrum(g)
 
     def refuse(self, x):
         raise AssertionError("pq_spectra applied the line kernel")
 
     monkeypatch.setattr(LineTransitionMatrix, "matvec", refuse)
-    assert _pq_spectra_mismatch(P, lam, values, vectors) <= 1e-13
+    assert _pq_spectra_mismatch(P, lam, spectrum) <= 1e-13
 
 
 def test_certificate_makes_no_vertex_sized_products(line_instance, monkeypatch):
-    # Q and G act through their s x s block and two scalars: their dense
+    # Q and G act through their order-(s+1) quotient: their dense
     # order-(n+1) form is never built
     g, P, lam = line_instance
-    values, vectors = companion_eigendata(g)
+    spectrum = companion_spectrum(g)
 
     def refuse(self):
         raise AssertionError("pq_spectra built a dense vertex matrix")
@@ -132,4 +149,4 @@ def test_certificate_makes_no_vertex_sized_products(line_instance, monkeypatch):
     monkeypatch.setattr(VertexMatrix, "matrix", property(refuse))
     with pytest.raises(AssertionError):
         P.gram.matrix
-    assert _pq_spectra_mismatch(P, lam, values, vectors) <= 1e-13
+    assert _pq_spectra_mismatch(P, lam, spectrum) <= 1e-13

@@ -1,5 +1,7 @@
 """Eigensolving fixtures, principal-pair conventions, and the lifting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,13 @@ from edgewalk import (
 )
 from edgewalk.errors import DegenerateSpectrum, NotSymmetric
 from edgewalk.operators import VertexMatrix, vertex_matrix
-from edgewalk.spectral import d_star_apply, principal_vector, quotient_lambda_max
+from edgewalk.spectral import (
+    d_star_apply,
+    principal_vector,
+    quotient_lambda_max,
+    quotient_spectrum,
+    summarize_spectrum,
+)
 
 K5_EDGES = [(0, 1), (1, 2), (2, 3)]
 
@@ -323,3 +331,65 @@ def test_quotient_lambda_max_takes_beta_above_the_quotient():
     matrix = VertexMatrix(6, np.array([[-3.0, 0.0], [0.0, -3.0]]), -0.1, 0.0)
     assert np.linalg.eigvalsh(matrix.matrix).max() == pytest.approx(0.1, abs=1e-15)
     assert quotient_lambda_max(matrix) == pytest.approx(0.1, abs=1e-15)
+
+
+PAIR_FAMILIES = {
+    "edge": lambda k: [(0, 1)],
+    "path": path_edges,
+    "matching": matching_edges,
+    "star": star_edges,
+    "cycle": lambda k: cycle_edges(k + 2),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PAIR_FAMILIES))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_quotient_spectrum_matches_its_dense_lift(family, data):
+    # the spectrum kept on the quotient against quotient_eigh's dense lift
+    # and against eigh of the dense matrix, for T, Y, Z, Q and G
+    k = data.draw(st.integers(1, 4), label="k")
+    n = data.draw(st.integers(12, 400), label="n")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="placement")
+    labels = np.random.default_rng(seed).permutation(n + 1)
+    edges = [(int(labels[u]), int(labels[v])) for u, v in PAIR_FAMILIES[family](k)]
+    g = build_instance(n, edges)
+    order = n + 1
+    for name, matrix in _vertex_matrices(g).items():
+        spectrum = quotient_spectrum(matrix)
+        values, vectors = quotient_eigh(matrix)
+        full_values = eigh(matrix.matrix)[0]
+        scale = max(1.0, float(np.abs(full_values).max()))
+        assert np.array_equal(spectrum.descending(), values), name
+        assert np.array_equal(spectrum.descending(2), values[:2]), name
+        assert spectrum.lambda_max == values[0], name
+        assert np.array_equal(np.unique(spectrum.distinct), np.unique(values)), name
+        assert np.abs(values - full_values).max() <= 1e-13 * scale, name
+        # the principal vector and ||f - j||^2 in the symmetric coordinates
+        f = spectrum.principal()
+        dense_f = principal_vector(values, vectors)
+        assert np.abs(spectrum.lift(f) - dense_f).max() <= 1e-13, name
+        j = np.full(order, 1.0 / np.sqrt(order))
+        assert np.abs(spectrum.lift(spectrum.uniform) - j).max() <= 1e-16, name
+        dense_distance = float(np.sum((dense_f - j) ** 2))
+        distance = float(np.sum((f - spectrum.uniform) ** 2))
+        assert abs(distance - dense_distance) <= 1e-12 * dense_distance, name
+    summary = quotient_spectrum(build_T(g)).summary()
+    dense = summarize_spectrum(*quotient_eigh(build_T(g)))
+    assert np.array_equal(summary.eigenvalues, dense.eigenvalues)
+    assert np.abs(summary.f - dense.f).max() <= 4 * np.finfo(float).eps
+    assert abs(summary.overlap - dense.overlap) <= 4 * np.finfo(float).eps
+
+
+def test_principal_pair_memory_is_linear_in_n():
+    # n = 2000: the dense eigenvector matrix of quotient_eigh takes 32 MB;
+    # the summary holds two (n+1)-vectors, 16 kB each
+    tracemalloc.start()
+    try:
+        summary = principal_pair(build_T(build_instance(2000, [(0, 1)])))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+    assert summary.eigenvalues.shape == summary.f.shape == (2001,)
+    assert 1 - 4 / (2000 * 2001) <= summary.lambda_max < 1
