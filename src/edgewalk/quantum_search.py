@@ -255,16 +255,13 @@ def _times_nT(g: SignedCompleteGraph) -> Callable[[np.ndarray], np.ndarray]:
     """The map b -> n T b = <1, b> 1 - b - 2 A b on the quotient, at
     O(s + m), for a vector or a matrix of one vector per column."""
     neg_o, neg_t = g.negative_arcs
-    # (2 A b)_v sums b twice over the marked neighbours of v: each arc is
-    # listed twice, so that no scalar multiple is formed (a long double
-    # array op with a scalar costs more than the sum itself at small s)
-    ends = np.tile(np.concatenate((neg_o, neg_t)), 2)
-    starts = np.tile(np.concatenate((neg_t, neg_o)), 2)
+    # (A b)_v sums b over the marked neighbours of v: one term per arc
+    ends, starts = np.concatenate((neg_o, neg_t)), np.concatenate((neg_t, neg_o))
     weights = _weights(g).astype(np.longdouble)[None, :]
 
     def times_nT(b: np.ndarray) -> np.ndarray:
         nt_b = weights @ b - b
-        np.subtract.at(nt_b, ends, b[starts])
+        np.subtract.at(nt_b, ends, 2.0 * b[starts])
         return nt_b
 
     return times_nT
@@ -291,7 +288,7 @@ def _walk_pair(
     """
     s = g.s
     times_nT = _times_nT(g)
-    scale = np.longdouble(2) / g.n
+    scale = np.longdouble(2.0) / g.n
     prev = -np.asarray(a, dtype=np.longdouble)
     b = np.array(b, dtype=np.longdouble)
     if history is not None:

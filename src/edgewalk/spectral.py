@@ -152,11 +152,24 @@ class QuotientSpectrum:
         ``function`` applied to each value, the vectors kept."""
         return replace(self, values=function(self.values), beta=function(self.beta))
 
-    def principal(self, tie_tol: float = TIE_TOL) -> np.ndarray:
+    def principal(self) -> np.ndarray:
         """``principal_vector``'s choice in the symmetric coordinates.  The
         zero-sum vectors on the rest are orthogonal to the uniform vector,
         so its projection onto the top eigenspace lies in the quotient."""
-        return _principal(self.values, self.vectors, self.uniform, tie_tol)
+        top = self._top()
+        return _principal(self.values[top], self.vectors[:, top], self.uniform, TIE_TOL)
+
+    def _top(self) -> np.ndarray:
+        """Which quotient pairs span the top eigenspace's part in the
+        quotient.  Raises ValueError when beta lies above them, as it can
+        only for off < 0: the top eigenspace is then zero-sum on the rest,
+        which the quotient does not hold."""
+        if self.copies and self.beta - self.values[0] >= TIE_TOL:
+            raise ValueError(
+                "beta lies above every quotient eigenvalue, so the principal "
+                "vector is not constant on the rest"
+            )
+        return self.values[0] - self.values < TIE_TOL
 
     def lift(self, x: np.ndarray) -> np.ndarray:
         """The order-(n+1) vectors of symmetric coordinates x (a vector, or
@@ -167,10 +180,13 @@ class QuotientSpectrum:
     def summary(self) -> SpectralSummary:
         """``summarize_spectrum`` of the matrix: the quotient vectors of the
         top eigenspace (usually one) are lifted, in O(n) each, and combined
-        by the same operations as the dense eigenvectors would be, so that
-        f and the overlap do not depend on which form was solved.  Raises
+        by the same operations as the dense eigenvectors would be.  Raises
         DegenerateSpectrum as ``principal_pair``."""
-        top = self.values[0] - self.values < TIE_TOL
+        # lift(principal()) would give the same f to about 1e-16, but its
+        # overlap differs in the last bits on about half of the instances;
+        # this second path exists only to keep f, the overlap and so
+        # spectrum.json bit-identical to the dense eigenvectors'.
+        top = self._top()
         return _summarize(
             self.descending(), self.values[top], self.lift(self.vectors[:, top])
         )

@@ -333,6 +333,18 @@ def test_quotient_lambda_max_takes_beta_above_the_quotient():
     assert quotient_lambda_max(matrix) == pytest.approx(0.1, abs=1e-15)
 
 
+def test_quotient_principal_refuses_beta_above_the_quotient():
+    # the top eigenspace is then zero-sum on the rest, outside the quotient;
+    # the values are still read there, but no principal vector is
+    matrix = VertexMatrix(6, np.array([[-3.0, 0.0], [0.0, -3.0]]), -0.1, 0.0)
+    spectrum = quotient_spectrum(matrix)
+    assert spectrum.lambda_max == pytest.approx(0.1, abs=1e-15)
+    with pytest.raises(ValueError, match="beta lies above"):
+        spectrum.principal()
+    with pytest.raises(ValueError, match="beta lies above"):
+        spectrum.summary()
+
+
 PAIR_FAMILIES = {
     "edge": lambda k: [(0, 1)],
     "path": path_edges,
