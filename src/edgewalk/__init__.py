@@ -13,14 +13,10 @@ from . import errors
 from .bounds import BoundEntry, BoundLedger, SuiteReport, verify_all, verify_random_suite
 from .classical_search import HittingTimeResult, hitting_time, mc_hitting_time
 from .operators import (
-    LineQuotientMatrix,
-    LineTransitionMatrix,
     VertexMatrix,
     apply_U,
     arc_matrix,
     arc_vector,
-    build_P,
-    build_P_quotient,
     build_T,
     build_U_dense,
     walk_arc_matrix,
@@ -37,10 +33,8 @@ from .quantum_search import (
 )
 from .signed_graph import (
     ArcTable,
-    ComplementGraph,
     SignedCompleteGraph,
     build_arc_table,
-    build_complement,
     build_instance,
     complete_bipartite_edges,
     cycle_edges,
@@ -55,7 +49,6 @@ from .spectral import (
     SpectralSummary,
     eigh,
     lift_eigenvectors,
-    line_principal_pair,
     principal_pair,
     quotient_eigh,
     spectral_mapping_check,
@@ -63,6 +56,28 @@ from .spectral import (
 )
 
 __version__ = "0.1.0"
+
+# The edge-space names come from ``edge_space``, the one module that imports
+# scipy, on first access (PEP 562), so that importing the package, and every
+# command but ``verify``, loads numpy alone.
+_EDGE_SPACE = {
+    "ComplementGraph",
+    "build_complement",
+    "LineTransitionMatrix",
+    "LineQuotientMatrix",
+    "build_P",
+    "build_P_quotient",
+    "line_principal_pair",
+}
+
+
+def __getattr__(name: str):
+    if name in _EDGE_SPACE:
+        from . import edge_space
+
+        return getattr(edge_space, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "errors",

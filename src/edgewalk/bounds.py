@@ -16,7 +16,7 @@ the quotient pairs through the quotient forms of Q and G, plus one of the
 t - 1 zero-sum pairs on the rest, which share their value and residual.
 The rotation walk runs on the same quotient (``quantum_search``).  The line
 kernel's Lanczos runs on its edge-orbit quotient
-(``operators.build_P_quotient``), r = C(s,2) - m + s + 1 orbits for
+(``edge_space.build_P_quotient``), r = C(s,2) - m + s + 1 orbits for
 t >= 2, t_c is ``classical_search.hitting_time``'s order-s solve, the one
 that ``classical`` and ``speedup`` report, and norm_l1 reads N j from its
 closed form.  So the ledger builds no edge-space array beyond the r orbits,
@@ -24,6 +24,8 @@ no vertex array beyond a few (n+1)-vectors (the list of T's eigenvalues,
 its lifted principal vector, the sign counts), makes no order-(n+1)
 eigensolve and forms no dense matrix; ``quotient_eigh``, ``build_P``,
 ``LineTransitionMatrix`` and ``solve_absorption`` are the tests' oracles.
+The Lanczos solve is scipy's ARPACK, so ``verify_all`` loads ``edge_space``,
+and with it scipy, when it first runs; importing this module does not.
 
 Throughout, n+1 is the host order, m the number of marked edges, s the
 order of the marked subgraph, Y = J - (n+1)I - 2A and
@@ -58,20 +60,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .classical_search import _searching_time
 from .errors import DegenerateSpectrum, EmptyComplement
-from .operators import (
-    LineQuotientMatrix,
-    LineTransitionMatrix,
-    VertexMatrix,
-    build_P_quotient,
-    build_T,
-    vertex_matrix,
-)
+from .operators import VertexMatrix, build_T, vertex_matrix
 from .quantum_search import asymptotic_diagnostics
 from .signed_graph import (
     SignedCompleteGraph,
@@ -81,7 +76,10 @@ from .signed_graph import (
     path_edges,
     star_edges,
 )
-from .spectral import QuotientSpectrum, eigh, line_principal_pair, quotient_spectrum
+from .spectral import QuotientSpectrum, eigh, quotient_spectrum
+
+if TYPE_CHECKING:
+    from .edge_space import LineQuotientMatrix, LineTransitionMatrix
 
 __all__ = [
     "BoundEntry",
@@ -283,6 +281,9 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
     relation and, when its group exists, its lhs; its rhs is never
     evaluated, and rhs and slack are NaN (null in JSON).
     """
+    # edge_space imports scipy: loaded by the first ledger, not by the package
+    from .edge_space import build_P_quotient, line_principal_pair
+
     n, m, s = g.n, g.num_marked, g.s
     order = n + 1
     # Y = J - (n+1) I - 2A and Z = J - (n+1) I - A - D, with A the marked

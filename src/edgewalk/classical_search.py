@@ -17,8 +17,9 @@ with M = (n+1)I + A + D, A and D the marked adjacency and its degrees.
 ``hitting_time`` evaluates that in vertex space, from one s x s solve; it
 is the one t_c that ``classical``, ``speedup`` and the ledger report.  The
 edge-space absorption solve (I - P) x = 1, whose mean is t_c, runs
-matrix-free by conjugate gradients (``solve_absorption``), and the tests use
-it as the oracle of the vertex path.
+matrix-free by conjugate gradients (``edge_space.solve_absorption``), and
+the tests use it as the oracle of the vertex path.  This module needs numpy
+only: scipy's CG runs in ``edge_space`` alone.
 A seeded Monte-Carlo walker provides an independent estimate of the same
 quantity.  Trial i draws from the stream of
 ``Generator(Philox(key=[seed, i]))``; the walker evaluates Philox4x64-10
@@ -35,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import (
     EmptyComplement,
@@ -45,12 +44,11 @@ from .errors import (
     TooLarge,
     ZeroTrials,
 )
-from .operators import LineTransitionMatrix, build_Q
+from .operators import build_Q
 from .signed_graph import SignedCompleteGraph
 from .spectral import quotient_lambda_max
 
 __all__ = [
-    "solve_absorption",
     "HittingTimeResult",
     "hitting_time",
     "mc_hitting_time",
@@ -97,66 +95,6 @@ class HittingTimeResult:
     solver_residual: float
 
 
-def solve_absorption(P: LineTransitionMatrix) -> tuple[np.ndarray, float]:
-    """Solve (I - P) x = 1 on the edges and return (x, relative residual);
-    the mean of x is t_c.
-
-    Conjugate gradients at every size: the kernel has a single eigenvalue
-    near 1 and the rest below ~1/2, which CG deflates in a handful of
-    iterations.  This edge-space solve is the tests' oracle for
-    ``hitting_time``.
-    """
-    edges = P.num_edges
-    ones = np.ones(edges)
-    # scipy checks the residual at the top of an iteration only, so an
-    # exact step (one edge, or P = 0) needs one more iteration to report it.
-    maxiter = min(edges, 20000) + 1
-
-    # Residuals are evaluated with the mean of x split off: the constant
-    # part of (I - P)x, (2n - d_u - d_v)/(2(n-1)) at the edge uv with d the
-    # unmarked degrees, follows exactly from integer degree sums, and the
-    # remainder has O(1) spread, so the summation error no longer scales
-    # with the (large) magnitude of the absorption times.
-    eu, ev = P.complement.edges.T
-    deg = P.complement.degrees.astype(np.float64)
-    ones_response = (2.0 * P.n - deg[eu] - deg[ev]) / P.moves
-
-    def shortfall_of(x: np.ndarray) -> np.ndarray:
-        center = x.mean()
-        spread = x - center
-        return ones - center * ones_response - (spread - P.matvec(spread))
-
-    def true_residual(x: np.ndarray) -> float:
-        return float(np.linalg.norm(shortfall_of(x)) / np.sqrt(edges))
-
-    op = LinearOperator(
-        (edges, edges),
-        matvec=lambda v: v - P.matvec(v),
-        dtype=np.float64,
-    )
-    x, info = cg(op, ones, rtol=1e-13, atol=0.0, maxiter=maxiter)
-    if info != 0:
-        raise SolverFailure(f"conjugate gradients stopped with info={info}")
-    # The recursive CG residual drifts from the true one on this
-    # ill-conditioned system; iterative refinement restores it.  Keep the
-    # best iterate, since updates near the attainable floor can oscillate.
-    best, best_residual = x, true_residual(x)
-    for _ in range(5):
-        if best_residual <= 0.5 * RESIDUAL_TOL:
-            break
-        delta, info = cg(op, shortfall_of(best), rtol=1e-8, atol=0.0, maxiter=maxiter)
-        if info != 0:
-            break
-        candidate = best + delta
-        candidate_residual = true_residual(candidate)
-        if candidate_residual >= best_residual:
-            break
-        best, best_residual = candidate, candidate_residual
-    if best_residual > RESIDUAL_TOL:
-        raise SolverFailure(f"residual {best_residual:.3e} above {RESIDUAL_TOL:.0e}")
-    return best, best_residual
-
-
 def hitting_time(g: SignedCompleteGraph) -> HittingTimeResult:
     """Classical searching time and lambda_max(P), in vertex space.
 
@@ -171,9 +109,9 @@ def hitting_time(g: SignedCompleteGraph) -> HittingTimeResult:
         1 - 1^T M^{-1} 1 = 2 d^T K 1/(n+1),
 
     the last from (n+1) K 1 = 1 - 2 K d (d the degrees), so no difference
-    of nearly equal terms is formed.  One Cholesky solve with the two
-    right-hand sides (h, 1) on the block gives all three, in O(s^3) whatever
-    n is.  lambda_max(P) = lambda_max(Q), since N^T N and N N^T share their
+    of nearly equal terms is formed.  One solve of the symmetric positive
+    definite block with the two right-hand sides (h, 1) gives all three, in
+    O(s^3) whatever n is.  lambda_max(P) = lambda_max(Q), since N^T N and N N^T share their
     nonzero spectrum, and comes from Q's equitable quotient.  Raises
     EmptyComplement when every edge is marked and SolverFailure when the
     solve's relative residual exceeds 1e-10.
@@ -199,9 +137,9 @@ def _searching_time(g: SignedCompleteGraph) -> tuple[float, float]:
     h = n - degrees
     rhs = np.column_stack((h, np.ones(s)))
     try:
-        solution = sla.cho_solve(sla.cho_factor(block), rhs)
+        solution = np.linalg.solve(block, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"Cholesky factorization failed: {exc}") from exc
+        raise SolverFailure(f"the order-{s} block solve failed: {exc}") from exc
     residual = float(np.linalg.norm(rhs - block @ solution) / np.linalg.norm(rhs))
     if not residual <= RESIDUAL_TOL:
         raise SolverFailure(f"residual {residual:.3e} above {RESIDUAL_TOL:.0e}")
@@ -230,7 +168,9 @@ def mc_hitting_time(
 
     Returns (mean, standard error).  Raises ZeroTrials for fewer than one
     trial, ValueError unless 0 <= seed < 2**64, TooLarge when E or 2(n-1)
-    exceeds the 2**32 - 1 values a uint32 draw can bound, EmptyComplement
+    exceeds the 2**32 - 1 values a uint32 draw can bound, or when the
+    walker's tables of (n+1)^2 vertex pairs would exceed
+    ``signed_graph.PAIR_TABLE_LIMIT`` (before any is built), EmptyComplement
     when every edge is marked, and StepCapExceeded when a trial is still
     walking after STEP_CAP steps (checked between refills).
     """
@@ -277,7 +217,7 @@ def _walk(
     low = np.minimum(first, second)
     high = np.maximum(first, second) - 1
     # the unmarked edges (u, v), u < v, in the lexicographic order of
-    # build_complement(g).edges
+    # edge_space.build_complement(g).edges
     start_pairs = np.flatnonzero((first < second) & ~marked)
     # A trial waiting for its start draw sits on the pair (0, 0), which is
     # never marked, and waits out every step.

@@ -20,7 +20,6 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     EmptySubgraph,
@@ -28,23 +27,29 @@ from .errors import (
     InvalidEdge,
     InvalidVertex,
     LoopEdge,
+    TooLarge,
     TooSmall,
 )
 
 __all__ = [
     "ArcTable",
     "SignedCompleteGraph",
-    "ComplementGraph",
     "build_arc_table",
     "build_instance",
-    "build_complement",
     "path_edges",
     "matching_edges",
     "star_edges",
     "cycle_edges",
     "complete_bipartite_edges",
     "edges_from_descriptor",
+    "PAIR_TABLE_LIMIT",
 ]
+
+# The O(n^2) pair tables, ``edge_space.build_complement``'s edges and
+# incidence (35 bytes per vertex pair) and the Monte-Carlo walker's step
+# tables (59-93 bytes), start from ``marked_matrix``, which refuses more
+# than this many vertex pairs (n+1)^2: n + 1 = 4096, 1.6 GB of walker tables.
+PAIR_TABLE_LIMIT = 4096**2
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -175,9 +180,10 @@ class SignedCompleteGraph:
     Construction builds the members through ``marked_block``, in O(s^2 + m)
     whatever n is; the rest are built on first use and cached.  The modules
     read the marked subgraph from ``marked_block`` and ``negative_arcs``;
-    only ``build_complement`` and the Monte-Carlo walker read
-    ``marked_matrix``, and only the arc-space helpers and the dense oracles
-    the per-arc members.
+    only ``edge_space.build_complement`` and the Monte-Carlo walker read
+    ``marked_matrix``, which raises TooLarge above ``PAIR_TABLE_LIMIT``
+    vertex pairs, and only the arc-space helpers and the dense oracles the
+    per-arc members.
 
     Instances are immutable after construction and safe to share between
     threads; the numpy members are marked read-only.  Two threads that read
@@ -235,6 +241,12 @@ class SignedCompleteGraph:
 
     @cached_property
     def marked_matrix(self) -> np.ndarray:
+        pairs = (self.n + 1) ** 2
+        if pairs > PAIR_TABLE_LIMIT:
+            raise TooLarge(
+                f"n = {self.n}: the pair tables of (n+1)^2 = {pairs} vertex "
+                f"pairs exceed the limit of {PAIR_TABLE_LIMIT}"
+            )
         return _readonly(np.pad(self.marked_block, (0, self.t)))
 
     @cached_property
@@ -351,64 +363,6 @@ def build_instance(
         SignedCompleteGraph).
     """
     return SignedCompleteGraph(n, marked_edges, orientation=orientation)
-
-
-@dataclass(frozen=True)
-class ComplementGraph:
-    """The host graph minus the marked edges, with incidence structure.
-
-    ``edges`` holds the unmarked edges as canonical pairs (i, j), i < j, in
-    lexicographic order; ``degrees[v] = n - deg_marked(v)`` for every vertex.
-    """
-
-    n: int
-    edges: np.ndarray
-    degrees: np.ndarray
-    _incidence: sp.csr_matrix
-
-    @property
-    def num_edges(self) -> int:
-        return self.edges.shape[0]
-
-    def incidence(self) -> sp.csr_matrix:
-        """Vertex-by-edge incidence matrix N (``pair_incidence``)."""
-        return self._incidence
-
-
-def unmarked_pairs(marked: np.ndarray) -> np.ndarray:
-    """The pairs (i, j), i < j, at the zeros of a square adjacency
-    indicator, in lexicographic order, as a read-only (pairs, 2) array."""
-    return _readonly(np.stack(np.nonzero(np.triu(~marked, k=1)), axis=1))
-
-
-def pair_incidence(pairs: np.ndarray, order: int) -> sp.csr_matrix:
-    """Vertex-by-pair incidence matrix of ``unmarked_pairs`` on ``order``
-    vertices (entry 1 iff the vertex lies on the pair), float64 CSR with
-    sorted indices.
-
-    It is the transpose of its own transpose, whose CSR rows are the pairs
-    themselves (two ascending entries each, and the row-major ``pairs`` is
-    its column-index array as it stands), so the conversion is one counting
-    sort and no comparison sort or duplicate merge is needed.
-    """
-    num = pairs.shape[0]
-    incidence_t = sp.csr_matrix(
-        (np.ones(2 * num), pairs.ravel(), np.arange(0, 2 * num + 1, 2)),
-        shape=(num, order),
-    )
-    return incidence_t.T.tocsr()
-
-
-def build_complement(g: SignedCompleteGraph) -> ComplementGraph:
-    """Edges of K_{n+1} that are not marked, their degrees and incidence."""
-    n = g.n
-    edges = unmarked_pairs(g.marked_matrix)
-    return ComplementGraph(
-        n=n,
-        edges=edges,
-        degrees=n - g.gamma_degrees,
-        _incidence=pair_incidence(edges, n + 1),
-    )
 
 
 # --- subgraph generators -------------------------------------------------

@@ -23,6 +23,10 @@ the whole list of eigenvalues are O(n).  ``quotient_lambda_max`` reads only
 the largest eigenvalue.  ``quotient_eigh`` lifts the quotient to a dense
 order-(n+1) eigenvector matrix, and it and full ``eigh`` are the tests'
 oracles.
+
+This module needs numpy only.  The line kernel P of the edge space, whose
+Lanczos solve needs scipy's ARPACK, has its eigenpair in
+``edge_space.line_principal_pair``.
 """
 
 from __future__ import annotations
@@ -31,17 +35,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from .errors import DegenerateSpectrum, NoConvergence, NotSymmetric
-from .operators import (
-    LineQuotientMatrix,
-    LineTransitionMatrix,
-    VertexMatrix,
-    build_T,
-    build_U_dense,
-)
+from .operators import VertexMatrix, build_T, build_U_dense
 from .signed_graph import SignedCompleteGraph
 
 __all__ = [
@@ -59,7 +55,6 @@ __all__ = [
     "d_star_apply",
     "lift_eigenvectors",
     "spectral_mapping_check",
-    "line_principal_pair",
 ]
 
 # 1 - lambda_max below this is treated as the exact structural event
@@ -230,18 +225,9 @@ def quotient_eigh(matrix: VertexMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def quotient_lambda_max(matrix: VertexMatrix) -> float:
-    """Largest eigenvalue of a vertex matrix: the top eigenvalue of its
-    equitable quotient, or beta = ``diagonal - off`` when that is larger
-    and t >= 2.  No eigenvector is formed."""
-    quotient = matrix.quotient
-    top = quotient.shape[0] - 1
-    try:
-        values = sla.eigh(quotient, eigvals_only=True, subset_by_index=[top, top])
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    if matrix.t >= 2:
-        return max(float(values[0]), matrix.diagonal - matrix.off)
-    return float(values[0])
+    """Largest eigenvalue of a vertex matrix: ``QuotientSpectrum.lambda_max``
+    of its equitable quotient, beta when that lies above the quotient."""
+    return quotient_spectrum(matrix).lambda_max
 
 
 def _principal(
@@ -431,41 +417,3 @@ def spectral_mapping_check(
         max_residual=max_residual,
         tolerance=tolerance,
     )
-
-
-def line_principal_pair(
-    P: LineTransitionMatrix | LineQuotientMatrix,
-) -> tuple[float, np.ndarray]:
-    """Top eigenpair of the line-graph kernel, the eigenvector in P's orbit
-    coordinates (unit norm, as in edge space; edge coordinates for
-    ``LineTransitionMatrix``).
-
-    Lanczos on the matrix-free operator, from the uniform start vector, in
-    a three-vector workspace.  The uniform vector is constant on the edge
-    orbits of the permutations of the vertices outside the marked subgraph,
-    and P maps that orbit-constant space (at most C(s, 2) - m + s + 1
-    dimensions, all of ``LineQuotientMatrix``) into itself, so the Krylov
-    space closes after a few steps and holds the top eigenvector.  The
-    eigenvector is sign-fixed against the uniform direction.  When no two
-    unmarked edges share an endpoint, P = 0 and the pair is (0, uniform):
-    Lanczos would have no start.
-    """
-    start = P.uniform
-    if P.max_degree <= 1:
-        return 0.0, start
-    size = start.size
-    op = spla.LinearOperator((size, size), matvec=P.matvec, dtype=np.float64)
-    try:
-        # ncv = 3: with ARPACK's default of 20 the factorization breaks down
-        # once the Krylov space closes, and ARPACK pads it with random
-        # vectors that it orthogonalizes and restarts over, about 22
-        # products where 4 or 5 converge.  Two orbits allow only ncv = 2.
-        values, vectors = spla.eigsh(
-            op, k=1, which="LA", v0=start, tol=0.0, ncv=min(3, size)
-        )
-    except spla.ArpackError as exc:
-        raise NoConvergence(str(exc)) from exc
-    vec = vectors[:, 0]
-    if start @ vec < 0:
-        vec = -vec
-    return float(values[0]), vec / np.linalg.norm(vec)

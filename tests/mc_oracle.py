@@ -9,7 +9,7 @@ streams, and so the returned (mean, standard error), must be identical.
 
 import numpy as np
 
-from edgewalk.signed_graph import build_complement
+from edgewalk.edge_space import build_complement
 
 CHUNK = 64
 

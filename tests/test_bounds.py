@@ -21,14 +21,14 @@ from edgewalk import (
     verify_all,
     verify_random_suite,
 )
-from edgewalk import classical_search, operators, signed_graph
+from edgewalk import edge_space
 from edgewalk.bounds import (
     _entry,
     _gershgorin_violation,
     _pq_spectra_mismatch,
     random_instance,
 )
-from edgewalk.classical_search import solve_absorption
+from edgewalk.edge_space import solve_absorption
 from edgewalk.operators import VertexMatrix, vertex_matrix
 from edgewalk.spectral import eigh
 from pq_oracle import companion_eigendata, companion_spectrum, dense_pq_mismatch
@@ -314,12 +314,11 @@ def test_verify_all_takes_no_edge_space_step(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("edge-space work in verify_all")
 
-    monkeypatch.setattr(signed_graph, "build_complement", refuse)
-    monkeypatch.setattr(operators, "build_complement", refuse)
-    monkeypatch.setattr(operators, "build_P", refuse)
+    monkeypatch.setattr(edge_space, "build_complement", refuse)
+    monkeypatch.setattr(edge_space, "build_P", refuse)
     monkeypatch.setattr(bounds, "build_P", refuse, raising=False)
-    monkeypatch.setattr(operators.LineTransitionMatrix, "matvec", refuse)
-    monkeypatch.setattr(classical_search, "solve_absorption", refuse)
+    monkeypatch.setattr(edge_space.LineTransitionMatrix, "matvec", refuse)
+    monkeypatch.setattr(edge_space, "solve_absorption", refuse)
     monkeypatch.setattr(bounds, "solve_absorption", refuse, raising=False)
     ledger = verify_all(g)
     assert [e.passed for e in ledger] == [True] * 34

@@ -1,5 +1,6 @@
 """Hitting times: exact solves, the Monte-Carlo oracle, spectral brackets."""
 
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -22,13 +23,9 @@ from edgewalk import (
     star_edges,
     verify_all,
 )
-from edgewalk import classical_search, operators, signed_graph
-from edgewalk.classical_search import (
-    _bounded,
-    _philox,
-    _uint32_draws,
-    solve_absorption,
-)
+from edgewalk import classical_search, cli, edge_space
+from edgewalk.classical_search import _bounded, _philox, _uint32_draws
+from edgewalk.edge_space import build_complement, solve_absorption
 from edgewalk.errors import (
     EmptyComplement,
     SolverFailure,
@@ -185,11 +182,10 @@ def test_hitting_time_takes_no_edge_space_step(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("edge-space work in hitting_time")
 
-    monkeypatch.setattr(signed_graph, "build_complement", refuse)
-    monkeypatch.setattr(operators, "build_complement", refuse)
-    monkeypatch.setattr(operators, "build_P", refuse)
+    monkeypatch.setattr(edge_space, "build_complement", refuse)
+    monkeypatch.setattr(edge_space, "build_P", refuse)
     monkeypatch.setattr(classical_search, "build_P", refuse, raising=False)
-    monkeypatch.setattr(operators.LineTransitionMatrix, "matvec", refuse)
+    monkeypatch.setattr(edge_space.LineTransitionMatrix, "matvec", refuse)
     result = hitting_time(g)
     assert abs(result.t_c - expected) <= 1e-11 * expected
     assert abs(result.lambda_max_P - expected_lambda) <= 1e-12
@@ -231,7 +227,7 @@ def _patch_refinement(monkeypatch, correction_sign):
     """Make the first CG solve return a perturbed x, and every refinement
     solve return ``correction_sign`` times the exact correction; returns
     the list of right-hand sides the solves received."""
-    real_cg, calls = classical_search.cg, []
+    real_cg, calls = edge_space.spla.cg, []
 
     def fake_cg(op, rhs, **kwargs):
         x, info = real_cg(op, rhs, **kwargs)
@@ -241,7 +237,7 @@ def _patch_refinement(monkeypatch, correction_sign):
             return x * (1.0 + 1e-6 * noise), info
         return correction_sign * x, info
 
-    monkeypatch.setattr(classical_search, "cg", fake_cg)
+    monkeypatch.setattr(edge_space.spla, "cg", fake_cg)
     return calls
 
 
@@ -439,6 +435,38 @@ def test_mc_draw_range_guard():
     # needs the stand-in's missing marked matrix
     with pytest.raises(AttributeError, match="marked_matrix"):
         mc_hitting_time(SimpleNamespace(n=92682, num_marked=55608), 1)
+
+
+@pytest.mark.parametrize(
+    "n,walker_guard", [(10**4, "pair tables"), (10**5, "bounded uint32 draws")]
+)
+def test_pair_tables_are_refused_before_they_are_built(tmp_path, n, walker_guard):
+    # (n+1)^2 = 1e8 or 1e10 vertex pairs: the walker's tables would take
+    # about 6 GB or 600 GB, the complement's 3.5 GB or 350 GB; both raise
+    # TooLarge with nothing built (at 1e5 the walker's draw range is out of
+    # reach first), and ``classical`` exits 2, a configuration error, with no
+    # report
+    g = build_instance(n, [(0, 1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="pair tables"):
+            build_complement(g)
+        with pytest.raises(TooLarge, match=walker_guard):
+            mc_hitting_time(g, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    argv = ["classical", "--n", str(n), "--subgraph", '{"kind": "path", "k": 1}',
+            "--trials", "1", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_pair_table_limit_is_4096_vertices():
+    assert build_instance(4095, [(0, 1)]).marked_matrix.shape == (4096, 4096)
+    with pytest.raises(TooLarge, match="pair tables"):
+        build_instance(4096, [(0, 1)]).marked_matrix
 
 
 def test_mc_empty_complement():

@@ -18,9 +18,9 @@ from edgewalk import (
     hitting_time,
     line_principal_pair,
 )
-from edgewalk import spectral
+from edgewalk import edge_space
 from edgewalk.bounds import _pq_spectra_mismatch
-from edgewalk.classical_search import solve_absorption
+from edgewalk.edge_space import solve_absorption
 from edgewalk.errors import NoConvergence
 from edgewalk.spectral import principal_vector
 from pq_oracle import companion_eigendata, companion_spectrum, dense_pq_mismatch
@@ -113,6 +113,6 @@ def test_arpack_errors_are_no_convergence(monkeypatch):
     def fail(*args, **kwargs):
         raise spla.ArpackError(-9)
 
-    monkeypatch.setattr(spectral.spla, "eigsh", fail)
+    monkeypatch.setattr(edge_space.spla, "eigsh", fail)
     with pytest.raises(NoConvergence):
         line_principal_pair(build_P(build_instance(3, [(0, 1)])))

@@ -19,10 +19,9 @@ from edgewalk import (
     build_U_dense,
     complete_bipartite_edges,
     cycle_edges,
+    edge_space,
     matching_edges,
-    operators,
     path_edges,
-    signed_graph,
     star_edges,
 )
 from edgewalk.errors import DimensionMismatch, EmptyComplement, TooLarge
@@ -284,7 +283,7 @@ def test_P_check_sees_a_dropped_edge(monkeypatch, dropped):
             _incidence=delta.incidence()[:, keep].tocsr(),
         )
 
-    monkeypatch.setattr(operators, "build_complement", short_complement)
+    monkeypatch.setattr(edge_space, "build_complement", short_complement)
     with pytest.raises(
         AssertionError, match="vertex companion disagrees with incidence identity"
     ):
@@ -323,7 +322,7 @@ def test_P_check_sees_a_wrong_edge_set_with_the_right_counts(monkeypatch, edit):
         delta = build_complement(g)
         return dataclasses.replace(delta, edges=edit(delta.edges, *cycle))
 
-    monkeypatch.setattr(operators, "build_complement", edited_complement)
+    monkeypatch.setattr(edge_space, "build_complement", edited_complement)
     with pytest.raises(
         AssertionError, match="vertex companion disagrees with incidence identity"
     ):
@@ -398,9 +397,10 @@ def test_quotient_check_sees_a_dropped_pair(monkeypatch):
     g = build_instance(7, cycle_edges(4))
 
     def short_pairs(marked):
-        return signed_graph.unmarked_pairs(marked)[1:]
+        return real_pairs(marked)[1:]
 
-    monkeypatch.setattr(operators, "unmarked_pairs", short_pairs)
+    real_pairs = edge_space.unmarked_pairs
+    monkeypatch.setattr(edge_space, "unmarked_pairs", short_pairs)
     with pytest.raises(
         AssertionError, match="edge orbits disagree with the incidence identity"
     ):

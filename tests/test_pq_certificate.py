@@ -20,7 +20,8 @@ from edgewalk import (
     verify_all,
 )
 from edgewalk.bounds import PQ_MATCH_TOL, _entry, _pq_spectra_mismatch
-from edgewalk.operators import LineTransitionMatrix, VertexMatrix
+from edgewalk.edge_space import LineTransitionMatrix
+from edgewalk.operators import VertexMatrix
 from pq_oracle import (
     companion_spectrum,
     dense_eigendata,

@@ -18,7 +18,6 @@ from edgewalk import (
     eigh,
     lift_eigenvectors,
     matching_edges,
-    operators,
     line_principal_pair,
     path_edges,
     principal_pair,
@@ -26,6 +25,7 @@ from edgewalk import (
     spectral_mapping_check,
     star_edges,
 )
+from edgewalk.edge_space import LineTransitionMatrix
 from edgewalk.errors import DegenerateSpectrum, NotSymmetric
 from edgewalk.operators import VertexMatrix, vertex_matrix
 from edgewalk.spectral import (
@@ -196,13 +196,13 @@ def test_line_lanczos_matvec_budget(monkeypatch, n, edges):
     # three-vector Lanczos workspace converges in a handful of products.
     P = build_P(build_instance(n, edges))
     calls = []
-    real_matvec = operators.LineTransitionMatrix.matvec
+    real_matvec = LineTransitionMatrix.matvec
 
     def counting(self, x):
         calls.append(1)
         return real_matvec(self, x)
 
-    monkeypatch.setattr(operators.LineTransitionMatrix, "matvec", counting)
+    monkeypatch.setattr(LineTransitionMatrix, "matvec", counting)
     lam, _ = line_principal_pair(P)
     assert len(calls) <= 8
     assert abs(lam - _top_companion_value(P)) <= 1e-13
