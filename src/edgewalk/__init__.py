@@ -13,10 +13,12 @@ from . import errors
 from .bounds import BoundEntry, BoundLedger, SuiteReport, verify_all, verify_random_suite
 from .classical_search import HittingTimeResult, hitting_time, mc_hitting_time
 from .operators import (
+    LineQuotientMatrix,
     VertexMatrix,
     apply_U,
     arc_matrix,
     arc_vector,
+    build_P_quotient,
     build_T,
     build_U_dense,
     walk_arc_matrix,
@@ -59,14 +61,12 @@ __version__ = "0.1.0"
 
 # The edge-space names come from ``edge_space``, the one module that imports
 # scipy, on first access (PEP 562), so that importing the package, and every
-# command but ``verify``, loads numpy alone.
+# command, loads numpy alone.
 _EDGE_SPACE = {
     "ComplementGraph",
     "build_complement",
     "LineTransitionMatrix",
-    "LineQuotientMatrix",
     "build_P",
-    "build_P_quotient",
     "line_principal_pair",
 }
 

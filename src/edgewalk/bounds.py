@@ -15,17 +15,20 @@ Gershgorin reads the s + 2 distinct eigenvalues, and pq_spectra certifies
 the quotient pairs through the quotient forms of Q and G, plus one of the
 t - 1 zero-sum pairs on the rest, which share their value and residual.
 The rotation walk runs on the same quotient (``quantum_search``).  The line
-kernel's Lanczos runs on its edge-orbit quotient
-(``edge_space.build_P_quotient``), r = C(s,2) - m + s + 1 orbits for
-t >= 2, t_c is ``classical_search.hitting_time``'s order-s solve, the one
+kernel lives on its edge-orbit quotient (``operators.build_P_quotient``),
+r = C(s,2) - m + s + 1 orbits for t >= 2, where lambda_max(P) is bracketed
+from Q's principal vector by one product (``spectral.line_bracket``,
+Collatz-Wielandt): cor_P reads the ends and the overlap, pq_spectra the
+ends' distance to lambda_max(Q), and the resolvent the point value between
+them.  t_c is ``classical_search.hitting_time``'s order-s solve, the one
 that ``classical`` and ``speedup`` report, and norm_l1 reads N j from its
 closed form.  So the ledger builds no edge-space array beyond the r orbits,
 no vertex array beyond a few (n+1)-vectors (the list of T's eigenvalues,
 its lifted principal vector, the sign counts), makes no order-(n+1)
-eigensolve and forms no dense matrix; ``quotient_eigh``, ``build_P``,
-``LineTransitionMatrix`` and ``solve_absorption`` are the tests' oracles.
-The Lanczos solve is scipy's ARPACK, so ``verify_all`` loads ``edge_space``,
-and with it scipy, when it first runs; importing this module does not.
+eigensolve, no eigensolve of P and forms no dense matrix, and it needs
+numpy alone; ``quotient_eigh``, ``build_P``, ``LineTransitionMatrix``,
+Lanczos (``line_principal_pair``) and ``solve_absorption``, all scipy's in
+``edge_space``, are the tests' oracles.
 
 Throughout, n+1 is the host order, m the number of marked edges, s the
 order of the marked subgraph, Y = J - (n+1)I - 2A and
@@ -66,7 +69,13 @@ import numpy as np
 
 from .classical_search import _searching_time
 from .errors import DegenerateSpectrum, EmptyComplement
-from .operators import VertexMatrix, build_T, vertex_matrix
+from .operators import (
+    LineQuotientMatrix,
+    VertexMatrix,
+    build_P_quotient,
+    build_T,
+    vertex_matrix,
+)
 from .quantum_search import asymptotic_diagnostics
 from .signed_graph import (
     SignedCompleteGraph,
@@ -76,10 +85,10 @@ from .signed_graph import (
     path_edges,
     star_edges,
 )
-from .spectral import QuotientSpectrum, eigh, quotient_spectrum
+from .spectral import QuotientSpectrum, eigh, line_bracket, quotient_spectrum
 
 if TYPE_CHECKING:
-    from .edge_space import LineQuotientMatrix, LineTransitionMatrix
+    from .edge_space import LineTransitionMatrix
 
 __all__ = [
     "BoundEntry",
@@ -231,11 +240,12 @@ def _gershgorin_violation(matrix: VertexMatrix, values: np.ndarray) -> float:
 
 def _pq_spectra_mismatch(
     P: LineTransitionMatrix | LineQuotientMatrix,
-    lambda_max_p: float,
+    lambda_max_p: float | tuple[float, float],
     companion: QuotientSpectrum,
 ) -> float:
     """Numeric distance between Spec(P) and Spec(Q) modulo -1/(n-1), given
-    the spectrum of the companion Q on its quotient.
+    lambda_max(P), or the two ends of a bracket on it, and the spectrum of
+    the companion Q on its quotient.
 
     Each companion eigenpair (q, w) with a value other than -1/(n-1) is
     certified as an eigenpair of the line kernel through its lift N^T w, N
@@ -253,8 +263,8 @@ def _pq_spectra_mismatch(
     Gw = (G.diagonal - G.off) w exactly, so their relative residual is
     |Q.diagonal - Q.off - beta|; one stands for all.  The remaining line
     eigenvalues equal -1/(n-1) by the rank of N.  The largest relative
-    residual is combined with the distance between lambda_max(P) and the
-    top companion value.
+    residual is combined with the distance between lambda_max(P), or the
+    farther end of its bracket, and the top companion value.
     """
     kernel_value = -1.0 / (P.n - 1)
     keep = np.abs(companion.values - kernel_value) > PQ_KERNEL_TOL
@@ -266,7 +276,8 @@ def _pq_spectra_mismatch(
     residuals = list(np.sqrt(residual_sq / lifted_sq))
     if companion.copies and abs(companion.beta - kernel_value) > PQ_KERNEL_TOL:
         residuals.append(abs(P.q_matrix.diagonal - P.q_matrix.off - companion.beta))
-    return max(abs(lambda_max_p - companion.lambda_max), *residuals)
+    ends = np.abs(np.subtract(lambda_max_p, companion.lambda_max))
+    return max(*np.atleast_1d(ends), *residuals)
 
 
 def verify_all(g: SignedCompleteGraph) -> BoundLedger:
@@ -281,9 +292,6 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
     relation and, when its group exists, its lhs; its rhs is never
     evaluated, and rhs and slack are NaN (null in JSON).
     """
-    # edge_space imports scipy: loaded by the first ledger, not by the package
-    from .edge_space import build_P_quotient, line_principal_pair
-
     n, m, s = g.n, g.num_marked, g.s
     order = n + 1
     # Y = J - (n+1) I - 2A and Z = J - (n+1) I - A - D, with A the marked
@@ -316,9 +324,12 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
     else:
         # Without a complement these names stay unbound: the thunks of a
         # group without data are never called.
-        lambda_max_p, f_p = line_principal_pair(P)
+        q_spectrum = z_spectrum.map(lambda z: z / (2.0 * (n - 1)) + 1.0)
+        bracket = line_bracket(P, q_spectrum)
         t_c = _searching_time(g)[0]
-        resolvent = 1.0 / (1.0 - lambda_max_p)
+        # the bracket's point value: an end would carry its width, which
+        # 1/(1 - lambda) magnifies by t_c^2
+        resolvent = 1.0 / (1.0 - bracket.value)
         # h = N j_E: (n - D_v)/sqrt(E) at v, on the marked subgraph's
         # vertices and then at each of the t others
         h = np.append(np.diag(P.gram.block), n) / np.sqrt(P.num_edges)
@@ -394,13 +405,14 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
          lambda: order * float(h_count @ h**2), ALWAYS),
         ("pq_spectra", "<=",
          lambda: _pq_spectra_mismatch(
-             P, lambda_max_p, z_spectrum.map(lambda z: z / (2.0 * (n - 1)) + 1.0)),
+             P, (bracket.lower, bracket.upper), q_spectrum),
          lambda: PQ_MATCH_TOL, ALWAYS),
-        ("cor_P.upper", "<=", lambda: lambda_max_p,
+        # each side reads the end of the bracket that makes it one-sided
+        ("cor_P.upper", "<=", lambda: bracket.upper,
          lambda: 1.0 - (1.0 - delta_z) * 2.0 * m / ((n + 1.0) * (n - 1.0)), ALWAYS),
-        ("cor_P.lower", ">=", lambda: lambda_max_p,
+        ("cor_P.lower", ">=", lambda: bracket.lower,
          lambda: 1.0 - 2.0 * m / ((n + 1.0) * (n - 1.0)), ALWAYS),
-        ("cor_P.overlap", ">=", lambda: float(P.uniform @ f_p) ** 2,
+        ("cor_P.overlap", ">=", lambda: bracket.overlap,
          lambda: 1.0 - 4.0 * m / (n + 1.0) ** 2, ALWAYS),
         ("tc_near_resolvent", "<=", lambda: abs(t_c - resolvent), lambda: 4.0, TC),
         ("tc_bracket.lower", ">=",

@@ -1,25 +1,25 @@
 """Edge space: the unmarked edges of the host graph, the line kernel P on
-them, and the scipy solvers that run on P.
+them, and the scipy solvers that run on P; the tests' oracles.
 
 This is the one module of the package that imports scipy.  It holds the
 sparse vertex-by-edge incidence (``pair_incidence``) and everything built
 on it: the complement (``build_complement``), the line kernel on the edges
-(``build_P``, a test oracle) and on its edge orbits (``build_P_quotient``,
-the ledger's), Lanczos for lambda_max(P) (``line_principal_pair``, ARPACK)
-and the absorption solve (``solve_absorption``, conjugate gradients, the
-oracle of ``classical_search.hitting_time``).  The searching times, the
-spectra of the vertex matrices and the walks need numpy alone, so the
-package loads this module only when ``bounds.verify_all`` runs or a name of
-it is read from ``edgewalk`` (or ``LineTransitionMatrix`` from its former
-home, ``operators``).
+(``build_P``), Lanczos for lambda_max(P) (``line_principal_pair``, ARPACK,
+on either form of P) and the absorption solve (``solve_absorption``,
+conjugate gradients, the oracle of ``classical_search.hitting_time``).  No
+command needs it: the searching times, the spectra of the vertex matrices,
+the walks and the ledger need numpy alone, the ledger's line kernel being
+``operators.LineQuotientMatrix`` with its lambda_max(P) certified by
+``spectral.line_bracket``.  So the package loads this module only when a
+name of it is read from ``edgewalk`` (or ``LineTransitionMatrix`` from its
+former home, ``operators``).
 
 P is the isotropic transition kernel on the line graph of the unmarked
 remainder, with entry 1/(2(n-1)) between distinct edges sharing an
-endpoint, applied matrix-free at every size: on the edges
-(``LineTransitionMatrix``, a test oracle, as is a dense P) or on the
-orbits of the permutations of the vertices outside the marked subgraph
-(``LineQuotientMatrix``, on which the ledger finds lambda_max(P) and its
-eigenvector).
+endpoint, applied matrix-free at every size: here on the edges
+(``LineTransitionMatrix``, a test oracle, as is a dense P), and in
+``operators`` on the orbits of the permutations of the vertices outside
+the marked subgraph (``LineQuotientMatrix``).
 """
 
 from __future__ import annotations
@@ -39,16 +39,21 @@ from .errors import (
     SolverFailure,
     TooLarge,
 )
-from .operators import VertexMatrix, build_Q, vertex_matrix
-from .signed_graph import SignedCompleteGraph, _readonly
+from .operators import (
+    LineQuotientMatrix,
+    VertexMatrix,
+    _LineKernel,
+    build_Q,
+    unmarked_pairs,
+    vertex_matrix,
+)
+from .signed_graph import SignedCompleteGraph
 
 __all__ = [
     "ComplementGraph",
     "LineTransitionMatrix",
-    "LineQuotientMatrix",
     "build_complement",
     "build_P",
-    "build_P_quotient",
     "line_principal_pair",
     "solve_absorption",
     "DENSE_LINE_LIMIT",
@@ -78,12 +83,6 @@ class ComplementGraph:
     def incidence(self) -> sp.csr_matrix:
         """Vertex-by-edge incidence matrix N (``pair_incidence``)."""
         return self._incidence
-
-
-def unmarked_pairs(marked: np.ndarray) -> np.ndarray:
-    """The pairs (i, j), i < j, at the zeros of a square adjacency
-    indicator, in lexicographic order, as a read-only (pairs, 2) array."""
-    return _readonly(np.stack(np.nonzero(np.triu(~marked, k=1)), axis=1))
 
 
 def pair_incidence(pairs: np.ndarray, order: int) -> sp.csr_matrix:
@@ -116,41 +115,6 @@ def build_complement(g: SignedCompleteGraph) -> ComplementGraph:
         degrees=n - g.gamma_degrees,
         _incidence=pair_incidence(edges, n + 1),
     )
-
-
-class _LineKernel:
-    """What ``line_principal_pair`` reads from either form of P: ``matvec``
-    applies P to the coordinates y_k = sqrt(|O_k|) x_k of an edge vector
-    constant on each edge orbit O_k, in the orthonormal basis of normalized
-    orbit indicators, where P is symmetric.
-
-    A subclass gives ``n``, ``q_matrix``, ``gram``, ``num_edges`` (E), the
-    ``orbit_sizes`` and ``matvec``.
-    """
-
-    @property
-    def moves(self) -> float:
-        """2(n-1), the edges one step may move to.  P is an integer matrix
-        over it, and dividing by it rounds each entry once, where
-        multiplying by a rounded 1/(2(n-1)) would scale all of P by the same
-        relative error and t_c, through the condition of I - P, by about
-        t_c times as much."""
-        return 2.0 * (self.n - 1)
-
-    @property
-    def max_degree(self) -> int:
-        """Most unmarked edges at one vertex, the largest diagonal entry of
-        N N^T; P = 0 exactly when it is at most 1."""
-        gram = self.gram
-        return int(max(np.diag(gram.block).max(), gram.diagonal if gram.t else 0))
-
-    @cached_property
-    def uniform(self) -> np.ndarray:
-        """The unit uniform edge vector in orthonormal orbit coordinates:
-        sqrt(|O_k| / E); read-only."""
-        uniform = np.sqrt(self.orbit_sizes) / np.sqrt(self.num_edges)
-        uniform.setflags(write=False)
-        return uniform
 
 
 @dataclass(frozen=True)
@@ -245,126 +209,6 @@ def build_P(g: SignedCompleteGraph) -> LineTransitionMatrix:
     ):
         raise AssertionError("vertex companion disagrees with incidence identity")
     return LineTransitionMatrix(n=n, complement=delta, q_matrix=build_Q(g), gram=gram)
-
-
-@dataclass(frozen=True)
-class LineQuotientMatrix(_LineKernel):
-    """The line kernel P on the edge vectors that are constant on the orbits
-    of the permutations of the t = n+1-s vertices outside the marked
-    subgraph, in normalized orbit coordinates.
-
-    P commutes with those permutations, so its top eigenpair lies in that
-    space (an equitable partition: Godsil and Royle, Algebraic Graph
-    Theory, chapter 9), as does the Krylov space of Lanczos from the
-    uniform start.  The orbits, in this order:
-    each unmarked pair {i, j} of the marked subgraph's vertices (``pairs``,
-    size 1); O_i = {i, rest} for each of its s vertices i (size t, when
-    t >= 1); and O_R, the pairs of two rest vertices (size C(t, 2), when
-    t >= 2).  E = sum |O_k|.
-
-    On the orbit values x, with the per-vertex sums C_i = sum of x over
-    the unmarked pairs at i plus t x_{O_i} and, at any rest vertex,
-    C_r = sum_i x_{O_i} + (t-1) x_R, P x is (C_i + C_j - 2x)/(2(n-1)) on
-    {i, j}, (C_i + C_r - 2x)/(2(n-1)) on O_i and (2 C_r - 2x)/(2(n-1)) on
-    O_R: ``orbit_matvec`` applies it in O(s + r) through the s x p
-    incidence of the pairs, with the integer coefficients of the edge
-    space, and ``matvec`` scales it to the orthonormal coordinates.  When
-    t <= 1 the orbits are single edges and this is P itself.
-    """
-
-    n: int
-    pairs: np.ndarray
-    q_matrix: VertexMatrix
-    gram: VertexMatrix
-    _incidence: sp.csr_matrix
-
-    @property
-    def t(self) -> int:
-        return self.gram.t
-
-    @property
-    def num_edges(self) -> int:
-        return self.pairs.shape[0] + self.gram.s * self.t + self.t * (self.t - 1) // 2
-
-    @cached_property
-    def orbit_sizes(self) -> np.ndarray:
-        t = self.t
-        sizes = [np.ones(self.pairs.shape[0], dtype=np.int64)]
-        if t:
-            sizes.append(np.full(self.gram.s, t))
-        if t >= 2:
-            sizes.append([t * (t - 1) // 2])
-        return np.concatenate(sizes)
-
-    @cached_property
-    def _root_sizes(self) -> np.ndarray:
-        return np.sqrt(self.orbit_sizes)
-
-    def _orbit_vector(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[0] != self.orbit_sizes.size:
-            raise DimensionMismatch(
-                f"vector of length {x.shape[0]} against {self.orbit_sizes.size} orbits"
-            )
-        return x
-
-    def orbit_matvec(self, x: np.ndarray) -> np.ndarray:
-        x = self._orbit_vector(x)
-        p, s, t = self.pairs.shape[0], self.gram.s, self.t
-        pair = x[:p]
-        sums = self._incidence @ pair
-        out = np.empty_like(x)
-        if t:
-            side, rest = x[p : p + s], x[p + s :]
-            rest_sums = side.sum(axis=0) + (t - 1) * rest.sum(axis=0)
-            sums += t * side
-            out[p : p + s] = (sums + rest_sums - 2.0 * side) / self.moves
-            out[p + s :] = (2.0 * rest_sums - 2.0 * rest) / self.moves
-        # The s sums are divided, not the p pairs (all the edges when t <= 1):
-        # the rounded factor of the -2x term only shifts P by at most
-        # eps/(n-1) times I.
-        sums /= self.moves
-        pu, pv = self.pairs.T
-        np.add(sums[pu], sums[pv], out=out[:p])
-        out[:p] -= (2.0 / self.moves) * pair
-        return out
-
-    def matvec(self, y: np.ndarray) -> np.ndarray:
-        if self.t <= 1:  # every orbit is one edge: the coordinates agree
-            return self.orbit_matvec(y)
-        # transposed, so that the sizes run along the last axis of a block
-        root = self._root_sizes
-        return (root * self.orbit_matvec((self._orbit_vector(y).T / root).T).T).T
-
-
-def build_P_quotient(g: SignedCompleteGraph) -> LineQuotientMatrix:
-    """The line kernel on its edge orbits (``LineQuotientMatrix``), from the
-    marked subgraph in O(s^2 + r), with no edge-space array when t >= 2.
-
-    As ``build_P`` does for the edges, it checks in integers that the orbit
-    sizes sum to the E = n(n+1)/2 - m unmarked edges and that each vertex
-    class meets as many of them as the diagonal of N N^T says: n - D_i at
-    the marked subgraph's vertex i, n at a rest vertex.  Raises
-    EmptyComplement when every edge is marked.
-    """
-    n, s, t = g.n, g.s, g.t
-    edges = n * (n + 1) // 2 - g.num_marked
-    if edges == 0:
-        raise EmptyComplement("every edge of the host graph is marked")
-    gram = vertex_matrix(g, 0, n, degree=-1)
-    pairs = unmarked_pairs(g.marked_block)
-    P = LineQuotientMatrix(
-        n=n, pairs=pairs, q_matrix=build_Q(g), gram=gram,
-        _incidence=pair_incidence(pairs, s),
-    )
-    counts = np.bincount(pairs.ravel(), minlength=s) + t
-    if not (
-        int(P.orbit_sizes.sum()) == P.num_edges == edges
-        and np.array_equal(counts, np.diag(gram.block))
-        and (t == 0 or s + t - 1 == gram.diagonal)
-    ):
-        raise AssertionError("edge orbits disagree with the incidence identity")
-    return P
 
 
 def line_principal_pair(

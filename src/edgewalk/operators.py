@@ -7,8 +7,11 @@ Both, like the ledger's Y, Z and G = N N^T, are ``VertexMatrix`` instances,
 held as their block on the marked subgraph and two scalars; their
 order-(s+1) ``quotient`` carries every vector constant on the other
 vertices, which is where the package solves and walks them.
-Edge space: the line kernel P on the unmarked edges, which Q stands in for
-here, is built in ``edge_space``, with the sparse incidence N.
+Edge space: the line kernel P on the unmarked edges, which Q stands in for,
+is held here on its edge orbits (``LineQuotientMatrix``), with the
+incidence N as the two index arrays of the unmarked pairs; on the edges
+themselves, with the sparse incidence, it is a test oracle in
+``edge_space``.
 Arc space: the unitary evolution U = S(2 d* d - I) runs on the square
 layout of the state, the (n+1) x (n+1) matrix X with X[u, v] the amplitude
 of the arc (u, v) and a zero diagonal; the lexicographic arc order is the
@@ -35,14 +38,16 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooLarge
-from .signed_graph import SignedCompleteGraph
+from .errors import DimensionMismatch, EmptyComplement, TooLarge
+from .signed_graph import SignedCompleteGraph, _readonly
 
 __all__ = [
     "VertexMatrix",
     "vertex_matrix",
     "build_T",
     "build_Q",
+    "LineQuotientMatrix",
+    "build_P_quotient",
     "apply_U",
     "arc_matrix",
     "arc_vector",
@@ -139,6 +144,209 @@ def build_Q(g: SignedCompleteGraph) -> VertexMatrix:
     kernel, from the closed form of N N^T (see ``edge_space.build_P``); O(s^2), with no
     edge-space work."""
     return vertex_matrix(g, 0, g.n - 2, degree=-1, divisor=2 * (g.n - 1))
+
+
+def unmarked_pairs(marked: np.ndarray) -> np.ndarray:
+    """The pairs (i, j), i < j, at the zeros of a square adjacency
+    indicator, in lexicographic order, as a read-only (pairs, 2) array."""
+    return _readonly(np.stack(np.nonzero(np.triu(~marked, k=1)), axis=1))
+
+
+class _LineKernel:
+    """What either form of the line kernel P gives: ``matvec`` applies P to
+    the coordinates y_k = sqrt(|O_k|) x_k of an edge vector constant on each
+    edge orbit O_k, in the orthonormal basis of normalized orbit indicators,
+    where P is symmetric.
+
+    A subclass gives ``n``, ``q_matrix``, ``gram``, ``num_edges`` (E), the
+    ``orbit_sizes`` and ``matvec``.
+    """
+
+    @property
+    def moves(self) -> float:
+        """2(n-1), the edges one step may move to.  P is an integer matrix
+        over it, and dividing by it rounds each entry once, where
+        multiplying by a rounded 1/(2(n-1)) would scale all of P by the same
+        relative error and t_c, through the condition of I - P, by about
+        t_c times as much."""
+        return 2.0 * (self.n - 1)
+
+    @property
+    def max_degree(self) -> int:
+        """Most unmarked edges at one vertex, the largest diagonal entry of
+        N N^T; P = 0 exactly when it is at most 1."""
+        gram = self.gram
+        return int(max(np.diag(gram.block).max(), gram.diagonal if gram.t else 0))
+
+    @cached_property
+    def uniform(self) -> np.ndarray:
+        """The unit uniform edge vector in orthonormal orbit coordinates:
+        sqrt(|O_k| / E); read-only."""
+        uniform = np.sqrt(self.orbit_sizes) / np.sqrt(self.num_edges)
+        uniform.setflags(write=False)
+        return uniform
+
+
+@dataclass(frozen=True)
+class LineQuotientMatrix(_LineKernel):
+    """The line kernel P on the edge vectors that are constant on the orbits
+    of the permutations of the t = n+1-s vertices outside the marked
+    subgraph, in normalized orbit coordinates.
+
+    P commutes with those permutations, so its top eigenpair lies in that
+    space (an equitable partition: Godsil and Royle, Algebraic Graph
+    Theory, chapter 9).  The orbits, in this order: each unmarked pair
+    {i, j} of the marked subgraph's vertices (``pairs``, size 1);
+    O_i = {i, rest} for each of its s vertices i (size t, when t >= 1); and
+    O_R, the pairs of two rest vertices (size C(t, 2), when t >= 2).
+    E = sum |O_k|.
+
+    On the orbit values x, with the per-vertex sums C_i = sum of x over
+    the unmarked pairs at i plus t x_{O_i} and, at any rest vertex,
+    C_r = sum_i x_{O_i} + (t-1) x_R, P x is (C_i + C_j - 2x)/(2(n-1)) on
+    {i, j}, (C_i + C_r - 2x)/(2(n-1)) on O_i and (2 C_r - 2x)/(2(n-1)) on
+    O_R: ``orbit_matvec`` applies it in O(s + r), summing the pairs at each
+    vertex over the two index arrays of ``pairs``, with the integer
+    coefficients of the edge space, and ``matvec`` scales it to the
+    orthonormal coordinates.  ``lift`` gives the orbit values of N^T w for a
+    vertex vector w on the companion's quotient.  When t <= 1 the orbits are
+    single edges and this is P itself.
+    """
+
+    n: int
+    pairs: np.ndarray
+    q_matrix: VertexMatrix
+    gram: VertexMatrix
+
+    @property
+    def t(self) -> int:
+        return self.gram.t
+
+    @property
+    def num_edges(self) -> int:
+        return self.pairs.shape[0] + self.gram.s * self.t + self.t * (self.t - 1) // 2
+
+    @cached_property
+    def orbit_sizes(self) -> np.ndarray:
+        t = self.t
+        sizes = [np.ones(self.pairs.shape[0], dtype=np.int64)]
+        if t:
+            sizes.append(np.full(self.gram.s, t))
+        if t >= 2:
+            sizes.append([t * (t - 1) // 2])
+        return np.concatenate(sizes)
+
+    @cached_property
+    def _root_sizes(self) -> np.ndarray:
+        return np.sqrt(self.orbit_sizes)
+
+    def _orbit_vector(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[0] != self.orbit_sizes.size:
+            raise DimensionMismatch(
+                f"vector of length {x.shape[0]} against {self.orbit_sizes.size} orbits"
+            )
+        return x
+
+    def orbit_matvec(self, x: np.ndarray) -> np.ndarray:
+        x = self._orbit_vector(x)
+        p, s, t = self.pairs.shape[0], self.gram.s, self.t
+        pair = x[:p]
+        # each vertex adds its pairs in ascending order, as the rows of the
+        # sparse incidence would
+        sums = np.zeros((s, *x.shape[1:]))
+        np.add.at(sums, self.pairs.ravel(), np.repeat(pair, 2, axis=0))
+        out = np.empty_like(x)
+        if t:
+            side, rest = x[p : p + s], x[p + s :]
+            rest_sums = side.sum(axis=0) + (t - 1) * rest.sum(axis=0)
+            sums += t * side
+            out[p : p + s] = (sums + rest_sums - 2.0 * side) / self.moves
+            out[p + s :] = (2.0 * rest_sums - 2.0 * rest) / self.moves
+        # The s sums are divided, not the p pairs (all the edges when t <= 1):
+        # the rounded factor of the -2x term only shifts P by at most
+        # eps/(n-1) times I.
+        sums /= self.moves
+        pu, pv = self.pairs.T
+        np.add(sums[pu], sums[pv], out=out[:p])
+        out[:p] -= (2.0 / self.moves) * pair
+        return out
+
+    def matvec(self, y: np.ndarray) -> np.ndarray:
+        if self.t <= 1:  # every orbit is one edge: the coordinates agree
+            return self.orbit_matvec(y)
+        # transposed, so that the sizes run along the last axis of a block
+        root = self._root_sizes
+        return (root * self.orbit_matvec((self._orbit_vector(y).T / root).T).T).T
+
+    def lift(self, w: np.ndarray) -> np.ndarray:
+        """The orbit values of N^T w, N the vertex-edge incidence, for w in
+        the symmetric coordinates (w_block, sqrt(t) w_rest) of the
+        companion's quotient: w_i + w_j on {i, j}, w_i + w_rest on O_i and
+        2 w_rest on O_R."""
+        s, t = self.gram.s, self.t
+        pu, pv = self.pairs.T
+        parts = [w[pu] + w[pv]]
+        if t:
+            rest = w[s] / np.sqrt(t)
+            parts.append(w[:s] + rest)
+            if t >= 2:
+                parts.append([2.0 * rest])
+        return np.concatenate(parts)
+
+    def components(self) -> tuple[np.ndarray, np.ndarray]:
+        """The connected components of the unmarked edges, numbered from 0:
+        the component of each cell of the companion's quotient (-1 at a
+        vertex that meets no unmarked edge) and of each orbit.
+
+        A rest vertex is joined to every other vertex, so for t >= 1 there
+        is one.  For t = 0 the labels are found by taking, at each vertex,
+        the least label of its neighbours and of the vertex its label
+        names, until none changes."""
+        s = self.gram.s
+        if self.t:
+            return np.zeros(s + 1, dtype=np.intp), np.zeros(self.orbit_sizes.size, np.intp)
+        pu, pv = self.pairs.T
+        label = np.arange(s)
+        while True:
+            least = label.copy()
+            np.minimum.at(least, pu, label[pv])
+            np.minimum.at(least, pv, label[pu])
+            least = least[least]
+            if np.array_equal(least, label):
+                break
+            label = least
+        carries = np.bincount(self.pairs.ravel(), minlength=s) > 0
+        component = np.full(s, -1, dtype=np.intp)
+        component[carries] = np.unique(label[carries], return_inverse=True)[1]
+        return component, component[pu]
+
+
+def build_P_quotient(g: SignedCompleteGraph) -> LineQuotientMatrix:
+    """The line kernel on its edge orbits (``LineQuotientMatrix``), from the
+    marked subgraph in O(s^2 + r), with no edge-space array when t >= 2.
+
+    As ``edge_space.build_P`` does for the edges, it checks in integers that
+    the orbit sizes sum to the E = n(n+1)/2 - m unmarked edges and that each
+    vertex class meets as many of them as the diagonal of N N^T says:
+    n - D_i at the marked subgraph's vertex i, n at a rest vertex.  Raises
+    EmptyComplement when every edge is marked.
+    """
+    n, s, t = g.n, g.s, g.t
+    edges = n * (n + 1) // 2 - g.num_marked
+    if edges == 0:
+        raise EmptyComplement("every edge of the host graph is marked")
+    gram = vertex_matrix(g, 0, n, degree=-1)
+    pairs = unmarked_pairs(g.marked_block)
+    P = LineQuotientMatrix(n=n, pairs=pairs, q_matrix=build_Q(g), gram=gram)
+    counts = np.bincount(pairs.ravel(), minlength=s) + t
+    if not (
+        int(P.orbit_sizes.sum()) == P.num_edges == edges
+        and np.array_equal(counts, np.diag(gram.block))
+        and (t == 0 or s + t - 1 == gram.diagonal)
+    ):
+        raise AssertionError("edge orbits disagree with the incidence identity")
+    return P
 
 
 def arc_matrix(g: SignedCompleteGraph, psi: np.ndarray) -> np.ndarray:

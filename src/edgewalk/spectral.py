@@ -19,14 +19,16 @@ uniform vector and the principal vector among them), and the value
 beta = diagonal - off of the t-1 zero-sum vectors on the rest.  So the
 principal pair, the overlaps and the top of the spectrum cost O(s^3) for
 the solve and O(s^2) to read, and only ``principal_pair``'s lifted f and
-the whole list of eigenvalues are O(n).  ``quotient_lambda_max`` reads only
-the largest eigenvalue.  ``quotient_eigh`` lifts the quotient to a dense
-order-(n+1) eigenvector matrix, and it and full ``eigh`` are the tests'
-oracles.
+the whole list of eigenvalues are O(n), refused above ``LIFT_LIMIT``
+vertices.  ``quotient_lambda_max`` reads only the largest eigenvalue.
+``quotient_eigh`` lifts the quotient to a dense order-(n+1) eigenvector
+matrix, and it and full ``eigh`` are the tests' oracles.
 
-This module needs numpy only.  The line kernel P of the edge space, whose
-Lanczos solve needs scipy's ARPACK, has its eigenpair in
-``edge_space.line_principal_pair``.
+The line kernel P of the edge space needs no eigensolve of its own:
+``line_bracket`` lifts the principal vector of its vertex companion Q to
+the edge orbits and brackets lambda_max(P) with one product
+(Collatz-Wielandt).  This module needs numpy only; Lanczos on P, scipy's
+ARPACK, is the tests' oracle in ``edge_space.line_principal_pair``.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, NoConvergence, NotSymmetric
-from .operators import VertexMatrix, build_T, build_U_dense
+from .errors import DegenerateSpectrum, NoConvergence, NotSymmetric, TooLarge
+from .operators import LineQuotientMatrix, VertexMatrix, build_T, build_U_dense
 from .signed_graph import SignedCompleteGraph
 
 __all__ = [
@@ -45,10 +47,12 @@ __all__ = [
     "LiftedPair",
     "MappingReport",
     "QuotientSpectrum",
+    "LineBracket",
     "eigh",
     "quotient_spectrum",
     "quotient_eigh",
     "quotient_lambda_max",
+    "line_bracket",
     "principal_vector",
     "principal_pair",
     "summarize_spectrum",
@@ -63,6 +67,10 @@ DEGENERACY_TOL = 1e-12
 # Eigenvalues closer than this are treated as one eigenspace when picking
 # the principal vector.
 TIE_TOL = 1e-10
+# The order-(n+1) lists and vectors lifted from a quotient take 8 bytes per
+# vertex each, several at once; 2^24 vertices, the order-(n+1) side of
+# ``signed_graph.PAIR_TABLE_LIMIT``, keeps each at 128 MB.
+LIFT_LIMIT = 2**24
 
 
 def eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,7 +106,8 @@ class QuotientSpectrum:
     ``beta`` = ``diagonal - off`` takes the zero-sum vectors on the rest,
     ``copies`` = t - 1 of them.  Every read is O(s) or O(s^2), apart from
     the whole list of ``descending`` values and the lifted vector of
-    ``summary``, which are O(n).
+    ``summary``, which are O(n) and raise TooLarge above ``LIFT_LIMIT``
+    vertices.
     """
 
     values: np.ndarray
@@ -135,6 +144,8 @@ class QuotientSpectrum:
         """The first ``count`` eigenvalues of the order-(n+1) spectrum (all
         of them by default), descending.  The copies of beta go between the
         quotient values above and below it, so no sort is needed."""
+        if count is None:
+            self._check_lift()
         copies = self.copies if count is None else min(self.copies, count)
         top = int(np.count_nonzero(self.values >= self.beta))
         values = np.concatenate(
@@ -166,9 +177,20 @@ class QuotientSpectrum:
             )
         return self.values[0] - self.values < TIE_TOL
 
+    def _check_lift(self) -> None:
+        """Raises TooLarge, before anything of order n+1 is allocated, above
+        ``LIFT_LIMIT`` vertices."""
+        order = self.s + self.t
+        if order > LIFT_LIMIT:
+            raise TooLarge(
+                f"n = {order - 1}: the {order} vertices of a lifted spectrum "
+                f"or vector exceed the limit of {LIFT_LIMIT}"
+            )
+
     def lift(self, x: np.ndarray) -> np.ndarray:
         """The order-(n+1) vectors of symmetric coordinates x (a vector, or
-        one per column)."""
+        one per column); TooLarge above ``LIFT_LIMIT`` vertices."""
+        self._check_lift()
         s, t = self.s, self.t
         return np.concatenate([x[:s], np.repeat(x[s:] / np.sqrt(t), t, axis=0)])
 
@@ -176,7 +198,7 @@ class QuotientSpectrum:
         """``summarize_spectrum`` of the matrix: the quotient vectors of the
         top eigenspace (usually one) are lifted, in O(n) each, and combined
         by the same operations as the dense eigenvectors would be.  Raises
-        DegenerateSpectrum as ``principal_pair``."""
+        DegenerateSpectrum and TooLarge as ``principal_pair``."""
         # lift(principal()) would give the same f to about 1e-16, but its
         # overlap differs in the last bits on about half of the instances;
         # this second path exists only to keep f, the overlap and so
@@ -228,6 +250,82 @@ def quotient_lambda_max(matrix: VertexMatrix) -> float:
     """Largest eigenvalue of a vertex matrix: ``QuotientSpectrum.lambda_max``
     of its equitable quotient, beta when that lies above the quotient."""
     return quotient_spectrum(matrix).lambda_max
+
+
+@dataclass(frozen=True)
+class LineBracket:
+    """lambda_max(P) of the line kernel between ``lower`` and ``upper``,
+    ``value`` a point inside them, and ``overlap`` the squared inner
+    product of the unit principal vector of P with the uniform edge
+    vector."""
+
+    lower: float
+    upper: float
+    value: float
+    overlap: float
+
+
+def line_bracket(P: LineQuotientMatrix, companion: QuotientSpectrum) -> LineBracket:
+    """Certify lambda_max(P) from the spectrum of its vertex companion Q
+    (``companion``, on Q's quotient), with one ``orbit_matvec`` and no
+    eigensolve of P.
+
+    P N^T = N^T Q, N the vertex-edge incidence, so x = N^T w is an
+    eigenvector of P for an eigenvector w of Q.  Q + I/(n-1) is
+    nonnegative and irreducible on each connected component of the
+    unmarked edges, so the top w of a component's block is positive there,
+    and so is x on the component's edges.  For the nonnegative P and any
+    x > 0, min_k (Px)_k/x_k <= lambda_max(P) <= max_k (Px)_k/x_k
+    (Collatz-Wielandt; Horn and Johnson, Matrix Analysis, 2nd ed., 8.1.29),
+    and P is block diagonal over the components: ``lower`` and ``upper``
+    are the largest of the components' ends.  ``value`` is the largest
+    Rayleigh quotient x^T P x / x^T x, each inside its component's
+    bracket, and ``overlap`` sums (1^T x)^2 / (E x^T x) over the components
+    whose value ties with it: the uniform vector's projection onto the top
+    eigenspace, the principal vector as ``principal_vector`` chooses it.
+
+    One component, the case for every t >= 1, takes w from
+    ``companion.principal()``; for t = 0 a complement of several takes each
+    from a solve of its block of ``Q.quotient``.  Every sum over an orbit
+    weighs it by its size.  Raises NoConvergence when x has an entry that
+    is not positive, where the bracket would not hold.
+    """
+    cells, orbits = P.components()
+    count = int(cells.max()) + 1
+    if count == 1:
+        w = companion.principal()
+    else:
+        w = np.zeros(cells.size)
+        for component in range(count):
+            cell = np.flatnonzero(cells == component)
+            w[cell] = principal_vector(*eigh(P.q_matrix.quotient[np.ix_(cell, cell)]))
+    x = P.lift(w)
+    if not np.all(x > 0.0):
+        raise NoConvergence(
+            "the line kernel's Perron vector has an entry that is not positive"
+        )
+    px = P.orbit_matvec(x)
+    sizes = P.orbit_sizes
+    ends, values, overlaps = [], [], []
+    for component in range(count):
+        on = orbits == component
+        ratios = px[on] / x[on]
+        weighted = sizes[on] * x[on]
+        norm_sq = np.sum(weighted * x[on])
+        ends.append((ratios.min(), ratios.max()))
+        # a mean of the ratios, weighted by |O_k| x_k^2: clipped to their
+        # range, which its rounding may leave by an ulp
+        values.append(np.clip(np.sum(weighted * px[on]) / norm_sq, *ends[-1]))
+        overlaps.append(np.sum(weighted) ** 2 / norm_sq)
+    lower, upper = np.max(ends, axis=0)
+    values = np.array(values)
+    tied = values >= values.max() - TIE_TOL
+    return LineBracket(
+        lower=float(lower),
+        upper=float(upper),
+        value=float(values.max()),
+        overlap=float(np.sum(np.array(overlaps)[tied]) / P.num_edges),
+    )
 
 
 def _principal(
@@ -289,6 +387,7 @@ def principal_pair(T: VertexMatrix) -> SpectralSummary:
     Raises DegenerateSpectrum when lambda_max >= 1 - 1e-12, which happens
     exactly when the marked subgraph is a spanning complete bipartite graph;
     the rotation angle is then zero and the searching time undefined.
+    Raises TooLarge, before the O(n) lift, above ``LIFT_LIMIT`` vertices.
     """
     return quotient_spectrum(T).summary()
 

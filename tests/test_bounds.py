@@ -6,11 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from edgewalk import (
     bounds,
     build_instance,
     build_P,
+    build_P_quotient,
     build_T,
     cycle_edges,
     hitting_time,
@@ -30,7 +32,7 @@ from edgewalk.bounds import (
 )
 from edgewalk.edge_space import solve_absorption
 from edgewalk.operators import VertexMatrix, vertex_matrix
-from edgewalk.spectral import eigh
+from edgewalk.spectral import eigh, line_bracket
 from pq_oracle import companion_eigendata, companion_spectrum, dense_pq_mismatch
 
 BASE_NAMES = {
@@ -302,10 +304,10 @@ def test_sweep_verdicts_unchanged():
 
 
 def test_verify_all_takes_no_edge_space_step(monkeypatch):
-    # the line rows read the orbit quotient and hitting_time's t_c: with
-    # every edge-space builder, product and the CG solve refused, the ledger
-    # keeps its verdicts (all 34 pass here) and agrees with the edge-space
-    # solvers it no longer calls
+    # the line rows read the orbit quotient, its Collatz-Wielandt bracket
+    # and hitting_time's t_c: with every edge-space builder, product, the
+    # Lanczos and the CG solve refused, the ledger keeps its verdicts (all
+    # 34 pass here) and agrees with the edge-space solvers it no longer calls
     g = build_instance(300, path_edges(2))
     P = build_P(g)
     lam, f = line_principal_pair(P)
@@ -320,16 +322,42 @@ def test_verify_all_takes_no_edge_space_step(monkeypatch):
     monkeypatch.setattr(edge_space.LineTransitionMatrix, "matvec", refuse)
     monkeypatch.setattr(edge_space, "solve_absorption", refuse)
     monkeypatch.setattr(bounds, "solve_absorption", refuse, raising=False)
+    monkeypatch.setattr(edge_space, "line_principal_pair", refuse)
+    monkeypatch.setattr(bounds, "line_principal_pair", refuse, raising=False)
+    monkeypatch.setattr(spla, "eigsh", refuse)
     ledger = verify_all(g)
     assert [e.passed for e in ledger] == [True] * 34
     lower = ledger.entry("cor_P.lower").lhs
-    assert abs(lower - lam) <= 1e-13
+    upper = ledger.entry("cor_P.upper").lhs
+    assert abs(lower - lam) <= 1e-13 and abs(upper - lam) <= 1e-13
+    assert 0.0 <= upper - lower <= 1e-14
     assert abs(ledger.entry("cor_P.overlap").lhs - (P.uniform @ f) ** 2) <= 1e-12
-    # the one t_c of classical and speedup
+    # the one t_c of classical and speedup, against the bracket's point value
+    value = line_bracket(build_P_quotient(g), companion_spectrum(g)).value
+    assert lower <= value <= upper
     near = ledger.entry("tc_near_resolvent").lhs
-    assert near == abs(hitting_time(g).t_c - 1.0 / (1.0 - lower))
+    assert near == abs(hitting_time(g).t_c - 1.0 / (1.0 - value))
     # 1/(1 - lambda) magnifies lambda's rounding by about 5e8 here
     assert abs(near - resolvent_gap) <= 1e-4
+
+
+def test_sweep_line_rows_agree_with_lanczos(monkeypatch):
+    # the 64 ledger_sweep instances (seeds 20240809 and 7): the bracket's
+    # ends and overlap, which cor_P reads, against Lanczos on the same orbit
+    # quotient, which it read before
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import ledger_specs
+
+    specs = ledger_specs(20240809) + ledger_specs(7)
+    assert len(specs) == 64
+    for spec in specs:
+        g = build_instance(spec["n"], [tuple(e) for e in spec["edges"]])
+        entries = {e.name: e.lhs for e in verify_all(g).entries_for("cor_P")}
+        Q = build_P_quotient(g)
+        lam, f = line_principal_pair(Q)
+        assert abs(entries["cor_P.upper"] - lam) <= 1e-14, spec
+        assert abs(entries["cor_P.lower"] - lam) <= 1e-14, spec
+        assert abs(entries["cor_P.overlap"] - (Q.uniform @ f) ** 2) <= 1e-14, spec
 
 
 def test_verify_all_at_ten_thousand():

@@ -111,6 +111,46 @@ def test_bad_descriptor_exit_code(tmp_path):
     assert peak <= 2**20
 
 
+def test_speedup_refuses_a_host_it_cannot_lift(tmp_path, capsys):
+    # n = 10^9: a row's principal pair would list T's n + 1 eigenvalues and
+    # lift its principal vector to n + 1 entries, 8 GB each; TooLarge is
+    # raised before either is allocated, so speedup exits 2 with one JSON
+    # error line and writes nothing, where the kernel would have killed it
+    star = '{"kind": "star", "k": 3}'
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["speedup", "--n-list", "1000000000", "--subgraph", star, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_CONFIG == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "config" and "exceed the limit" in error["message"], error
+    assert not out.exists()
+    assert peak <= 2**20
+    # the hosts below the limit still run
+    argv = ["speedup", "--n-list", "100000,1000000", "--subgraph", star, "--out", str(out)]
+    assert main(argv) == 0
+    assert [row["n"] for row in read_json(out / "speedup.json")["rows"]] == [10**5, 10**6]
+
+
+def test_lift_limit_guards_every_order_n_read():
+    # one vertex past the limit: the quotient's reads of O(s) still serve,
+    # the whole list of eigenvalues and any lifted vector are refused
+    from edgewalk import build_instance, build_T
+    from edgewalk.errors import TooLarge
+
+    spectrum = spectral.quotient_spectrum(build_T(build_instance(spectral.LIFT_LIMIT, [(0, 1)])))
+    assert spectrum.descending(2).size == 2 and spectrum.lambda_max < 1.0
+    assert spectrum.principal().size == 3
+    for read in (spectrum.descending, spectrum.summary, lambda: spectrum.lift(spectrum.values)):
+        with pytest.raises(TooLarge, match="exceed the limit of 16777216"):
+            read()
+
+
 @pytest.mark.parametrize(
     "exc",
     [

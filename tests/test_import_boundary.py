@@ -1,6 +1,7 @@
-"""Which entry points load scipy: only the ledger (``verify``,
-``verify_all``) and the edge-space names, whose module ``edge_space`` is the
-one that imports it.  Each case runs in a fresh interpreter."""
+"""Which entry points load scipy: only the edge-space names, whose module
+``edge_space`` is the one that imports it; every command, the ledger
+(``verify``, ``verify_all``) among them, needs numpy alone.  Each case runs
+in a fresh interpreter."""
 
 import ast
 import os
@@ -46,6 +47,12 @@ def _scipy_modules_after(statement: str, cwd: Path) -> list[str]:
 
 NUMPY_ONLY = {
     "import": "import edgewalk",
+    "build_P_quotient": "import edgewalk\nedgewalk.build_P_quotient",
+    "verify": CLI.format(argv=["verify", "--n", "20", "--subgraph", PATH1, "--out", "out"]),
+    # path 2 at n = 300: the line kernel on 5 edge orbits
+    "verify300": CLI.format(
+        argv=["verify", "--n", "300", "--subgraph", '{"kind": "path", "k": 2}', "--out", "out"]
+    ),
     "speedup": CLI.format(argv=["speedup", "--n-list", "64,128", "--out", "out"]),
     "simulate": CLI.format(argv=["simulate", "--n", "60", "--subgraph", PATH1, "--out", "out"]),
     "spectrum": CLI.format(argv=["spectrum", "--n", "20", "--subgraph", PATH1, "--out", "out"]),
@@ -62,7 +69,6 @@ def test_loads_no_scipy(statement, tmp_path):
 
 
 LOADS_SCIPY = {
-    "verify": CLI.format(argv=["verify", "--n", "20", "--subgraph", PATH1, "--out", "out"]),
     "build_P": "import edgewalk\nedgewalk.build_P",
 }
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgewalk import operators
 from edgewalk import (
     apply_U,
     build_complement,
@@ -399,8 +400,8 @@ def test_quotient_check_sees_a_dropped_pair(monkeypatch):
     def short_pairs(marked):
         return real_pairs(marked)[1:]
 
-    real_pairs = edge_space.unmarked_pairs
-    monkeypatch.setattr(edge_space, "unmarked_pairs", short_pairs)
+    real_pairs = operators.unmarked_pairs
+    monkeypatch.setattr(operators, "unmarked_pairs", short_pairs)
     with pytest.raises(
         AssertionError, match="edge orbits disagree with the incidence identity"
     ):
