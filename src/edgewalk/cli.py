@@ -6,10 +6,11 @@ ledger), ``fig2`` (the K_100 path benchmark), ``speedup`` (scaling table
 over host sizes) and ``spectrum`` (discriminant spectrum summary).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, 3 degenerate spectrum (the marked subgraph is a spanning complete
-bipartite graph, so the searching time is undefined), 4 internal or solver
-error (an eigensolver or linear solve that did not converge, a failed
-internal consistency check, or memory exhaustion).
+error (among them a host too large to lift, or whose lambda_max(T) float64
+cannot tell from 1), 3 degenerate spectrum (the marked subgraph is a
+spanning complete bipartite graph, so the searching time is undefined), 4
+internal or solver error (an eigensolver or linear solve that did not
+converge, a failed internal consistency check, or memory exhaustion).
 
 File outputs are CSV (header ``t,probability``, decimal probabilities with
 at least 12 significant digits, exact round-trip) and JSON reports that

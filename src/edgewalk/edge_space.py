@@ -224,13 +224,21 @@ def line_principal_pair(
     and P maps that orbit-constant space (at most C(s, 2) - m + s + 1
     dimensions, all of ``LineQuotientMatrix``) into itself, so the Krylov
     space closes after a few steps and holds the top eigenvector.  The
-    eigenvector is sign-fixed against the uniform direction.  When no two
-    unmarked edges share an endpoint, P = 0 and the pair is (0, uniform):
-    Lanczos would have no start.
+    eigenvector is sign-fixed against the uniform direction.
+
+    When P u is parallel to the uniform u at rounding level (P = 0 among
+    them), the pair is (u^T P u, u): a positive eigenvector of the
+    nonnegative P belongs to its spectral radius (Perron-Frobenius), and it
+    is its own projection onto the top eigenspace.  Lanczos would break
+    down at its first step there and restart from a random vector, which
+    in a multiple top eigenspace can be orthogonal to u.
     """
     start = P.uniform
-    if P.max_degree <= 1:
-        return 0.0, start
+    image = P.matvec(start)
+    rayleigh = float(start @ image)
+    residual = np.linalg.norm(image - rayleigh * start)
+    if residual <= 16 * np.finfo(float).eps * np.linalg.norm(image):
+        return rayleigh, start
     size = start.size
     op = spla.LinearOperator((size, size), matvec=P.matvec, dtype=np.float64)
     try:

@@ -34,8 +34,10 @@ class EmptyComplement(EdgeWalkError):
 
 
 class TooLarge(EdgeWalkError):
-    """The instance is too large for a dense construction, or has more
-    unmarked edges than the Monte-Carlo walker's 32-bit bounded draws serve."""
+    """The instance is too large for a dense construction or an order-(n+1)
+    lift, has more unmarked edges than the Monte-Carlo walker's 32-bit
+    bounded draws serve, or has a lambda_max(T) that float64 cannot tell
+    from 1 although the marked subgraph does not span the host."""
 
 
 class DimensionMismatch(EdgeWalkError):
@@ -52,8 +54,9 @@ class NoConvergence(EdgeWalkError):
 
 class DegenerateSpectrum(EdgeWalkError):
     """The top eigenvalue of the vertex matrix equals 1, which happens exactly
-    when the marked subgraph is a spanning complete bipartite graph; the
-    rotation angle is then 0 and the quantum searching time is undefined."""
+    when the marked subgraph is a spanning complete bipartite graph (so it
+    spans the host, t = 0); the rotation angle is then 0 and the quantum
+    searching time is undefined."""
 
 
 class SolverFailure(EdgeWalkError):

@@ -171,13 +171,6 @@ class _LineKernel:
         t_c times as much."""
         return 2.0 * (self.n - 1)
 
-    @property
-    def max_degree(self) -> int:
-        """Most unmarked edges at one vertex, the largest diagonal entry of
-        N N^T; P = 0 exactly when it is at most 1."""
-        gram = self.gram
-        return int(max(np.diag(gram.block).max(), gram.diagonal if gram.t else 0))
-
     @cached_property
     def uniform(self) -> np.ndarray:
         """The unit uniform edge vector in orthonormal orbit coordinates:

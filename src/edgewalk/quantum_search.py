@@ -182,10 +182,10 @@ def asymptotic_diagnostics(
     """Evaluate the rotation-picture quantities exactly, at O(s + m) memory.
 
     The principal vector f is constant on the rest, and is read as its s
-    entries on the marked subgraph's vertices and its rest value (the first
-    s + 1 entries of ``summary.f``).  With j_V = 1 / sqrt(n+1), sums over
-    the vertices weighted by t at the rest value, and sums over the m
-    negative arcs (o, t):
+    entries on the marked subgraph's vertices and its rest value (the
+    quotient's ``summary.principal``, its rest entry over sqrt(t)).  With
+    j_V = 1 / sqrt(n+1), sums over the vertices weighted by t at the rest
+    value, and sums over the m negative arcs (o, t):
 
     - ``start_gap_sq`` = ||f - j_V||^2 + 4 sum f_t / (n sqrt(n+1)), since S is
       unitary and S j = j;
@@ -206,7 +206,7 @@ def asymptotic_diagnostics(
         summary = principal_pair(build_T(g))
     t_f = quantum_time(summary)
     n, root, weights = g.n, np.sqrt(g.n + 1), _weights(g)
-    f = summary.f[: weights.size]
+    f = summary.principal / np.sqrt(weights)
     neg_o, neg_t = g.negative_arcs
     start_gap_sq = weights @ (f - 1.0 / root) ** 2 + 4.0 * np.sum(f[neg_t]) / (n * root)
     # sqrt(n) sin theta times -beta_+ on the arcs (o, t) and (t, o), up to sign

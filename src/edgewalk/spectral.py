@@ -18,11 +18,13 @@ pairs, which hold every vector constant on the t = n+1-s rest vertices (the
 uniform vector and the principal vector among them), and the value
 beta = diagonal - off of the t-1 zero-sum vectors on the rest.  So the
 principal pair, the overlaps and the top of the spectrum cost O(s^3) for
-the solve and O(s^2) to read, and only ``principal_pair``'s lifted f and
-the whole list of eigenvalues are O(n), refused above ``LIFT_LIMIT``
-vertices.  ``quotient_lambda_max`` reads only the largest eigenvalue.
-``quotient_eigh`` lifts the quotient to a dense order-(n+1) eigenvector
-matrix, and it and full ``eigh`` are the tests' oracles.
+the solve and O(s^2) to read.  ``QuotientSpectrum.principal`` alone
+chooses the principal vector, a dense eigendecomposition being the quotient
+with s = n+1 and t = 0.  ``SpectralSummary`` is an O(s) view on the
+quotient; only its ``f`` and ``eigenvalues`` are O(n), lifted on first
+read and refused above ``LIFT_LIMIT`` vertices.  ``quotient_eigh`` lifts
+the quotient to a dense order-(n+1) eigenvector matrix, and it and full
+``eigh`` are the tests' oracles.
 
 The line kernel P of the edge space needs no eigensolve of its own:
 ``line_bracket`` lifts the principal vector of its vertex companion Q to
@@ -34,6 +36,7 @@ ARPACK, is the tests' oracle in ``edge_space.line_principal_pair``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,8 +64,9 @@ __all__ = [
     "spectral_mapping_check",
 ]
 
-# 1 - lambda_max below this is treated as the exact structural event
-# lambda_max = 1 (spanning complete bipartite subgraph).
+# 1 - lambda_max(T) below this is the exact structural event lambda_max = 1
+# (a spanning complete bipartite subgraph, so t = 0); with t >= 1 it is a
+# float64 eigenvalue that has lost its digits.
 DEGENERACY_TOL = 1e-12
 # Eigenvalues closer than this are treated as one eigenspace when picking
 # the principal vector.
@@ -105,9 +109,9 @@ class QuotientSpectrum:
     vertices, where inner products are those of the order-(n+1) space.
     ``beta`` = ``diagonal - off`` takes the zero-sum vectors on the rest,
     ``copies`` = t - 1 of them.  Every read is O(s) or O(s^2), apart from
-    the whole list of ``descending`` values and the lifted vector of
-    ``summary``, which are O(n) and raise TooLarge above ``LIFT_LIMIT``
-    vertices.
+    the whole list of ``descending`` values and ``lift``, which are O(n)
+    and raise TooLarge above ``LIFT_LIMIT`` vertices.  A dense
+    eigendecomposition is the quotient with s = n+1 and t = 0.
     """
 
     values: np.ndarray
@@ -159,23 +163,27 @@ class QuotientSpectrum:
         return replace(self, values=function(self.values), beta=function(self.beta))
 
     def principal(self) -> np.ndarray:
-        """``principal_vector``'s choice in the symmetric coordinates.  The
-        zero-sum vectors on the rest are orthogonal to the uniform vector,
-        so its projection onto the top eigenspace lies in the quotient."""
-        top = self._top()
-        return _principal(self.values[top], self.vectors[:, top], self.uniform, TIE_TOL)
-
-    def _top(self) -> np.ndarray:
-        """Which quotient pairs span the top eigenspace's part in the
-        quotient.  Raises ValueError when beta lies above them, as it can
-        only for off < 0: the top eigenspace is then zero-sum on the rest,
-        which the quotient does not hold."""
+        """The unit vector of the top eigenspace (values within ``TIE_TOL``
+        of the top) nearest the uniform vector, in the symmetric coordinates:
+        the normalized projection of the uniform vector onto it, or its
+        first basis vector if that is 0, sign-fixed so their inner product
+        is >= 0.  The zero-sum vectors on the rest are orthogonal to the
+        uniform vector, so the projection lies in the quotient.  Raises
+        ValueError when beta lies above every quotient value (only for
+        off < 0): the top eigenspace is then zero-sum on the rest."""
         if self.copies and self.beta - self.values[0] >= TIE_TOL:
             raise ValueError(
                 "beta lies above every quotient eigenvalue, so the principal "
                 "vector is not constant on the rest"
             )
-        return self.values[0] - self.values < TIE_TOL
+        uniform = self.uniform
+        basis = self.vectors[:, self.values[0] - self.values < TIE_TOL]
+        coeffs = basis.T @ uniform
+        norm = float(np.linalg.norm(coeffs))
+        f = basis[:, 0] if norm < 1e-12 else basis @ (coeffs / norm)
+        if f @ uniform < 0:
+            f = -f
+        return f / np.linalg.norm(f)
 
     def _check_lift(self) -> None:
         """Raises TooLarge, before anything of order n+1 is allocated, above
@@ -195,17 +203,34 @@ class QuotientSpectrum:
         return np.concatenate([x[:s], np.repeat(x[s:] / np.sqrt(t), t, axis=0)])
 
     def summary(self) -> SpectralSummary:
-        """``summarize_spectrum`` of the matrix: the quotient vectors of the
-        top eigenspace (usually one) are lifted, in O(n) each, and combined
-        by the same operations as the dense eigenvectors would be.  Raises
-        DegenerateSpectrum and TooLarge as ``principal_pair``."""
-        # lift(principal()) would give the same f to about 1e-16, but its
-        # overlap differs in the last bits on about half of the instances;
-        # this second path exists only to keep f, the overlap and so
-        # spectrum.json bit-identical to the dense eigenvectors'.
-        top = self._top()
-        return _summarize(
-            self.descending(), self.values[top], self.lift(self.vectors[:, top])
+        """The principal spectral data of the discriminant matrix T, in
+        O(s).  lambda_max = 1 exactly for a spanning complete bipartite
+        marked subgraph (so t = 0): DegenerateSpectrum within
+        ``DEGENERACY_TOL`` of 1.  With t >= 1, lambda_max < 1, and that
+        closeness is lost resolution: TooLarge."""
+        top = self.descending(2)
+        lam = float(top[0])
+        if lam >= 1.0 - DEGENERACY_TOL:
+            if self.t:
+                raise TooLarge(
+                    f"n = {self.s + self.t - 1}: lambda_max(T) = {lam!r} lies "
+                    f"within {DEGENERACY_TOL:.0e} of 1, the resolution of its "
+                    "float64 eigensolve; the marked subgraph does not span the "
+                    "host, so lambda_max < 1 and the rotation angle has no "
+                    "correct digit"
+                )
+            raise DegenerateSpectrum(
+                "lambda_max = 1: the marked subgraph is a spanning complete "
+                "bipartite graph, so the rotation angle is 0 and the quantum "
+                "searching time is undefined"
+            )
+        principal = self.principal()
+        return SpectralSummary(
+            spectrum=self,
+            principal=principal,
+            theta_max=float(np.arccos(np.clip(lam, -1.0, 1.0))),
+            gap=float(top[0] - top[1]),
+            overlap=float(principal @ self.uniform) ** 2,
         )
 
 
@@ -328,66 +353,50 @@ def line_bracket(P: LineQuotientMatrix, companion: QuotientSpectrum) -> LineBrac
     )
 
 
-def _principal(
-    values: np.ndarray, vectors: np.ndarray, uniform: np.ndarray, tie_tol: float
-) -> np.ndarray:
-    top = int(np.sum(values[0] - values < tie_tol))
-    basis = vectors[:, :top]
-    coeffs = basis.T @ uniform
-    norm = float(np.linalg.norm(coeffs))
-    if norm < 1e-12:
-        f = basis[:, 0]
-    else:
-        f = basis @ (coeffs / norm)
-    if f @ uniform < 0:
-        f = -f
-    return f / np.linalg.norm(f)
-
-
-def principal_vector(
-    values: np.ndarray, vectors: np.ndarray, tie_tol: float = TIE_TOL
-) -> np.ndarray:
-    """Unit top-eigenspace vector with maximal overlap with the uniform
-    direction, sign-fixed so that its inner product with it is >= 0.
-
-    When the top eigenvalue is numerically multiple, the normalized
-    projection of the uniform vector onto the top eigenspace maximizes the
-    overlap every downstream bound consumes; if the uniform vector is
-    orthogonal to the eigenspace, the first basis vector is returned.
-    """
-    order = vectors.shape[0]
-    return _principal(values, vectors, np.full(order, 1.0 / np.sqrt(order)), tie_tol)
+def principal_vector(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``QuotientSpectrum.principal`` of a descending eigendecomposition:
+    the quotient of the partition into single vertices."""
+    return QuotientSpectrum(values, vectors, np.nan, s=vectors.shape[0], t=0).principal()
 
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Principal spectral data of a discriminant matrix.
+    """Principal spectral data of a discriminant matrix, a view on its
+    ``QuotientSpectrum``.
 
-    ``eigenvalues`` is the full descending spectrum; ``f`` the unit
-    principal eigenvector with nonnegative overlap with the uniform vector;
-    ``theta_max = arccos(lambda_max)``; ``gap`` the top spectral gap; and
-    ``overlap`` the squared inner product of f with the uniform vector.
+    ``principal`` is the unit principal vector in the quotient's symmetric
+    coordinates (``QuotientSpectrum.principal``); ``theta_max =
+    arccos(lambda_max)``; ``gap`` the top spectral gap; and ``overlap`` the
+    squared inner product of the principal vector with the uniform vector.
+    Each is O(s).  ``eigenvalues``, the full descending spectrum, and
+    ``f``, the principal vector on the n+1 vertices, are lifted on first
+    read in O(n) and raise TooLarge above ``LIFT_LIMIT`` vertices.
     """
 
-    eigenvalues: np.ndarray
-    f: np.ndarray
+    spectrum: QuotientSpectrum
+    principal: np.ndarray
     theta_max: float
     gap: float
     overlap: float
 
     @property
     def lambda_max(self) -> float:
-        return float(self.eigenvalues[0])
+        return self.spectrum.lambda_max
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return self.spectrum.descending()
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        return self.spectrum.lift(self.principal)
 
 
 def principal_pair(T: VertexMatrix) -> SpectralSummary:
     """Principal eigenpair of the discriminant matrix, solved on its
-    order-(s+1) equitable quotient (``quotient_spectrum``) in O(n + s^3).
-
-    Raises DegenerateSpectrum when lambda_max >= 1 - 1e-12, which happens
-    exactly when the marked subgraph is a spanning complete bipartite graph;
-    the rotation angle is then zero and the searching time undefined.
-    Raises TooLarge, before the O(n) lift, above ``LIFT_LIMIT`` vertices.
+    order-(s+1) equitable quotient (``quotient_spectrum``) in O(s^3),
+    whatever n is.  Raises DegenerateSpectrum and TooLarge as
+    ``QuotientSpectrum.summary``.
     """
     return quotient_spectrum(T).summary()
 
@@ -398,31 +407,7 @@ def summarize_spectrum(values: np.ndarray, vectors: np.ndarray) -> SpectralSumma
     that a caller holding one does not solve again.  Raises
     DegenerateSpectrum as principal_pair.
     """
-    return _summarize(values, values, vectors)
-
-
-def _summarize(
-    values: np.ndarray, top_values: np.ndarray, top_vectors: np.ndarray
-) -> SpectralSummary:
-    """The summary of the descending spectrum ``values``, whose principal
-    vector lies in the span of the columns of ``top_vectors``."""
-    lam = float(values[0])
-    if lam >= 1.0 - DEGENERACY_TOL:
-        raise DegenerateSpectrum(
-            "lambda_max = 1: the marked subgraph is a spanning complete "
-            "bipartite graph, so the rotation angle is 0 and the quantum "
-            "searching time is undefined"
-        )
-    f = principal_vector(top_values, top_vectors)
-    order = f.shape[0]
-    j = np.full(order, 1.0 / np.sqrt(order))
-    return SpectralSummary(
-        eigenvalues=values,
-        f=f,
-        theta_max=float(np.arccos(np.clip(lam, -1.0, 1.0))),
-        gap=float(values[0] - values[1]),
-        overlap=float(f @ j) ** 2,
-    )
+    return QuotientSpectrum(values, vectors, np.nan, s=vectors.shape[0], t=0).summary()
 
 
 def d_star_apply(g: SignedCompleteGraph, vec: np.ndarray) -> np.ndarray:

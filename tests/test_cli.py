@@ -111,42 +111,58 @@ def test_bad_descriptor_exit_code(tmp_path):
     assert peak <= 2**20
 
 
-def test_speedup_refuses_a_host_it_cannot_lift(tmp_path, capsys):
-    # n = 10^9: a row's principal pair would list T's n + 1 eigenvalues and
-    # lift its principal vector to n + 1 entries, 8 GB each; TooLarge is
-    # raised before either is allocated, so speedup exits 2 with one JSON
-    # error line and writes nothing, where the kernel would have killed it
+def test_speedup_refuses_a_host_it_cannot_resolve(tmp_path, capsys):
+    # a star of 3 edges at n = 10^7 and 10^9: 1 - lambda_max(T) is about
+    # 12/n^2, below the 1e-12 that float64 resolves, and the star does not
+    # span the host, so lambda_max < 1 and this is lost precision, not a
+    # spanning complete bipartite subgraph: TooLarge (exit 2) with one JSON
+    # error line and nothing written, where exit 3 would be a false verdict;
+    # nothing of order n is allocated on the way
     star = '{"kind": "star", "k": 3}'
     out = tmp_path / "out"
-    tracemalloc.start()
-    try:
-        code = main(["speedup", "--n-list", "1000000000", "--subgraph", star, "--out", str(out)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == cli.EXIT_CONFIG == 2
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1
-    error = json.loads(lines[0])
-    assert error["error"] == "config" and "exceed the limit" in error["message"], error
-    assert not out.exists()
-    assert peak <= 2**20
-    # the hosts below the limit still run
+    for n in ("10000000", "1000000000"):
+        tracemalloc.start()
+        try:
+            code = main(["speedup", "--n-list", n, "--subgraph", star, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_CONFIG == 2, n
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        error = json.loads(lines[0])
+        assert error["error"] == "config", error
+        assert error["message"].startswith(f"n = {n}: lambda_max(T) = "), error
+        assert "within 1e-12 of 1, the resolution" in error["message"], error
+        assert not out.exists()
+        assert peak <= 2**20, n
+    # the hosts that resolve still run
     argv = ["speedup", "--n-list", "100000,1000000", "--subgraph", star, "--out", str(out)]
     assert main(argv) == 0
     assert [row["n"] for row in read_json(out / "speedup.json")["rows"]] == [10**5, 10**6]
 
 
 def test_lift_limit_guards_every_order_n_read():
-    # one vertex past the limit: the quotient's reads of O(s) still serve,
-    # the whole list of eigenvalues and any lifted vector are refused
-    from edgewalk import build_instance, build_T
+    # one vertex past the limit, with a star of 100 edges, whose rotation
+    # angle still resolves there (1 - lambda_max about 400/n^2 = 1.4e-12):
+    # the quotient's reads of O(s) and the summary still serve, the whole
+    # list of eigenvalues, the lifted f and any lifted vector are refused
+    from edgewalk import build_instance, build_T, star_edges
     from edgewalk.errors import TooLarge
 
-    spectrum = spectral.quotient_spectrum(build_T(build_instance(spectral.LIFT_LIMIT, [(0, 1)])))
+    g = build_instance(spectral.LIFT_LIMIT, star_edges(100))
+    spectrum = spectral.quotient_spectrum(build_T(g))
     assert spectrum.descending(2).size == 2 and spectrum.lambda_max < 1.0
-    assert spectrum.principal().size == 3
-    for read in (spectrum.descending, spectrum.summary, lambda: spectrum.lift(spectrum.values)):
+    assert spectrum.principal().size == 102
+    summary = spectrum.summary()
+    assert summary.principal.size == 102 and 0.0 < summary.theta_max < 1e-5
+    assert summary.lambda_max == spectrum.lambda_max and summary.overlap <= 1.0
+    for read in (
+        spectrum.descending,
+        lambda: summary.eigenvalues,
+        lambda: summary.f,
+        lambda: spectrum.lift(spectrum.values),
+    ):
         with pytest.raises(TooLarge, match="exceed the limit of 16777216"):
             read()
 

@@ -1,7 +1,8 @@
 """The matrix-free line-kernel path against its dense oracles on every
-instance of K_3, K_4 and K_5, the orbit quotient, the Collatz-Wielandt
-bracket and the vertex-space t_c against that edge-space path, and their
-two degenerate kernels: P = 0 and a single unmarked edge."""
+instance of K_3, K_4 and K_5 and on every disconnected complement in K_6,
+the orbit quotient, the Collatz-Wielandt bracket and the vertex-space t_c
+against that edge-space path, and their two degenerate kernels: P = 0 and
+a single unmarked edge."""
 
 import itertools
 
@@ -76,6 +77,43 @@ def test_every_small_instance_matches_the_dense_oracles(n, count):
         assert abs(bracket.overlap - (P.uniform @ f) ** 2) <= 1e-15
         seen += 1
     assert seen == count
+
+
+def _components(edges):
+    """How many connected components the edges form."""
+    label = {}
+
+    def root(v):
+        while label.setdefault(v, v) != v:
+            v = label[v]
+        return v
+
+    for u, v in edges:
+        label[root(u)] = root(v)
+    return len({root(v) for v in label})
+
+
+def test_k6_disconnected_complements_match_the_dense_oracle():
+    # every marked set of K_6 whose unmarked edges fall apart: when the
+    # uniform start lies in a multiple top eigenspace (two disjoint 2-paths
+    # unmarked, lambda_max(P) = 1/8 twice) it is an eigenvector, and the
+    # pair is (u^T P u, u), where Lanczos broke down and restarted from a
+    # random vector, whose overlap could be 0 where the dense one is 1
+    n, seen = 5, 0
+    for edges in _marked_sets(n):
+        unmarked = _complement_of(n, edges)
+        if _components(unmarked) < 2:
+            continue
+        g = build_instance(n, edges)
+        P = build_P(g)
+        values, vectors = eigh(P.dense())
+        overlap = (P.uniform @ principal_vector(values, vectors)) ** 2
+        for kernel in (P, build_P_quotient(g)):
+            lam, f = line_principal_pair(kernel)
+            assert abs(lam - values[0]) <= 16 * EPS, edges
+            assert abs((kernel.uniform @ f) ** 2 - overlap) <= 16 * EPS, edges
+        seen += 1
+    assert seen == 1030
 
 
 def test_kernel_without_shared_endpoints_is_zero():

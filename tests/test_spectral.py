@@ -26,7 +26,7 @@ from edgewalk import (
     star_edges,
 )
 from edgewalk.edge_space import LineTransitionMatrix
-from edgewalk.errors import DegenerateSpectrum, NotSymmetric
+from edgewalk.errors import DegenerateSpectrum, NotSymmetric, TooLarge
 from edgewalk.operators import VertexMatrix, vertex_matrix
 from edgewalk.spectral import (
     d_star_apply,
@@ -87,6 +87,17 @@ def test_principal_pair_triangle():
 def test_principal_pair_degenerate():
     with pytest.raises(DegenerateSpectrum):
         principal_pair(build_T(build_instance(2, [(0, 1), (1, 2)])))
+
+
+def test_principal_pair_refuses_lost_digits():
+    # one edge at n = 2 * 10^6: 1 - lambda_max(T) is about 4/n^2 = 1e-12,
+    # which float64 no longer resolves; the edge does not span the host, so
+    # lambda_max < 1 and the closeness is lost precision, not degeneracy
+    with pytest.raises(TooLarge, match=r"^n = 2000000: lambda_max\(T\) = 0\.9999"):
+        principal_pair(build_T(build_instance(2 * 10**6, [(0, 1)])))
+    # a dense eigendecomposition is read with t = 0, where it is degeneracy
+    with pytest.raises(DegenerateSpectrum):
+        summarize_spectrum(np.array([1.0 - 1e-13, 0.0]), np.eye(2))
 
 
 def test_principal_pair_k100_single_edge():
@@ -386,22 +397,47 @@ def test_quotient_spectrum_matches_its_dense_lift(family, data):
         dense_distance = float(np.sum((dense_f - j) ** 2))
         distance = float(np.sum((f - spectrum.uniform) ** 2))
         assert abs(distance - dense_distance) <= 1e-12 * dense_distance, name
-    summary = quotient_spectrum(build_T(g)).summary()
-    dense = summarize_spectrum(*quotient_eigh(build_T(g)))
+    T = build_T(g)
+    summary = quotient_spectrum(T).summary()
+    dense = summarize_spectrum(*quotient_eigh(T))
     assert np.array_equal(summary.eigenvalues, dense.eigenvalues)
     assert np.abs(summary.f - dense.f).max() <= 4 * np.finfo(float).eps
-    assert abs(summary.overlap - dense.overlap) <= 4 * np.finfo(float).eps
+    # the overlap read on the quotient against a 50-digit eigensolve of the
+    # same float64 quotient: the squared norm of the uniform vector's
+    # projection onto the top eigenspace (the dense lift's overlap was up
+    # to 2.3e-15 off)
+    assert abs(summary.overlap - _reference_overlap(T)) <= 1e-15
 
 
-def test_principal_pair_memory_is_linear_in_n():
-    # n = 2000: the dense eigenvector matrix of quotient_eigh takes 32 MB;
-    # the summary holds two (n+1)-vectors, 16 kB each
+def _reference_overlap(T):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        values, vectors = mpmath.eigsy(mpmath.matrix(T.quotient.tolist()))
+        top = max(values)
+        root = mpmath.sqrt(T.order)
+        uniform = [1 / root] * T.s + [mpmath.sqrt(T.t) / root]
+        return float(mpmath.fsum(
+            mpmath.fsum(vectors[i, k] * uniform[i] for i in range(len(uniform))) ** 2
+            for k in range(len(values))
+            if top - values[k] < 1e-10
+        ))
+
+
+@pytest.mark.parametrize("n", [2000, 10**6])
+def test_principal_pair_memory_is_independent_of_n(n):
+    # the summary is a view on the order-(s+1) quotient: nothing of order
+    # n + 1 is allocated until f or the eigenvalues are read
     tracemalloc.start()
     try:
-        summary = principal_pair(build_T(build_instance(2000, [(0, 1)])))
+        summary = principal_pair(build_T(build_instance(n, [(0, 1)])))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2**20
-    assert summary.eigenvalues.shape == summary.f.shape == (2001,)
-    assert 1 - 4 / (2000 * 2001) <= summary.lambda_max < 1
+    assert peak <= 16 * 2**10
+    # cor_T.lower, up to the rounding of lambda_max
+    assert 1 - 4 / (n * (n + 1)) - 2**-52 <= summary.lambda_max < 1
+    assert summary.eigenvalues.shape == summary.f.shape == (n + 1,)
+    assert summary.eigenvalues[0] == summary.lambda_max
+    # f in canonical order: the block, then the rest value t = n - 1 times
+    assert np.array_equal(summary.f[:2], summary.principal[:2])
+    assert np.all(summary.f[2:] == summary.principal[2] / np.sqrt(n - 1))
