@@ -68,7 +68,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 import numpy as np
 
 from .classical_search import _searching_time
-from .errors import DegenerateSpectrum, EmptyComplement
+from .errors import DegenerateSpectrum, EmptyComplement, LostPrecision
 from .operators import (
     LineQuotientMatrix,
     VertexMatrix,
@@ -286,11 +286,11 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
     Each entry is one row (name, relation, lhs, rhs, hypothesis) of a table.
     The rows are grouped by the data they need: the vertex spectra, the
     line kernel P (absent when every edge is marked) and the rotation data
-    (absent when the spectrum is degenerate).  A row whose group has no
-    data is skipped under the group's requirement; a row whose hypothesis
-    fails is skipped under that hypothesis.  A skipped entry keeps its
-    relation and, when its group exists, its lhs; its rhs is never
-    evaluated, and rhs and slack are NaN (null in JSON).
+    (absent when the angle is zero or lost to rounding).  A row whose group
+    has no data is skipped under the group's requirement; a row whose
+    hypothesis fails is skipped under that hypothesis.  A skipped entry
+    keeps its relation and, when its group exists, its lhs; its rhs is
+    never evaluated, and rhs and slack are NaN (null in JSON).
     """
     n, m, s = g.n, g.num_marked, g.s
     order = n + 1
@@ -336,7 +336,7 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
         h_count = np.append(np.ones(s), g.t)
     try:
         diag = asymptotic_diagnostics(g, t_spectrum.summary())
-    except DegenerateSpectrum:
+    except (DegenerateSpectrum, LostPrecision):
         diag = None
 
     host_edges = n * (n + 1) / 2.0

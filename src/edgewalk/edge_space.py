@@ -224,14 +224,10 @@ def line_principal_pair(
     and P maps that orbit-constant space (at most C(s, 2) - m + s + 1
     dimensions, all of ``LineQuotientMatrix``) into itself, so the Krylov
     space closes after a few steps and holds the top eigenvector.  The
-    eigenvector is sign-fixed against the uniform direction.
-
-    When P u is parallel to the uniform u at rounding level (P = 0 among
-    them), the pair is (u^T P u, u): a positive eigenvector of the
-    nonnegative P belongs to its spectral radius (Perron-Frobenius), and it
-    is its own projection onto the top eigenspace.  Lanczos would break
-    down at its first step there and restart from a random vector, which
-    in a multiple top eigenspace can be orthogonal to u.
+    eigenvector is sign-fixed against the uniform direction.  When P u is
+    parallel to the uniform u at rounding level (P = 0 among them), the
+    pair is (u^T P u, u) by Perron-Frobenius: Lanczos would break down and
+    restart from a random vector, which can be orthogonal to u.
     """
     start = P.uniform
     image = P.matvec(start)

@@ -36,8 +36,13 @@ class EmptyComplement(EdgeWalkError):
 class TooLarge(EdgeWalkError):
     """The instance is too large for a dense construction or an order-(n+1)
     lift, has more unmarked edges than the Monte-Carlo walker's 32-bit
-    bounded draws serve, or has a lambda_max(T) that float64 cannot tell
-    from 1 although the marked subgraph does not span the host."""
+    bounded draws serve, or has lost its rotation angle (LostPrecision)."""
+
+
+class LostPrecision(TooLarge):
+    """lambda_max(T) is within ``DEGENERACY_TOL`` of 1, float64's resolution,
+    though the marked subgraph does not span the host, so lambda_max < 1:
+    the rotation angle has no correct digit.  Walks and the ledger skip it."""
 
 
 class DimensionMismatch(EdgeWalkError):

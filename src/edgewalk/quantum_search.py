@@ -57,7 +57,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, DimensionMismatch
+from .errors import DegenerateSpectrum, DimensionMismatch, LostPrecision
 from .operators import arc_matrix, arc_vector, build_T, walk_arc_matrix
 from .signed_graph import SignedCompleteGraph
 from .spectral import SpectralSummary, principal_pair
@@ -112,8 +112,8 @@ class WalkSeries:
 
     ``fp[t]`` is the probability after t applications of the walk operator
     to the uniform state, so ``fp[0] = 2m / (n(n+1))`` is the pre-walk mass.
-    ``t_f`` and ``fp_at_tf`` are filled from the spectrum when the instance
-    is non-degenerate (``fp_at_tf`` additionally requires t_f <= t_max).
+    ``t_f`` and ``fp_at_tf`` are filled from the spectrum when its angle
+    resolves and is nonzero (``fp_at_tf`` additionally requires t_f <= t_max).
     """
 
     t_max: int
@@ -133,9 +133,10 @@ def run_series(
     2 (-1)^t d j, on the order-(s+1) quotient (see the module docstring), so
     a step costs O(s + m) and no linear system is solved.  The marked arcs
     are read out in blocks of steps, so the memory does not grow with
-    ``t_max``.  A degenerate spectrum only leaves the searching-time fields
-    unset.  ``summary``, when the caller already holds the principal pair of
-    the instance, is used for t_f instead of solving the eigenproblem again.
+    ``t_max``.  A degenerate spectrum, or one whose angle is lost to
+    rounding (LostPrecision), only leaves the searching-time fields unset.
+    ``summary``, when the caller already holds the principal pair of the
+    instance, is used for t_f instead of solving the eigenproblem again.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
@@ -149,8 +150,8 @@ def run_series(
         t_f = quantum_time(summary)
         if t_f <= t_max:
             fp_at_tf = float(fp[t_f])
-    except DegenerateSpectrum:
-        degenerate = True
+    except (DegenerateSpectrum, LostPrecision) as exc:
+        degenerate = isinstance(exc, DegenerateSpectrum)
     fp.setflags(write=False)
     return WalkSeries(
         t_max=t_max, fp=fp, t_f=t_f, fp_at_tf=fp_at_tf, degenerate=degenerate
@@ -200,12 +201,16 @@ def asymptotic_diagnostics(
     state's forced pair walks beside (0, f), as a second column of the same
     walk.  Raises DegenerateSpectrum when the rotation angle vanishes.
     ``summary`` is the principal pair of the instance when the caller has
-    already solved for it.
+    already solved for it on g's quotient (DimensionMismatch otherwise).
     """
     if summary is None:
         summary = principal_pair(build_T(g))
     t_f = quantum_time(summary)
     n, root, weights = g.n, np.sqrt(g.n + 1), _weights(g)
+    if summary.principal.shape != weights.shape:
+        raise DimensionMismatch(
+            f"{summary.principal.size} quotient coordinates, g has {weights.size}"
+        )
     f = summary.principal / np.sqrt(weights)
     neg_o, neg_t = g.negative_arcs
     start_gap_sq = weights @ (f - 1.0 / root) ** 2 + 4.0 * np.sum(f[neg_t]) / (n * root)

@@ -41,7 +41,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, NoConvergence, NotSymmetric, TooLarge
+from .errors import (
+    DegenerateSpectrum, LostPrecision, NoConvergence, NotSymmetric, TooLarge
+)
 from .operators import LineQuotientMatrix, VertexMatrix, build_T, build_U_dense
 from .signed_graph import SignedCompleteGraph
 
@@ -207,12 +209,12 @@ class QuotientSpectrum:
         O(s).  lambda_max = 1 exactly for a spanning complete bipartite
         marked subgraph (so t = 0): DegenerateSpectrum within
         ``DEGENERACY_TOL`` of 1.  With t >= 1, lambda_max < 1, and that
-        closeness is lost resolution: TooLarge."""
+        closeness is lost resolution: LostPrecision, a TooLarge."""
         top = self.descending(2)
         lam = float(top[0])
         if lam >= 1.0 - DEGENERACY_TOL:
             if self.t:
-                raise TooLarge(
+                raise LostPrecision(
                     f"n = {self.s + self.t - 1}: lambda_max(T) = {lam!r} lies "
                     f"within {DEGENERACY_TOL:.0e} of 1, the resolution of its "
                     "float64 eigensolve; the marked subgraph does not span the "

@@ -12,6 +12,7 @@ import pytest
 from edgewalk import cli, spectral
 from edgewalk.cli import main
 from edgewalk.errors import NoConvergence, SolverFailure
+from spectral_oracle import reference_overlap
 
 
 def read_json(path):
@@ -496,6 +497,31 @@ def test_speedup_prints_no_row_before_a_degenerate_host(tmp_path, capsys):
     assert json.loads(captured.err)["error"] == "degenerate_spectrum"
     assert not (tmp_path / "speedup.json").exists()
     assert not (tmp_path / "speedup.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command,n,descriptor,report",
+    [
+        ("spectrum", 5, PATH1, "spectrum.json"),
+        ("spectrum", 9, '{"kind": "matching", "k": 2}', "spectrum.json"),
+        ("spectrum", 60, json.dumps(LONG_DESCRIPTOR), "spectrum.json"),
+        ("simulate", 300, PATH1, "report.json"),
+        ("simulate", 400, '{"kind": "star", "k": 3}', "report.json"),
+    ],
+)
+def test_reported_overlap_matches_a_50_digit_solve(
+    tmp_path, command, n, descriptor, report
+):
+    # the overlap that spectrum.json and report.json print is read on the
+    # quotient, within 1e-15 of mpmath's eigensolve of the same quotient
+    from edgewalk import build_instance, build_T, edges_from_descriptor
+
+    argv = [command, "--n", str(n), "--subgraph", descriptor, "--out", str(tmp_path)]
+    assert main(argv + (["--t-max", "3"] if command == "simulate" else [])) == 0
+    payload = read_json(tmp_path / report)
+    overlap = (payload if command == "spectrum" else payload["spectral"])["overlap"]
+    edges = edges_from_descriptor(json.loads(descriptor), n=n)
+    assert abs(overlap - reference_overlap(build_T(build_instance(n, edges)))) <= 1e-15
 
 
 def test_spectrum_degenerate_reports(tmp_path):

@@ -23,7 +23,9 @@ from edgewalk import (
     star_edges,
     verify_all,
 )
-from edgewalk.errors import DimensionMismatch
+from edgewalk.bounds import ROTATION
+from edgewalk.errors import DimensionMismatch, LostPrecision
+from edgewalk.spectral import quotient_eigh, summarize_spectrum
 
 K5_EDGES = [(0, 1), (1, 2), (2, 3)]
 
@@ -117,6 +119,36 @@ def test_series_degenerate_still_produced():
     assert series.degenerate
     assert series.t_f is None and series.fp_at_tf is None
     assert series.fp.shape == (11,)
+
+
+def test_series_and_ledger_outlive_a_lost_angle():
+    # one edge at n = 2 * 10^6: 1 - lambda_max(T) is about 1e-12, which
+    # float64 no longer resolves, so the angle is refused (LostPrecision);
+    # the series does not read it and is still produced, neither t_f nor
+    # degenerate set, and the ledger skips the rotation rows alone
+    n = 2 * 10**6
+    g = build_instance(n, [(0, 1)])
+    with pytest.raises(LostPrecision):
+        principal_pair(build_T(g))
+    series = run_series(g, 10)
+    assert not series.degenerate
+    assert series.t_f is None and series.fp_at_tf is None
+    assert series.fp[0] == pytest.approx(2 / (n * (n + 1.0)), rel=1e-12)
+    assert np.all(np.diff(series.fp) > 0.0)
+    ledger = verify_all(g)
+    rotation = [e for e in ledger.entries if e.hypothesis_description == ROTATION]
+    assert rotation and all(np.isnan(e.lhs) and e.passed is None for e in rotation)
+    assert [e.name for e in ledger.skipped] == [e.name for e in rotation]
+    assert all(e.passed for e in ledger.entries_for("gershgorin"))
+
+
+def test_diagnostics_refuse_a_summary_of_another_quotient():
+    # a dense summary has n+1 coordinates, the instance's quotient s+1
+    g = build_instance(10, path_edges(2))
+    dense = summarize_spectrum(*quotient_eigh(build_T(g)))
+    assert dense.principal.size == 11 and principal_pair(build_T(g)).principal.size == 4
+    with pytest.raises(DimensionMismatch, match="11 quotient coordinates, g has 4"):
+        asymptotic_diagnostics(g, dense)
 
 
 def test_norm_conservation_long_run():

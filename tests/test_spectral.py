@@ -35,6 +35,7 @@ from edgewalk.spectral import (
     quotient_spectrum,
     summarize_spectrum,
 )
+from spectral_oracle import reference_overlap
 
 K5_EDGES = [(0, 1), (1, 2), (2, 3)]
 
@@ -406,21 +407,7 @@ def test_quotient_spectrum_matches_its_dense_lift(family, data):
     # same float64 quotient: the squared norm of the uniform vector's
     # projection onto the top eigenspace (the dense lift's overlap was up
     # to 2.3e-15 off)
-    assert abs(summary.overlap - _reference_overlap(T)) <= 1e-15
-
-
-def _reference_overlap(T):
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
-        values, vectors = mpmath.eigsy(mpmath.matrix(T.quotient.tolist()))
-        top = max(values)
-        root = mpmath.sqrt(T.order)
-        uniform = [1 / root] * T.s + [mpmath.sqrt(T.t) / root]
-        return float(mpmath.fsum(
-            mpmath.fsum(vectors[i, k] * uniform[i] for i in range(len(uniform))) ** 2
-            for k in range(len(values))
-            if top - values[k] < 1e-10
-        ))
+    assert abs(summary.overlap - reference_overlap(T)) <= 1e-15
 
 
 # at n = 10^6 lambda_max rounds to an ulp or two below cor_T.lower
