@@ -15,15 +15,17 @@ Gershgorin reads the s + 2 distinct eigenvalues, and pq_spectra certifies
 the quotient pairs through the quotient forms of Q and G, plus one of the
 t - 1 zero-sum pairs on the rest, which share their value and residual.
 The rotation walk runs on the same quotient (``quantum_search``).  The line
-kernel lives on its edge-orbit quotient (``operators.build_P_quotient``),
-r = C(s,2) - m + s + 1 orbits for t >= 2, where lambda_max(P) is bracketed
+kernel lives on its edge-orbit quotient (``operators.build_P_quotient``), one
+orbit for each pair of the quotient's cells that carries an unmarked edge,
+r = C(s,2) - m + s + 1 of them for t >= 2, where lambda_max(P) is bracketed
 from Q's principal vector by one product (``spectral.line_bracket``,
 Collatz-Wielandt): cor_P reads the ends and the overlap, pq_spectra the
 ends' distance to lambda_max(Q), and the resolvent the point value between
 them.  t_c is ``classical_search.hitting_time``'s order-s solve, the one
-that ``classical`` and ``speedup`` report, and norm_l1 reads N j from its
-closed form.  So the ledger builds no edge-space array beyond the r orbits,
-no vertex array beyond a few (n+1)-vectors (the list of T's eigenvalues,
+that ``classical`` and ``speedup`` report, and norm_l1 reads N j from the
+orbits' degree at each cell, counted as often as the cell has vertices.  So
+the ledger builds no edge-space array beyond the r orbits, no vertex array
+beyond a few (n+1)-vectors (the list of T's eigenvalues,
 its lifted principal vector, the sign counts), makes no order-(n+1)
 eigensolve, no eigensolve of P and forms no dense matrix, and it needs
 numpy alone; ``quotient_eigh``, ``build_P``, ``LineTransitionMatrix``,
@@ -330,10 +332,8 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
         # the bracket's point value: an end would carry its width, which
         # 1/(1 - lambda) magnifies by t_c^2
         resolvent = 1.0 / (1.0 - bracket.value)
-        # h = N j_E: (n - D_v)/sqrt(E) at v, on the marked subgraph's
-        # vertices and then at each of the t others
-        h = np.append(np.diag(P.gram.block), n) / np.sqrt(P.num_edges)
-        h_count = np.append(np.ones(s), g.t)
+        # h = N j_E: the degree over sqrt(E) at a vertex of each cell
+        h = P.degrees / np.sqrt(P.num_edges)
     try:
         diag = asymptotic_diagnostics(g, t_spectrum.summary())
     except (DegenerateSpectrum, LostPrecision):
@@ -401,8 +401,8 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
          lambda: n * float(np.sum(sign_counts)), ALWAYS),
     )
     line_rows = (
-        ("norm_l1", "<=", lambda: float(h_count @ np.abs(h)) ** 2,
-         lambda: order * float(h_count @ h**2), ALWAYS),
+        ("norm_l1", "<=", lambda: float(P.cells @ np.abs(h)) ** 2,
+         lambda: order * float(P.cells @ h**2), ALWAYS),
         ("pq_spectra", "<=",
          lambda: _pq_spectra_mismatch(
              P, (bracket.lower, bracket.upper), q_spectrum),

@@ -293,9 +293,10 @@ def cmd_speedup(args) -> int:
 def cmd_spectrum(args) -> int:
     g, descriptor = _instance_from_args(args)
     spectrum = quotient_spectrum(build_T(g))
-    values = spectrum.descending()
+    top = spectrum.descending(2)
     degenerate = False
-    scalars = {"lambda_max": float(values[0]), "gap": float(values[0] - values[1])}
+    scalars = {"lambda_max": float(top[0]), "gap": float(top[0] - top[1])}
+    # the summary refuses a lost angle before the O(n) list is lifted
     try:
         summary = spectrum.summary()
         scalars.update(
@@ -309,7 +310,7 @@ def cmd_spectrum(args) -> int:
     out = _out_dir(args)
     payload = {
         "config": _config_echo(args, subgraph=descriptor),
-        "eigenvalues": [float(v) for v in values],
+        "eigenvalues": [float(v) for v in spectrum.descending()],
         "degenerate": degenerate,
         **scalars,
     }

@@ -1,17 +1,20 @@
 """Walk and transition operators of a search instance.
 
+Every quotient is taken on one equitable partition, ``cell_sizes``: the
+marked subgraph's s vertices as single cells, then one cell for the
+t = n+1-s others.
 Vertex space: the discriminant matrix T (order n+1, entries tau(uv)/n off
 the diagonal) carries the spectral analysis of the quantum walk, and Q is
 its companion built from the incidence structure of the unmarked remainder.
 Both, like the ledger's Y, Z and G = N N^T, are ``VertexMatrix`` instances,
 held as their block on the marked subgraph and two scalars; their
-order-(s+1) ``quotient`` carries every vector constant on the other
-vertices, which is where the package solves and walks them.
+order-(s+1) ``quotient`` on the cells carries every vector constant on the
+rest, which is where the package solves and walks them.
 Edge space: the line kernel P on the unmarked edges, which Q stands in for,
-is held here on its edge orbits (``LineQuotientMatrix``), with the
-incidence N as the two index arrays of the unmarked pairs; on the edges
-themselves, with the sparse incidence, it is a test oracle in
-``edge_space``.
+is held here on its edge orbits (``LineQuotientMatrix``), one for each
+pair of cells that carries an unmarked edge, with one product formula over
+them; on the edges themselves, with the sparse incidence, it is a test
+oracle in ``edge_space``.
 Arc space: the unitary evolution U = S(2 d* d - I) runs on the square
 layout of the state, the (n+1) x (n+1) matrix X with X[u, v] the amplitude
 of the arc (u, v) and a zero diagonal; the lexicographic arc order is the
@@ -43,6 +46,7 @@ from .signed_graph import SignedCompleteGraph, _readonly
 
 __all__ = [
     "VertexMatrix",
+    "cell_sizes",
     "vertex_matrix",
     "build_T",
     "build_Q",
@@ -59,6 +63,14 @@ __all__ = [
 
 # Dense U has (n(n+1))^2 entries; 40 keeps that under ~3M.
 DENSE_U_LIMIT = 40
+
+
+def cell_sizes(s: int, t: int) -> np.ndarray:
+    """The sizes of the cells every quotient is taken on: s ones, for the
+    marked subgraph's vertices, then t for the rest when t >= 1."""
+    sizes = np.ones(s + min(t, 1), dtype=np.int64)
+    sizes[s:] = t
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -101,7 +113,7 @@ class VertexMatrix:
         [sqrt(t) alpha 1^T, alpha (t-1) + d]], or the block itself when
         t = 0; read-only."""
         s, t = self.s, self.t
-        cells = s + min(t, 1)
+        cells = cell_sizes(s, t).size
         quotient = np.empty((cells, cells))
         quotient[:s, :s] = self.block
         quotient[:s, s:] = quotient[s:, :s] = self.off * np.sqrt(t)
@@ -188,22 +200,22 @@ class LineQuotientMatrix(_LineKernel):
 
     P commutes with those permutations, so its top eigenpair lies in that
     space (an equitable partition: Godsil and Royle, Algebraic Graph
-    Theory, chapter 9).  The orbits, in this order: each unmarked pair
-    {i, j} of the marked subgraph's vertices (``pairs``, size 1);
-    O_i = {i, rest} for each of its s vertices i (size t, when t >= 1); and
-    O_R, the pairs of two rest vertices (size C(t, 2), when t >= 2).
-    E = sum |O_k|.
+    Theory, chapter 9).  Its cells are those of ``cell_sizes``: each vertex
+    of the marked subgraph alone, then the rest.  An orbit is the set of
+    unmarked edges between two cells a <= b, one row (a, b) of ``pairs``,
+    in this order: the unmarked pairs {i, j} of the marked subgraph's
+    vertices, {i, rest} for each of them, then {rest, rest}.  ``reach``
+    counts an orbit's edges at one vertex of each end cell, so its size is
+    half of the ends counted from both cells, and E = sum |O_k|.
 
-    On the orbit values x, with the per-vertex sums C_i = sum of x over
-    the unmarked pairs at i plus t x_{O_i} and, at any rest vertex,
-    C_r = sum_i x_{O_i} + (t-1) x_R, P x is (C_i + C_j - 2x)/(2(n-1)) on
-    {i, j}, (C_i + C_r - 2x)/(2(n-1)) on O_i and (2 C_r - 2x)/(2(n-1)) on
-    O_R: ``orbit_matvec`` applies it in O(s + r), summing the pairs at each
-    vertex over the two index arrays of ``pairs``, with the integer
-    coefficients of the edge space, and ``matvec`` scales it to the
-    orthonormal coordinates.  ``lift`` gives the orbit values of N^T w for a
-    vertex vector w on the companion's quotient.  When t <= 1 the orbits are
-    single edges and this is P itself.
+    On the orbit values x, with C_a = sum of reach x over the orbits at
+    cell a (the sum of x over the unmarked edges at any vertex of a),
+    P x is (C_a + C_b - 2x)/(2(n-1)) on the orbit (a, b): ``orbit_matvec``
+    applies it in O(s + r), with the integer coefficients of the edge
+    space, and ``matvec`` scales it to the orthonormal coordinates.
+    ``lift`` gives the orbit values of N^T w for a vertex vector w on the
+    companion's quotient.  When t <= 1 the orbits are single edges and
+    this is P itself.
     """
 
     n: int
@@ -215,19 +227,31 @@ class LineQuotientMatrix(_LineKernel):
     def t(self) -> int:
         return self.gram.t
 
-    @property
-    def num_edges(self) -> int:
-        return self.pairs.shape[0] + self.gram.s * self.t + self.t * (self.t - 1) // 2
+    @cached_property
+    def cells(self) -> np.ndarray:
+        return cell_sizes(self.gram.s, self.t)
+
+    @cached_property
+    def reach(self) -> np.ndarray:
+        """The edges of each orbit at one vertex of its cell a and of its
+        cell b, as (r, 2) integers: the other cell's size.  An orbit inside
+        one cell has its size less one at a and 0 at b, so that the cell
+        counts it once."""
+        a, b = self.pairs.T
+        return np.column_stack([self.cells[b] - (a == b), self.cells[a] * (a != b)])
 
     @cached_property
     def orbit_sizes(self) -> np.ndarray:
-        t = self.t
-        sizes = [np.ones(self.pairs.shape[0], dtype=np.int64)]
-        if t:
-            sizes.append(np.full(self.gram.s, t))
-        if t >= 2:
-            sizes.append([t * (t - 1) // 2])
-        return np.concatenate(sizes)
+        return np.sum(self.cells[self.pairs] * self.reach, axis=1) // 2
+
+    @property
+    def num_edges(self) -> int:
+        return int(self.orbit_sizes.sum())
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """The unmarked edges at a vertex of each cell."""
+        return np.bincount(self.pairs.ravel(), self.reach.ravel(), self.cells.size)
 
     @cached_property
     def _root_sizes(self) -> np.ndarray:
@@ -243,31 +267,15 @@ class LineQuotientMatrix(_LineKernel):
 
     def orbit_matvec(self, x: np.ndarray) -> np.ndarray:
         x = self._orbit_vector(x)
-        p, s, t = self.pairs.shape[0], self.gram.s, self.t
-        pair = x[:p]
-        # each vertex adds its pairs in ascending order, as the rows of the
+        # each cell adds its orbits in ascending order, as the rows of the
         # sparse incidence would
-        sums = np.zeros((s, *x.shape[1:]))
-        np.add.at(sums, self.pairs.ravel(), np.repeat(pair, 2, axis=0))
-        out = np.empty_like(x)
-        if t:
-            side, rest = x[p : p + s], x[p + s :]
-            rest_sums = side.sum(axis=0) + (t - 1) * rest.sum(axis=0)
-            sums += t * side
-            out[p : p + s] = (sums + rest_sums - 2.0 * side) / self.moves
-            out[p + s :] = (2.0 * rest_sums - 2.0 * rest) / self.moves
-        # The s sums are divided, not the p pairs (all the edges when t <= 1):
-        # the rounded factor of the -2x term only shifts P by at most
-        # eps/(n-1) times I.
-        sums /= self.moves
-        pu, pv = self.pairs.T
-        np.add(sums[pu], sums[pv], out=out[:p])
-        out[:p] -= (2.0 / self.moves) * pair
-        return out
+        sums = np.zeros((self.cells.size, *x.shape[1:]))
+        ends = (self.reach.ravel() * np.repeat(x, 2, axis=0).T).T
+        np.add.at(sums, self.pairs.ravel(), ends)
+        a, b = self.pairs.T
+        return (sums[a] + sums[b] - 2.0 * x) / self.moves
 
     def matvec(self, y: np.ndarray) -> np.ndarray:
-        if self.t <= 1:  # every orbit is one edge: the coordinates agree
-            return self.orbit_matvec(y)
         # transposed, so that the sizes run along the last axis of a block
         root = self._root_sizes
         return (root * self.orbit_matvec((self._orbit_vector(y).T / root).T).T).T
@@ -275,17 +283,11 @@ class LineQuotientMatrix(_LineKernel):
     def lift(self, w: np.ndarray) -> np.ndarray:
         """The orbit values of N^T w, N the vertex-edge incidence, for w in
         the symmetric coordinates (w_block, sqrt(t) w_rest) of the
-        companion's quotient: w_i + w_j on {i, j}, w_i + w_rest on O_i and
-        2 w_rest on O_R."""
-        s, t = self.gram.s, self.t
-        pu, pv = self.pairs.T
-        parts = [w[pu] + w[pv]]
-        if t:
-            rest = w[s] / np.sqrt(t)
-            parts.append(w[:s] + rest)
-            if t >= 2:
-                parts.append([2.0 * rest])
-        return np.concatenate(parts)
+        companion's quotient: v_a + v_b on the orbit (a, b), with
+        v = w / sqrt(cells) the value at each vertex."""
+        value = w / np.sqrt(self.cells)
+        a, b = self.pairs.T
+        return value[a] + value[b]
 
     def components(self) -> tuple[np.ndarray, np.ndarray]:
         """The connected components of the unmarked edges, numbered from 0:
@@ -296,9 +298,9 @@ class LineQuotientMatrix(_LineKernel):
         is one.  For t = 0 the labels are found by taking, at each vertex,
         the least label of its neighbours and of the vertex its label
         names, until none changes."""
-        s = self.gram.s
         if self.t:
-            return np.zeros(s + 1, dtype=np.intp), np.zeros(self.orbit_sizes.size, np.intp)
+            return np.zeros(self.cells.size, np.intp), np.zeros(len(self.pairs), np.intp)
+        s = self.gram.s
         pu, pv = self.pairs.T
         label = np.arange(s)
         while True:
@@ -320,10 +322,10 @@ def build_P_quotient(g: SignedCompleteGraph) -> LineQuotientMatrix:
     marked subgraph in O(s^2 + r), with no edge-space array when t >= 2.
 
     As ``edge_space.build_P`` does for the edges, it checks in integers that
-    the orbit sizes sum to the E = n(n+1)/2 - m unmarked edges and that each
-    vertex class meets as many of them as the diagonal of N N^T says:
-    n - D_i at the marked subgraph's vertex i, n at a rest vertex.  Raises
-    EmptyComplement when every edge is marked.
+    the orbit sizes sum to the E = n(n+1)/2 - m unmarked edges and that a
+    vertex of each cell meets as many of them as the diagonal of N N^T
+    says: n - D_i at the marked subgraph's vertex i, n at a rest vertex.
+    Raises EmptyComplement when every edge is marked.
     """
     n, s, t = g.n, g.s, g.t
     edges = n * (n + 1) // 2 - g.num_marked
@@ -331,13 +333,12 @@ def build_P_quotient(g: SignedCompleteGraph) -> LineQuotientMatrix:
         raise EmptyComplement("every edge of the host graph is marked")
     gram = vertex_matrix(g, 0, n, degree=-1)
     pairs = unmarked_pairs(g.marked_block)
+    if t:  # {i, rest} for each i, and {rest, rest} once the rest has an edge
+        pairs = _readonly(np.concatenate([pairs, [(a, s) for a in range(s + (t > 1))]]))
     P = LineQuotientMatrix(n=n, pairs=pairs, q_matrix=build_Q(g), gram=gram)
-    counts = np.bincount(pairs.ravel(), minlength=s) + t
-    if not (
-        int(P.orbit_sizes.sum()) == P.num_edges == edges
-        and np.array_equal(counts, np.diag(gram.block))
-        and (t == 0 or s + t - 1 == gram.diagonal)
-    ):
+    # diag(N N^T) at a vertex of each cell: n - D_i, then n at the rest
+    diagonal = [*np.diag(gram.block), *[gram.diagonal] * (P.cells.size - s)]
+    if not (P.num_edges == edges and np.array_equal(P.degrees, diagonal)):
         raise AssertionError("edge orbits disagree with the incidence identity")
     return P
 

@@ -58,7 +58,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateSpectrum, DimensionMismatch, LostPrecision
-from .operators import arc_matrix, arc_vector, build_T, walk_arc_matrix
+from .operators import arc_matrix, arc_vector, build_T, cell_sizes, walk_arc_matrix
 from .signed_graph import SignedCompleteGraph
 from .spectral import SpectralSummary, principal_pair
 
@@ -206,7 +206,7 @@ def asymptotic_diagnostics(
     if summary is None:
         summary = principal_pair(build_T(g))
     t_f = quantum_time(summary)
-    n, root, weights = g.n, np.sqrt(g.n + 1), _weights(g)
+    n, root, weights = g.n, np.sqrt(g.n + 1), cell_sizes(g.s, g.t)
     if summary.principal.shape != weights.shape:
         raise DimensionMismatch(
             f"{summary.principal.size} quotient coordinates, g has {weights.size}"
@@ -249,20 +249,13 @@ def asymptotic_diagnostics(
     )
 
 
-def _weights(g: SignedCompleteGraph) -> np.ndarray:
-    """How many vertices each quotient coordinate stands for: 1 on the
-    marked subgraph's vertices, then t on the rest (no rest entry when
-    t = 0)."""
-    return np.append(np.ones(g.s), [g.t] if g.t else [])
-
-
 def _times_nT(g: SignedCompleteGraph) -> Callable[[np.ndarray], np.ndarray]:
     """The map b -> n T b = <1, b> 1 - b - 2 A b on the quotient, at
     O(s + m), for a vector or a matrix of one vector per column."""
     neg_o, neg_t = g.negative_arcs
     # (A b)_v sums b over the marked neighbours of v: one term per arc
     ends, starts = np.concatenate((neg_o, neg_t)), np.concatenate((neg_t, neg_o))
-    weights = _weights(g).astype(np.longdouble)[None, :]
+    weights = cell_sizes(g.s, g.t).astype(np.longdouble)[None, :]
 
     def times_nT(b: np.ndarray) -> np.ndarray:
         nt_b = weights @ b - b
@@ -318,7 +311,7 @@ def _uniform_forcing(g: SignedCompleteGraph) -> tuple[np.ndarray, np.ndarray]:
     (d j)_v = (n - 2 * #negative arcs into v) / (n sqrt(n+1)), and no
     negative arc ends on the rest."""
     n = g.n
-    into = np.bincount(g.negative_arcs[1], minlength=g.s + min(g.t, 1))
+    into = np.bincount(g.negative_arcs[1], minlength=cell_sizes(g.s, g.t).size)
     twice_dj = 2.0 * (n - 2.0 * into.astype(np.longdouble))
     twice_dj /= n * np.sqrt(np.longdouble(n + 1))
     return twice_dj, -twice_dj

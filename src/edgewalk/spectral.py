@@ -44,7 +44,7 @@ import numpy as np
 from .errors import (
     DegenerateSpectrum, LostPrecision, NoConvergence, NotSymmetric, TooLarge
 )
-from .operators import LineQuotientMatrix, VertexMatrix, build_T, build_U_dense
+from .operators import LineQuotientMatrix, VertexMatrix, build_T, build_U_dense, cell_sizes
 from .signed_graph import SignedCompleteGraph
 
 __all__ = [
@@ -129,13 +129,8 @@ class QuotientSpectrum:
     @property
     def uniform(self) -> np.ndarray:
         """The unit uniform vector of the order-(n+1) space in the
-        symmetric coordinates: 1/sqrt(n+1) on the block, then
-        sqrt(t/(n+1))."""
-        root = np.sqrt(self.s + self.t)
-        uniform = np.full(self.values.size, 1.0 / root)
-        if self.t:
-            uniform[-1] = np.sqrt(self.t) / root
-        return uniform
+        symmetric coordinates: sqrt(|cell| / (n+1)) on each cell."""
+        return np.sqrt(cell_sizes(self.s, self.t)) / np.sqrt(self.s + self.t)
 
     @property
     def distinct(self) -> np.ndarray:
@@ -201,8 +196,8 @@ class QuotientSpectrum:
         """The order-(n+1) vectors of symmetric coordinates x (a vector, or
         one per column); TooLarge above ``LIFT_LIMIT`` vertices."""
         self._check_lift()
-        s, t = self.s, self.t
-        return np.concatenate([x[:s], np.repeat(x[s:] / np.sqrt(t), t, axis=0)])
+        cells = cell_sizes(self.s, self.t)
+        return np.repeat((np.asarray(x).T / np.sqrt(cells)).T, cells, axis=0)
 
     def summary(self) -> SpectralSummary:
         """The principal spectral data of the discriminant matrix T, in

@@ -118,17 +118,22 @@ def test_speedup_refuses_a_host_it_cannot_resolve(tmp_path, capsys):
     # span the host, so lambda_max < 1 and this is lost precision, not a
     # spanning complete bipartite subgraph: TooLarge (exit 2) with one JSON
     # error line and nothing written, where exit 3 would be a false verdict;
-    # nothing of order n is allocated on the way
+    # nothing of order n is allocated on the way, not even by spectrum,
+    # which lists every eigenvalue of a host it accepts
     star = '{"kind": "star", "k": 3}'
     out = tmp_path / "out"
-    for n in ("10000000", "1000000000"):
+    for command, option, n in (
+        ("speedup", "--n-list", "10000000"),
+        ("speedup", "--n-list", "1000000000"),
+        ("spectrum", "--n", "10000000"),
+    ):
         tracemalloc.start()
         try:
-            code = main(["speedup", "--n-list", n, "--subgraph", star, "--out", str(out)])
+            code = main([command, option, n, "--subgraph", star, "--out", str(out)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == cli.EXIT_CONFIG == 2, n
+        assert code == cli.EXIT_CONFIG == 2, (command, n)
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1, lines
         error = json.loads(lines[0])
@@ -136,7 +141,7 @@ def test_speedup_refuses_a_host_it_cannot_resolve(tmp_path, capsys):
         assert error["message"].startswith(f"n = {n}: lambda_max(T) = "), error
         assert "within 1e-12 of 1, the resolution" in error["message"], error
         assert not out.exists()
-        assert peak <= 2**20, n
+        assert peak <= 2**20, (command, n)
     # the hosts that resolve still run
     argv = ["speedup", "--n-list", "100000,1000000", "--subgraph", star, "--out", str(out)]
     assert main(argv) == 0

@@ -371,6 +371,7 @@ def _orbit_basis(g, edges):
         (9, [(0, 1), (4, 5), (5, 6)]),
         (12, complete_bipartite_edges(2, 3)),
         (5, [(u, v) for u in range(4) for v in range(u + 1, 4)]),  # no pair left
+        (5, path_edges(4)),  # t = 1: each {i, rest} is one edge, no O_R
     ],
 )
 def test_quotient_is_the_kernel_on_orbit_indicators(n, edges):
@@ -399,12 +400,22 @@ def test_quotient_check_sees_a_dropped_pair(monkeypatch):
     def short_pairs(marked):
         return real_pairs(marked)[1:]
 
-    real_pairs = operators.unmarked_pairs
-    monkeypatch.setattr(operators, "unmarked_pairs", short_pairs)
-    with pytest.raises(
-        AssertionError, match="edge orbits disagree with the incidence identity"
-    ):
-        build_P_quotient(g)
+    # one vertex too many in the rest cell: the orbits at it grow, and the
+    # degrees they give no longer match the diagonal of N N^T
+    def one_more(s, t):
+        sizes = real_sizes(s, t)
+        sizes[s:] += 1
+        return sizes
+
+    real_pairs, real_sizes = operators.unmarked_pairs, operators.cell_sizes
+    for name, fake in (("unmarked_pairs", short_pairs), ("cell_sizes", one_more)):
+        with monkeypatch.context() as patch:
+            patch.setattr(operators, name, fake)
+            with pytest.raises(
+                AssertionError, match="edge orbits disagree with the incidence identity"
+            ):
+                build_P_quotient(g)
+    build_P_quotient(g)
 
 
 def test_quotient_rejects_a_vector_of_another_length():
