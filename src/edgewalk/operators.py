@@ -26,8 +26,9 @@ O(n^2) with no index arrays; a dense U exists only as a small-instance test
 oracle.  ``walk_arc_matrix`` serves arbitrary arc states.  The finding
 probability series and the rotation diagnostics need only states of
 range[d*, S d*]: ``quantum_search`` walks those exactly as vertex pairs on
-the order-(s+1) quotient at O(s + m) per step and reads the diagnostics
-from closed forms there, with this kernel as their test oracle.
+the order-(s+1) quotient, at a cost per step that does not grow with n,
+and reads the diagnostics from closed forms there, with this kernel as
+their test oracle.
 
 In K_{n+1} every vertex has degree n, so the general normalizations
 1/sqrt(deg u * deg v) specialize to 1/n throughout this module.
@@ -242,7 +243,10 @@ class LineQuotientMatrix(_LineKernel):
 
     @cached_property
     def orbit_sizes(self) -> np.ndarray:
-        return np.sum(self.cells[self.pairs] * self.reach, axis=1) // 2
+        # in Python integers: the ends t(t - 1) of the rest-rest orbit leave
+        # int64 from t = 3.04e9, where its size t(t - 1)/2 still fits
+        ends = self.cells[self.pairs].astype(object) * self.reach
+        return (np.sum(ends, axis=1) // 2).astype(np.int64)
 
     @property
     def num_edges(self) -> int:

@@ -9,16 +9,28 @@ walks below start from vectors that are constant on the t = n+1-s vertices
 outside the marked subgraph (the rest), are forced by such a vector, and T
 maps such vectors to such vectors, so a and b are held on the order-(s+1)
 quotient: the s entries on the marked subgraph's vertices, then the one
-value on the rest.  There n T b = <1, b> 1 - b - 2 A b with
-<1, b> = sum b_block + t b_rest, and A b sums b over the 2m marked arcs,
-so a step costs O(s + m) whatever n is, against O(n^2) for a step over
-every arc.  Two walks use it:
+value on the rest, k = s + 1 values in all (k = s when t = 0).  There
+n T b = <1, b> 1 - b - 2 A b with <1, b> = sum b_block + t b_rest, and A b
+sums b over the 2m marked arcs.  The walk carries the augmented state
+X_t = [b_t; b_{t-1}; c_t], where c_t = (-1)^t forces the uniform state's
+pair and c_t = 0 leaves a pair unforced, and a step is X_{t+1} = C X_t
+with the (2k+1)-square step matrix
+
+    C = [[(2/n) nT, -I, 2 d j], [I, 0, 0], [0, 0, -1]].
+
+On a quotient of order k <= ``_DENSE_STEP_ORDER`` (20) a step is one
+long-double product with C, O(k^2) per column (about 1.2 to 3.5 us at
+k <= 5 on x86-64); on a larger one n T b is applied at O(s + m) and the
+other blocks are copies (about 9 to 18 us).  Either way a step costs the
+same whatever n is, against O(n^2) for a step over every arc.  Two walks
+use it:
 
 - ``run_series``: the uniform state j has S j = j, so U j = -j + 2 S d* (d j)
   and U^t j = (-1)^t j + d* a_t + S d* b_t, where (a, b) starts at (0, 0)
-  and each step adds the forcing 2 (-1)^t d j to b.  The finding
+  and each step adds the forcing 2 (-1)^t d j to b: X_0 = [0; 0; 1].
+  Row t of the series' readout block is X_t, and the finding
   probability at step t is the squared mass of that state on the 2m marked
-  arcs.
+  arcs, read from b_t and b_{t-1} in that row.
 - ``asymptotic_diagnostics``: the start i beta_- is (0, f), the target
   -beta_+ is (-f, cos theta f) / sin theta, and the rotation gap is the norm
   of the difference after t_f steps under the Gram matrix [[I, T], [T, I]]
@@ -35,7 +47,8 @@ run in long double.  That gain assumes an 80-bit or wider ``np.longdouble``
 ``rotation_gap_sq`` carries up to about 2.9e-9 relative error at n <= 400
 (against 2.5e-10 for the arc walk), about 1e-15 absolute and far inside its
 16m / (n(n+1)) bound; where it is a software binary128 (aarch64 Linux) the
-results are as accurate but each step is slower.
+results are as accurate but each step is slower, the dense product with C,
+whose long-double matmul has no BLAS behind it either way, most of all.
 ``operators.walk_arc_matrix`` walks arbitrary arc states (``evolve_state``,
 ``apply_U``) and is the tests' oracle for both walks, next to the same pair
 walk on (n+1)-vectors.  The searching time
@@ -53,6 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -131,9 +145,9 @@ def run_series(
     The evolution is sequential (no spectral shortcut) and deterministic:
     U^t j - (-1)^t j lies in L and is walked as a vertex pair forced by
     2 (-1)^t d j, on the order-(s+1) quotient (see the module docstring), so
-    a step costs O(s + m) and no linear system is solved.  The marked arcs
-    are read out in blocks of steps, so the memory does not grow with
-    ``t_max``.  A degenerate spectrum, or one whose angle is lost to
+    a step costs O(s^2) on a small quotient and O(s + m) on a large one,
+    and no linear system is solved.  The marked arcs are read out in blocks
+    of steps, so the memory does not grow with ``t_max``.  A degenerate spectrum, or one whose angle is lost to
     rounding (LostPrecision), only leaves the searching-time fields unset.
     ``summary``, when the caller already holds the principal pair of the
     instance, is used for t_f instead of solving the eigenproblem again.
@@ -221,19 +235,18 @@ def asymptotic_diagnostics(
 
     f = f.astype(np.longdouble)
     theta = np.longdouble(summary.theta_max)
-    # (0, f) and the uniform state's pair (0, 0), side by side; only the
-    # second column is forced
-    zero = np.zeros_like(f)
-    a, b = _walk_pair(
-        g,
-        np.column_stack((zero, zero)),
-        np.column_stack((f, zero)),
-        t_f,
-        forcing=tuple(np.column_stack((zero, x)) for x in _uniform_forcing(g)),
-    )
-    s = g.s
-    fp_at_tf = _finding_probabilities(g, -a[None, :s, 1], b[None, :s, 1], t_f)[0]
-    a, b = a[:, 0], b[:, 0]
+    # (0, f) and the uniform state's pair (0, 0), side by side as the
+    # augmented states [f; 0; 0] and [0; 0; 1]: only the second is forced
+    k, s = weights.size, g.s
+    x = np.zeros((2 * k + 1, 2), dtype=np.longdouble)
+    x[:k, 0], x[-1, 1] = f, 1.0
+    y = np.empty_like(x)
+    step = _pair_step(g)
+    for _ in range(t_f):
+        step(x, out=y)
+        x, y = y, x
+    fp_at_tf = _finding_probabilities(g, x[None, k : k + s, 1], x[None, :s, 1], t_f)[0]
+    a, b = -x[k:-1, 0], x[:k, 0]
     # U^{t_f}(i beta_-) - (-beta_+) = d* da + S d* db
     da = a + f / np.sin(theta)
     db = b - np.cos(theta) * f / np.sin(theta)
@@ -265,56 +278,64 @@ def _times_nT(g: SignedCompleteGraph) -> Callable[[np.ndarray], np.ndarray]:
     return times_nT
 
 
-def _walk_pair(
-    g: SignedCompleteGraph,
-    a: np.ndarray,
-    b: np.ndarray,
-    steps: int,
-    history: Optional[np.ndarray] = None,
-    forcing: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Walk the state d* a + S d* b of L for ``steps`` steps, in long double,
-    and return its final coordinates (a, b), all on the quotient (vectors, or
-    matrices with one walk per column).
+# The largest quotient order k whose walk steps by one product with the
+# dense (2k+1)-square step matrix; above it the structured O(s + m) step is
+# faster.  Long-double matmul has no BLAS behind it and costs O(k^2) per
+# column: on x86-64 the two cost the same at k = 21 to 25, for one column
+# or two (the measurement is recorded in CHANGES.md).
+_DENSE_STEP_ORDER = 20
 
-    A step maps (a, b) to (-b, a + 2 T b), so a_t = -b_{t-1} and
-    b_{t+1} = 2 T b_t - b_{t-1}; only b is carried.  ``forcing`` adds
-    ``forcing[0]`` to b after even steps and ``forcing[1]`` after odd ones.
-    When ``history`` is given (shape (steps + 2, s), any float dtype), row
-    t + 1 receives the marked-block entries of b_t for t = -1..steps, which
-    is all the marked arcs read.
+
+def _pair_step(g: SignedCompleteGraph) -> Callable[..., np.ndarray]:
+    """One step of the pair walk on the quotient, in long double, as
+    ``step(x, out=y)``.
+
+    A step maps the state d* a + S d* b of L to d* (-b) + S d* (a + 2 T b),
+    so a_t = -b_{t-1} and only b is carried.  With the uniform state's
+    forcing the walk is b_{t+1} = 2 T b_t - b_{t-1} + 2 c_t d j, where c_t =
+    (-1)^t for the uniform state's pair and 0 for an unforced one.  The step
+    acts on the augmented state X_t = [b_t; b_{t-1}; c_t], 2k + 1 entries
+    for a quotient of order k (a vector, or a matrix of one walk per
+    column), and writes X_{t+1} into ``out``, which must not overlap x:
+
+        X_{t+1} = [[(2/n) nT, -I, 2 d j], [I, 0, 0], [0, 0, -1]] X_t.
+
+    For k <= ``_DENSE_STEP_ORDER`` the step is one product with that
+    matrix; above it, n T b is applied at O(s + m) and the other blocks by
+    copies.
     """
-    s = g.s
+    n, k = g.n, cell_sizes(g.s, g.t).size
+    scale = np.longdouble(2.0) / n
     times_nT = _times_nT(g)
-    scale = np.longdouble(2.0) / g.n
-    prev = -np.asarray(a, dtype=np.longdouble)
-    b = np.array(b, dtype=np.longdouble)
-    if history is not None:
-        history[0] = prev[:s]
-        history[1] = b[:s]
-    for step in range(steps):
-        prev, b = b, scale * times_nT(b) - prev
-        if forcing is not None:
-            b += forcing[step % 2]
-        if history is not None:
-            history[step + 2] = b[:s]
-    return -prev, b
-
-
-# Entries of b that the series reads out at once; the walk is cut into
-# blocks of as many steps as this allows, so memory does not grow with t_max.
-_READOUT_ENTRIES = 1 << 15
-
-
-def _uniform_forcing(g: SignedCompleteGraph) -> tuple[np.ndarray, np.ndarray]:
-    """2 (-1)^t d j on the quotient, for even and odd t, in long double:
-    (d j)_v = (n - 2 * #negative arcs into v) / (n sqrt(n+1)), and no
-    negative arc ends on the rest."""
-    n = g.n
-    into = np.bincount(g.negative_arcs[1], minlength=cell_sizes(g.s, g.t).size)
+    # 2 d j: (d j)_v = (n - 2 * #negative arcs into v) / (n sqrt(n+1)), and
+    # no negative arc ends on the rest
+    into = np.bincount(g.negative_arcs[1], minlength=k)
     twice_dj = 2.0 * (n - 2.0 * into.astype(np.longdouble))
     twice_dj /= n * np.sqrt(np.longdouble(n + 1))
-    return twice_dj, -twice_dj
+    if k <= _DENSE_STEP_ORDER:
+        eye = np.eye(k, dtype=np.longdouble)
+        matrix = np.zeros((2 * k + 1, 2 * k + 1), dtype=np.longdouble)
+        matrix[:k, :k] = scale * times_nT(eye)
+        matrix[:k, k:-1], matrix[k:-1, :k] = -eye, eye
+        matrix[:k, -1], matrix[-1, -1] = twice_dj, -1.0
+        return partial(np.matmul, matrix)
+
+    def step(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        b, c = x[:k], x[-1]
+        np.subtract(scale * times_nT(b), x[k:-1], out=out[:k])
+        out[:k] += np.multiply.outer(twice_dj, c)
+        out[k:-1] = b
+        out[-1] = -c
+        return out
+
+    return step
+
+
+# Entries per step times steps per readout block of the series: a step
+# holds 2k+1 long doubles of augmented state and its readout gathers m
+# marked arcs, and the block takes as many steps as the larger allows (at
+# least two), so memory does not grow with t_max.
+_READOUT_ENTRIES = 1 << 15
 
 
 def _finding_probabilities(
@@ -341,25 +362,26 @@ def _uniform_series(g: SignedCompleteGraph, t_max: int) -> np.ndarray:
 
     Since S j = j, U j = -j + 2 S d* (d j), so U^t j = (-1)^t j + d* a_t +
     S d* b_t with (a_0, b_0) = (0, 0) and the pair walk forced by
-    2 (-1)^t d j: b_{t+1} = 2 T b_t - b_{t-1} + 2 (-1)^t d j.
+    2 (-1)^t d j: the augmented state starts at X_0 = [0; 0; 1].  Each
+    block of rows holds X_t for consecutive t, and the marked arcs read
+    b_t and b_{t-1} from the same row.
     """
-    forcing = _uniform_forcing(g)
-    block = max(1, _READOUT_ENTRIES // max(g.s, g.num_marked))
+    s, k = g.s, cell_sizes(g.s, g.t).size
+    step = _pair_step(g)
+    rows = min(t_max + 1, max(2, _READOUT_ENTRIES // max(2 * k + 1, g.num_marked)))
+    states = np.zeros((rows, 2 * k + 1), dtype=np.longdouble)
+    states[0, -1] = 1.0
     fp = np.empty(t_max + 1)
-    a = b = np.zeros_like(forcing[0])
     first = 0
     while True:
-        # fp[first..last] from b_{first-1}..b_last; the next block starts
-        # again at last, so one value per block is computed twice
-        steps = min(block, t_max - first)
-        history = np.empty((steps + 2, g.s))
-        # step t adds 2 (-1)^t d j, and this block starts at t = first
-        a, b = _walk_pair(
-            g, a, b, steps, history, forcing[::-1] if first % 2 else forcing
+        block = states[: t_max + 1 - first]
+        for row in range(len(block) - 1):
+            step(block[row], out=block[row + 1])
+        fp[first : first + len(block)] = _finding_probabilities(
+            g, block[:, k : k + s], block[:, :s], first
         )
-        fp[first : first + steps + 1] = _finding_probabilities(
-            g, history[:-1], history[1:], first
-        )
-        first += steps
-        if first == t_max:
+        first += len(block)
+        if first > t_max:
             return fp
+        # a block that is not the last has at least two rows
+        step(block[-1], out=states[0])

@@ -443,3 +443,13 @@ def test_quotient_builds_nothing_of_host_size():
         tracemalloc.stop()
     assert Q.orbit_sizes.size == 5 and Q.num_edges == 10**6 * (10**6 + 1) // 2 - 2
     assert peak <= 2**16
+
+
+def test_quotient_orbit_sizes_past_int64_ends():
+    # t = 4e9 - 2: the rest-rest orbit's ends t(t - 1) exceed int64, its
+    # size t(t - 1)/2 does not
+    n = 4 * 10**9
+    Q = build_P_quotient(build_instance(n, path_edges(2)))
+    t = n - 2
+    assert Q.orbit_sizes.tolist() == [1, t, t, t, t * (t - 1) // 2]
+    assert Q.num_edges == n * (n + 1) // 2 - 2

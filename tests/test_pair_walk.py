@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from edgewalk import quantum_search
 from edgewalk import (
     arc_matrix,
     asymptotic_diagnostics,
@@ -28,7 +29,12 @@ from edgewalk import (
     star_edges,
     walk_arc_matrix,
 )
-from walk_oracle import gather_walk, vertex_rotation_gap, vertex_uniform_series
+from walk_oracle import (
+    gather_walk,
+    mp_uniform_series,
+    vertex_rotation_gap,
+    vertex_uniform_series,
+)
 
 TRIANGLE_ALL_MARKED = [(0, 1), (1, 2), (0, 2)]
 K4_ALL_MARKED = [(u, v) for u in range(4) for v in range(u + 1, 4)]
@@ -149,7 +155,9 @@ def test_series_matches_arc_walk(data):
 @given(data=st.data())
 def test_quotient_walks_match_vertex_walks(data):
     # the walks on the order-(s+1) quotient against the same walks on
-    # (n+1)-vectors: they differ only in how <1, b> is summed
+    # (n+1)-vectors: they differ in how <1, b> is summed and, where the step
+    # is one product with the dense step matrix, in the order of the sums
+    # inside the step
     family = data.draw(st.sampled_from(sorted(FAMILIES)), label="family")
     k = data.draw(st.integers(1, 4), label="k")
     pattern = FAMILIES[family](k)
@@ -217,11 +225,17 @@ def test_series_memory_at_ten_thousand():
 
 @pytest.mark.parametrize(
     "n,edges",
-    [(150, path_edges(150)), (60, complete_bipartite_edges(20, 20))],
-    ids=["spanning-path", "K20,20"],
+    [
+        (150, path_edges(150)),
+        (60, complete_bipartite_edges(20, 20)),
+        (60, complete_bipartite_edges(8, 8)),
+    ],
+    ids=["spanning-path", "K20,20", "K8,8"],
 )
 def test_series_across_readout_blocks(n, edges):
-    # a large s (151) or m (400) cuts 600 steps into 3 or 8 readout blocks
+    # a large s (151) or m (400) cuts 600 steps into 6 or 8 readout blocks
+    # of the structured step; m = 64 on a quotient of order 17 cuts them
+    # into 2 blocks of the dense step
     g = build_instance(n, edges)
     t_max = 600
     expected = np.empty(t_max + 1)
@@ -247,6 +261,22 @@ def test_series_needs_no_linear_solve(monkeypatch, n, edges):
         monkeypatch.setattr(np.linalg, name, refuse)
     series = run_series(g, t_max, summary)
     assert np.abs(series.fp - expected).max() <= 5e-12
+
+
+def test_series_memory_on_a_small_quotient():
+    # one edge at n = 10^4 (k = 3) to 10^5 steps: the fp array takes 0.8 MB,
+    # every augmented state of the walk would take 11 MB
+    g = build_instance(10**4, [(0, 1)])
+    summary = principal_pair(build_T(g))
+    tracemalloc.start()
+    try:
+        series = run_series(g, 10**5, summary)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
+    assert series.fp[0] == pytest.approx(2 / (10**4 * 10001), rel=1e-14)
+    assert np.all((series.fp >= 0.0) & (series.fp <= 1.0 + 1e-12))
 
 
 def test_series_memory_does_not_grow_with_t_max():
@@ -306,3 +336,66 @@ def test_rotation_gap_against_long_double_reference(n, edges, orientation):
     reference = float(np.sum((evolved - target) ** 2))
     got = asymptotic_diagnostics(g, summary).rotation_gap_sq
     assert abs(got - reference) <= 2e-11 * reference
+
+
+# the rule's constant, set so that every quotient takes one kernel
+KERNELS = {"dense": 10**9, "structured": 0}
+
+# where long double is float64 both kernels drift to about 5e-12 from the
+# 50-digit series, within what test_series_matches_arc_walk allows
+long_double_walk = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="np.longdouble is no wider than float64 on this platform, and the "
+    "1e-14 bounds hold for the long-double walk",
+)
+
+
+@long_double_walk
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@pytest.mark.parametrize(
+    "n,edges",
+    [
+        (300, [(0, 1)]),
+        (400, [(0, 1)]),
+        (331, path_edges(2)),
+        (390, matching_edges(2)),
+        (280, star_edges(3)),
+    ],
+    ids=["edge-300", "edge-400", "path2-331", "matching2-390", "star3-280"],
+)
+def test_series_against_a_50_digit_recurrence(monkeypatch, kernel, n, edges):
+    g = build_instance(n, edges)
+    monkeypatch.setattr(quantum_search, "_DENSE_STEP_ORDER", KERNELS[kernel])
+    expected = mp_uniform_series(g, 2 * n)
+    assert np.abs(run_series(g, 2 * n).fp - expected).max() <= 1e-14
+
+
+@long_double_walk
+@pytest.mark.parametrize(
+    "n,edges",
+    [
+        (300, path_edges(3)),
+        (200, matching_edges(10)),
+        (150, star_edges(25)),
+        (60, path_edges(60)),
+    ],
+    ids=["path3-k5", "matching10-k21", "star25-k27", "spanning-path-k61"],
+)
+def test_dense_step_matches_structured_step(monkeypatch, n, edges):
+    # quotients of order k on both sides of _DENSE_STEP_ORDER, each walked
+    # by both kernels
+    g = build_instance(n, edges)
+    summary = principal_pair(build_T(g))
+    t_max = 2 * quantum_time(summary)
+    results = {}
+    for kernel, order in KERNELS.items():
+        monkeypatch.setattr(quantum_search, "_DENSE_STEP_ORDER", order)
+        results[kernel] = (
+            run_series(g, t_max, summary).fp,
+            asymptotic_diagnostics(g, summary),
+        )
+    (dense, d_dense), (structured, d_structured) = results["dense"], results["structured"]
+    assert np.abs(dense - structured).max() <= 1e-14
+    assert abs(d_dense.fp_at_tf - d_structured.fp_at_tf) <= 1e-14
+    gap = d_structured.rotation_gap_sq
+    assert abs(d_dense.rotation_gap_sq - gap) <= 1e-12 * gap

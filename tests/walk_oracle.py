@@ -15,9 +15,15 @@ The vertex-pair walk on whole (n+1)-vectors is the oracle of the package's
 pair walk on the order-(s+1) quotient: the same recurrence
 b_{t+1} = 2 T b_t - b_{t-1}, with n T b = <1, b> 1 - b - 2 A b summed over
 every vertex, in long double.
+
+``mp_uniform_series`` runs the forced pair recurrence of the uniform state
+on the order-(s+1) quotient in 50-digit ``mpmath`` arithmetic, so it judges
+either step of the package's walk by accuracy, not by agreement in the last
+bits.
 """
 
 import numpy as np
+import pytest
 
 
 def _reflection(g, dtype):
@@ -115,3 +121,37 @@ def vertex_rotation_gap(g, summary, t_f):
     db = b - np.cos(theta) * f / np.sin(theta)
     cross = np.dot(da, vertex_times_nT(g)(db))
     return float(np.dot(da, da) + np.dot(db, db) + 2.0 * cross / g.n)
+
+
+def mp_uniform_series(g, t_max, dps=50):
+    """The finding probability of U^t j, t = 0..t_max, from
+    b_{t+1} = (2/n) n T b_t - b_{t-1} + 2 (-1)^t d j on the quotient (the s
+    marked vertices, then the rest value weighted by t), in ``dps`` digits."""
+    mpmath = pytest.importorskip("mpmath")
+    n, s = g.n, g.s
+    cells = [1] * s + [g.t] * (g.t > 0)
+    arcs = [(int(o), int(t)) for o, t in zip(*g.negative_arcs)]
+    into = [sum(t == v for _, t in arcs) for v in range(len(cells))]
+    with mpmath.workdps(dps):
+        sqrt_n = mpmath.sqrt(n)
+        twice_dj = [2 * mpmath.mpf(n - 2 * h) / (n * mpmath.sqrt(n + 1)) for h in into]
+        j = 1 / mpmath.sqrt(n * (n + 1))
+        prev = cur = [mpmath.mpf(0)] * len(cells)
+        fp = []
+        for step in range(t_max + 1):
+            sign = j if step % 2 == 0 else -j
+            mass = mpmath.mpf(0)
+            for o, t in arcs:
+                mass += ((prev[t] + cur[o]) / sqrt_n + sign) ** 2
+                mass += (sign - (prev[o] + cur[t]) / sqrt_n) ** 2
+            fp.append(float(mass))
+            total = mpmath.fsum(c * b for c, b in zip(cells, cur))
+            nt_b = [total - b for b in cur]
+            for o, t in arcs:
+                nt_b[o] -= 2 * cur[t]
+                nt_b[t] -= 2 * cur[o]
+            forcing = 1 if step % 2 == 0 else -1
+            prev, cur = cur, [
+                2 * x / n - p + forcing * f for x, p, f in zip(nt_b, prev, twice_dj)
+            ]
+    return np.array(fp)
