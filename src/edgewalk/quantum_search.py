@@ -18,12 +18,12 @@ with the (2k+1)-square step matrix
 
     C = [[(2/n) nT, -I, 2 d j], [I, 0, 0], [0, 0, -1]].
 
-On a quotient of order k <= ``_DENSE_STEP_ORDER`` (20) a step is one
-long-double product with C, O(k^2) per column (about 1.2 to 3.5 us at
-k <= 5 on x86-64); on a larger one n T b is applied at O(s + m) and the
-other blocks are copies (about 9 to 18 us).  Either way a step costs the
-same whatever n is, against O(n^2) for a step over every arc.  Two walks
-use it:
+On a quotient of order k <= ``_DENSE_STEP_ORDER`` (20, or 0 where long
+double is float64) a step is one long-double product with C, O(k^2) per
+column (about 1.2 to 3.5 us at k <= 5 on x86-64); on a larger one n T b is
+applied at O(s + m) and the other blocks are copies (about 9 to 18 us).
+Either way a step costs the same whatever n is, against O(n^2) for a step
+over every arc.  Two walks use it:
 
 - ``run_series``: the uniform state j has S j = j, so U j = -j + 2 S d* (d j)
   and U^t j = (-1)^t j + d* a_t + S d* b_t, where (a, b) starts at (0, 0)
@@ -272,7 +272,8 @@ def _times_nT(g: SignedCompleteGraph) -> Callable[[np.ndarray], np.ndarray]:
 
     def times_nT(b: np.ndarray) -> np.ndarray:
         nt_b = weights @ b - b
-        np.subtract.at(nt_b, ends, 2.0 * b[starts])
+        # b + b is 2 b exactly, and cheaper than a long-double product
+        np.subtract.at(nt_b, ends, (b + b)[starts])
         return nt_b
 
     return times_nT
@@ -282,8 +283,14 @@ def _times_nT(g: SignedCompleteGraph) -> Callable[[np.ndarray], np.ndarray]:
 # dense (2k+1)-square step matrix; above it the structured O(s + m) step is
 # faster.  Long-double matmul has no BLAS behind it and costs O(k^2) per
 # column: on x86-64 the two cost the same at k = 21 to 25, for one column
-# or two (the measurement is recorded in CHANGES.md).
-_DENSE_STEP_ORDER = 20
+# or two (the measurement is recorded in CHANGES.md).  Where long double is
+# no wider than float64 the dense product's rounding (nT scaled once, each
+# row summed in matmul order) is not hidden below float64 precision, so
+# there every walk takes the structured step, which rounds as the walk on
+# (n+1)-vectors does.
+_DENSE_STEP_ORDER = (
+    20 if np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant else 0
+)
 
 
 def _pair_step(g: SignedCompleteGraph) -> Callable[..., np.ndarray]:
@@ -320,12 +327,21 @@ def _pair_step(g: SignedCompleteGraph) -> Callable[..., np.ndarray]:
         matrix[:k, -1], matrix[-1, -1] = twice_dj, -1.0
         return partial(np.matmul, matrix)
 
+    # c is 1, -1 or 0 in each column, so the forcing 2 c d j takes a few
+    # values: each is formed once, kept by the bytes of c (read from the
+    # slice x[-1:], since a numpy scalar's tobytes is slower)
+    forcings: dict[bytes, np.ndarray] = {}
+
     def step(x: np.ndarray, out: np.ndarray) -> np.ndarray:
         b, c = x[:k], x[-1]
-        np.subtract(scale * times_nT(b), x[k:-1], out=out[:k])
-        out[:k] += np.multiply.outer(twice_dj, c)
-        out[k:-1] = b
-        out[-1] = -c
+        key = x[-1:].tobytes()
+        if key not in forcings:
+            forcings[key] = np.multiply.outer(twice_dj, c)
+        head = out[:k]
+        np.multiply(times_nT(b), scale, out=head)
+        head -= x[k:-1]
+        head += forcings[key]
+        out[k:-1], out[-1] = b, -c
         return out
 
     return step

@@ -341,12 +341,13 @@ def test_rotation_gap_against_long_double_reference(n, edges, orientation):
 # the rule's constant, set so that every quotient takes one kernel
 KERNELS = {"dense": 10**9, "structured": 0}
 
-# where long double is float64 both kernels drift to about 5e-12 from the
+# where long double is float64 every walk takes the structured step (see
+# _DENSE_STEP_ORDER), and both kernels, forced, drift to about 5e-12 from the
 # 50-digit series, within what test_series_matches_arc_walk allows
 long_double_walk = pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
-    reason="np.longdouble is no wider than float64 on this platform, and the "
-    "1e-14 bounds hold for the long-double walk",
+    reason="np.longdouble is no wider than float64 on this platform, so no "
+    "walk takes the dense step and the 1e-14 bounds hold for long double only",
 )
 
 
