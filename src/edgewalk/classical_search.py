@@ -26,14 +26,20 @@ quantity.  Trial i draws from the stream of
 (a pure function of key and counter) in numpy for every trial at once, turns
 the draws into bounded integers with numpy's own method (Lemire's), and
 steps all trials in lockstep, so its estimate equals, bit for bit, that of
-a walk driven by per-trial numpy generators.  This module returns raw
-quantities only; the ledger in ``bounds`` judges them against the spectral
-brackets.
+a walk driven by per-trial numpy generators.  It walks pairs of cells, not
+pairs of vertices: in canonical order the marked subgraph is 0..s-1, and
+whether a step lands on one of its vertices or in the rest depends only on
+the cells of the edge's ends and on min(o, s), o the step's offset.  So a
+table over the (s+1)^2 ordered pairs of cells and 2(s+1) + 1 step symbols,
+whatever n is, makes a step of every trial one gather.  This module returns
+raw quantities only; the ledger in ``bounds`` judges them against the
+spectral brackets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -58,25 +64,28 @@ __all__ = [
 RESIDUAL_TOL = 1e-10
 STEP_CAP = 10**8
 # A refill of the Monte-Carlo streams holds at most _REFILL_DRAWS draws and
-# starts at _FIRST_WIDTH per trial, which covers most K_3 and K_4 walks.
+# starts at _FIRST_WIDTH per trial, one Philox block, which covers most K_3
+# and K_4 walks.
 _REFILL_DRAWS = 2**16
-_FIRST_WIDTH = 16
+_FIRST_WIDTH = 8
+# The walker's successor table has 2(s+1) + 1 symbols x (s+1)^2 pairs of
+# cells.  Above this many entries (s > 30) it is not built: at the limit its
+# build takes about as long as 130 columns of steps without it.
+_STEP_TABLE_LIMIT = 2**16
 # Lemire's method on uint32 draws bounds at most 2**32 - 1 values; numpy
 # switches to 64-bit draws above that.
 _MAX_BOUND = 2**32 - 1
 _LOW32 = np.uint64(0xFFFFFFFF)
-# Philox4x64-10: the multipliers of counter words 0 and 2, and the key
-# added in round r, r = 0..9, to the trial's key: r times the Weyl
-# increments, modulo 2**64.
+# Philox4x64-10: the multipliers of counter words 0 and 2, and the Weyl
+# increments added to the key after each round, modulo 2**64.
 _PHILOX_MULT = np.array(
     [0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64
 )[:, None, None]
 _PHILOX_MULT_LO = _PHILOX_MULT & _LOW32
 _PHILOX_MULT_HI = _PHILOX_MULT >> 32
-_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_KEY_BUMPS = np.array(
-    [[r * w % 2**64 for w in _PHILOX_WEYL] for r in range(10)], dtype=np.uint64
-)[:, :, None, None]
+_PHILOX_WEYL = np.array(
+    [0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64
+)[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -163,16 +172,17 @@ def mc_hitting_time(
     drawn when E = 1) and then ``integers(0, 2(n-1))`` for each step, so the
     estimate is independent of execution order.  The streams are generated
     here in numpy, every trial of a batch at once, and the trials step in
-    lockstep; a refill holds at most 2**16 draws, 16 per trial at first,
-    doubling as trials are absorbed.
+    lockstep on pairs of cells (see ``_walk``); a refill holds at most
+    2**16 draws, one Philox block (8 draws) per trial at first, doubling as
+    trials are absorbed.
 
     Returns (mean, standard error).  Raises ZeroTrials for fewer than one
     trial, ValueError unless 0 <= seed < 2**64, TooLarge when E or 2(n-1)
     exceeds the 2**32 - 1 values a uint32 draw can bound, or when the
-    walker's tables of (n+1)^2 vertex pairs would exceed
-    ``signed_graph.PAIR_TABLE_LIMIT`` (before any is built), EmptyComplement
-    when every edge is marked, and StepCapExceeded when a trial is still
-    walking after STEP_CAP steps (checked between refills).
+    start edges' enumeration over (n+1)^2 vertex pairs would exceed
+    ``signed_graph.PAIR_TABLE_LIMIT`` (before anything is built),
+    EmptyComplement when every edge is marked, and StepCapExceeded when a
+    trial is still walking after STEP_CAP steps (checked between refills).
     """
     if trials < 1:
         raise ZeroTrials(f"need at least one trial, got {trials}")
@@ -187,146 +197,280 @@ def mc_hitting_time(
         )
     if num_start == 0:
         raise EmptyComplement("every edge of the host graph is marked")
-    counts = np.empty(trials, dtype=np.float64)
-    batch = _REFILL_DRAWS // _FIRST_WIDTH
-    for first in range(0, trials, batch):
-        _walk(g, seed, np.arange(first, min(first + batch, trials)), counts)
+    counts = _walk(g, seed, trials)
     mean = float(counts.mean())
     if trials == 1:
         return mean, 0.0
     return mean, float(counts.std(ddof=1) / np.sqrt(trials))
 
 
-def _walk(
-    g: SignedCompleteGraph, seed: int, trials: np.ndarray, counts: np.ndarray
-) -> None:
-    """Walk ``trials`` in lockstep and write their absorption step counts
-    into ``counts``.
+def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
+    """The absorption step counts of trials 0, ..., ``trials`` - 1.
 
-    A trial on the ordered pair (u, v) is held at its flat index u (n+1) + v.
-    A step keeps u or v and moves the other end to the o-th of the n - 1
-    other vertices in ascending order, o + [o >= min(u, v)] +
-    [o >= max(u, v) - 1]; ``kept``, ``low`` and ``high`` hold those terms
-    for every pair.
+    The graph is in canonical order, so the marked subgraph's vertices are
+    0..s-1, and an end of the walker's edge lies in one of s + 1 cells: one
+    of those vertices, or the rest (cell s).  A trial is held at its ordered
+    pair of cells, first (s+1) + second; a pair of two marked-adjacent cells
+    absorbs.  The step symbol of a draw is side (s+1) + min(o, s), for the
+    kept end and the offset o of the moved end's new vertex, or the stay
+    symbol 2 (s+1) for a draw a row cannot take; ``_cell_rule`` gives the
+    next pair and ``_step_table`` tabulates it.  Trials enter in batches of
+    ``_REFILL_DRAWS // _FIRST_WIDTH``; absorbed rows stay frozen until the
+    refill ends.
     """
-    n = g.n
-    stride = n + 1
-    marked = g.marked_matrix.ravel()
-    first, second = np.divmod(np.arange(stride * stride), stride)
-    kept = np.concatenate((first, second)) * stride  # keeping v adds stride**2
-    low = np.minimum(first, second)
-    high = np.maximum(first, second) - 1
-    # the unmarked edges (u, v), u < v, in the lexicographic order of
-    # edge_space.build_complement(g).edges
-    start_pairs = np.flatnonzero((first < second) & ~marked)
-    # A trial waiting for its start draw sits on the pair (0, 0), which is
-    # never marked, and waits out every step.
-    at = np.zeros(trials.size, dtype=np.int64)
-    pending = np.ones(trials.size, dtype=bool)
-    taken = np.zeros(trials.size, dtype=np.int64)  # steps before this refill
-    counter, width = 1, _FIRST_WIDTH
-    while trials.size:
-        blocks = width // 8
-        draws = _uint32_draws(_philox(seed, trials, counter, blocks))
-        counter += blocks
-        values, usable = _bounded(draws, 2 * (n - 1))
-        lead = np.zeros(trials.size, dtype=np.int64)  # draws the start took
-        if pending.any():
-            rows = np.flatnonzero(pending)
-            if start_pairs.size > 1:
-                index, ok = _bounded(draws[rows], start_pairs.size)
-                found, first_ok = ok.any(axis=1), ok.argmax(axis=1)
-                lead[rows] = np.where(found, first_ok + 1, width)
-                rows, index = rows[found], index[found, first_ok[found]]
-            else:  # integers(1) draws nothing
-                index = np.zeros(rows.size, dtype=np.int64)
-            at[rows] = start_pairs[index]
-            pending[rows] = False
-        # every row's steps start at one column unless a start draw was rejected
-        if lead.min() == lead.max():
-            values, usable = values[:, lead[0] :], usable[:, lead[0] :]
-        else:
-            usable &= np.arange(width) >= lead[:, None]
-        # A rejected draw (probability below k / 2**32) leaves its row fewer
-        # steps: the accepted draws move to the front, and past ``have`` the
-        # row waits for the next refill.
-        have = np.full(trials.size, usable.shape[1])
-        if not usable.all():
-            order = np.argsort(~usable, axis=1, kind="stable")
-            values = np.take_along_axis(values, order, axis=1)
-            have = usable.sum(axis=1)
-        short = int(have.min())
-        # column j holds every row's (j+1)-th step: the kept end and offset o
-        side, offset = np.divmod(values.T.astype(np.int64), n - 1)
-        side *= stride * stride
-        done = start = 0  # columns stepped; columns sliced off side and offset
-        while side.size:
-            for keep_v, o in zip(side, offset):
-                step = kept[keep_v + at] + o + (o >= low[at]) + (o >= high[at])
-                if done >= short:
-                    step = np.where(have <= done, at, step)
-                at = step
-                done += 1
-                hit = marked[at]
-                if np.count_nonzero(hit):
-                    break
-            else:
-                break
-            counts[trials[hit]] = taken[hit] + done
-            alive = ~hit
-            trials, at, taken = trials[alive], at[alive], taken[alive]
-            have, pending = have[alive], pending[alive]
-            side, offset = side[done - start :, alive], offset[done - start :, alive]
-            start = done
-        if trials.size:
-            taken += have
-            if taken.max() >= STEP_CAP:
-                raise StepCapExceeded(
-                    f"trial {trials[taken.argmax()]} exceeded {STEP_CAP} steps"
-                )
-            width = min(2 * width, _REFILL_DRAWS // trials.size // 8 * 8)
+    marked = g.marked_matrix  # raises TooLarge before anything is built
+    # the unmarked edges (u, v), u < v, as flat indices u (n+1) + v, in the
+    # lexicographic order of edge_space.build_complement(g).edges
+    start_pairs = np.flatnonzero(np.triu(~marked, 1))
+    n, s = g.n, g.s
+    cells = s + 1
+    successor, absorbing = _cell_rule(g)
+    table = _step_table(successor, absorbing, s)
+    # one symbol per move value, and the stay symbol last; on the table
+    # they are scaled to the table's rows
+    side, offset = np.divmod(np.arange(2 * (n - 1)), n - 1)
+    symbols_of = np.append(side * cells + np.minimum(offset, s), 2 * cells)
+    if table is not None:
+        symbols_of *= cells * cells
+    stay = symbols_of[-1]
+    # work buffers for the largest refill
+    batch = _REFILL_DRAWS // _FIRST_WIDTH
+    rows_max = min(batch, trials)
+    work = np.empty(12 * (_REFILL_DRAWS // 8) + 2 * rows_max, dtype=np.uint64)
+    draws_buffer = np.empty(_REFILL_DRAWS, dtype=np.uint32)
+    symbols_buffer = np.empty(_REFILL_DRAWS, dtype=symbols_of.dtype)
+
+    counts = np.empty(trials, dtype=np.float64)
+    for first in range(0, trials, batch):
+        keys = np.arange(first, min(first + batch, trials))
+        # A trial waiting for its start draw sits on the pair (0, 0), which
+        # never absorbs, and stays.
+        at = np.zeros(keys.size, dtype=np.intp)
+        pending = np.ones(keys.size, dtype=bool)
+        taken = np.zeros(keys.size, dtype=np.int64)  # steps before this refill
+        counter, width = 1, _FIRST_WIDTH
+        while keys.size:
+            rows = keys.size
+            blocks = width // 8
+            words = _philox(seed, keys, counter, blocks, work)
+            draws = _uint32_draws(words, draws_buffer[: rows * width])
+            counter += blocks
+            lead = np.zeros(rows, dtype=np.intp)  # draws the start took
+            if pending.any():
+                starting = np.flatnonzero(pending)
+                index = np.zeros(starting.size, dtype=np.intp)
+                if start_pairs.size > 1:  # integers(1) draws nothing
+                    index, lead[starting], found = _first_accepted(
+                        draws, starting, start_pairs.size
+                    )
+                    starting, index = starting[found], index[found]
+                ends = np.minimum(np.divmod(start_pairs[index], n + 1), s)
+                at[starting] = ends[0] * cells + ends[1]
+                pending[starting] = False
+            values, usable = _bounded(draws, 2 * (n - 1))
+            symbols = symbols_buffer[: rows * width].reshape(rows, width)
+            np.take(symbols_of, values.view(np.int64), out=symbols, mode="clip")
+            del values  # before the next refill bounds its draws
+            # every row's steps start after its start draw
+            start = int(lead.min())
+            if lead.max() > start:
+                usable &= np.arange(width) >= lead[:, None]
+            symbols, usable = symbols[:, start:], usable[:, start:]
+            # A rejected draw (probability below k / 2**32) leaves its row
+            # fewer steps: the accepted draws move to the front, and the row
+            # stays for the rest of the refill.
+            have = np.full(rows, symbols.shape[1])
+            if not usable.all():
+                short = np.flatnonzero(~usable.all(axis=1))
+                accepted = usable[short]
+                row_symbols = np.where(accepted, symbols[short], stay)
+                order = np.argsort(~accepted, axis=1, kind="stable")
+                symbols[short] = np.take_along_axis(row_symbols, order, axis=1)
+                have[short] = accepted.sum(axis=1)
+            hit = np.zeros(rows, dtype=bool)
+            absorbed = 0
+            for done, column in enumerate(symbols.T, 1):
+                if table is None:
+                    at = successor(at, column, hit)
+                else:
+                    at = table[at + column]
+                now = absorbing[at]
+                count = np.count_nonzero(now)
+                if count > absorbed:
+                    fresh = np.flatnonzero(now ^ hit)
+                    counts[keys[fresh]] = taken[fresh] + done
+                    hit, absorbed = now, count
+                    if absorbed == rows:
+                        break
+            walking = np.flatnonzero(~hit)
+            keys, at, pending = keys[walking], at[walking], pending[walking]
+            taken = (taken + have)[walking]
+            if keys.size:
+                if taken.max() >= STEP_CAP:
+                    raise StepCapExceeded(
+                        f"trial {keys[taken.argmax()]} exceeded {STEP_CAP} steps"
+                    )
+                width = min(2 * width, _REFILL_DRAWS // keys.size // 8 * 8)
+    return counts
 
 
-def _philox(seed: int, keys: np.ndarray, counter: int, blocks: int) -> np.ndarray:
+def _first_accepted(
+    draws: np.ndarray, rows: np.ndarray, bound: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first accepted ``integers(0, bound)`` value in each of ``rows``
+    of ``draws``, the number of draws it took (the row's width when none is
+    accepted) and whether one was.  Only rows whose first draw is rejected
+    are bounded past it."""
+    values, accepted = _bounded(draws[rows, :1], bound)
+    values, accepted = values[:, 0].astype(np.intp), accepted[:, 0]
+    taken = np.ones(rows.size, dtype=np.intp)
+    late = np.flatnonzero(~accepted)
+    if late.size:
+        late_values, late_accepted = _bounded(draws[rows[late]], bound)
+        first = late_accepted.argmax(axis=1)
+        accepted[late] = late_accepted[np.arange(late.size), first]
+        values[late] = late_values[np.arange(late.size), first]
+        taken[late] = np.where(accepted[late], first + 1, draws.shape[1])
+    return values, taken, accepted
+
+
+def _cell_rule(
+    g: SignedCompleteGraph,
+) -> tuple[Callable[..., np.ndarray], np.ndarray]:
+    """The walker's step on pairs of cells, and which pairs absorb.
+
+    ``successor(pair, symbol, frozen)`` is the pair of cells a step on
+    ``symbol`` moves ``pair`` to.  The step keeps the first end (side 0) or
+    the second (side 1) and moves the other to the o-th of the n - 1 other
+    vertices in ascending order, o + [o >= low] + [o >= high], low and high
+    the smaller end and the larger one less 1.  Which cell that lands in depends only on
+    the cells of the ends and on min(o, s): from o = s on it is the rest,
+    and two ends in the rest act as its distinct vertices s and s + 1.  The
+    stay symbol, 2 (s+1), keeps the pair, and so does every ``frozen`` one
+    (an absorbing pair).  The arrays behind it hold five entries per pair
+    of cells, whatever n is.
+    """
+    s = g.s
+    cells = s + 1
+    absorbing = np.zeros((cells, cells), dtype=bool)
+    absorbing[:s, :s] = g.marked_block
+    ends = np.arange(cells)
+    low = np.minimum.outer(ends, ends).ravel()
+    high = np.maximum.outer(ends, ends) - 1
+    high[s, s] = s  # two rest ends: max(s, s + 1) - 1
+    high = high.ravel()
+    # by side (keep the first end, keep the second, stay): the kept end's
+    # row of pairs, and the largest cell the moved end can take
+    kept = np.empty((3, cells, cells), dtype=np.intp)
+    kept[0], kept[1] = ends[:, None] * cells, ends * cells
+    kept[2] = np.arange(cells * cells).reshape(cells, cells)
+    kept = kept.ravel()
+    # each symbol's side row in ``kept``, offset and reach
+    side = np.repeat([0, 1, 2], [cells, cells, 1]) * cells**2
+    offset = np.append(np.tile(ends, 2), 0)
+    reach = np.append(np.full(2 * cells, s), 0)
+
+    def successor(
+        pair: np.ndarray, symbol: np.ndarray, frozen: np.ndarray
+    ) -> np.ndarray:
+        o = offset[symbol]
+        moved = np.minimum(o + (o >= low[pair]) + (o >= high[pair]), reach[symbol])
+        return np.where(frozen, pair, kept[side[symbol] + pair] + moved)
+
+    return successor, absorbing.ravel()
+
+
+def _step_table(
+    successor: Callable[..., np.ndarray], absorbing: np.ndarray, s: int
+) -> np.ndarray | None:
+    """``successor`` over all 2 (s+1) + 1 symbols and (s+1)^2 pairs of
+    cells, entry symbol (s+1)^2 + pair; None above ``_STEP_TABLE_LIMIT``
+    entries, where the walker calls ``successor`` on each column of steps
+    instead."""
+    cells = s + 1
+    symbols = 2 * cells + 1
+    if symbols * cells * cells > _STEP_TABLE_LIMIT:
+        return None
+    pairs = np.arange(cells * cells)
+    return successor(pairs, np.arange(symbols)[:, None], absorbing).ravel()
+
+
+def _philox(
+    seed: int,
+    keys: np.ndarray,
+    counter: int,
+    blocks: int,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """Philox4x64-10 (Salmon et al., SC 2011) under key (seed, k) for each
     k in ``keys``, at block counters counter, ..., counter + blocks - 1.
 
     Returns uint64 words of shape (keys.size, 4 * blocks) in stream order:
-    ``Philox(key=[seed, k]).random_raw`` starts at counter 1.
+    ``Philox(key=[seed, k]).random_raw`` starts at counter 1.  The rounds
+    run in ``work`` (at least 12 keys.size blocks + 2 keys.size words,
+    allocated when None), and the words are a view into it.
     """
-    key = np.empty((2, keys.size, 1), dtype=np.uint64)
-    key[0] = seed
-    key[1, :, 0] = keys
+    rows = keys.size
+    size = 2 * rows * blocks
+    if work is None:
+        work = np.empty(6 * size + 2 * rows, dtype=np.uint64)
     # A round multiplies words 0 and 2 of the counter block ("even") and
     # folds the high halves into words 1 and 3 ("odd") under the round key.
-    even = np.zeros((2, keys.size, blocks), dtype=np.uint64)
+    even, odd, low, e_lo, lo_lo, t = (
+        work[i * size : (i + 1) * size].reshape(2, rows, blocks) for i in range(6)
+    )
+    key = work[6 * size : 6 * size + 2 * rows].reshape(2, rows, 1)
+    key[0] = seed
+    key[1, :, 0] = keys
     even[0] = np.arange(counter, counter + blocks, dtype=np.uint64)
-    odd = np.zeros_like(even)
-    for round_key in key + _PHILOX_KEY_BUMPS:
-        low = even * _PHILOX_MULT
+    even[1] = 0
+    odd[...] = 0
+    for _ in range(10):
+        np.multiply(even, _PHILOX_MULT, out=low)
         # high 64 bits of the 128-bit product, from 32-bit halves
-        e_lo, e_hi = even & _LOW32, even >> 32
-        lo_lo = e_lo * _PHILOX_MULT_LO
-        t = e_hi * _PHILOX_MULT_LO + (lo_lo >> 32)
-        s = e_lo * _PHILOX_MULT_HI + (t & _LOW32)
-        high = e_hi * _PHILOX_MULT_HI + (t >> 32) + (s >> 32)
-        even, odd = high[::-1] ^ odd ^ round_key, low[::-1]
-    return np.stack((even[0], odd[0], even[1], odd[1]), axis=-1).reshape(keys.size, -1)
+        np.bitwise_and(even, _LOW32, out=e_lo)
+        np.right_shift(even, 32, out=even)
+        np.multiply(e_lo, _PHILOX_MULT_LO, out=lo_lo)
+        np.right_shift(lo_lo, 32, out=lo_lo)
+        np.multiply(even, _PHILOX_MULT_LO, out=t)
+        t += lo_lo
+        np.multiply(e_lo, _PHILOX_MULT_HI, out=e_lo)
+        np.bitwise_and(t, _LOW32, out=lo_lo)
+        e_lo += lo_lo
+        np.multiply(even, _PHILOX_MULT_HI, out=even)
+        np.right_shift(t, 32, out=t)
+        even += t
+        np.right_shift(e_lo, 32, out=e_lo)
+        even += e_lo
+        odd ^= even[::-1]
+        odd ^= key
+        key += _PHILOX_WEYL
+        even, odd, low = odd, low[::-1], even
+    # the words take the place of the halves e_lo and lo_lo
+    words = work[3 * size : 5 * size].reshape(rows, blocks, 4)
+    words[..., 0], words[..., 1] = even[0], odd[0]
+    words[..., 2], words[..., 3] = even[1], odd[1]
+    return words.reshape(rows, 4 * blocks)
 
 
-def _uint32_draws(words: np.ndarray) -> np.ndarray:
+def _uint32_draws(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Split each uint64 word into two uint32 draws, low half first, as
-    numpy's ``next_uint32`` does; the draws are held as uint64."""
-    draws = np.empty(words.shape + (2,), dtype=np.uint64)
-    draws[..., 0] = words & _LOW32
-    draws[..., 1] = words >> 32
-    return draws.reshape(words.shape[0], -1)
+    numpy's ``next_uint32`` does, into ``out`` when given."""
+    rows, cols = words.shape
+    draws = np.empty(2 * rows * cols, dtype=np.uint32) if out is None else out
+    halves = draws.reshape(rows, cols, 2)
+    np.bitwise_and(words, _LOW32, out=halves[..., 0])
+    np.right_shift(words, 32, out=halves[..., 1])
+    return draws.reshape(rows, 2 * cols)
 
 
 def _bounded(draws: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """Lemire's method (ACM TOMACS 2019) for ``integers(0, bound)``, 1 <
-    bound < 2**32: the values of ``draws`` below ``bound`` and whether
-    each draw is accepted.  numpy rejects a draw whose low product half lies
-    below (2**32 - bound) mod bound and takes the next one."""
-    product = draws * np.uint64(bound)
-    return product >> 32, (product & _LOW32) >= (2**32 - bound) % bound
+    bound < 2**32: the values of the uint32 ``draws`` below ``bound`` and
+    whether each draw is accepted.  numpy rejects a draw whose low product
+    half lies below (2**32 - bound) mod bound and takes the next one."""
+    values = np.multiply(draws, bound, dtype=np.uint64)
+    low = np.multiply(draws, bound, dtype=np.uint32)  # wraps modulo 2**32
+    accepted = low >= (2**32 - bound) % bound
+    values >>= np.uint64(32)
+    return values, accepted

@@ -46,9 +46,11 @@ __all__ = [
 ]
 
 # The O(n^2) pair tables, ``edge_space.build_complement``'s edges and
-# incidence (35 bytes per vertex pair) and the Monte-Carlo walker's step
-# tables (59-93 bytes), start from ``marked_matrix``, which refuses more
-# than this many vertex pairs (n+1)^2: n + 1 = 4096, 1.6 GB of walker tables.
+# incidence (35 bytes per vertex pair) and the Monte-Carlo walker's start
+# edges (about 6 bytes; its step arrays grow with the marked subgraph's
+# pairs of vertices, not the host's), start from ``marked_matrix``, which
+# refuses more than this many vertex pairs (n+1)^2: n + 1 = 4096, 0.6 GB of
+# complement arrays.
 PAIR_TABLE_LIMIT = 4096**2
 
 

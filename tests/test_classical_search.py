@@ -36,6 +36,10 @@ from edgewalk.errors import (
 from mc_oracle import per_trial_generator_mc
 
 
+# trials in one batch of the walker; more trials span two batches
+BATCH = classical_search._REFILL_DRAWS // classical_search._FIRST_WIDTH
+
+
 def _key(*words):
     return np.array(words, dtype=np.uint64)
 
@@ -338,9 +342,21 @@ def test_mc_deterministic():
         pytest.param(2, [(0, 1), (1, 2)], 300, id="one-unmarked-edge"),
         pytest.param(10, [(0, 1), (1, 2)], 1, id="one-trial"),
         # more trials than one refill holds
-        pytest.param(3, [(0, 1)], 5000, id="two-batches"),
+        pytest.param(3, [(0, 1)], BATCH + 1000, id="two-batches"),
         # long walks: the width doubles up to the draw cap
         pytest.param(30, [(0, 1)], 400, id="width-cap"),
+        # t = 0, 1 and 2 vertices outside the marked subgraph: no rest cell,
+        # a rest cell of one vertex, a rest-rest pair of one edge
+        pytest.param(5, path_edges(5), 300, id="t0-spanning-path"),
+        pytest.param(5, path_edges(4), 300, id="t1-path"),
+        pytest.param(6, path_edges(4), 300, id="t2-path"),
+        # the marked subgraph on labels other than the smallest
+        pytest.param(9, [(5, 8), (1, 6), (6, 8)], 300, id="gamma-relabelled"),
+        # long walks with few trials
+        pytest.param(30, [(0, 1)], 1, id="one-long-trial"),
+        pytest.param(80, [(3, 70)], 2, id="two-long-trials"),
+        # a marked subgraph above the step table's size limit
+        pytest.param(40, path_edges(35), 30, id="no-step-table"),
     ],
 )
 def test_mc_matches_per_trial_generator_oracle(n, edges, trials, seed):
@@ -392,14 +408,29 @@ def test_mc_rejections_ignore_refill_splits(monkeypatch):
     assert len(estimates) == 1
 
 
+def test_mc_rule_steps_as_the_table_does(monkeypatch):
+    # Above the step table's size limit the walker applies the rule to each
+    # column; with a fifth of all draws rejected, short rows stay and
+    # absorbed rows stay frozen there as on the table.
+    def lossy(draws, bound):
+        values, accepted = _bounded(draws, bound)
+        return values, accepted & (draws % 5 != 0)
+
+    monkeypatch.setattr(classical_search, "_bounded", lossy)
+    g = build_instance(10, [(0, 1), (1, 2)])
+    on_table = mc_hitting_time(g, 50, seed=3)
+    monkeypatch.setattr(classical_search, "_STEP_TABLE_LIMIT", 0)
+    assert mc_hitting_time(g, 50, seed=3) == on_table
+
+
 def test_mc_refill_rule(monkeypatch):
     # every refill holds at most _REFILL_DRAWS draws; the width starts at
     # _FIRST_WIDTH per trial and doubles until the cap binds
     refills = []
 
-    def recording(seed, keys, counter, blocks):
+    def recording(seed, keys, counter, blocks, *work):
         refills.append((keys.size, 8 * blocks))
-        return _philox(seed, keys, counter, blocks)
+        return _philox(seed, keys, counter, blocks, *work)
 
     monkeypatch.setattr(classical_search, "_philox", recording)
     mc_hitting_time(build_instance(30, [(0, 1)]), 400, seed=5)
@@ -412,10 +443,37 @@ def test_mc_refill_rule(monkeypatch):
     assert any(width < 2 * before for before, width in zip(widths, widths[1:]))
     # trials beyond one refill's share start a new batch
     refills.clear()
-    mc_hitting_time(build_instance(2, [(0, 1)]), 5000, seed=5)
-    batch = cap // first
+    mc_hitting_time(build_instance(2, [(0, 1)]), BATCH + 1000, seed=5)
     starts = [rows for rows, width in refills if width == first]
-    assert starts == [batch, 5000 - batch]
+    assert BATCH == cap // first
+    assert starts == [BATCH, 1000]
+
+
+def test_mc_memory_is_its_buffers():
+    # the work buffers, allocated once per call, take the place of the
+    # per-refill temporaries; 3.37 MiB before they did
+    g = build_instance(3, [(0, 1)])
+    tracemalloc.start()
+    try:
+        mc_hitting_time(g, 10_000, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.4 * 2**20
+
+
+def test_step_table_depends_on_the_marked_subgraph_only():
+    def step_table(n):
+        successor, absorbing = classical_search._cell_rule(build_instance(n, [(0, 1)]))
+        return classical_search._step_table(successor, absorbing, 2), absorbing
+
+    small, small_absorbing = step_table(30)
+    large, large_absorbing = step_table(400)
+    # s = 2: 2 (s+1) + 1 symbols over (s+1)^2 pairs of cells
+    assert small.size == 7 * 9
+    assert small.nbytes == large.nbytes and (small == large).all()
+    assert (small_absorbing == large_absorbing).all()
+    assert np.flatnonzero(small_absorbing).tolist() == [1, 3]
 
 
 def test_mc_step_cap_names_the_trial(monkeypatch):
