@@ -26,12 +26,13 @@ quantity.  Trial i draws from the stream of
 (a pure function of key and counter) in numpy for every trial at once, turns
 the draws into bounded integers with numpy's own method (Lemire's), and
 steps all trials in lockstep, so its estimate equals, bit for bit, that of
-a walk driven by per-trial numpy generators.  It walks pairs of cells, not
-pairs of vertices: in canonical order the marked subgraph is 0..s-1, and
-whether a step lands on one of its vertices or in the rest depends only on
-the cells of the edge's ends and on min(o, s), o the step's offset.  So a
-table over the (s+1)^2 ordered pairs of cells and 2(s+1) + 1 step symbols,
-whatever n is, makes a step of every trial one gather.  This module returns
+a walk driven by per-trial numpy generators.  It does not walk pairs of
+vertices: in canonical order the marked subgraph is 0..s-1, and whether a
+step lands on one of its vertices or in the rest depends only on which of
+those s + 1 cells the edge's ends lie in and on min(o, s), o the step's
+offset.  So the walker's state and its step rule take O(s^2) entries
+whatever n is, and up to s = 29 a table of the rule over all 2(s+1) + 1
+step symbols makes a step of every trial one gather.  This module returns
 raw quantities only; the ledger in ``bounds`` judges them against the
 spectral brackets.
 """
@@ -39,7 +40,6 @@ spectral brackets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -68,9 +68,11 @@ STEP_CAP = 10**8
 # and K_4 walks.
 _REFILL_DRAWS = 2**16
 _FIRST_WIDTH = 8
-# The walker's successor table has 2(s+1) + 1 symbols x (s+1)^2 pairs of
-# cells.  Above this many entries (s > 30) it is not built: at the limit its
-# build takes about as long as 130 columns of steps without it.
+# The walker's step table has 2(s+1) + 1 symbols x (s+3)^2 pairs of ends,
+# about 2 s^3 entries.  Above this many (s > 29) it is not built, and each
+# column of steps applies the rule instead.  Near the limit the table's
+# build (0.5 ms at s = 29, 2.5 ms at s = 41) and its faster columns about
+# even out for a few hundred trials of a path on 60 vertices.
 _STEP_TABLE_LIMIT = 2**16
 # Lemire's method on uint32 draws bounds at most 2**32 - 1 values; numpy
 # switches to 64-bit draws above that.
@@ -209,29 +211,32 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
 
     The graph is in canonical order, so the marked subgraph's vertices are
     0..s-1, and an end of the walker's edge lies in one of s + 1 cells: one
-    of those vertices, or the rest (cell s).  A trial is held at its ordered
-    pair of cells, first (s+1) + second; a pair of two marked-adjacent cells
-    absorbs.  The step symbol of a draw is side (s+1) + min(o, s), for the
-    kept end and the offset o of the moved end's new vertex, or the stay
-    symbol 2 (s+1) for a draw a row cannot take; ``_cell_rule`` gives the
-    next pair and ``_step_table`` tabulates it.  Trials enter in batches of
-    ``_REFILL_DRAWS // _FIRST_WIDTH``; absorbed rows stay frozen until the
-    refill ends.
+    of those vertices, or the rest.  A trial is held at its ordered pair of
+    ends, first (s+3) + second, each end a vertex of the subgraph or one of
+    the labels s, s + 1 and s + 2, which all stand for the rest (see
+    ``_cell_rule``); a pair of two marked-adjacent vertices absorbs.  The
+    step symbol of a draw is side (s+1) + min(o, s), for the kept end and
+    the offset o of the moved end's new vertex, or the stay symbol 2 (s+1)
+    for a draw a row cannot take.  Up to ``_STEP_TABLE_LIMIT`` entries a
+    table of the next pair by symbol and pair makes a column of steps one
+    gather; above it each column applies the rule.  Trials enter in
+    batches of ``_REFILL_DRAWS // _FIRST_WIDTH``; absorbed rows stay in
+    place until the refill ends.
     """
     marked = g.marked_matrix  # raises TooLarge before anything is built
     # the unmarked edges (u, v), u < v, as flat indices u (n+1) + v, in the
     # lexicographic order of edge_space.build_complement(g).edges
     start_pairs = np.flatnonzero(np.triu(~marked, 1))
     n, s = g.n, g.s
-    cells = s + 1
-    successor, absorbing = _cell_rule(g)
-    table = _step_table(successor, absorbing, s)
+    cells, pairs = s + 1, (s + 3) ** 2
+    kept, low, high, absorbing = rule = _cell_rule(g)
+    table = _step_table(rule, s)
     # one symbol per move value, and the stay symbol last; on the table
     # they are scaled to the table's rows
     side, offset = np.divmod(np.arange(2 * (n - 1)), n - 1)
     symbols_of = np.append(side * cells + np.minimum(offset, s), 2 * cells)
     if table is not None:
-        symbols_of *= cells * cells
+        symbols_of *= pairs
     stay = symbols_of[-1]
     # work buffers for the largest refill
     batch = _REFILL_DRAWS // _FIRST_WIDTH
@@ -265,7 +270,7 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
                     )
                     starting, index = starting[found], index[found]
                 ends = np.minimum(np.divmod(start_pairs[index], n + 1), s)
-                at[starting] = ends[0] * cells + ends[1]
+                at[starting] = ends[0] * (s + 3) + ends[1]
                 pending[starting] = False
             values, usable = _bounded(draws, 2 * (n - 1))
             symbols = symbols_buffer[: rows * width].reshape(rows, width)
@@ -289,9 +294,17 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
                 have[short] = accepted.sum(axis=1)
             hit = np.zeros(rows, dtype=bool)
             absorbed = 0
-            for done, column in enumerate(symbols.T, 1):
+            if table is None:
+                # the columns' side rows and offsets, stored column by column
+                bases, offsets = np.divmod(symbols.T, cells, order="C")
+                bases *= pairs
+                columns = zip(bases, offsets)
+            else:
+                columns = symbols.T
+            for done, column in enumerate(columns, 1):
                 if table is None:
-                    at = successor(at, column, hit)
+                    base, o = column
+                    at = kept[base + at] + o + (o >= low[at]) + (o >= high[at])
                 else:
                     at = table[at + column]
                 now = absorbing[at]
@@ -302,6 +315,10 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
                     hit, absorbed = now, count
                     if absorbed == rows:
                         break
+                    if table is None:  # the table keeps absorbing pairs; here
+                        # the absorbed rows take the stay symbol from now on
+                        bases[done:, fresh] = 2 * pairs
+                        offsets[done:, fresh] = 0
             walking = np.flatnonzero(~hit)
             keys, at, pending = keys[walking], at[walking], pending[walking]
             taken = (taken + have)[walking]
@@ -336,63 +353,61 @@ def _first_accepted(
 
 def _cell_rule(
     g: SignedCompleteGraph,
-) -> tuple[Callable[..., np.ndarray], np.ndarray]:
-    """The walker's step on pairs of cells, and which pairs absorb.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The walker's step on pairs of ends: (kept, low, high, absorbing).
 
-    ``successor(pair, symbol, frozen)`` is the pair of cells a step on
-    ``symbol`` moves ``pair`` to.  The step keeps the first end (side 0) or
-    the second (side 1) and moves the other to the o-th of the n - 1 other
-    vertices in ascending order, o + [o >= low] + [o >= high], low and high
-    the smaller end and the larger one less 1.  Which cell that lands in depends only on
-    the cells of the ends and on min(o, s): from o = s on it is the rest,
-    and two ends in the rest act as its distinct vertices s and s + 1.  The
-    stay symbol, 2 (s+1), keeps the pair, and so does every ``frozen`` one
-    (an absorbing pair).  The arrays behind it hold five entries per pair
-    of cells, whatever n is.
+    An end is a vertex 0..s-1 of the marked subgraph or a label s, s + 1 or
+    s + 2 of the rest, and the pair (a, b) is a (s+3) + b.  A step on side
+    0 keeps the first end and on side 1 the second, and moves the other to
+    the o-th of the n - 1 other vertices in ascending order, o + [o >= low]
+    + [o >= high], low and high the smaller end and the larger one less 1:
+    from the pair p it lands on
+
+        kept[side (s+3)^2 + p] + o + (o >= low[p]) + (o >= high[p]).
+
+    Which cell that lands in depends only on the cells of the ends and on
+    min(o, s): from o = s on it is the rest, and two ends in the rest act
+    as its distinct vertices s and s + 1.  With o capped at s the new end
+    is at most s + 2, a label of the rest, so no step needs a cap.  Side 2
+    with offset 0, the stay symbol, keeps the pair.  ``absorbing`` marks
+    the pairs of two marked-adjacent vertices.  The arrays hold six entries
+    per pair, whatever n is.
     """
     s = g.s
-    cells = s + 1
-    absorbing = np.zeros((cells, cells), dtype=bool)
+    stride = s + 3
+    ends = np.arange(stride)
+    cell = np.minimum(ends, s)
+    low = np.minimum.outer(cell, cell)
+    high = np.maximum.outer(cell, cell)
+    high -= 1
+    high[s:, s:] = s  # two rest ends: max(s, s + 1) - 1
+    absorbing = np.zeros((stride, stride), dtype=bool)
     absorbing[:s, :s] = g.marked_block
-    ends = np.arange(cells)
-    low = np.minimum.outer(ends, ends).ravel()
-    high = np.maximum.outer(ends, ends) - 1
-    high[s, s] = s  # two rest ends: max(s, s + 1) - 1
-    high = high.ravel()
-    # by side (keep the first end, keep the second, stay): the kept end's
-    # row of pairs, and the largest cell the moved end can take
-    kept = np.empty((3, cells, cells), dtype=np.intp)
-    kept[0], kept[1] = ends[:, None] * cells, ends * cells
-    kept[2] = np.arange(cells * cells).reshape(cells, cells)
-    kept = kept.ravel()
-    # each symbol's side row in ``kept``, offset and reach
-    side = np.repeat([0, 1, 2], [cells, cells, 1]) * cells**2
-    offset = np.append(np.tile(ends, 2), 0)
-    reach = np.append(np.full(2 * cells, s), 0)
-
-    def successor(
-        pair: np.ndarray, symbol: np.ndarray, frozen: np.ndarray
-    ) -> np.ndarray:
-        o = offset[symbol]
-        moved = np.minimum(o + (o >= low[pair]) + (o >= high[pair]), reach[symbol])
-        return np.where(frozen, pair, kept[side[symbol] + pair] + moved)
-
-    return successor, absorbing.ravel()
+    # by side, the kept end's row of pairs; on the stay side the pair less
+    # the two terms an offset of 0 adds back
+    kept = np.empty((3, stride, stride), dtype=np.intp)
+    kept[0], kept[1] = ends[:, None] * stride, ends * stride
+    np.add(kept[0], ends, out=kept[2])
+    kept[2] -= low <= 0
+    kept[2] -= high <= 0
+    return kept.ravel(), low.ravel(), high.ravel(), absorbing.ravel()
 
 
 def _step_table(
-    successor: Callable[..., np.ndarray], absorbing: np.ndarray, s: int
+    rule: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], s: int
 ) -> np.ndarray | None:
-    """``successor`` over all 2 (s+1) + 1 symbols and (s+1)^2 pairs of
-    cells, entry symbol (s+1)^2 + pair; None above ``_STEP_TABLE_LIMIT``
-    entries, where the walker calls ``successor`` on each column of steps
-    instead."""
-    cells = s + 1
-    symbols = 2 * cells + 1
-    if symbols * cells * cells > _STEP_TABLE_LIMIT:
+    """The ``_cell_rule`` step from every pair on each of the 2 (s+1) + 1
+    symbols, entry symbol (s+3)^2 + pair, with every absorbing pair kept;
+    None above ``_STEP_TABLE_LIMIT`` entries, where the walker applies the
+    rule to each column of steps instead."""
+    kept, low, high, absorbing = rule
+    pairs = (s + 3) ** 2
+    symbols = 2 * (s + 1) + 1
+    if symbols * pairs > _STEP_TABLE_LIMIT:
         return None
-    pairs = np.arange(cells * cells)
-    return successor(pairs, np.arange(symbols)[:, None], absorbing).ravel()
+    side, o = np.divmod(np.arange(symbols)[:, None], s + 1)
+    step = kept[side * pairs + np.arange(pairs)] + o + (o >= low) + (o >= high)
+    return np.where(absorbing, np.arange(pairs), step).ravel()
 
 
 def _philox(
@@ -400,20 +415,18 @@ def _philox(
     keys: np.ndarray,
     counter: int,
     blocks: int,
-    work: np.ndarray | None = None,
+    work: np.ndarray,
 ) -> np.ndarray:
     """Philox4x64-10 (Salmon et al., SC 2011) under key (seed, k) for each
     k in ``keys``, at block counters counter, ..., counter + blocks - 1.
 
     Returns uint64 words of shape (keys.size, 4 * blocks) in stream order:
     ``Philox(key=[seed, k]).random_raw`` starts at counter 1.  The rounds
-    run in ``work`` (at least 12 keys.size blocks + 2 keys.size words,
-    allocated when None), and the words are a view into it.
+    run in ``work`` (at least 12 keys.size blocks + 2 keys.size words), and
+    the words are a view into it.
     """
     rows = keys.size
     size = 2 * rows * blocks
-    if work is None:
-        work = np.empty(6 * size + 2 * rows, dtype=np.uint64)
     # A round multiplies words 0 and 2 of the counter block ("even") and
     # folds the high halves into words 1 and 3 ("odd") under the round key.
     even, odd, low, e_lo, lo_lo, t = (
@@ -453,15 +466,14 @@ def _philox(
     return words.reshape(rows, 4 * blocks)
 
 
-def _uint32_draws(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _uint32_draws(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Split each uint64 word into two uint32 draws, low half first, as
-    numpy's ``next_uint32`` does, into ``out`` when given."""
+    numpy's ``next_uint32`` does, into ``out`` (2 words.size entries)."""
     rows, cols = words.shape
-    draws = np.empty(2 * rows * cols, dtype=np.uint32) if out is None else out
-    halves = draws.reshape(rows, cols, 2)
+    halves = out.reshape(rows, cols, 2)
     np.bitwise_and(words, _LOW32, out=halves[..., 0])
     np.right_shift(words, 32, out=halves[..., 1])
-    return draws.reshape(rows, 2 * cols)
+    return out.reshape(rows, 2 * cols)
 
 
 def _bounded(draws: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:

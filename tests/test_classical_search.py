@@ -48,9 +48,20 @@ def _generator(seed, trial):
     return np.random.Generator(np.random.Philox(key=_key(seed, trial)))
 
 
+def _words(seed, keys, counter, blocks):
+    """``_philox`` run in a work buffer of its own."""
+    work = np.empty(12 * keys.size * blocks + 2 * keys.size, dtype=np.uint64)
+    return _philox(seed, keys, counter, blocks, work)
+
+
+def _draws(words):
+    """``_uint32_draws`` into an array of its own."""
+    return _uint32_draws(words, np.empty(2 * words.size, dtype=np.uint32))
+
+
 def _accepted(seed, trial, bound, counter, blocks):
     """The accepted bounded draws of blocks counter, ..., counter+blocks-1."""
-    draws = _uint32_draws(_philox(seed, _key(trial), counter, blocks))
+    draws = _draws(_words(seed, _key(trial), counter, blocks))
     values, accepted = _bounded(draws, bound)
     return values[accepted]
 
@@ -380,7 +391,7 @@ def test_mc_matches_oracle_through_rejected_draws(seed, trials, trial, position)
     # 68671 / 2**32 for the start (84255 unmarked edges) and 816 / 2**32 for
     # a step (820 moves); these streams each reject one early draw.
     g = build_instance(411, star_edges(411))
-    draws = _uint32_draws(_philox(seed, _key(trial), 1, 8))[0]
+    draws = _draws(_words(seed, _key(trial), 1, 8))[0]
     _, start_ok = _bounded(draws[:1], 84255)
     _, step_ok = _bounded(draws[1:], 820)
     rejected = np.flatnonzero(~np.concatenate((start_ok, step_ok)))
@@ -428,9 +439,9 @@ def test_mc_refill_rule(monkeypatch):
     # _FIRST_WIDTH per trial and doubles until the cap binds
     refills = []
 
-    def recording(seed, keys, counter, blocks, *work):
+    def recording(seed, keys, counter, blocks, work):
         refills.append((keys.size, 8 * blocks))
-        return _philox(seed, keys, counter, blocks, *work)
+        return _philox(seed, keys, counter, blocks, work)
 
     monkeypatch.setattr(classical_search, "_philox", recording)
     mc_hitting_time(build_instance(30, [(0, 1)]), 400, seed=5)
@@ -464,16 +475,16 @@ def test_mc_memory_is_its_buffers():
 
 def test_step_table_depends_on_the_marked_subgraph_only():
     def step_table(n):
-        successor, absorbing = classical_search._cell_rule(build_instance(n, [(0, 1)]))
-        return classical_search._step_table(successor, absorbing, 2), absorbing
+        rule = classical_search._cell_rule(build_instance(n, [(0, 1)]))
+        return classical_search._step_table(rule, 2), rule[3]
 
     small, small_absorbing = step_table(30)
     large, large_absorbing = step_table(400)
-    # s = 2: 2 (s+1) + 1 symbols over (s+1)^2 pairs of cells
-    assert small.size == 7 * 9
+    # s = 2: 2 (s+1) + 1 symbols over (s+3)^2 pairs of ends
+    assert small.size == 7 * 25
     assert small.nbytes == large.nbytes and (small == large).all()
     assert (small_absorbing == large_absorbing).all()
-    assert np.flatnonzero(small_absorbing).tolist() == [1, 3]
+    assert np.flatnonzero(small_absorbing).tolist() == [1, 5]
 
 
 def test_mc_step_cap_names_the_trial(monkeypatch):
@@ -499,8 +510,8 @@ def test_mc_draw_range_guard():
     "n,walker_guard", [(10**4, "pair tables"), (10**5, "bounded uint32 draws")]
 )
 def test_pair_tables_are_refused_before_they_are_built(tmp_path, n, walker_guard):
-    # (n+1)^2 = 1e8 or 1e10 vertex pairs: the walker's tables would take
-    # about 6 GB or 600 GB, the complement's 3.5 GB or 350 GB; both raise
+    # (n+1)^2 = 1e8 or 1e10 vertex pairs: the walker's start edges would
+    # take about 0.6 GB or 60 GB, the complement's 3.5 GB or 350 GB; both raise
     # TooLarge with nothing built (at 1e5 the walker's draw range is out of
     # reach first), and ``classical`` exits 2, a configuration error, with no
     # report
@@ -535,24 +546,24 @@ def test_mc_empty_complement():
 @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
 def test_numpy_philox_matches_random_raw(seed):
     trials = _key(0, 1, 2**32 - 1, 2**32 + 7, 2**64 - 1)
-    words = _philox(seed, trials, 1, 5)
+    words = _words(seed, trials, 1, 5)
     for row, trial in zip(words, trials):
         raw = np.random.Philox(key=_key(seed, trial)).random_raw(20)
         assert (row == raw).all()
     # a later counter continues the same streams
-    assert (_philox(seed, trials, 3, 3) == words[:, 8:]).all()
+    assert (_words(seed, trials, 3, 3) == words[:, 8:]).all()
 
 
 def test_uint32_draws_take_the_low_half_first():
     words = np.array([[0x0123456789ABCDEF, 0xFEDCBA9876543210]], dtype=np.uint64)
     halves = [0x89ABCDEF, 0x01234567, 0x76543210, 0xFEDCBA98]
-    assert _uint32_draws(words).tolist() == [halves]
+    assert _draws(words).tolist() == [halves]
 
 
 @pytest.mark.parametrize("bound", [2, 158, 2**31 + 1])
 def test_bounded_draws_match_generator_integers(bound):
     expected = _generator(11, 2**33).integers(0, bound, size=600)
-    draws = _uint32_draws(_philox(11, _key(2**33), 1, 200))
+    draws = _draws(_words(11, _key(2**33), 1, 200))
     values, accepted = _bounded(draws, bound)
     assert (values[accepted][:600] == expected).all()
     if bound == 2**31 + 1:
