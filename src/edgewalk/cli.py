@@ -130,8 +130,6 @@ def cmd_simulate(args) -> int:
     summary = principal_pair(build_T(g))
     t_f = quantum_time(summary)
     t_max = args.t_max if args.t_max is not None else 2 * t_f
-    if t_max < 0:
-        raise ValueError(f"t_max must be nonnegative, got {t_max}")
     series = run_series(g, t_max, summary)
     out = _out_dir(args)
     series_path = out / "series.csv"

@@ -42,7 +42,9 @@ class TooLarge(EdgeWalkError):
 class LostPrecision(TooLarge):
     """lambda_max(T) is within ``DEGENERACY_TOL`` of 1, float64's resolution,
     though the marked subgraph does not span the host, so lambda_max < 1:
-    the rotation angle has no correct digit.  Walks and the ledger skip it."""
+    the rotation angle has no correct digit.  ``QuotientSpectrum.summary``,
+    the one decision on lambda_max(T) = 1, raises it; walks and the ledger
+    skip the angle, and bipartite_iff reads the refusal as lambda_max = 1."""
 
 
 class DimensionMismatch(EdgeWalkError):
@@ -58,10 +60,11 @@ class NoConvergence(EdgeWalkError):
 
 
 class DegenerateSpectrum(EdgeWalkError):
-    """The top eigenvalue of the vertex matrix equals 1, which happens exactly
-    when the marked subgraph is a spanning complete bipartite graph (so it
-    spans the host, t = 0); the rotation angle is then 0 and the quantum
-    searching time is undefined."""
+    """The top eigenvalue of T equals 1, which happens exactly when the
+    marked subgraph is a spanning complete bipartite graph (so it spans the
+    host, t = 0); the rotation angle is then 0 and the quantum searching
+    time is undefined.  ``QuotientSpectrum.summary`` alone decides it, within
+    ``DEGENERACY_TOL``, and a ``SpectralSummary`` refuses theta_max <= 0."""
 
 
 class SolverFailure(EdgeWalkError):

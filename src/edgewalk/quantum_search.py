@@ -105,9 +105,7 @@ def finding_probability(g: SignedCompleteGraph, psi: np.ndarray) -> float:
 
 
 def quantum_time(summary: SpectralSummary) -> int:
-    """Quantum searching time floor(pi / (2 theta_max))."""
-    if summary.theta_max <= 0.0:
-        raise DegenerateSpectrum("rotation angle is zero; searching time undefined")
+    """Quantum searching time floor(pi / (2 theta_max)); a summary has theta_max > 0."""
     return int(math.floor(math.pi / (2.0 * summary.theta_max)))
 
 

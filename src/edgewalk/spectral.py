@@ -68,7 +68,8 @@ __all__ = [
 
 # 1 - lambda_max(T) below this is the exact structural event lambda_max = 1
 # (a spanning complete bipartite subgraph, so t = 0); with t >= 1 it is a
-# float64 eigenvalue that has lost its digits.
+# float64 eigenvalue that has lost its digits.  ``QuotientSpectrum.summary``
+# alone decides it; ``spectral_mapping_check`` reads +-1 by it too.
 DEGENERACY_TOL = 1e-12
 # Eigenvalues closer than this are treated as one eigenspace when picking
 # the principal vector.
@@ -200,11 +201,12 @@ class QuotientSpectrum:
         return np.repeat((np.asarray(x).T / np.sqrt(cells)).T, cells, axis=0)
 
     def summary(self) -> SpectralSummary:
-        """The principal spectral data of the discriminant matrix T, in
-        O(s).  lambda_max = 1 exactly for a spanning complete bipartite
-        marked subgraph (so t = 0): DegenerateSpectrum within
-        ``DEGENERACY_TOL`` of 1.  With t >= 1, lambda_max < 1, and that
-        closeness is lost resolution: LostPrecision, a TooLarge."""
+        """The principal spectral data of T in O(s), and the one decision
+        whether lambda_max(T) resolves below 1.  lambda_max = 1 exactly for
+        a spanning complete bipartite marked subgraph (so t = 0):
+        DegenerateSpectrum within ``DEGENERACY_TOL`` of 1.  With t >= 1,
+        lambda_max < 1, and that closeness is lost resolution: LostPrecision,
+        a TooLarge.  Below, lambda_max is in [0, 1) (trace T = 0)."""
         top = self.descending(2)
         lam = float(top[0])
         if lam >= 1.0 - DEGENERACY_TOL:
@@ -225,7 +227,7 @@ class QuotientSpectrum:
         return SpectralSummary(
             spectrum=self,
             principal=principal,
-            theta_max=float(np.arccos(np.clip(lam, -1.0, 1.0))),
+            theta_max=float(np.arccos(lam)),
             gap=float(top[0] - top[1]),
             overlap=float(principal @ self.uniform) ** 2,
         )
@@ -367,7 +369,8 @@ class SpectralSummary:
     squared inner product of the principal vector with the uniform vector.
     Each is O(s).  ``eigenvalues``, the full descending spectrum, and
     ``f``, the principal vector on the n+1 vertices, are lifted on first
-    read in O(n) and raise TooLarge above ``LIFT_LIMIT`` vertices.
+    read in O(n) and raise TooLarge above ``LIFT_LIMIT`` vertices.  A
+    summary holds theta_max > 0: DegenerateSpectrum otherwise.
     """
 
     spectrum: QuotientSpectrum
@@ -375,6 +378,10 @@ class SpectralSummary:
     theta_max: float
     gap: float
     overlap: float
+
+    def __post_init__(self) -> None:
+        if self.theta_max <= 0.0:
+            raise DegenerateSpectrum("rotation angle is zero; searching time undefined")
 
     @property
     def lambda_max(self) -> float:
@@ -434,8 +441,6 @@ def lift_eigenvectors(
     """Lift the principal vertex eigenvector to the walk operator's
     eigenvectors at exp(+-i theta_max), matrix-free."""
     theta = summary.theta_max
-    if theta <= 0.0:
-        raise DegenerateSpectrum("rotation angle is zero; nothing to lift")
     base = d_star_apply(g, summary.f)
     swapped = base[g.arcs.inverse_index]
     scale = 1.0 / (np.sqrt(2.0) * np.sin(theta))
@@ -443,13 +448,7 @@ def lift_eigenvectors(
     phi_minus = scale * (base - np.exp(-1j * theta) * swapped)
     beta_plus = (phi_plus + phi_minus) / np.sqrt(2.0)
     beta_minus = (phi_plus - phi_minus) / np.sqrt(2.0)
-    return LiftedPair(
-        phi_plus=phi_plus,
-        phi_minus=phi_minus,
-        beta_plus=beta_plus,
-        beta_minus=beta_minus,
-        theta=theta,
-    )
+    return LiftedPair(phi_plus, phi_minus, beta_plus, beta_minus, theta)
 
 
 @dataclass(frozen=True)
@@ -458,8 +457,8 @@ class MappingReport:
 
     One entry per discriminant eigenvalue with |lambda| < 1: the lifted
     values exp(+-i arccos lambda) matched against the dense walk spectrum by
-    minimum distance.  ``excluded`` lists eigenvalues at +-1, which the
-    lifting does not cover.
+    minimum distance.  ``excluded`` lists eigenvalues within
+    ``DEGENERACY_TOL`` of +-1, which the lifting does not cover.
     """
 
     entries: tuple[tuple[float, float, float], ...]
@@ -484,7 +483,7 @@ def spectral_mapping_check(
     excluded = []
     for lam in t_values:
         lam = float(lam)
-        if abs(lam) >= 1.0 - TIE_TOL:
+        if abs(lam) >= 1.0 - DEGENERACY_TOL:
             excluded.append(lam)
             continue
         theta = np.arccos(lam)

@@ -374,6 +374,34 @@ def test_verify_all_at_ten_thousand():
     assert peak <= 2 * 2**20
 
 
+def test_ledger_memory_is_bounded_by_the_marked_subgraph():
+    # nothing of order n + 1 at n = 10^5: the sign counts are taken over
+    # the marked subgraph's vertices, where they were a 0.8 MB vector
+    g = build_instance(10**5, [(0, 1)])
+    tracemalloc.start()
+    try:
+        verify_all(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 2**10
+
+
+def test_bipartite_iff_reads_the_summary():
+    # one edge at n = 2 * 10^5: 1 - lambda_max(T) = 4/(n(n+1)) = 1.0e-10
+    # resolves in float64, so the spectrum is not degenerate (a fixed
+    # threshold of 1e-10 read it as lambda_max = 1 here)
+    ledger = verify_all(build_instance(200000, [(0, 1)]))
+    entry = ledger.entry("bipartite_iff")
+    assert entry.passed and entry.lhs == entry.rhs == 0.0
+    assert ledger.entry("beta_close").hypothesis_holds
+    # K_4 with a 4-cycle marked, a spanning K_{2,2}: degenerate both ways
+    ledger = verify_all(build_instance(3, cycle_edges(4)))
+    entry = ledger.entry("bipartite_iff")
+    assert entry.passed and entry.lhs == entry.rhs == 1.0
+    assert not ledger.entry("beta_close").hypothesis_holds
+
+
 @pytest.mark.parametrize("n", [347, 374, 384, 396])
 def test_ratio_against_mpmath(n):
     # ratio's lhs (1 - (f.j)^2) / (1 - lambda_max(T)) against a 50-digit

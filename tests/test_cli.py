@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from edgewalk import cli, spectral
+from edgewalk import cli, spectral, verify_all
 from edgewalk.cli import main
 from edgewalk.errors import NoConvergence, SolverFailure
 from spectral_oracle import reference_overlap
@@ -74,6 +76,19 @@ def test_simulate_degenerate_exit_code(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "bipartite" in err
+
+
+def test_simulate_negative_t_max_is_config_error(tmp_path, capsys):
+    # refused by run_series before any output directory exists
+    out = tmp_path / "out"
+    code = main(
+        ["simulate", "--n", "5", "--subgraph", '{"kind": "path", "k": 1}',
+         "--t-max", "-1", "--out", str(out)]
+    )
+    assert code == cli.EXIT_CONFIG == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "config", "message": "t_max must be nonnegative, got -1"}
+    assert not out.exists()
 
 
 def test_bad_descriptor_exit_code(tmp_path):
@@ -199,6 +214,68 @@ def test_internal_errors_exit_code(tmp_path, capsys, monkeypatch, exc):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "internal"
     assert type(exc).__name__ in err["message"]
+
+
+def _exits_internal(argv, capsys, name):
+    assert main(argv) == cli.EXIT_INTERNAL == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "internal" and err["message"].startswith(f"{name}: "), err
+    return err["message"]
+
+
+def test_failed_block_solve_exits_4(tmp_path, capsys, monkeypatch):
+    # t_c's order-s solve, raising or returning a solution whose residual
+    # is above RESIDUAL_TOL, is a solver failure
+    argv = ["classical", "--n", "5", "--subgraph", '{"kind": "path", "k": 2}',
+            "--out", str(tmp_path)]
+    solve = np.linalg.solve
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    assert "block solve failed" in _exits_internal(argv, capsys, "SolverFailure")
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-6))
+    assert "above 1e-10" in _exits_internal(argv, capsys, "SolverFailure")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_failed_eigensolve_exits_4(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    _exits_internal(
+        ["spectrum", "--n", "5", "--subgraph", '{"kind": "path", "k": 1}',
+         "--out", str(tmp_path)],
+        capsys,
+        "NoConvergence",
+    )
+
+
+def test_verify_prints_each_failure(tmp_path, capsys, monkeypatch):
+    # two entries turned into failures: exit 1, one FAILED line for each
+    def failing(g):
+        ledger = verify_all(g)
+        entries = [
+            replace(e, passed=False) if e.name in ("gap_T", "norm_l2") else e
+            for e in ledger
+        ]
+        return replace(ledger, entries=tuple(entries))
+
+    monkeypatch.setattr(cli, "verify_all", failing)
+    code = main(
+        ["verify", "--n", "5", "--subgraph", '{"kind": "path", "k": 1}',
+         "--out", str(tmp_path)]
+    )
+    assert code == cli.EXIT_VERIFY == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert all(line.startswith("FAILED: ") for line in lines), lines
+    failed = [json.loads(line[len("FAILED: "):]) for line in lines]
+    assert [(e["name"], e["passed"]) for e in failed] == [
+        ("gap_T", False), ("norm_l2", False)
+    ]
+    assert read_json(tmp_path / "report.json")["failed"] == 2
 
 
 def test_module_entry_point_exits_4_on_a_defect(tmp_path):

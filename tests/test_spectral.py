@@ -1,6 +1,7 @@
 """Eigensolving fixtures, principal-pair conventions, and the lifting."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,6 +89,14 @@ def test_principal_pair_triangle():
 def test_principal_pair_degenerate():
     with pytest.raises(DegenerateSpectrum):
         principal_pair(build_T(build_instance(2, [(0, 1), (1, 2)])))
+
+
+def test_summary_holds_a_positive_angle():
+    # every reader of theta_max divides by it: a summary refuses 0 itself
+    summary = principal_pair(build_T(build_instance(5, [(0, 1)])))
+    assert summary.theta_max > 0.0
+    with pytest.raises(DegenerateSpectrum):
+        replace(summary, theta_max=0.0)
 
 
 def test_principal_pair_refuses_lost_digits():
