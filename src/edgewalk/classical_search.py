@@ -32,25 +32,21 @@ step lands on one of its vertices or in the rest depends only on which of
 those s + 1 cells the edge's ends lie in and on min(o, s), o the step's
 offset.  So the walker's state and its step rule take O(s^2) entries
 whatever n is, and up to s = 29 a table of the rule over all 2(s+1) + 1
-step symbols makes a step of every trial one gather.  This module returns
-raw quantities only; the ledger in ``bounds`` judges them against the
-spectral brackets.
+step symbols makes a step of every trial one gather.  The start edge is
+drawn on the edge orbits of ``operators.build_P_quotient``, with no table
+over the host's vertex pairs.  This module returns raw quantities only;
+the ledger in ``bounds`` judges them against the spectral brackets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    EmptyComplement,
-    SolverFailure,
-    StepCapExceeded,
-    TooLarge,
-    ZeroTrials,
-)
-from .operators import build_Q
+from .errors import SolverFailure, StepCapExceeded, TooLarge, ZeroTrials
+from .operators import _unmarked_edges, build_P_quotient, build_Q
 from .signed_graph import SignedCompleteGraph
 from .spectral import quotient_lambda_max
 
@@ -139,9 +135,7 @@ def _searching_time(g: SignedCompleteGraph) -> tuple[float, float]:
     """``hitting_time``'s t_c and the relative residual of its order-s
     solve, without lambda_max(P): what the ledger reads."""
     n, s, t = g.n, g.s, g.t
-    edges = n * (n + 1) // 2 - g.num_marked
-    if edges == 0:
-        raise EmptyComplement("every edge of the host graph is marked")
+    edges = _unmarked_edges(g)
     degrees = g.marked_block.sum(axis=1).astype(np.float64)
     block = g.marked_block.astype(np.float64)
     block[np.diag_indices(s)] = n + 1 + degrees
@@ -179,26 +173,21 @@ def mc_hitting_time(
     trials are absorbed.
 
     Returns (mean, standard error).  Raises ZeroTrials for fewer than one
-    trial, ValueError unless 0 <= seed < 2**64, TooLarge when E or 2(n-1)
-    exceeds the 2**32 - 1 values a uint32 draw can bound, or when the
-    start edges' enumeration over (n+1)^2 vertex pairs would exceed
-    ``signed_graph.PAIR_TABLE_LIMIT`` (before anything is built),
-    EmptyComplement when every edge is marked, and StepCapExceeded when a
-    trial is still walking after STEP_CAP steps (checked between refills).
+    trial, ValueError unless 0 <= seed < 2**64, EmptyComplement when every
+    edge is marked, TooLarge when E or 2(n-1) exceeds the 2**32 - 1 values a
+    uint32 draw can bound (before anything is built), and StepCapExceeded
+    when a trial is still walking after STEP_CAP steps (between refills).
     """
     if trials < 1:
         raise ZeroTrials(f"need at least one trial, got {trials}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    n = g.n
-    num_start = n * (n + 1) // 2 - g.num_marked
-    if max(num_start, 2 * (n - 1)) > _MAX_BOUND:
+    num_start, moves = _unmarked_edges(g), 2 * (g.n - 1)
+    if max(num_start, moves) > _MAX_BOUND:
         raise TooLarge(
-            f"{num_start} unmarked edges and {2 * (n - 1)} moves: bounded uint32 "
+            f"{num_start} unmarked edges and {moves} moves: bounded uint32 "
             f"draws serve at most {_MAX_BOUND} values"
         )
-    if num_start == 0:
-        raise EmptyComplement("every edge of the host graph is marked")
     counts = _walk(g, seed, trials)
     mean = float(counts.mean())
     if trials == 1:
@@ -214,8 +203,9 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
     of those vertices, or the rest.  A trial is held at its ordered pair of
     ends, first (s+3) + second, each end a vertex of the subgraph or one of
     the labels s, s + 1 and s + 2, which all stand for the rest (see
-    ``_cell_rule``); a pair of two marked-adjacent vertices absorbs.  The
-    step symbol of a draw is side (s+1) + min(o, s), for the kept end and
+    ``_cell_rule``); a pair of two marked-adjacent vertices absorbs, and a
+    trial starts on the pair of its start edge's orbit (``_start_orbits``).
+    The step symbol of a draw is side (s+1) + min(o, s), for the kept end and
     the offset o of the moved end's new vertex, or the stay symbol 2 (s+1)
     for a draw a row cannot take.  Up to ``_STEP_TABLE_LIMIT`` entries a
     table of the next pair by symbol and pair makes a column of steps one
@@ -223,10 +213,7 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
     batches of ``_REFILL_DRAWS // _FIRST_WIDTH``; absorbed rows stay in
     place until the refill ends.
     """
-    marked = g.marked_matrix  # raises TooLarge before anything is built
-    # the unmarked edges (u, v), u < v, as flat indices u (n+1) + v, in the
-    # lexicographic order of edge_space.build_complement(g).edges
-    start_pairs = np.flatnonzero(np.triu(~marked, 1))
+    num_start, start_pair = _start_orbits(g)
     n, s = g.n, g.s
     cells, pairs = s + 1, (s + 3) ** 2
     kept, low, high, absorbing = rule = _cell_rule(g)
@@ -264,13 +251,10 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
             if pending.any():
                 starting = np.flatnonzero(pending)
                 index = np.zeros(starting.size, dtype=np.intp)
-                if start_pairs.size > 1:  # integers(1) draws nothing
-                    index, lead[starting], found = _first_accepted(
-                        draws, starting, start_pairs.size
-                    )
+                if num_start > 1:  # integers(1) draws nothing
+                    index, lead[starting], found = _first_accepted(draws, starting, num_start)
                     starting, index = starting[found], index[found]
-                ends = np.minimum(np.divmod(start_pairs[index], n + 1), s)
-                at[starting] = ends[0] * (s + 3) + ends[1]
+                at[starting] = start_pair(index)
                 pending[starting] = False
             values, usable = _bounded(draws, 2 * (n - 1))
             symbols = symbols_buffer[: rows * width].reshape(rows, width)
@@ -329,6 +313,19 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
                     )
                 width = min(2 * width, _REFILL_DRAWS // keys.size // 8 * 8)
     return counts
+
+
+def _start_orbits(g: SignedCompleteGraph) -> tuple[int, Callable]:
+    """E and the pair of ends a (s+3) + b that each start draw 0..E-1 takes.
+    In row-major order of their cells (a, b), the rest s last, the edge
+    orbits (``build_P_quotient``) are the runs of the unmarked edges in
+    lexicographic order, so draw i lies in the first orbit whose cumulative
+    size exceeds i."""
+    P = build_P_quotient(g)
+    a, b = P.pairs.T
+    order = np.lexsort((b, a))
+    bounds, ends = np.cumsum(P.orbit_sizes[order]), (a * (g.s + 3) + b)[order]
+    return int(bounds[-1]), lambda i: ends[np.searchsorted(bounds, i, side="right")]
 
 
 def _first_accepted(

@@ -34,7 +34,6 @@ import scipy.sparse.linalg as spla
 from .classical_search import RESIDUAL_TOL
 from .errors import (
     DimensionMismatch,
-    EmptyComplement,
     NoConvergence,
     SolverFailure,
     TooLarge,
@@ -43,6 +42,7 @@ from .operators import (
     LineQuotientMatrix,
     VertexMatrix,
     _LineKernel,
+    _unmarked_edges,
     build_Q,
     unmarked_pairs,
     vertex_matrix,
@@ -188,10 +188,10 @@ def build_P(g: SignedCompleteGraph) -> LineTransitionMatrix:
     vertex's edge count must be its diagonal entry, and as the off-diagonal
     entries are 0 or 1, the edges, pairs u < v in strictly increasing order,
     must be the pairs at a 1: none on a zero of the block, and as many.
+    Raises EmptyComplement, with nothing built, when every edge is marked.
     """
+    _unmarked_edges(g)
     delta = build_complement(g)
-    if delta.num_edges == 0:
-        raise EmptyComplement("every edge of the host graph is marked")
     n, s = g.n, g.s
     order = n + 1
     gram = vertex_matrix(g, 0, n, degree=-1)

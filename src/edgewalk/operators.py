@@ -159,6 +159,15 @@ def build_Q(g: SignedCompleteGraph) -> VertexMatrix:
     return vertex_matrix(g, 0, g.n - 2, degree=-1, divisor=2 * (g.n - 1))
 
 
+def _unmarked_edges(g: SignedCompleteGraph) -> int:
+    """E = n(n+1)/2 - m, the unmarked edges, from ``n`` and ``num_marked``
+    alone; raises EmptyComplement when every edge is marked."""
+    edges = g.n * (g.n + 1) // 2 - g.num_marked
+    if edges == 0:
+        raise EmptyComplement("every edge of the host graph is marked")
+    return edges
+
+
 def unmarked_pairs(marked: np.ndarray) -> np.ndarray:
     """The pairs (i, j), i < j, at the zeros of a square adjacency
     indicator, in lexicographic order, as a read-only (pairs, 2) array."""
@@ -332,9 +341,7 @@ def build_P_quotient(g: SignedCompleteGraph) -> LineQuotientMatrix:
     Raises EmptyComplement when every edge is marked.
     """
     n, s, t = g.n, g.s, g.t
-    edges = n * (n + 1) // 2 - g.num_marked
-    if edges == 0:
-        raise EmptyComplement("every edge of the host graph is marked")
+    edges = _unmarked_edges(g)
     gram = vertex_matrix(g, 0, n, degree=-1)
     pairs = unmarked_pairs(g.marked_block)
     if t:  # {i, rest} for each i, and {rest, rest} once the rest has an edge
@@ -464,8 +471,6 @@ def build_U_dense(g: SignedCompleteGraph) -> np.ndarray:
     Entries satisfy (U)_{a,b} = 2 sigma(a^{-1}) sigma(b) / n - [a^{-1} = b]
     when t(b) = o(a) and vanish otherwise; U U^T = I.
     """
-    if g.n > DENSE_U_LIMIT:
-        raise TooLarge(f"n = {g.n} exceeds the dense limit {DENSE_U_LIMIT}")
     d = build_d_dense(g)
     reflect = 2.0 * d.T @ d - np.eye(g.arcs.num_arcs)
     return reflect[g.arcs.inverse_index, :]

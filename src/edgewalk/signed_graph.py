@@ -45,12 +45,10 @@ __all__ = [
     "PAIR_TABLE_LIMIT",
 ]
 
-# The O(n^2) pair tables, ``edge_space.build_complement``'s edges and
-# incidence (35 bytes per vertex pair) and the Monte-Carlo walker's start
-# edges (about 6 bytes; its step arrays grow with the marked subgraph's
-# pairs of vertices, not the host's), start from ``marked_matrix``, which
-# refuses more than this many vertex pairs (n+1)^2: n + 1 = 4096, 0.6 GB of
-# complement arrays.
+# The O(n^2) pair tables, the edges and incidence of the tests' oracle
+# ``edge_space.build_complement`` (35 bytes per vertex pair; no command
+# builds one), start from ``marked_matrix``, which refuses more than this
+# many vertex pairs (n+1)^2: n + 1 = 4096, 0.6 GB of complement arrays.
 PAIR_TABLE_LIMIT = 4096**2
 
 
@@ -91,6 +89,7 @@ class ArcTable:
 
 def build_arc_table(n: int) -> ArcTable:
     """Enumerate the symmetric arcs of K_{n+1} with O(1) inverse lookup."""
+    n = _index(n)
     if n < 2:
         raise TooSmall(f"need n >= 2, got n = {n}")
     verts = np.arange(n + 1)
@@ -182,7 +181,7 @@ class SignedCompleteGraph:
     Construction builds the members through ``marked_block``, in O(s^2 + m)
     whatever n is; the rest are built on first use and cached.  The modules
     read the marked subgraph from ``marked_block`` and ``negative_arcs``;
-    only ``edge_space.build_complement`` and the Monte-Carlo walker read
+    only the tests' oracle ``edge_space.build_complement`` reads
     ``marked_matrix``, which raises TooLarge above ``PAIR_TABLE_LIMIT``
     vertex pairs, and only the arc-space helpers and the dense oracles the
     per-arc members.
@@ -194,6 +193,7 @@ class SignedCompleteGraph:
     """
 
     def __init__(self, n: int, marked_edges: Iterable, orientation: str = "canonical"):
+        n = _index(n)
         if n < 2:
             raise TooSmall(f"need n >= 2, got n = {n}")
         if orientation not in ("canonical", "reversed"):
@@ -204,9 +204,7 @@ class SignedCompleteGraph:
             u, v = _normalize_edge(raw)
             if u == v:
                 raise LoopEdge(f"edge ({u}, {v}) is a loop")
-            for w in (u, v):
-                if not 0 <= w <= n:
-                    raise InvalidVertex(f"vertex {w} outside 0..{n}")
+            u, v = _vertex(u, n), _vertex(v, n)
             key = frozenset((u, v))
             if key in seen:
                 continue
@@ -215,7 +213,7 @@ class SignedCompleteGraph:
         if not edges:
             raise EmptySubgraph("at least one marked edge is required")
 
-        self.n = int(n)
+        self.n = n
         self.marked_edges = tuple(edges)
         self.gamma_vertices = tuple(dict.fromkeys(w for edge in edges for w in edge))
         position = {w: i for i, w in enumerate(self.gamma_vertices)}  # canonical
@@ -458,7 +456,6 @@ def edges_from_descriptor(
         pairs = [_normalize_edge(e) for e in edges]
         if n is not None:
             for w in (w for pair in pairs for w in pair):
-                if not 0 <= w <= n:
-                    raise InvalidVertex(f"vertex {w} outside 0..{n}")
+                _vertex(w, n)
         return pairs
     raise ValueError(f"unknown subgraph kind {kind!r}")

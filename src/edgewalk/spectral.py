@@ -75,8 +75,7 @@ DEGENERACY_TOL = 1e-12
 # the principal vector.
 TIE_TOL = 1e-10
 # The order-(n+1) lists and vectors lifted from a quotient take 8 bytes per
-# vertex each, several at once; 2^24 vertices, the order-(n+1) side of
-# ``signed_graph.PAIR_TABLE_LIMIT``, keeps each at 128 MB.
+# vertex each, several at once; 2^24 vertices keeps each at 128 MB.
 LIFT_LIMIT = 2**24
 
 

@@ -1,5 +1,6 @@
 """Hitting times: exact solves, the Monte-Carlo oracle, spectral brackets."""
 
+import itertools
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -495,41 +496,89 @@ def test_mc_step_cap_names_the_trial(monkeypatch):
 
 
 def test_mc_draw_range_guard():
-    # Lemire's method on uint32 draws bounds at most 2**32 - 1 values.  No
-    # buildable instance gets there (its marked matrix alone would take
-    # 8.6 GB), so stand-ins carry only the fields read before any draw.
+    # Lemire's method on uint32 draws bounds at most 2**32 - 1 values.  The
+    # guard reads n and the number of marked edges alone (an instance at the
+    # bound needs 55,607 marked edges), so stand-ins carry only those two.
     with pytest.raises(TooLarge, match="4294967296 unmarked edges"):
         mc_hitting_time(SimpleNamespace(n=92682, num_marked=55607), 1)
-    # 2**32 - 1 unmarked edges pass the guard and reach the walk, which
-    # needs the stand-in's missing marked matrix
-    with pytest.raises(AttributeError, match="marked_matrix"):
+    # 2**32 - 1 unmarked edges pass the guard and reach the walk, whose
+    # edge orbits need the stand-in's missing order s of the marked subgraph
+    with pytest.raises(AttributeError, match="no attribute 's'"):
         mc_hitting_time(SimpleNamespace(n=92682, num_marked=55608), 1)
 
 
 @pytest.mark.parametrize(
-    "n,walker_guard", [(10**4, "pair tables"), (10**5, "bounded uint32 draws")]
+    "n,walker_guard", [(10**4, None), (10**5, "bounded uint32 draws")]
 )
 def test_pair_tables_are_refused_before_they_are_built(tmp_path, n, walker_guard):
-    # (n+1)^2 = 1e8 or 1e10 vertex pairs: the walker's start edges would
-    # take about 0.6 GB or 60 GB, the complement's 3.5 GB or 350 GB; both raise
-    # TooLarge with nothing built (at 1e5 the walker's draw range is out of
-    # reach first), and ``classical`` exits 2, a configuration error, with no
-    # report
+    # (n+1)^2 = 1e8 or 1e10 vertex pairs: the complement's tables would
+    # take 3.5 GB or 350 GB, and it raises TooLarge with nothing built.  The
+    # walker builds no pair table; at 1e5 its draw range is out of reach,
+    # and ``classical`` exits 2, a configuration error, with no report
     g = build_instance(n, [(0, 1)])
     tracemalloc.start()
     try:
         with pytest.raises(TooLarge, match="pair tables"):
             build_complement(g)
-        with pytest.raises(TooLarge, match=walker_guard):
-            mc_hitting_time(g, 1)
+        if walker_guard is not None:
+            with pytest.raises(TooLarge, match=walker_guard):
+                mc_hitting_time(g, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    if walker_guard is None:
+        return
     argv = ["classical", "--n", str(n), "--subgraph", '{"kind": "path", "k": 1}',
             "--trials", "1", "--out", str(tmp_path / "out")]
     assert cli.main(argv) == cli.EXIT_CONFIG == 2
     assert not (tmp_path / "out").exists()
+
+
+def _marked_sets(n):
+    """Every nonempty set of edges of K_{n+1} that leaves an edge unmarked."""
+    host = list(itertools.combinations(range(n + 1), 2))
+    for mask in range(1, 2 ** len(host) - 1):
+        yield [edge for i, edge in enumerate(host) if mask >> i & 1]
+
+
+@pytest.mark.parametrize("n,count", [(2, 6), (3, 62), (4, 1022), (5, 32766)])
+def test_start_orbits_enumerate_the_unmarked_edges(n, count):
+    # every marked set of K_{n+1} (t = 0, t = 1 and t >= 2): start draw i
+    # lands on the pair of cells of the complement's i-th edge.  Both sides
+    # read the instance through its canonical marked block alone, so each
+    # block is checked once.
+    instances = {}
+    for edges in _marked_sets(n):
+        g = build_instance(n, edges)
+        instances.setdefault((g.s, g.marked_block.tobytes()), g)
+        count -= 1
+    assert count == 0
+    for g in instances.values():
+        num_start, start_pair = classical_search._start_orbits(g)
+        complement = build_complement(g).edges
+        assert num_start == len(complement)
+        cells = np.minimum(complement, g.s)
+        expected = cells[:, 0] * (g.s + 3) + cells[:, 1]
+        assert (start_pair(np.arange(num_start)) == expected).all(), g
+
+
+def test_mc_builds_no_pair_table(monkeypatch):
+    # One step of one trial at n = 4000 takes the walker's buffers alone;
+    # its start table over the vertex pairs took 91.6 MB.  At n = 10^4,
+    # where that table was refused, the walk runs too.
+    monkeypatch.setattr(classical_search, "STEP_CAP", 1)
+    g = build_instance(4000, [(0, 1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(StepCapExceeded):
+            mc_hitting_time(g, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    with pytest.raises(StepCapExceeded):
+        mc_hitting_time(build_instance(10**4, [(0, 1)]), 1)
 
 
 def test_pair_table_limit_is_4096_vertices():

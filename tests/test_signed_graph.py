@@ -232,6 +232,23 @@ def test_arc_table_too_small():
         build_arc_table(1)
 
 
+@pytest.mark.parametrize("n", [5.5, 5.0, True, "5"], ids=repr)
+def test_host_size_is_an_integer(n):
+    # a float, even an integral one, a bool or a string is no host size:
+    # 5.5 built K_6 with t = 4.5 and a wrong t_c
+    with pytest.raises(TypeError):
+        build_instance(n, [(0, 1)])
+    with pytest.raises(TypeError):
+        build_arc_table(n)
+
+
+def test_host_size_of_any_integer_kind():
+    g = build_instance(np.int64(5), [(0, 1)])
+    assert type(g.n) is int and type(g.t) is int
+    assert hitting_time(g).t_c == hitting_time(build_instance(5, [(0, 1)])).t_c
+    assert build_arc_table(np.int64(5)).num_arcs == 30
+
+
 def test_complement_triangle():
     g = build_instance(2, [(0, 1)])
     delta = build_complement(g)
