@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import SolverFailure, StepCapExceeded, TooLarge, ZeroTrials
 from .operators import _unmarked_edges, build_P_quotient, build_Q
-from .signed_graph import SignedCompleteGraph
+from .signed_graph import SignedCompleteGraph, _index
 from .spectral import quotient_lambda_max
 
 __all__ = [
@@ -172,12 +172,15 @@ def mc_hitting_time(
     2**16 draws, one Philox block (8 draws) per trial at first, doubling as
     trials are absorbed.
 
-    Returns (mean, standard error).  Raises ZeroTrials for fewer than one
-    trial, ValueError unless 0 <= seed < 2**64, EmptyComplement when every
-    edge is marked, TooLarge when E or 2(n-1) exceeds the 2**32 - 1 values a
-    uint32 draw can bound (before anything is built), and StepCapExceeded
-    when a trial is still walking after STEP_CAP steps (between refills).
+    Returns (mean, standard error).  Raises TypeError unless ``trials`` and
+    ``seed`` are integers (a float or a bool is not, as for n), ZeroTrials
+    for fewer than one trial, ValueError unless 0 <= seed < 2**64,
+    EmptyComplement when every edge is marked, TooLarge when E or 2(n-1)
+    exceeds the 2**32 - 1 values a uint32 draw can bound (before anything is
+    built), and StepCapExceeded when a trial is still walking after
+    STEP_CAP steps (between refills).
     """
+    trials, seed = _index(trials), _index(seed)
     if trials < 1:
         raise ZeroTrials(f"need at least one trial, got {trials}")
     if not 0 <= seed < 2**64:

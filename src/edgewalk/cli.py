@@ -12,8 +12,9 @@ spanning complete bipartite graph, so the searching time is undefined), 4
 internal or solver error (an eigensolver or linear solve that did not
 converge, a failed internal consistency check, or memory exhaustion).
 
-File outputs are CSV (header ``t,probability``, decimal probabilities with
-at least 12 significant digits, exact round-trip) and JSON reports that
+File outputs are CSV (header ``t,probability``, decimal probabilities in
+their shortest round-trip digits, padded as ``_format_probability`` pads
+them, which is usually to 12 significant digits) and JSON reports that
 echo the fully resolved configuration for reproducibility.
 """
 
@@ -66,9 +67,20 @@ def _format_probability(x: float) -> str:
 
 
 def _write_series_csv(path: Path, fp) -> None:
-    lines = ["t,probability"]
-    lines.extend(f"{t},{_format_probability(p)}" for t, p in enumerate(fp))
-    path.write_text("\n".join(lines) + "\n")
+    # For 1e-4 <= p < 1 the repr of p is positional and its digits are the
+    # shortest that round-trip, as numpy's unique digits are; with at least
+    # 12 significant digits min_digits adds none, so the repr is the cell.
+    # A repr "0.d..." has len - 2 digits, (p < 0.1) + (p < 0.01) +
+    # (p < 0.001) of them leading zeros.
+    cells = list(map(float.__repr__, fp.tolist()))
+    digits = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+    digits -= 2 + (fp < 0.1) + (fp < 0.01) + (fp < 0.001)
+    exact = (fp >= 1e-4) & (fp < 1.0) & (digits >= 12)
+    for t in np.flatnonzero(~exact).tolist():
+        cells[t] = _format_probability(fp[t])
+    with path.open("w") as out:
+        out.write("t,probability\n")
+        out.writelines(f"{t},{cell}\n" for t, cell in enumerate(cells))
 
 
 def _write_json(path: Path, payload: dict | list) -> None:

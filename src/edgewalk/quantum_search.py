@@ -20,8 +20,9 @@ with the (2k+1)-square step matrix
 
 On a quotient of order k <= ``_DENSE_STEP_ORDER`` (20, or 0 where long
 double is float64) a step is one long-double product with C, O(k^2) per
-column (about 1.2 to 3.5 us at k <= 5 on x86-64); on a larger one n T b is
-applied at O(s + m) and the other blocks are copies (about 9 to 18 us).
+column (about 1.0 to 2.1 us at k <= 5 on x86-64, for one column or two);
+on a larger one n T b is applied at O(s + m) and the other blocks are
+copies (about 7 to 29 us).
 Either way a step costs the same whatever n is, against O(n^2) for a step
 over every arc.  Two walks use it:
 
@@ -47,8 +48,8 @@ run in long double.  That gain assumes an 80-bit or wider ``np.longdouble``
 ``rotation_gap_sq`` carries up to about 2.9e-9 relative error at n <= 400
 (against 2.5e-10 for the arc walk), about 1e-15 absolute and far inside its
 16m / (n(n+1)) bound; where it is a software binary128 (aarch64 Linux) the
-results are as accurate but each step is slower, the dense product with C,
-whose long-double matmul has no BLAS behind it either way, most of all.
+results are as accurate but each step is slower, most of all the dense
+product with C, which has no BLAS behind it either way.
 ``operators.walk_arc_matrix`` walks arbitrary arc states (``evolve_state``,
 ``apply_U``) and is the tests' oracle for both walks, next to the same pair
 walk on (n+1)-vectors.  The searching time
@@ -66,7 +67,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -279,13 +279,15 @@ def _times_nT(g: SignedCompleteGraph) -> Callable[[np.ndarray], np.ndarray]:
 
 # The largest quotient order k whose walk steps by one product with the
 # dense (2k+1)-square step matrix; above it the structured O(s + m) step is
-# faster.  Long-double matmul has no BLAS behind it and costs O(k^2) per
-# column: on x86-64 the two cost the same at k = 21 to 25, for one column
-# or two (the measurement is recorded in CHANGES.md).  Where long double is
-# no wider than float64 the dense product's rounding (nT scaled once, each
-# row summed in matmul order) is not hidden below float64 precision, so
-# there every walk takes the structured step, which rounds as the walk on
-# (n+1)-vectors does.
+# about as fast or faster.  A long-double product has no BLAS behind it
+# and costs O(k^2) per column: on x86-64 ``ndarray.dot`` and the structured
+# step cost the same at about k = 30 to 40, for one column or two, and
+# np.matmul, which sums in the same order at twice the call cost, at
+# k = 21 to 25 (the measurements are recorded in CHANGES.md).  Where long
+# double is no wider than float64 the dense product's rounding (nT scaled
+# once, each row summed in index order) is not hidden below float64
+# precision, so there every walk takes the structured step, which rounds as
+# the walk on (n+1)-vectors does.
 _DENSE_STEP_ORDER = (
     20 if np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant else 0
 )
@@ -306,8 +308,9 @@ def _pair_step(g: SignedCompleteGraph) -> Callable[..., np.ndarray]:
         X_{t+1} = [[(2/n) nT, -I, 2 d j], [I, 0, 0], [0, 0, -1]] X_t.
 
     For k <= ``_DENSE_STEP_ORDER`` the step is one product with that
-    matrix; above it, n T b is applied at O(s + m) and the other blocks by
-    copies.
+    matrix, ``ndarray.dot``, which sums each entry in long double from
+    index 0 as np.matmul does, at half its call cost; above it, n T b is
+    applied at O(s + m) and the other blocks by copies.
     """
     n, k = g.n, cell_sizes(g.s, g.t).size
     scale = np.longdouble(2.0) / n
@@ -323,7 +326,7 @@ def _pair_step(g: SignedCompleteGraph) -> Callable[..., np.ndarray]:
         matrix[:k, :k] = scale * times_nT(eye)
         matrix[:k, k:-1], matrix[k:-1, :k] = -eye, eye
         matrix[:k, -1], matrix[-1, -1] = twice_dj, -1.0
-        return partial(np.matmul, matrix)
+        return matrix.dot
 
     # c is 1, -1 or 0 in each column, so the forcing 2 c d j takes a few
     # values: each is formed once, kept by the bytes of c (read from the

@@ -336,6 +336,23 @@ def test_mc_zero_trials():
         mc_hitting_time(build_instance(2, [(0, 1)]), 0)
 
 
+@pytest.mark.parametrize(
+    "trials,seed",
+    [(50, 1.7), (50, 1.0), (50, True), (50, "1"), (50.0, 1), (True, 1), (50, None)],
+)
+def test_mc_trials_and_seed_are_integers(trials, seed):
+    # refused before any use, as n is: seed 1.7 ran as seed 1, and a float
+    # or bool trials failed in np.empty with numpy's own message
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        mc_hitting_time(build_instance(3, [(0, 1)]), trials, seed=seed)
+
+
+def test_mc_trials_and_seed_of_any_integer_kind():
+    g = build_instance(3, [(0, 1)])
+    expected = mc_hitting_time(g, 50, seed=1)
+    assert mc_hitting_time(g, np.int64(50), seed=np.uint64(1)) == expected
+
+
 def test_mc_deterministic():
     g = build_instance(4, [(0, 1), (2, 3)])
     assert mc_hitting_time(g, 400, seed=9) == mc_hitting_time(g, 400, seed=9)

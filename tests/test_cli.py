@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgewalk import cli, spectral, verify_all
+from edgewalk import build_instance, cli, run_series, spectral, verify_all
 from edgewalk.cli import main
 from edgewalk.errors import NoConvergence, SolverFailure
 from spectral_oracle import reference_overlap
@@ -62,6 +62,37 @@ def test_simulate_csv_roundtrip_bitwise(tmp_path):
     fp = read_series(tmp_path / "series.csv")
     assert fp[report["t_f"]] == report["fp_at_tf"]
     assert len(fp) == report["config"]["t_max"] + 1
+
+
+def _series_csv_by_rows(fp):
+    # the writer as it was, one numpy formatting call per row
+    lines = ["t,probability"]
+    lines.extend(f"{t},{cli._format_probability(p)}" for t, p in enumerate(fp))
+    return "\n".join(lines) + "\n"
+
+
+def test_series_csv_bytes_match_per_row_formatting(tmp_path):
+    rng = np.random.default_rng(20240809)
+    decades = np.array([0.1, 0.01, 0.001, 1e-4])
+    series = {
+        "ends": np.array([0.0, 1.0, 5e-324, 0.3, 0.9777214768]),
+        # at and one ulp either side of each decade boundary
+        "decades": np.concatenate(
+            (decades, np.nextafter(decades, 0.0), np.nextafter(decades, 1.0))
+        ),
+        "below 1e-4": 10.0 ** rng.uniform(-6.0, -4.0, 5_000),
+        "uniform": rng.random(20_000),
+        "log-uniform": 10.0 ** rng.uniform(-12.0, 0.0, 20_000),
+        # fewer digits than 12, exactly 12 and more, in every decade
+        "rounded": np.concatenate(
+            [np.round(10.0 ** rng.uniform(-5.0, 0.0, 500), d) for d in range(1, 18)]
+        ),
+        "real": run_series(build_instance(300, [(0, 1)]), 700).fp,
+    }
+    for name, fp in series.items():
+        path = tmp_path / "series.csv"
+        cli._write_series_csv(path, fp)
+        assert path.read_text() == _series_csv_by_rows(fp), name
 
 
 def test_simulate_degenerate_exit_code(tmp_path, capsys):

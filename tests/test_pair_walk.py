@@ -400,3 +400,44 @@ def test_dense_step_matches_structured_step(monkeypatch, n, edges):
     assert abs(d_dense.fp_at_tf - d_structured.fp_at_tf) <= 1e-14
     gap = d_structured.rotation_gap_sq
     assert abs(d_dense.rotation_gap_sq - gap) <= 1e-12 * gap
+
+
+@long_double_walk
+@pytest.mark.parametrize(
+    "n,edges",
+    [
+        (2, [(0, 1)]),
+        (2, path_edges(2)),
+        (5, cycle_edges(6)),
+        (300, [(0, 1)]),
+        (99, path_edges(3)),
+        (331, path_edges(6)),
+        (390, matching_edges(5)),
+        (280, star_edges(14)),
+        (200, path_edges(18)),
+    ],
+    ids=["K3-edge-k3", "K3-path2-k3", "cycle6-t0-k6", "edge-k3", "path3-k5",
+         "path6-k8", "matching5-k11", "star14-k16", "path18-k20"],
+)
+def test_dense_step_matches_matmul(n, edges):
+    # the dense step against np.matmul with the same matrix, read back from
+    # the step's images of the unit vectors: both sum each entry in long
+    # double from index 0, so every state of the walk agrees bit for bit
+    g = build_instance(n, edges)
+    k = quantum_search.cell_sizes(g.s, g.t).size
+    assert k <= quantum_search._DENSE_STEP_ORDER
+    size = 2 * k + 1
+    step = quantum_search._pair_step(g)
+    matrix = np.empty((size, size), dtype=np.longdouble)
+    step(np.eye(size, dtype=np.longdouble), out=matrix)
+    # the uniform state's forced pair alone, then an unforced one beside it
+    pairs = np.zeros((size, 2), dtype=np.longdouble)
+    pairs[-1, 0] = 1.0
+    pairs[: size // 2, 1] = np.random.default_rng(size).standard_normal(size // 2)
+    for x in (pairs[:, 0].copy(), pairs):
+        y, expected = np.empty_like(x), x.copy()
+        for _ in range(600):
+            step(x, out=y)
+            expected = np.matmul(matrix, expected)
+            assert np.array_equal(y, expected)
+            x, y = y, x
