@@ -12,6 +12,10 @@ spanning complete bipartite graph, so the searching time is undefined), 4
 internal or solver error (an eigensolver or linear solve that did not
 converge, a failed internal consistency check, or memory exhaustion).
 
+``main(argv)`` returns the exit code and may be called repeatedly in one
+process; it builds its parser on the first call and reuses it. Usage
+errors raise ``SystemExit(2)``, as argparse does.
+
 File outputs are CSV (header ``t,probability``, decimal probabilities in
 their shortest round-trip digits, padded as ``_format_probability`` pads
 them, which is usually to 12 significant digits) and JSON reports that
@@ -21,6 +25,7 @@ echo the fully resolved configuration for reproducibility.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -344,7 +349,10 @@ def _add_instance(parser) -> None:
     parser.add_argument("--out", default="edgewalk-out")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first call and reused: parse_args returns a fresh
+    # Namespace each time and never changes the parser's defaults
     parser = argparse.ArgumentParser(
         prog="edgewalk",
         description="Search for the marked edges of a subgraph in a complete "

@@ -109,7 +109,9 @@ def build_arc_table(n: int) -> ArcTable:
 def _index(value) -> int:
     """``operator.index``, which also raises TypeError for a bool (JSON true
     or false)."""
-    return operator.index(None if isinstance(value, bool) else value)
+    if isinstance(value, bool):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(value)
 
 
 def _vertex(label, n: int, error: type[Exception] = InvalidVertex) -> int:

@@ -650,3 +650,67 @@ def test_spectrum_degenerate_reports(tmp_path):
     payload = read_json(tmp_path / "spectrum.json")
     assert payload["degenerate"] is True
     assert payload["t_f"] is None
+
+
+# ``main`` builds its parser once per process; these calls share it, so none
+# may see an option, a default or an error left by an earlier call.
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_simulate_default_t_max_after_an_explicit_one(tmp_path):
+    argv = ["simulate", "--n", "12", "--subgraph", PATH1]
+    assert main(argv + ["--t-max", "5", "--out", str(tmp_path / "a")]) == 0
+    assert read_json(tmp_path / "a" / "report.json")["config"]["t_max"] == 5
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    report = read_json(tmp_path / "b" / "report.json")
+    assert report["config"]["t_max"] == 2 * report["t_f"]
+
+
+def test_classical_defaults_after_explicit_trials_and_seed(tmp_path):
+    argv = ["classical", "--n", "3", "--subgraph", PATH1]
+    out = tmp_path / "a"
+    assert main(argv + ["--trials", "10", "--seed", "4", "--out", str(out)]) == 0
+    config = read_json(out / "report.json")["config"]
+    assert (config["trials"], config["seed"]) == (10, 4)
+    out = tmp_path / "b"
+    assert main(argv + ["--out", str(out)]) == 0
+    report = read_json(out / "report.json")
+    assert (report["config"]["trials"], report["config"]["seed"]) == (0, 0)
+    assert report["mc_estimate"] is None
+
+
+def test_usage_error_leaves_later_calls_as_a_first_call(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["simulate", "--n", "12", "--subgraph", PATH1, "--out", str(out)]
+    # the first call of a fresh process, whose parser is new
+    source = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(source)}
+    done = subprocess.run(
+        [sys.executable, "-m", "edgewalk", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    files = ("series.csv", "report.json")
+    first = {name: (out / name).read_bytes() for name in files}
+    for name in files:
+        (out / name).unlink()
+    assert main(argv) == 0
+    assert {name: (out / name).read_bytes() for name in files} == first
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--subgraph", PATH1, "--out", str(out)])
+    assert exc.value.code == cli.EXIT_CONFIG == 2
+    assert "--n" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert {name: (out / name).read_bytes() for name in files} == first
+
+
+def test_help_after_a_call(tmp_path, capsys):
+    assert main(["simulate", "--n", "12", "--subgraph", PATH1, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == cli.EXIT_OK == 0
+    assert capsys.readouterr().out.startswith("usage: edgewalk")

@@ -242,6 +242,20 @@ def test_host_size_is_an_integer(n):
         build_arc_table(n)
 
 
+@pytest.mark.parametrize("where", ["n", "trials", "seed"])
+def test_bool_integer_is_refused_by_name(where):
+    # the message names the type the caller passed, not NoneType
+    g = build_instance(3, [(0, 1)])
+    calls = {
+        "n": lambda: build_instance(True, [(0, 1)]),
+        "trials": lambda: mc_hitting_time(g, True),
+        "seed": lambda: mc_hitting_time(g, 50, seed=True),
+    }
+    with pytest.raises(TypeError) as exc:
+        calls[where]()
+    assert str(exc.value) == "'bool' object cannot be interpreted as an integer"
+
+
 def test_host_size_of_any_integer_kind():
     g = build_instance(np.int64(5), [(0, 1)])
     assert type(g.n) is int and type(g.t) is int
