@@ -9,7 +9,7 @@ recorded as *skipped* (not passed) when the hypothesis fails, so a report
 always distinguishes "verified" from "not applicable".
 
 T and Z are solved on their order-(s+1) equitable quotient and their
-eigendata stay there (``spectral.quotient_spectrum``): the principal
+eigendata stay there (Z's in ``spectral.companion_spectra``): the principal
 vectors and the overlaps are read in the quotient's symmetric coordinates,
 Gershgorin reads the s + 2 distinct eigenvalues, and pq_spectra certifies
 the quotient pairs through the quotient forms of Q and G, plus one of the
@@ -71,22 +71,16 @@ import numpy as np
 from .classical_search import _searching_time
 from .errors import DegenerateSpectrum, EmptyComplement, LostPrecision
 from .operators import (
-    LineQuotientMatrix,
-    VertexMatrix,
-    build_P_quotient,
-    build_T,
-    vertex_matrix,
+    LineQuotientMatrix, VertexMatrix, build_P_quotient, build_T, vertex_matrix
 )
 from .quantum_search import asymptotic_diagnostics
 from .signed_graph import (
-    SignedCompleteGraph,
-    build_instance,
-    cycle_edges,
-    matching_edges,
-    path_edges,
-    star_edges,
+    SignedCompleteGraph, _index, build_instance,
+    cycle_edges, matching_edges, path_edges, star_edges,
 )
-from .spectral import QuotientSpectrum, eigh, line_bracket, quotient_spectrum
+from .spectral import (
+    QuotientSpectrum, companion_spectra, eigh, line_bracket, quotient_spectrum
+)
 
 if TYPE_CHECKING:
     from .edge_space import LineTransitionMatrix
@@ -295,14 +289,10 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
     """
     n, m, s = g.n, g.num_marked, g.s
     order = n + 1
-    # Y = J - (n+1) I - 2A and Z = J - (n+1) I - A - D, with A the marked
-    # adjacency (zero diagonal) and D its degrees.
     y_matrix = vertex_matrix(g, -1, -n)
-    z_matrix = vertex_matrix(g, 0, -n, degree=-1)
     # Y = n(T - I) and Q = Z/(2(n-1)) + I hold exactly, so T and Z are the
-    # only vertex matrices solved; Y and Q reuse their eigenvectors.  Only
-    # the top two values of each are read.
-    z_spectrum = quotient_spectrum(z_matrix)
+    # only vertex matrices solved; only the top two values of each are read.
+    z_matrix, z_spectrum, q_spectrum = companion_spectra(g)
     t_spectrum = quotient_spectrum(build_T(g))
     y_spectrum = t_spectrum.map(lambda value: n * (value - 1.0))
     z_values, t_values, y_values = (
@@ -325,7 +315,6 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
     else:
         # Without a complement these names stay unbound: the thunks of a
         # group without data are never called.
-        q_spectrum = z_spectrum.map(lambda z: z / (2.0 * (n - 1)) + 1.0)
         bracket = line_bracket(P, q_spectrum)
         t_c = _searching_time(g)[0]
         # the bracket's point value: an end would carry its width, which
@@ -492,6 +481,8 @@ _FAMILY_GENERATORS = {
     "star": lambda rng, maxv: star_edges(int(rng.integers(1, maxv))),
     "cycle": lambda rng, maxv: cycle_edges(int(rng.integers(3, maxv + 1))),
 }
+# The fewest vertices each family that draws its size needs.
+_LEAST_VERTICES = {"path": 2, "matching": 2, "star": 2, "cycle": 3, "random": 2}
 
 
 def random_instance(
@@ -505,10 +496,18 @@ def random_instance(
     ``families`` entries are ``edge``, ``path``, ``matching``, ``star``,
     ``cycle`` or ``random`` (arbitrary nonempty edge set on at most
     ``max_gamma_vertices`` vertices).  The subgraph is placed on uniformly
-    chosen distinct host vertices, exercising the relabelling path.
+    chosen distinct host vertices, exercising the relabelling path.  Raises
+    ValueError for an unknown family and for a ``max_gamma_vertices``
+    below what the drawn family needs.
     """
     n = int(rng.integers(n_range[0], n_range[1] + 1))
     family = families[int(rng.integers(len(families)))]
+    least = _LEAST_VERTICES.get(family, 0)
+    if max_gamma_vertices < least:
+        raise ValueError(
+            f"family {family!r} needs max_gamma_vertices >= {least}, "
+            f"got {max_gamma_vertices}"
+        )
     if family == "random":
         v = int(rng.integers(2, max_gamma_vertices + 1))
         pairs = [(i, k) for i in range(v) for k in range(i + 1, v)]
@@ -518,8 +517,6 @@ def random_instance(
                 break
         edges = [p for p, keep in zip(pairs, mask) if keep]
     elif family in _FAMILY_GENERATORS:
-        if family == "cycle" and max_gamma_vertices < 3:
-            raise ValueError("cycles need max_gamma_vertices >= 3")
         edges = _FAMILY_GENERATORS[family](rng, max_gamma_vertices)
     else:
         raise ValueError(f"unknown family {family!r}")
@@ -539,8 +536,10 @@ def verify_random_suite(
 
     Any failed entry with its hypothesis satisfied is reported with the
     full instance for reproduction; skipped entries are counted, not
-    failed.  Deterministic for a fixed seed.
+    failed.  Deterministic for a fixed seed.  Raises TypeError unless
+    ``count`` is an integer (a bool is not).
     """
+    count = _index(count)
     if count < 1:
         raise ValueError(f"need at least one instance, got {count}")
     rng = np.random.default_rng(seed)

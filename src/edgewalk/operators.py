@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyComplement, TooLarge
-from .signed_graph import SignedCompleteGraph, _readonly
+from .signed_graph import SignedCompleteGraph, _index, _readonly
 
 __all__ = [
     "VertexMatrix",
@@ -407,8 +407,13 @@ def walk_arc_matrix(
     reversal, so that mass does not depend on which orientation the buffer
     holds.  The tests use this series as the oracle of
     ``quantum_search.run_series``, which walks the uniform state as a vertex
-    pair on the order-(s+1) quotient instead.
+    pair on the order-(s+1) quotient instead.  Raises DimensionMismatch
+    unless ``x`` is (n+1) x (n+1), TypeError unless ``steps`` is an integer
+    (a bool is not) and ValueError when it is negative.
     """
+    steps, order = _index(steps), g.n + 1
+    if np.shape(x) != (order, order):
+        raise DimensionMismatch(f"state of shape {np.shape(x)} against order {order}")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     neg_o, neg_t = g.negative_arcs
@@ -416,7 +421,6 @@ def walk_arc_matrix(
 
     if fp is not None:
         # The 2m marked arcs: the negative arcs both ways, in row-major order.
-        order = g.n + 1
         keys = np.sort(np.concatenate((neg_o * order + neg_t, neg_t * order + neg_o)))
         marked_u, marked_v = np.divmod(keys, order)
 

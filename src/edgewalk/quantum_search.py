@@ -73,7 +73,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, DimensionMismatch, LostPrecision
 from .operators import arc_matrix, arc_vector, build_T, cell_sizes, walk_arc_matrix
-from .signed_graph import SignedCompleteGraph
+from .signed_graph import SignedCompleteGraph, _index
 from .spectral import SpectralSummary, principal_pair
 
 __all__ = [
@@ -112,8 +112,8 @@ def quantum_time(summary: SpectralSummary) -> int:
 def evolve_state(g: SignedCompleteGraph, psi: np.ndarray, steps: int) -> np.ndarray:
     """Apply the walk operator ``steps`` times to an arc-indexed state.
 
-    Raises DimensionMismatch for a state of the wrong shape and ValueError
-    for negative ``steps``.
+    Raises DimensionMismatch for a state of the wrong shape, TypeError
+    unless ``steps`` is an integer and ValueError when it is negative.
     """
     return arc_vector(walk_arc_matrix(g, arc_matrix(g, psi), steps))
 
@@ -149,7 +149,9 @@ def run_series(
     rounding (LostPrecision), only leaves the searching-time fields unset.
     ``summary``, when the caller already holds the principal pair of the
     instance, is used for t_f instead of solving the eigenproblem again.
+    Raises TypeError unless ``t_max`` is an integer (a bool is not).
     """
+    t_max = _index(t_max)
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
     fp = _uniform_series(g, t_max)

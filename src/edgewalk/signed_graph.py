@@ -84,6 +84,14 @@ class ArcTable:
         return origin * self.n + terminus - (terminus > origin)
 
     def pair(self, index: int) -> tuple[int, int]:
+        """The arc (origin, terminus) at ``index``; raises InvalidArc unless
+        it is an integer in 0..n(n+1)-1."""
+        try:
+            index = _index(index)
+        except TypeError:
+            raise InvalidArc(f"an arc index is an integer, got {index!r}") from None
+        if not 0 <= index < self.num_arcs:
+            raise InvalidArc(f"arc index {index} outside 0..{self.num_arcs - 1}")
         return int(self.origins[index]), int(self.termini[index])
 
 
@@ -316,7 +324,10 @@ class SignedCompleteGraph:
 
     def sigma(self, arc: Sequence[int]) -> int:
         """Sign of an arc given in external labels: -1 exactly on
-        ``sigma_negative_arcs``, read in O(m)."""
+        ``sigma_negative_arcs``, read in O(m).  Raises InvalidArc unless
+        ``arc`` is a pair (a sequence of two labels) of distinct vertices."""
+        if not isinstance(arc, (Sequence, np.ndarray)) or len(arc) != 2:
+            raise InvalidArc(f"an arc is a pair of vertex labels, got {arc!r}")
         u, v = _vertex(arc[0], self.n, InvalidArc), _vertex(arc[1], self.n, InvalidArc)
         if u == v:
             raise InvalidArc(f"({u}, {u}) is a loop, not an arc")

@@ -26,11 +26,11 @@ read and refused above ``LIFT_LIMIT`` vertices.  ``quotient_eigh`` lifts
 the quotient to a dense order-(n+1) eigenvector matrix, and it and full
 ``eigh`` are the tests' oracles.
 
-The line kernel P of the edge space needs no eigensolve of its own:
-``line_bracket`` lifts the principal vector of its vertex companion Q to
-the edge orbits and brackets lambda_max(P) with one product
-(Collatz-Wielandt).  This module needs numpy only; Lanczos on P, scipy's
-ARPACK, is the tests' oracle in ``edge_space.line_principal_pair``.
+The line kernel P needs no eigensolve of its own: ``companion_spectra``
+solves its vertex companion Q through Z, and ``line_bracket`` lifts Q's
+principal vector to the edge orbits and brackets lambda_max(P) with one
+product (Collatz-Wielandt).  This module needs numpy only; Lanczos on P,
+scipy's ARPACK, is the tests' oracle in ``edge_space.line_principal_pair``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,9 @@ import numpy as np
 from .errors import (
     DegenerateSpectrum, LostPrecision, NoConvergence, NotSymmetric, TooLarge
 )
-from .operators import LineQuotientMatrix, VertexMatrix, build_T, build_U_dense, cell_sizes
+from .operators import (
+    LineQuotientMatrix, VertexMatrix, build_T, build_U_dense, cell_sizes, vertex_matrix
+)
 from .signed_graph import SignedCompleteGraph
 
 __all__ = [
@@ -56,7 +58,7 @@ __all__ = [
     "eigh",
     "quotient_spectrum",
     "quotient_eigh",
-    "quotient_lambda_max",
+    "companion_spectra",
     "line_bracket",
     "principal_vector",
     "principal_pair",
@@ -247,8 +249,8 @@ def quotient_spectrum(matrix: VertexMatrix) -> QuotientSpectrum:
 
 def quotient_eigh(matrix: VertexMatrix) -> tuple[np.ndarray, np.ndarray]:
     """``eigh`` of a vertex matrix from its equitable quotient, with a
-    dense order-(n+1) eigenvector matrix: the oracle of
-    ``quotient_spectrum`` and of ``spectral_mapping_check``.
+    dense order-(n+1) eigenvector matrix: the tests' dense oracle of
+    ``quotient_spectrum``, which nothing in the package calls.
 
     The quotient gives s+1 pairs, lifted back with the last entry over
     sqrt(t) on the rest; beta = ``diagonal - off`` takes the other t-1,
@@ -269,10 +271,17 @@ def quotient_eigh(matrix: VertexMatrix) -> tuple[np.ndarray, np.ndarray]:
     return spectrum.descending(), vectors
 
 
-def quotient_lambda_max(matrix: VertexMatrix) -> float:
-    """Largest eigenvalue of a vertex matrix: ``QuotientSpectrum.lambda_max``
-    of its equitable quotient, beta when that lies above the quotient."""
-    return quotient_spectrum(matrix).lambda_max
+def companion_spectra(
+    g: SignedCompleteGraph,
+) -> tuple[VertexMatrix, QuotientSpectrum, QuotientSpectrum]:
+    """Z = J - (n+1)I - A - D (A, D: the marked adjacency and degrees), its
+    quotient spectrum, and the spectrum of the line kernel's vertex
+    companion Q = Z/(2(n-1)) + I mapped from it: the one eigensolve of Q,
+    which the ledger and ``hitting_time`` share (Z's block is exact)."""
+    n = g.n
+    z_matrix = vertex_matrix(g, 0, -n, degree=-1)
+    z_spectrum = quotient_spectrum(z_matrix)
+    return z_matrix, z_spectrum, z_spectrum.map(lambda z: z / (2.0 * (n - 1)) + 1.0)
 
 
 @dataclass(frozen=True)
@@ -473,11 +482,11 @@ class MappingReport:
 def spectral_mapping_check(
     g: SignedCompleteGraph, tolerance: float = 1e-8
 ) -> MappingReport:
-    """Check that every lifted discriminant eigenvalue appears in the dense
-    walk spectrum, the dense oracle of ``quotient_eigh``.  Small instances
-    only (dense walk operator)."""
+    """Check that every lifted discriminant eigenvalue, T's spectrum read
+    from its quotient (``QuotientSpectrum.descending``), appears in the
+    dense walk spectrum.  Small instances only (dense walk operator)."""
     walk_values = np.linalg.eigvals(build_U_dense(g))
-    t_values, _ = quotient_eigh(build_T(g))
+    t_values = quotient_spectrum(build_T(g)).descending()
     entries = []
     excluded = []
     for lam in t_values:

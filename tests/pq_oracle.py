@@ -14,8 +14,7 @@ in ``edgewalk.bounds``.
 
 import numpy as np
 
-from edgewalk.operators import vertex_matrix
-from edgewalk.spectral import eigh, quotient_spectrum
+from edgewalk.spectral import eigh
 
 
 def z_matrix(g):
@@ -34,14 +33,6 @@ def companion_eigendata(g):
     eigenvectors of Z, with values z/(2(n-1)) + 1."""
     values, vectors = eigh(z_matrix(g))
     return values / (2.0 * (g.n - 1)) + 1.0, vectors
-
-
-def companion_spectrum(g):
-    """The companion Q's spectrum on its quotient as the ledger takes it:
-    Z's, with values z/(2(n-1)) + 1."""
-    n = g.n
-    spectrum = quotient_spectrum(vertex_matrix(g, 0, -n, degree=-1))
-    return spectrum.map(lambda z: z / (2.0 * (n - 1)) + 1.0)
 
 
 def dense_eigendata(spectrum):

@@ -32,8 +32,8 @@ from edgewalk.bounds import (
 )
 from edgewalk.edge_space import solve_absorption
 from edgewalk.operators import VertexMatrix, vertex_matrix
-from edgewalk.spectral import eigh, line_bracket
-from pq_oracle import companion_eigendata, companion_spectrum, dense_pq_mismatch
+from edgewalk.spectral import companion_spectra, eigh, line_bracket
+from pq_oracle import companion_eigendata, dense_pq_mismatch
 
 BASE_NAMES = {
     "gershgorin",
@@ -183,7 +183,7 @@ def test_pq_spectra_lift_matches_dense(edges):
     lam, _ = line_principal_pair(P)
     values, _ = companion_eigendata(g)
     dense = dense_pq_mismatch(P, values)
-    lifted = _pq_spectra_mismatch(P, lam, companion_spectrum(g))
+    lifted = _pq_spectra_mismatch(P, lam, companion_spectra(g)[2])
     assert dense <= 1e-12 and lifted <= 1e-12
 
 
@@ -333,7 +333,7 @@ def test_verify_all_takes_no_edge_space_step(monkeypatch):
     assert 0.0 <= upper - lower <= 1e-14
     assert abs(ledger.entry("cor_P.overlap").lhs - (P.uniform @ f) ** 2) <= 1e-12
     # the one t_c of classical and speedup, against the bracket's point value
-    value = line_bracket(build_P_quotient(g), companion_spectrum(g)).value
+    value = line_bracket(build_P_quotient(g), companion_spectra(g)[2]).value
     assert lower <= value <= upper
     near = ledger.entry("tc_near_resolvent").lhs
     assert near == abs(hitting_time(g).t_c - 1.0 / (1.0 - value))
@@ -514,6 +514,22 @@ def test_random_instance_respects_vertex_cap():
     for _ in range(100):
         g = random_instance(rng, (10, 40), ("path", "matching", "star", "cycle", "random"))
         assert g.s <= 4
+
+
+@pytest.mark.parametrize(
+    "family,least", [("path", 2), ("matching", 2), ("star", 2), ("random", 2), ("cycle", 3)]
+)
+def test_random_instance_refuses_too_few_vertices_for_its_family(family, least):
+    # below its least order a family used to die in Generator.integers
+    # with "low >= high"; the error names the family and the cap
+    for cap in (least - 1, 0):
+        with pytest.raises(ValueError, match=f"'{family}'.*>= {least}, got {cap}"):
+            random_instance(np.random.default_rng(0), (10, 20), [family], cap)
+        with pytest.raises(ValueError, match=f"'{family}'"):
+            verify_random_suite(1, (10, 20), [family], max_gamma_vertices=cap)
+    assert random_instance(np.random.default_rng(0), (10, 20), [family], least).s <= least
+    # an edge draws no size
+    assert random_instance(np.random.default_rng(0), (10, 20), ["edge"], 1).s == 2
 
 
 def test_bipartite_iff_agreement_random():

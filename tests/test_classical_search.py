@@ -3,6 +3,7 @@
 import itertools
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,6 +35,7 @@ from edgewalk.errors import (
     TooLarge,
     ZeroTrials,
 )
+from edgewalk.spectral import companion_spectra
 from mc_oracle import per_trial_generator_mc
 
 
@@ -205,6 +207,33 @@ def test_hitting_time_takes_no_edge_space_step(monkeypatch):
     result = hitting_time(g)
     assert abs(result.t_c - expected) <= 1e-11 * expected
     assert abs(result.lambda_max_P - expected_lambda) <= 1e-12
+
+
+def test_lambda_max_P_is_the_companion_solved_once(monkeypatch):
+    # classical's lambda_max(P) is the ledger's companion value, bit for
+    # bit: on the 64 ledger_sweep instances (seeds 20240809 and 7) and on
+    # every marked set of K_3 to K_5 that leaves an edge unmarked
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import ledger_specs
+
+    specs = ledger_specs(20240809) + ledger_specs(7)
+    assert len(specs) == 64
+    graphs = [build_instance(spec["n"], [tuple(e) for e in spec["edges"]]) for spec in specs]
+    for n in (2, 3, 4):
+        pairs = list(itertools.combinations(range(n + 1), 2))
+        for size in range(1, len(pairs)):
+            graphs.extend(
+                build_instance(n, list(edges)) for edges in itertools.combinations(pairs, size)
+            )
+    assert len(graphs) == 64 + 6 + 62 + 1022
+    for g in graphs:
+        assert hitting_time(g).lambda_max_P == companion_spectra(g)[2].lambda_max
+
+
+def test_lambda_max_P_at_a_million():
+    # one edge at n = 10^6: lambda_max(P) = 0.999999999998000004 to 18
+    # digits (mpmath), the nearest float64; Q's own quotient read 2^-53 low
+    assert hitting_time(build_instance(10**6, [(0, 1)])).lambda_max_P == 0.999999999998
 
 
 def test_k100_single_edge_bracket():

@@ -26,8 +26,8 @@ from edgewalk.bounds import _pq_spectra_mismatch
 from edgewalk.edge_space import solve_absorption
 from edgewalk.errors import NoConvergence
 from edgewalk.operators import LineQuotientMatrix
-from edgewalk.spectral import line_bracket, principal_vector
-from pq_oracle import companion_eigendata, companion_spectrum, dense_pq_mismatch
+from edgewalk.spectral import companion_spectra, line_bracket, principal_vector
+from pq_oracle import companion_eigendata, dense_pq_mismatch
 
 EPS = np.finfo(float).eps
 
@@ -61,7 +61,7 @@ def test_every_small_instance_matches_the_dense_oracles(n, count):
         assert abs(x.mean() - exact.mean()) <= 16 * EPS * exact.mean()
         assert abs(hitting_time(g).t_c - exact.mean()) <= 16 * EPS * exact.mean()
         q_values, _ = companion_eigendata(g)
-        companion = companion_spectrum(g)
+        companion = companion_spectra(g)[2]
         assert _pq_spectra_mismatch(P, lam, companion) <= 64 * EPS
         assert dense_pq_mismatch(P, q_values) <= 64 * EPS
         # the same eigensolver on the orbit quotient
@@ -202,7 +202,7 @@ def test_bracket_on_a_disconnected_complement(n, edges, components):
     assert np.array_equal(orbits, cells[Q.pairs[:, 0]])
     values, vectors = eigh(P.dense())
     lam, f = line_principal_pair(P)
-    bracket = line_bracket(Q, companion_spectrum(g))
+    bracket = line_bracket(Q, companion_spectra(g)[2])
     assert abs(lam - values[0]) <= 16 * EPS
     assert bracket.lower <= values[0] + 1e-15 and values[0] <= bracket.upper + 1e-15
     assert 0.0 <= bracket.upper - bracket.lower <= 1e-15
@@ -218,7 +218,7 @@ def test_bracket_on_a_perfect_matching_against_exact_values(n):
     # pairwise, where one running sum drifted by 2e-13 at n = 99
     g = build_instance(n, matching_edges((n + 1) // 2))
     assert g.t == 0
-    bracket = line_bracket(build_P_quotient(g), companion_spectrum(g))
+    bracket = line_bracket(build_P_quotient(g), companion_spectra(g)[2])
     exact = (n - 2) / (n - 1)
     assert bracket.lower <= exact + 1e-14 and exact <= bracket.upper + 1e-14
     assert 0.0 <= bracket.upper - bracket.lower <= 1e-14
@@ -240,4 +240,4 @@ def test_bracket_refuses_a_vector_that_is_not_positive(monkeypatch):
     real_lift = LineQuotientMatrix.lift
     monkeypatch.setattr(LineQuotientMatrix, "lift", lift_with_a_zero)
     with pytest.raises(NoConvergence, match="not positive"):
-        line_bracket(Q, companion_spectrum(g))
+        line_bracket(Q, companion_spectra(g)[2])

@@ -9,21 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgewalk import (
-    bounds,
     build_instance,
     build_P,
     cycle_edges,
     line_principal_pair,
     matching_edges,
     path_edges,
+    spectral,
     star_edges,
     verify_all,
 )
 from edgewalk.bounds import PQ_MATCH_TOL, _entry, _pq_spectra_mismatch
 from edgewalk.edge_space import LineTransitionMatrix
 from edgewalk.operators import VertexMatrix
+from edgewalk.spectral import companion_spectra
 from pq_oracle import (
-    companion_spectrum,
     dense_eigendata,
     lifted_pq_mismatch,
     z_matrix,
@@ -53,7 +53,7 @@ def test_vertex_certificate_matches_lift_oracle(family, data):
     g = build_instance(n, [(labels[u], labels[v]) for u, v in edges])
     P = build_P(g)
     lam, _ = line_principal_pair(P)
-    spectrum = companion_spectrum(g)
+    spectrum = companion_spectra(g)[2]
     certificate = _pq_spectra_mismatch(P, lam, spectrum)
     oracle = lifted_pq_mismatch(P, lam, *dense_eigendata(spectrum))
     assert abs(certificate - oracle) <= 1e-13
@@ -96,7 +96,7 @@ def _shift_beta(spectrum):
 def test_certificate_catches_a_wrong_pair(line_instance, corrupt):
     g, P, lam = line_instance
     assert not P.fits_dense
-    spectrum = companion_spectrum(g)
+    spectrum = companion_spectra(g)[2]
     assert _pq_spectra_mismatch(P, lam, spectrum) <= 1e-13
     spectrum = corrupt(spectrum)
     certificate = _pq_spectra_mismatch(P, lam, spectrum)
@@ -111,7 +111,7 @@ def test_ledger_fails_pq_spectra_on_a_wrong_companion_value(monkeypatch):
     # companion value by 1e-6: every other entry stays inside its bound.
     g = build_instance(300, path_edges(2))
     z = z_matrix(g)
-    real_spectrum = bounds.quotient_spectrum
+    real_spectrum = spectral.quotient_spectrum
 
     def corrupted_spectrum(matrix):
         spectrum = real_spectrum(matrix)
@@ -121,7 +121,7 @@ def test_ledger_fails_pq_spectra_on_a_wrong_companion_value(monkeypatch):
             spectrum = dataclasses.replace(spectrum, values=values)
         return spectrum
 
-    monkeypatch.setattr(bounds, "quotient_spectrum", corrupted_spectrum)
+    monkeypatch.setattr(spectral, "quotient_spectrum", corrupted_spectrum)
     ledger = verify_all(g)
     assert [e.name for e in ledger.failures] == ["pq_spectra"]
     assert ledger.entry("pq_spectra").lhs >= 1e-7
@@ -129,7 +129,7 @@ def test_ledger_fails_pq_spectra_on_a_wrong_companion_value(monkeypatch):
 
 def test_certificate_makes_no_edge_space_products(line_instance, monkeypatch):
     g, P, lam = line_instance
-    spectrum = companion_spectrum(g)
+    spectrum = companion_spectra(g)[2]
 
     def refuse(self, x):
         raise AssertionError("pq_spectra applied the line kernel")
@@ -142,7 +142,7 @@ def test_certificate_makes_no_vertex_sized_products(line_instance, monkeypatch):
     # Q and G act through their order-(s+1) quotient: their dense
     # order-(n+1) form is never built
     g, P, lam = line_instance
-    spectrum = companion_spectrum(g)
+    spectrum = companion_spectra(g)[2]
 
     def refuse(self):
         raise AssertionError("pq_spectra built a dense vertex matrix")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgewalk import (
+    arc_matrix,
     build_arc_table,
     build_complement,
     build_instance,
@@ -15,7 +16,9 @@ from edgewalk import (
     complete_bipartite_edges,
     cycle_edges,
     edges_from_descriptor,
+    evolve_state,
     hitting_time,
+    initial_state,
     matching_edges,
     mc_hitting_time,
     path_edges,
@@ -23,6 +26,8 @@ from edgewalk import (
     signed_graph,
     star_edges,
     verify_all,
+    verify_random_suite,
+    walk_arc_matrix,
 )
 from edgewalk.errors import (
     EmptySubgraph,
@@ -32,7 +37,7 @@ from edgewalk.errors import (
     LoopEdge,
     TooSmall,
 )
-from edgewalk.spectral import quotient_lambda_max
+from edgewalk.spectral import quotient_spectrum
 
 K5_EDGES = [(0, 1), (1, 2), (2, 3)]
 
@@ -144,12 +149,12 @@ def test_vertex_space_work_reads_only_the_marked_subgraph():
     # alone; the (n+1)^2 marked_matrix would take 4.0 MB here
     warm = build_instance(5, path_edges(2))
     hitting_time(warm)
-    quotient_lambda_max(build_T(warm))
+    quotient_spectrum(build_T(warm)).lambda_max
     tracemalloc.start()
     try:
         g = build_instance(2000, path_edges(2))
         hitting_time(g)
-        quotient_lambda_max(build_T(g))
+        quotient_spectrum(build_T(g)).lambda_max
         assert g.tau((0, 1)) == g.sigma((1, 2)) == -1 and g.tau((0, 2)) == 1
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -227,6 +232,28 @@ def test_arc_table_involution_and_order():
         assert table.index(u, v) == i
 
 
+@pytest.mark.parametrize("index", [-1, -30, 30, 10**9, 1.0, 2.5, True, "3", None], ids=repr)
+def test_arc_index_from_outside_is_checked(index):
+    # -1 used to read the last arc, (5, 4), through numpy's negative indexing
+    table = build_arc_table(5)
+    with pytest.raises(InvalidArc):
+        table.pair(index)
+    assert table.pair(np.int64(29)) == table.pair(29) == (5, 4)
+
+
+@pytest.mark.parametrize(
+    "arc",
+    [(0, 1, 2), (0,), (), {0, 1}, 5, None, np.array([[0, 1], [2, 3]])],
+    ids=["triple", "single", "empty", "set", "int", "none", "matrix"],
+)
+def test_sigma_takes_a_pair(arc):
+    # (0, 1, 2) used to read as (0, 1)
+    g = build_instance(5, [(0, 1)])
+    with pytest.raises(InvalidArc):
+        g.sigma(arc)
+    assert g.sigma([0, 1]) == g.sigma(np.array([0, 1])) == g.sigma((0, 1)) == -1
+
+
 def test_arc_table_too_small():
     with pytest.raises(TooSmall):
         build_arc_table(1)
@@ -242,14 +269,23 @@ def test_host_size_is_an_integer(n):
         build_arc_table(n)
 
 
-@pytest.mark.parametrize("where", ["n", "trials", "seed"])
+@pytest.mark.parametrize(
+    "where",
+    ["n", "trials", "seed", "t_max", "evolve_steps", "walk_steps", "suite_count"],
+)
 def test_bool_integer_is_refused_by_name(where):
-    # the message names the type the caller passed, not NoneType
+    # the message names the type the caller passed, not NoneType; a count
+    # of True used to run as 1 (two rows of series, one step of walk, a
+    # suite reporting instances=True)
     g = build_instance(3, [(0, 1)])
     calls = {
         "n": lambda: build_instance(True, [(0, 1)]),
         "trials": lambda: mc_hitting_time(g, True),
         "seed": lambda: mc_hitting_time(g, 50, seed=True),
+        "t_max": lambda: run_series(g, True),
+        "evolve_steps": lambda: evolve_state(g, initial_state(g), True),
+        "walk_steps": lambda: walk_arc_matrix(g, arc_matrix(g, initial_state(g)), True),
+        "suite_count": lambda: verify_random_suite(True, (10, 20), ["edge"]),
     }
     with pytest.raises(TypeError) as exc:
         calls[where]()

@@ -30,9 +30,9 @@ from edgewalk.edge_space import LineTransitionMatrix
 from edgewalk.errors import DegenerateSpectrum, NotSymmetric, TooLarge
 from edgewalk.operators import VertexMatrix, vertex_matrix
 from edgewalk.spectral import (
+    DEGENERACY_TOL,
     d_star_apply,
     principal_vector,
-    quotient_lambda_max,
     quotient_spectrum,
     summarize_spectrum,
 )
@@ -189,6 +189,23 @@ def test_mapping_check_k5():
     assert spectral_mapping_check(build_instance(4, K5_EDGES)).ok
 
 
+def test_mapping_check_reads_the_quotient_spectrum():
+    # the eigenvalues it lifts and those it sets aside at +-1 are, in order
+    # and bit for bit, those of quotient_eigh, the dense oracle
+    rng = np.random.default_rng(30)
+    graphs = [build_instance(4, K5_EDGES)]
+    for n in rng.integers(3, 9, size=12):
+        pairs = [(u, v) for u in range(n + 1) for v in range(u + 1, n + 1)]
+        picked = rng.choice(len(pairs), size=rng.integers(1, 5), replace=False)
+        graphs.append(build_instance(int(n), [pairs[i] for i in picked]))
+    for g in graphs:
+        report = spectral_mapping_check(g)
+        values = quotient_eigh(build_T(g))[0]
+        unit = np.abs(values) >= 1.0 - DEGENERACY_TOL
+        assert [entry[0] for entry in report.entries] == list(values[~unit])
+        assert list(report.excluded) == list(values[unit])
+
+
 def test_mapping_check_excludes_unit_eigenvalue():
     g = build_instance(2, [(0, 1), (1, 2)])  # spanning complete bipartite
     report = spectral_mapping_check(g)
@@ -290,7 +307,7 @@ def _assert_matches_full_eigh(matrix):
     assert np.abs(vectors.T @ vectors - identity).max() <= 1e-13
     principal = principal_vector(values, vectors)
     assert np.abs(principal - principal_vector(full_values, full_vectors)).max() <= 1e-12
-    assert abs(quotient_lambda_max(matrix) - full_values[0]) <= 1e-13 * scale
+    assert abs(quotient_spectrum(matrix).lambda_max - full_values[0]) <= 1e-13 * scale
 
 
 QUOTIENT_FAMILIES = {
@@ -351,7 +368,7 @@ def test_quotient_lambda_max_takes_beta_above_the_quotient():
     # off < 0 beta = diagonal - off can lie above every quotient eigenvalue.
     matrix = VertexMatrix(6, np.array([[-3.0, 0.0], [0.0, -3.0]]), -0.1, 0.0)
     assert np.linalg.eigvalsh(matrix.matrix).max() == pytest.approx(0.1, abs=1e-15)
-    assert quotient_lambda_max(matrix) == pytest.approx(0.1, abs=1e-15)
+    assert quotient_spectrum(matrix).lambda_max == pytest.approx(0.1, abs=1e-15)
 
 
 def test_quotient_principal_refuses_beta_above_the_quotient():

@@ -24,6 +24,7 @@ from edgewalk import (
     star_edges,
     walk_arc_matrix,
 )
+from edgewalk.errors import DimensionMismatch
 from walk_oracle import gather_walk
 
 FAMILIES = {
@@ -53,6 +54,16 @@ def test_arc_matrix_layout():
     assert np.array_equal(arc_vector(x), psi)
     # the transposed view reads every arc's reversal
     assert np.array_equal(arc_vector(x.T), psi[g.arcs.inverse_index])
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (6, 6), (7, 6), (49,), (7, 7, 1)], ids=repr)
+def test_walk_refuses_a_state_of_another_order(shape):
+    # a 9 x 9 state on n = 6 used to be walked as a host of 9 vertices
+    g = build_instance(6, [(0, 1), (1, 2)])
+    with pytest.raises(DimensionMismatch):
+        walk_arc_matrix(g, np.zeros(shape), 1)
+    x = arc_matrix(g, random_state(g, 1, False))
+    assert walk_arc_matrix(g, x, 0) is x
 
 
 @pytest.mark.parametrize("n", [7, 40])
