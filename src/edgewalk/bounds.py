@@ -497,10 +497,16 @@ def random_instance(
     ``cycle`` or ``random`` (arbitrary nonempty edge set on at most
     ``max_gamma_vertices`` vertices).  The subgraph is placed on uniformly
     chosen distinct host vertices, exercising the relabelling path.  Raises
-    ValueError for an unknown family and for a ``max_gamma_vertices``
-    below what the drawn family needs.
+    TypeError unless both ends of ``n_range`` and ``max_gamma_vertices``
+    are integers (a float or a bool is not), and ValueError for a reversed
+    ``n_range`` (before anything is drawn), an unknown family and a
+    ``max_gamma_vertices`` below what the drawn family needs.
     """
-    n = int(rng.integers(n_range[0], n_range[1] + 1))
+    lo, hi = (_index(end) for end in n_range)
+    max_gamma_vertices = _index(max_gamma_vertices)
+    if lo > hi:
+        raise ValueError(f"n_range must run from low to high, got ({lo}, {hi})")
+    n = int(rng.integers(lo, hi + 1))
     family = families[int(rng.integers(len(families)))]
     least = _LEAST_VERTICES.get(family, 0)
     if max_gamma_vertices < least:
@@ -537,9 +543,10 @@ def verify_random_suite(
     Any failed entry with its hypothesis satisfied is reported with the
     full instance for reproduction; skipped entries are counted, not
     failed.  Deterministic for a fixed seed.  Raises TypeError unless
-    ``count`` is an integer (a bool is not).
+    ``count`` and ``seed`` are integers (a bool is not), and the errors of
+    ``random_instance`` for the other inputs.
     """
-    count = _index(count)
+    count, seed = _index(count), _index(seed)
     if count < 1:
         raise ValueError(f"need at least one instance, got {count}")
     rng = np.random.default_rng(seed)

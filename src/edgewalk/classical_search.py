@@ -136,7 +136,7 @@ def _searching_time(g: SignedCompleteGraph) -> tuple[float, float]:
     solve, without lambda_max(P): what the ledger reads."""
     n, s, t = g.n, g.s, g.t
     edges = _unmarked_edges(g)
-    degrees = g.marked_block.sum(axis=1).astype(np.float64)
+    degrees = g.degrees.astype(np.float64)
     block = g.marked_block.astype(np.float64)
     block[np.diag_indices(s)] = n + 1 + degrees
     h = n - degrees
@@ -231,16 +231,15 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
     # The work buffers of the largest refill, cut from one block.  Freed as
     # one chunk, it lifts glibc's dynamic mmap and trim thresholds above
     # its own size, so the next call takes the same heap pages again; as
-    # three chunks they were handed back and faulted in anew on each call
+    # separate chunks they were handed back and faulted in anew on each call
     # (hundreds of page faults on K_4 with 10^4 trials), or not, by where
     # the heap top happened to lie.
     batch = _REFILL_DRAWS // _FIRST_WIDTH
     rows_max = min(batch, trials)
-    sizes = [12 * (_REFILL_DRAWS // 8) + 2 * rows_max, _REFILL_DRAWS // 2, _REFILL_DRAWS]
-    block = np.empty(sum(sizes), dtype=np.uint64)
-    work, draws_buffer, symbols_buffer = np.split(block, np.cumsum(sizes)[:-1])
-    draws_buffer = draws_buffer.view(np.uint32)
-    symbols_buffer = symbols_buffer.view(symbols_of.dtype)[:_REFILL_DRAWS]
+    work_size = 12 * (_REFILL_DRAWS // 8) + 2 * rows_max
+    block = np.empty(work_size + _REFILL_DRAWS, dtype=np.uint64)
+    work = block[:work_size]
+    symbols_buffer = block[work_size:].view(symbols_of.dtype)[:_REFILL_DRAWS]
 
     counts = np.empty(trials, dtype=np.float64)
     for first in range(0, trials, batch):
@@ -254,8 +253,10 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
         while keys.size:
             rows = keys.size
             blocks = width // 8
+            # numpy's next_uint32 takes the low half of each word first, the
+            # words' little-endian memory order: on such a host, no copy
             words = _philox(seed, keys, counter, blocks, work)
-            draws = _uint32_draws(words, draws_buffer[: rows * width])
+            draws = words.astype("<u8", copy=False).view("<u4")
             counter += blocks
             lead = np.zeros(rows, dtype=np.intp)  # draws the start took
             if pending.any():
@@ -471,16 +472,6 @@ def _philox(
     words[..., 0], words[..., 1] = even[0], odd[0]
     words[..., 2], words[..., 3] = even[1], odd[1]
     return words.reshape(rows, 4 * blocks)
-
-
-def _uint32_draws(words: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Split each uint64 word into two uint32 draws, low half first, as
-    numpy's ``next_uint32`` does, into ``out`` (2 words.size entries)."""
-    rows, cols = words.shape
-    halves = out.reshape(rows, cols, 2)
-    np.bitwise_and(words, _LOW32, out=halves[..., 0])
-    np.right_shift(words, 32, out=halves[..., 1])
-    return out.reshape(rows, 2 * cols)
 
 
 def _bounded(draws: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:

@@ -140,7 +140,7 @@ def vertex_matrix(
     marked pairs and ``diagonal + degree * deg(v)`` at the vertex v, deg its
     marked-subgraph degree, each an exact integer over ``divisor``."""
     numerator = np.where(g.marked_block, marked, 1)
-    np.fill_diagonal(numerator, diagonal + degree * g.marked_block.sum(axis=1))
+    np.fill_diagonal(numerator, diagonal + degree * g.degrees)
     block = numerator / np.float64(divisor)
     block.setflags(write=False)
     return VertexMatrix(g.n + 1, block, 1 / divisor, diagonal / divisor)

@@ -166,19 +166,18 @@ class SignedCompleteGraph:
         Endpoints of marked edges in order of first appearance.
     s, t : int
         Order of the marked subgraph and n + 1 - s.
-    sigma_negative_arcs : tuple of (int, int)
-        The arc of each marked edge carrying sign -1, in canonical indices.
+    negative_arcs : ndarray of int64, shape (2, m)
+        Canonical origin and terminus of each marked edge's arc of sign -1;
+        ``sigma_negative_arcs`` holds them as a tuple of (int, int) pairs.
+    degrees, gamma_degrees : ndarray of int64, shapes (s,) and (n+1,)
+        Marked-subgraph degree of each canonical vertex (0 outside it).
     marked_block : ndarray of bool, shape (s, s)
         Adjacency indicator of the marked subgraph (canonical 0..s-1).
-    negative_arcs : ndarray of int64, shape (2, m)
-        ``sigma_negative_arcs`` as an array of origins and termini.
     canonical_order : tuple of int
         External label at each canonical position: marked-subgraph vertices
         first (in ``gamma_vertices`` order), remaining vertices ascending.
     marked_matrix : ndarray of bool, shape (n+1, n+1)
         ``marked_block`` zero-padded to the host graph.
-    gamma_degrees : ndarray of int
-        Marked-subgraph degree of each canonical vertex (0 outside it).
     arcs : ArcTable
         Arc enumeration of the host graph (canonical indices).
     sigma_arcs : ndarray of float
@@ -188,13 +187,13 @@ class SignedCompleteGraph:
     marked_arcs : ndarray of bool
         True on the 2m arcs of the marked subgraph.
 
-    Construction builds the members through ``marked_block``, in O(s^2 + m)
-    whatever n is; the rest are built on first use and cached.  The modules
-    read the marked subgraph from ``marked_block`` and ``negative_arcs``;
-    only the tests' oracle ``edge_space.build_complement`` reads
-    ``marked_matrix``, which raises TooLarge above ``PAIR_TABLE_LIMIT``
-    vertex pairs, and only the arc-space helpers and the dense oracles the
-    per-arc members.
+    Construction keeps the marked subgraph once, as ``negative_arcs`` and
+    ``degrees``, in O(s + m) whatever n is; the rest are built from them on
+    first use and cached.  Only whole-block readers build ``marked_block``
+    (vertex matrices, t_c's solve, ``unmarked_pairs``, the walker's cell
+    rule, ``adjacency_max``), only the tests' oracle ``build_complement``
+    ``marked_matrix`` (TooLarge above ``PAIR_TABLE_LIMIT`` vertex pairs),
+    and only the arc-space helpers and the dense oracles the per-arc members.
 
     Instances are immutable after construction and safe to share between
     threads; the numpy members are marked read-only.  Two threads that read
@@ -230,19 +229,22 @@ class SignedCompleteGraph:
         self.s = len(position)
         self.t = n + 1 - self.s
 
-        block = np.zeros((self.s, self.s), dtype=bool)
-        negatives: list[tuple[int, int]] = []
-        for u, v in edges:
-            lo, hi = sorted((position[u], position[v]))
-            block[lo, hi] = block[hi, lo] = True
-            negatives.append((lo, hi) if orientation == "canonical" else (hi, lo))
         self.orientation = orientation
-        self.sigma_negative_arcs = tuple(negatives)
-        self.marked_block = _readonly(block)
+        arcs = np.array([sorted((position[u], position[v])) for u, v in edges]).T
+        arcs = arcs if orientation == "canonical" else arcs[::-1]
+        self.negative_arcs = _readonly(arcs.astype(np.int64, order="C"))
+        self.degrees = _readonly(np.bincount(arcs.ravel(), minlength=self.s))
 
     @cached_property
-    def negative_arcs(self) -> np.ndarray:
-        return _readonly(np.array(self.sigma_negative_arcs, dtype=np.int64).T.copy())
+    def sigma_negative_arcs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*self.negative_arcs.tolist()))
+
+    @cached_property
+    def marked_block(self) -> np.ndarray:
+        block = np.zeros((self.s, self.s), dtype=bool)
+        o, tm = self.negative_arcs
+        block[o, tm] = block[tm, o] = True
+        return _readonly(block)
 
     @cached_property
     def canonical_order(self) -> tuple[int, ...]:
@@ -261,8 +263,7 @@ class SignedCompleteGraph:
 
     @cached_property
     def gamma_degrees(self) -> np.ndarray:
-        degrees = self.marked_block.sum(axis=1, dtype=np.int64)
-        return _readonly(np.pad(degrees, (0, self.t)))
+        return _readonly(np.pad(self.degrees, (0, self.t)))
 
     @cached_property
     def arcs(self) -> ArcTable:
@@ -324,7 +325,7 @@ class SignedCompleteGraph:
 
     def sigma(self, arc: Sequence[int]) -> int:
         """Sign of an arc given in external labels: -1 exactly on
-        ``sigma_negative_arcs``, read in O(m).  Raises InvalidArc unless
+        ``negative_arcs``, read in O(m).  Raises InvalidArc unless
         ``arc`` is a pair (a sequence of two labels) of distinct vertices."""
         if not isinstance(arc, (Sequence, np.ndarray)) or len(arc) != 2:
             raise InvalidArc(f"an arc is a pair of vertex labels, got {arc!r}")
@@ -332,15 +333,14 @@ class SignedCompleteGraph:
         if u == v:
             raise InvalidArc(f"({u}, {u}) is a loop, not an arc")
         arc = (self.to_canonical(u), self.to_canonical(v))
-        return -1 if arc in self.sigma_negative_arcs else 1
+        return -1 if (self.negative_arcs.T == arc).all(axis=1).any() else 1
 
     def tau(self, edge) -> int:
-        """Edge sign: -1 exactly on marked edges."""
+        """Edge sign sigma((u, v)) sigma((v, u)): -1 exactly on marked edges."""
         u, v = (_vertex(w, self.n, InvalidEdge) for w in _normalize_edge(edge))
         if u == v:
             raise InvalidEdge(f"({u}, {u}) is a loop, not an edge")
-        i, j = self.to_canonical(u), self.to_canonical(v)
-        return -1 if max(i, j) < self.s and self.marked_block[i, j] else 1
+        return self.sigma((u, v)) * self.sigma((v, u))
 
     def is_spanning_complete_bipartite(self) -> bool:
         """Decide in O(s + m) whether the marked subgraph is a complete
@@ -349,8 +349,8 @@ class SignedCompleteGraph:
         joins R to the rest, and there are |R| (s - |R|) of them."""
         if self.t:
             return False
-        side = self.marked_block[0]
         o, tm = self.negative_arcs
+        side = np.bincount(np.concatenate((tm[o == 0], o[tm == 0])), minlength=self.s) > 0
         r = int(np.count_nonzero(side))
         return bool(np.all(side[o] != side[tm])) and self.num_marked == r * (self.s - r)
 

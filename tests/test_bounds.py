@@ -532,6 +532,34 @@ def test_random_instance_refuses_too_few_vertices_for_its_family(family, least):
     assert random_instance(np.random.default_rng(0), (10, 20), ["edge"], 1).s == 2
 
 
+# Inputs the suite used to run on: a seed of True ran as seed 1, a float
+# end of the range or a float cap ran, and a reversed range died inside
+# Generator.integers with "low >= high".
+REFUSED_SUITE_INPUTS = {
+    "seed": ({"seed": True}, TypeError, "'bool' object"),
+    "n_low": ({"n_range": (10.5, 20)}, TypeError, "'float' object"),
+    "n_high": ({"n_range": (10, 20.0)}, TypeError, "'float' object"),
+    "max_gamma_vertices": ({"max_gamma_vertices": 4.5}, TypeError, "'float' object"),
+    "reversed_range": ({"n_range": (20, 10)}, ValueError, r"n_range .*\(20, 10\)"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(REFUSED_SUITE_INPUTS))
+def test_random_suite_refuses_an_input_it_used_to_run_on(where):
+    inputs, error, match = REFUSED_SUITE_INPUTS[where]
+    kwargs = {"n_range": (10, 20), "families": ["path"], **inputs}
+    with pytest.raises(error, match=match):
+        verify_random_suite(1, **kwargs)
+    if where == "seed":
+        return
+    # random_instance refuses it before anything is drawn
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(error, match=match):
+        random_instance(rng, **kwargs)
+    assert rng.bit_generator.state == state
+
+
 def test_bipartite_iff_agreement_random():
     rng = np.random.default_rng(123)
     for _ in range(60):

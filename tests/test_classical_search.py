@@ -26,7 +26,7 @@ from edgewalk import (
     verify_all,
 )
 from edgewalk import classical_search, cli, edge_space
-from edgewalk.classical_search import _bounded, _philox, _uint32_draws
+from edgewalk.classical_search import _bounded, _philox
 from edgewalk.edge_space import build_complement, solve_absorption
 from edgewalk.errors import (
     EmptyComplement,
@@ -58,8 +58,8 @@ def _words(seed, keys, counter, blocks):
 
 
 def _draws(words):
-    """``_uint32_draws`` into an array of its own."""
-    return _uint32_draws(words, np.empty(2 * words.size, dtype=np.uint32))
+    """The uint32 draws of ``_philox``'s words, read as the walker reads them."""
+    return words.astype("<u8", copy=False).view("<u4")
 
 
 def _accepted(seed, trial, bound, counter, blocks):

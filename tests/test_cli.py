@@ -685,9 +685,11 @@ def test_classical_defaults_after_explicit_trials_and_seed(tmp_path):
 def test_usage_error_leaves_later_calls_as_a_first_call(tmp_path, capsys):
     out = tmp_path / "out"
     argv = ["simulate", "--n", "12", "--subgraph", PATH1, "--out", str(out)]
-    # the first call of a fresh process, whose parser is new
+    # the first call of a fresh process, whose parser is new; the inherited
+    # path stays behind the source, so a sitecustomize on it still loads
     source = Path(cli.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(source)}
+    path = [str(source), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     done = subprocess.run(
         [sys.executable, "-m", "edgewalk", *argv],
         env=env, capture_output=True, text=True, timeout=120,

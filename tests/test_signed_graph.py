@@ -173,11 +173,81 @@ def test_derived_members_follow_the_block():
     padded = np.zeros((6, 6), dtype=bool)
     padded[:3, :3] = g.marked_block
     assert np.array_equal(g.marked_matrix, padded)
+    assert g.degrees.tolist() == [1, 2, 1]
     assert g.gamma_degrees.tolist() == [1, 2, 1, 0, 0, 0]
     assert [g.to_canonical(w) for w in range(6)] == [2, 3, 1, 4, 5, 0]
-    for member in ("marked_block", "negative_arcs", "marked_matrix", "gamma_degrees"):
+    for member in (
+        "marked_block", "negative_arcs", "degrees", "marked_matrix", "gamma_degrees"
+    ):
         assert not getattr(g, member).flags.writeable, member
         assert getattr(g, member).dtype == (bool if "marked" in member else np.int64)
+
+
+def test_construction_builds_no_block():
+    # a 5,000-edge matching at n = 9,999: the s x s block would be 100 MB,
+    # and the members below read the arcs alone
+    tracemalloc.start()
+    try:
+        g = build_instance(9999, matching_edges(5000))
+        assert g.degrees.tolist() == [1] * 10_000 and g.t == 0
+        assert g.negative_arcs.shape == (2, 5000)
+        assert g.gamma_degrees.sum() == 10_000
+        assert g.sigma((0, 1)) == -1 and g.sigma((1, 0)) == 1
+        assert g.tau((9998, 9999)) == -1 and g.tau((1, 2)) == 1
+        assert not g.is_spanning_complete_bipartite()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert "marked_block" not in vars(g)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_members_match_the_marked_edges(data):
+    # repeated edges in either orientation collapse to the first; labels are
+    # relabelled so that the subgraph's vertices need not come first
+    n = data.draw(st.integers(2, 12), label="n")
+    pairs = st.tuples(st.integers(0, n), st.integers(0, n)).filter(lambda e: e[0] != e[1])
+    edges = data.draw(st.lists(pairs, min_size=1, max_size=20), label="edges")
+    if data.draw(st.booleans(), label="spanning K_{a,b}"):
+        a = data.draw(st.integers(1, n), label="a")
+        edges = complete_bipartite_edges(a, n + 1 - a) + edges[:1]
+    repeats = data.draw(st.lists(st.sampled_from(edges), max_size=5), label="repeats")
+    edges += [(v, u) for u, v in repeats]
+    labels = data.draw(st.permutations(range(n + 1)), label="labels")
+    edges = [(labels[u], labels[v]) for u, v in edges]
+    orientation = data.draw(st.sampled_from(["canonical", "reversed"]))
+    g = build_instance(n, edges, orientation=orientation)
+
+    first = {}
+    for u, v in edges:
+        first.setdefault(frozenset((u, v)), (u, v))
+    assert g.marked_edges == tuple(first.values())
+    vertices = tuple(dict.fromkeys(w for edge in g.marked_edges for w in edge))
+    assert g.gamma_vertices == vertices
+    position = {w: i for i, w in enumerate(vertices)}
+    block = np.zeros((g.s, g.s), dtype=bool)
+    arcs = []
+    for u, v in g.marked_edges:
+        lo, hi = sorted((position[u], position[v]))
+        block[lo, hi] = block[hi, lo] = True
+        arcs.append((lo, hi) if orientation == "canonical" else (hi, lo))
+    assert np.array_equal(g.marked_block, block)
+    assert np.array_equal(g.degrees, block.sum(axis=1))
+    assert g.sigma_negative_arcs == tuple(arcs)
+    assert g.negative_arcs.tolist() == [list(end) for end in zip(*arcs)]
+    # the signs and the degeneracy test, which read the arcs alone
+    order = g.canonical_order
+    for i, j in ((i, j) for i in range(n + 1) for j in range(n + 1) if i != j):
+        marked = max(i, j) < g.s and block[i, j]
+        assert g.tau((order[i], order[j])) == (-1 if marked else 1)
+        assert g.sigma((order[i], order[j])) == (-1 if (i, j) in arcs else 1)
+    side = block[0]
+    spanning = g.t == 0 and all(
+        block[i, j] == (side[i] != side[j]) for i in range(g.s) for j in range(i)
+    )
+    assert g.is_spanning_complete_bipartite() == spanning
 
 
 def test_sigma_product_detects_marked_edges():
