@@ -69,7 +69,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 import numpy as np
 
 from .classical_search import _searching_time
-from .errors import DegenerateSpectrum, EmptyComplement, LostPrecision
+from .errors import DegenerateSpectrum, EmptyComplement, LostPrecision, TooSmall
 from .operators import (
     LineQuotientMatrix, VertexMatrix, build_P_quotient, build_T, vertex_matrix
 )
@@ -495,17 +495,22 @@ def random_instance(
 
     ``families`` entries are ``edge``, ``path``, ``matching``, ``star``,
     ``cycle`` or ``random`` (arbitrary nonempty edge set on at most
-    ``max_gamma_vertices`` vertices).  The subgraph is placed on uniformly
-    chosen distinct host vertices, exercising the relabelling path.  Raises
-    TypeError unless both ends of ``n_range`` and ``max_gamma_vertices``
-    are integers (a float or a bool is not), and ValueError for a reversed
-    ``n_range`` (before anything is drawn), an unknown family and a
-    ``max_gamma_vertices`` below what the drawn family needs.
+    ``max_gamma_vertices`` vertices).  Every family draws its size for at
+    most min(``max_gamma_vertices``, n + 1) vertices, and the subgraph is
+    placed on uniformly chosen distinct host vertices, exercising the
+    relabelling path.  Raises TypeError unless both ends of ``n_range`` and
+    ``max_gamma_vertices`` are integers (a float or a bool is not),
+    ValueError for a reversed ``n_range`` and TooSmall for one that starts
+    below n = 2 (both before anything is drawn), and ValueError for an
+    unknown family and a ``max_gamma_vertices`` below what the drawn family
+    needs.
     """
     lo, hi = (_index(end) for end in n_range)
     max_gamma_vertices = _index(max_gamma_vertices)
     if lo > hi:
         raise ValueError(f"n_range must run from low to high, got ({lo}, {hi})")
+    if lo < 2:
+        raise TooSmall(f"n_range must start at n >= 2, got ({lo}, {hi})")
     n = int(rng.integers(lo, hi + 1))
     family = families[int(rng.integers(len(families)))]
     least = _LEAST_VERTICES.get(family, 0)
@@ -514,8 +519,9 @@ def random_instance(
             f"family {family!r} needs max_gamma_vertices >= {least}, "
             f"got {max_gamma_vertices}"
         )
+    cap = min(max_gamma_vertices, n + 1)
     if family == "random":
-        v = int(rng.integers(2, max_gamma_vertices + 1))
+        v = int(rng.integers(2, cap + 1))
         pairs = [(i, k) for i in range(v) for k in range(i + 1, v)]
         while True:
             mask = rng.integers(0, 2, size=len(pairs)).astype(bool)
@@ -523,7 +529,7 @@ def random_instance(
                 break
         edges = [p for p, keep in zip(pairs, mask) if keep]
     elif family in _FAMILY_GENERATORS:
-        edges = _FAMILY_GENERATORS[family](rng, max_gamma_vertices)
+        edges = _FAMILY_GENERATORS[family](rng, cap)
     else:
         raise ValueError(f"unknown family {family!r}")
     used = 1 + max(max(e) for e in edges)

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import verify_all
-from .classical_search import hitting_time, mc_hitting_time
+from .classical_search import _searching_time, hitting_time, mc_hitting_time
 from .errors import (
     DegenerateSpectrum,
     EdgeWalkError,
@@ -272,7 +272,7 @@ def cmd_speedup(args) -> int:
     for n in n_list:
         g = build_instance(n, edges)
         t_f = quantum_time(principal_pair(build_T(g)))
-        t_c = hitting_time(g).t_c
+        t_c = _searching_time(g)[0]
         m = g.num_marked
         rows.append(
             {

@@ -43,7 +43,6 @@ from .operators import (
     VertexMatrix,
     _LineKernel,
     _unmarked_edges,
-    build_Q,
     unmarked_pairs,
     vertex_matrix,
 )
@@ -125,10 +124,10 @@ class LineTransitionMatrix(_LineKernel):
     of the line graph of the complement): distinct edges sharing an endpoint
     get weight 1/(2(n-1)).  Rows of edges adjacent to a marked edge sum to
     less than one, which makes I - P invertible and the absorption time
-    finite.  ``q_matrix`` is the (n+1)-dimensional companion Q with the same
-    spectrum apart from the value -1/(n-1), and ``gram`` the Gram matrix
-    N N^T = 2(n-1) Q + 2I of the vertex-edge incidence matrix N, whose
-    entries are exact integers; both are ``VertexMatrix`` instances.
+    finite.  ``gram`` is N N^T, N the vertex-edge incidence, in exact
+    integers, and ``q_matrix`` the companion Q = (N N^T - 2I)/(2(n-1)) read
+    off it, with P's spectrum apart from the value -1/(n-1); both are
+    ``VertexMatrix`` instances of order n+1.
 
     Application is matrix-free through per-vertex accumulators: for x over
     unmarked edges, (P x)_{uv} = (C_u + C_v - 2 x_{uv}) / (2(n-1)) where
@@ -141,7 +140,6 @@ class LineTransitionMatrix(_LineKernel):
 
     n: int
     complement: ComplementGraph
-    q_matrix: VertexMatrix
     gram: VertexMatrix
 
     @property
@@ -208,7 +206,7 @@ def build_P(g: SignedCompleteGraph) -> LineTransitionMatrix:
         and delta.num_edges == unit_pairs
     ):
         raise AssertionError("vertex companion disagrees with incidence identity")
-    return LineTransitionMatrix(n=n, complement=delta, q_matrix=build_Q(g), gram=gram)
+    return LineTransitionMatrix(n=n, complement=delta, gram=gram)
 
 
 def line_principal_pair(

@@ -50,7 +50,6 @@ __all__ = [
     "cell_sizes",
     "vertex_matrix",
     "build_T",
-    "build_Q",
     "LineQuotientMatrix",
     "build_P_quotient",
     "apply_U",
@@ -152,13 +151,6 @@ def build_T(g: SignedCompleteGraph) -> VertexMatrix:
     return vertex_matrix(g, -1, 0, divisor=g.n)
 
 
-def build_Q(g: SignedCompleteGraph) -> VertexMatrix:
-    """The vertex companion Q = (N N^T - 2I)/(2(n-1)) of the line-graph
-    kernel, from the closed form of N N^T (see ``edge_space.build_P``); O(s^2), with no
-    edge-space work."""
-    return vertex_matrix(g, 0, g.n - 2, degree=-1, divisor=2 * (g.n - 1))
-
-
 def _unmarked_edges(g: SignedCompleteGraph) -> int:
     """E = n(n+1)/2 - m, the unmarked edges, from ``n`` and ``num_marked``
     alone; raises EmptyComplement when every edge is marked."""
@@ -180,8 +172,8 @@ class _LineKernel:
     edge orbit O_k, in the orthonormal basis of normalized orbit indicators,
     where P is symmetric.
 
-    A subclass gives ``n``, ``q_matrix``, ``gram``, ``num_edges`` (E), the
-    ``orbit_sizes`` and ``matvec``.
+    A subclass gives ``n``, ``gram`` (the exact N N^T), ``num_edges`` (E),
+    the ``orbit_sizes`` and ``matvec``.
     """
 
     @property
@@ -192,6 +184,14 @@ class _LineKernel:
         relative error and t_c, through the condition of I - P, by about
         t_c times as much."""
         return 2.0 * (self.n - 1)
+
+    @cached_property
+    def q_matrix(self) -> VertexMatrix:
+        """The vertex companion Q = (N N^T - 2I)/(2(n-1)), each entry rounded
+        once from ``gram``'s integers."""
+        gram, moves = self.gram, self.moves
+        block = _readonly((gram.block - 2.0 * np.eye(gram.s)) / moves)
+        return VertexMatrix(gram.order, block, gram.off / moves, (gram.diagonal - 2) / moves)
 
     @cached_property
     def uniform(self) -> np.ndarray:
@@ -230,7 +230,6 @@ class LineQuotientMatrix(_LineKernel):
 
     n: int
     pairs: np.ndarray
-    q_matrix: VertexMatrix
     gram: VertexMatrix
 
     @property
@@ -346,7 +345,7 @@ def build_P_quotient(g: SignedCompleteGraph) -> LineQuotientMatrix:
     pairs = unmarked_pairs(g.marked_block)
     if t:  # {i, rest} for each i, and {rest, rest} once the rest has an edge
         pairs = _readonly(np.concatenate([pairs, [(a, s) for a in range(s + (t > 1))]]))
-    P = LineQuotientMatrix(n=n, pairs=pairs, q_matrix=build_Q(g), gram=gram)
+    P = LineQuotientMatrix(n=n, pairs=pairs, gram=gram)
     # diag(N N^T) at a vertex of each cell: n - D_i, then n at the rest
     diagonal = [*np.diag(gram.block), *[gram.diagonal] * (P.cells.size - s)]
     if not (P.num_edges == edges and np.array_equal(P.degrees, diagonal)):

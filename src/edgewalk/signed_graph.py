@@ -207,23 +207,19 @@ class SignedCompleteGraph:
             raise TooSmall(f"need n >= 2, got n = {n}")
         if orientation not in ("canonical", "reversed"):
             raise ValueError(f"unknown orientation {orientation!r}")
-        edges: list[tuple[int, int]] = []
-        seen: set[frozenset] = set()
+        # the ends in ascending order, to the first orientation given
+        first: dict[tuple[int, int], tuple[int, int]] = {}
         for raw in marked_edges:
             u, v = _normalize_edge(raw)
             if u == v:
                 raise LoopEdge(f"edge ({u}, {v}) is a loop")
             u, v = _vertex(u, n), _vertex(v, n)
-            key = frozenset((u, v))
-            if key in seen:
-                continue
-            seen.add(key)
-            edges.append((u, v))
-        if not edges:
+            first.setdefault((u, v) if u < v else (v, u), (u, v))
+        if not first:
             raise EmptySubgraph("at least one marked edge is required")
 
         self.n = n
-        self.marked_edges = tuple(edges)
+        self.marked_edges = edges = tuple(first.values())
         self.gamma_vertices = tuple(dict.fromkeys(w for edge in edges for w in edge))
         position = {w: i for i, w in enumerate(self.gamma_vertices)}  # canonical
         self.s = len(position)
@@ -299,13 +295,15 @@ class SignedCompleteGraph:
         return self.n * (self.n + 1)
 
     def to_canonical(self, label: int) -> int:
-        """Canonical index of an external vertex label, in O(s): a label
+        """Canonical index of an external vertex label, in O(log s): a label
         outside the marked subgraph follows the s inside it, in ascending
         order."""
         label = _vertex(label, self.n)
-        if label in self.gamma_vertices:
-            return self.gamma_vertices.index(label)
-        return int(self.s + label - sum(w < label for w in self.gamma_vertices))
+        labels, _, positions = self._label_map
+        below = int(np.searchsorted(labels, label))
+        if below < self.s and labels[below] == label:
+            return int(positions[below])
+        return self.s + label - below
 
     def to_external(self, index: int) -> int:
         """External label at a canonical position, in O(log s): the k-th
@@ -315,13 +313,16 @@ class SignedCompleteGraph:
         if index < self.s:
             return self.gamma_vertices[index]
         k = index - self.s
-        return k + int(np.searchsorted(self._label_gaps, k, side="right"))
+        return k + int(np.searchsorted(self._label_map[1], k, side="right"))
 
     @cached_property
-    def _label_gaps(self) -> np.ndarray:
-        # g_i - i, nondecreasing: how many labels outside the marked
-        # subgraph precede g_i
-        return _readonly(np.sort(self.gamma_vertices) - np.arange(self.s))
+    def _label_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # the marked subgraph's labels g_0 < g_1 < ..., their gaps g_i - i
+        # (nondecreasing: the labels outside it that precede g_i) and the
+        # canonical position of each
+        positions = np.argsort(self.gamma_vertices)
+        labels = np.asarray(self.gamma_vertices)[positions]
+        return _readonly(labels), _readonly(labels - np.arange(self.s)), _readonly(positions)
 
     def sigma(self, arc: Sequence[int]) -> int:
         """Sign of an arc given in external labels: -1 exactly on

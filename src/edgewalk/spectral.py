@@ -318,9 +318,10 @@ def line_bracket(P: LineQuotientMatrix, companion: QuotientSpectrum) -> LineBrac
 
     One component, the case for every t >= 1, takes w from
     ``companion.principal()``; for t = 0 a complement of several takes each
-    from a solve of its block of ``Q.quotient``.  Every sum over an orbit
-    weighs it by its size.  Raises NoConvergence when x has an entry that
-    is not positive, where the bracket would not hold.
+    from a solve of its block of the integer N N^T (``P.gram``), the values
+    mapped to Q's, (x - 2)/(2(n-1)).  Every sum over an orbit weighs it by
+    its size.  Raises NoConvergence when x has an entry that is not
+    positive, where the bracket would not hold.
     """
     cells, orbits = P.components()
     count = int(cells.max()) + 1
@@ -330,7 +331,8 @@ def line_bracket(P: LineQuotientMatrix, companion: QuotientSpectrum) -> LineBrac
         w = np.zeros(cells.size)
         for component in range(count):
             cell = np.flatnonzero(cells == component)
-            w[cell] = principal_vector(*eigh(P.q_matrix.quotient[np.ix_(cell, cell)]))
+            values, vectors = eigh(P.gram.quotient[np.ix_(cell, cell)])
+            w[cell] = principal_vector((values - 2.0) / P.moves, vectors)
     x = P.lift(w)
     if not np.all(x > 0.0):
         raise NoConvergence(

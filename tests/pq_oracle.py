@@ -14,6 +14,7 @@ in ``edgewalk.bounds``.
 
 import numpy as np
 
+from edgewalk.operators import vertex_matrix
 from edgewalk.spectral import eigh
 
 
@@ -25,6 +26,26 @@ def z_matrix(g):
         - order * np.eye(order)
         - g.marked_matrix
         - np.diag(g.gamma_degrees)
+    )
+
+
+def companion_closed_form(g):
+    """Q = (J + (n-3)I - A - D)/(2(n-1)), each entry an integer over
+    2(n-1): the closed form the line kernel's companion was built from
+    before it was read off N N^T."""
+    return vertex_matrix(g, 0, g.n - 2, degree=-1, divisor=2 * (g.n - 1))
+
+
+def same_bits(a, b):
+    """Whether two vertex matrices agree bit for bit: order, block,
+    quotient, and the two scalars as the same Python type."""
+    return (
+        a.order == b.order
+        and a.block.tobytes() == b.block.tobytes()
+        and a.quotient.tobytes() == b.quotient.tobytes()
+        and np.array([a.off, a.diagonal]).tobytes()
+        == np.array([b.off, b.diagonal]).tobytes()
+        and (type(a.off), type(a.diagonal)) == (type(b.off), type(b.diagonal))
     )
 
 

@@ -31,6 +31,7 @@ from edgewalk.bounds import (
     random_instance,
 )
 from edgewalk.edge_space import solve_absorption
+from edgewalk.errors import TooSmall
 from edgewalk.operators import VertexMatrix, vertex_matrix
 from edgewalk.spectral import companion_spectra, eigh, line_bracket
 from pq_oracle import companion_eigendata, dense_pq_mismatch
@@ -516,6 +517,19 @@ def test_random_instance_respects_vertex_cap():
         assert g.s <= 4
 
 
+def test_random_suite_caps_a_family_at_its_host():
+    # a family on up to 6 vertices in hosts of 3 to 6 used to die in
+    # Generator.choice with "Cannot take a larger sample than population"
+    report = verify_random_suite(
+        20, (2, 5), ("path", "cycle", "random"), seed=1, max_gamma_vertices=6
+    )
+    assert report.ok and report.instances == 20
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        g = random_instance(rng, (2, 5), ("path", "matching", "star", "cycle", "random"), 6)
+        assert g.s <= min(6, g.n + 1)
+
+
 @pytest.mark.parametrize(
     "family,least", [("path", 2), ("matching", 2), ("star", 2), ("random", 2), ("cycle", 3)]
 )
@@ -533,14 +547,16 @@ def test_random_instance_refuses_too_few_vertices_for_its_family(family, least):
 
 
 # Inputs the suite used to run on: a seed of True ran as seed 1, a float
-# end of the range or a float cap ran, and a reversed range died inside
-# Generator.integers with "low >= high".
+# end of the range or a float cap ran, a reversed range died inside
+# Generator.integers with "low >= high", and a range from n = 1 died in
+# Generator.choice or Generator.integers once it drew n = 1.
 REFUSED_SUITE_INPUTS = {
     "seed": ({"seed": True}, TypeError, "'bool' object"),
     "n_low": ({"n_range": (10.5, 20)}, TypeError, "'float' object"),
     "n_high": ({"n_range": (10, 20.0)}, TypeError, "'float' object"),
     "max_gamma_vertices": ({"max_gamma_vertices": 4.5}, TypeError, "'float' object"),
     "reversed_range": ({"n_range": (20, 10)}, ValueError, r"n_range .*\(20, 10\)"),
+    "n_below_2": ({"n_range": (1, 20)}, TooSmall, r"n >= 2, got \(1, 20\)"),
 }
 
 

@@ -11,7 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgewalk import build_instance, cli, run_series, spectral, verify_all
+from edgewalk import (
+    build_instance,
+    classical_search,
+    cli,
+    hitting_time,
+    matching_edges,
+    run_series,
+    spectral,
+    verify_all,
+)
 from edgewalk.cli import main
 from edgewalk.errors import NoConvergence, SolverFailure
 from spectral_oracle import reference_overlap
@@ -573,6 +582,30 @@ def test_speedup_small(tmp_path):
     csv_lines = (tmp_path / "speedup.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "n,gamma_edges,t_f,t_f_normalized,t_c,t_c_normalized"
     assert len(csv_lines) == 3
+
+
+def test_speedup_solves_no_companion(tmp_path, monkeypatch):
+    # t_c alone, from the order-s solve: lambda_max(P), which speedup never
+    # printed, is not solved, and every byte stays as hitting_time gave it,
+    # on a perfect matching (t = 0) and on a host with two rest vertices
+    argv = ["speedup", "--n-list", "199,201", "--subgraph", '{"kind": "matching", "k": 100}']
+    assert main([*argv, "--out", str(tmp_path / "solved")]) == 0
+
+    def fail(g):
+        raise AssertionError("speedup solved the line kernel's companion")
+
+    monkeypatch.setattr(classical_search, "companion_spectra", fail)
+    monkeypatch.setattr(spectral, "companion_spectra", fail)
+    assert main([*argv, "--out", str(tmp_path / "unsolved")]) == 0
+    solved, unsolved = tmp_path / "solved", tmp_path / "unsolved"
+    csv = (unsolved / "speedup.csv").read_text()
+    assert csv == (solved / "speedup.csv").read_text()
+    assert read_json(unsolved / "speedup.json")["rows"] == read_json(
+        solved / "speedup.json"
+    )["rows"]
+    monkeypatch.undo()
+    t_c = [hitting_time(build_instance(n, matching_edges(100))).t_c for n in (199, 201)]
+    assert [float(line.split(",")[4]) for line in csv.splitlines()[1:]] == t_c
 
 
 def test_speedup_empty_n_list(tmp_path):

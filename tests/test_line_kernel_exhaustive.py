@@ -21,13 +21,18 @@ from edgewalk import (
     line_principal_pair,
     matching_edges,
 )
-from edgewalk import edge_space
+from edgewalk import edge_space, spectral
 from edgewalk.bounds import _pq_spectra_mismatch
 from edgewalk.edge_space import solve_absorption
 from edgewalk.errors import NoConvergence
 from edgewalk.operators import LineQuotientMatrix
 from edgewalk.spectral import companion_spectra, line_bracket, principal_vector
-from pq_oracle import companion_eigendata, dense_pq_mismatch
+from pq_oracle import (
+    companion_closed_form,
+    companion_eigendata,
+    dense_pq_mismatch,
+    same_bits,
+)
 
 EPS = np.finfo(float).eps
 
@@ -44,8 +49,9 @@ def test_every_small_instance_matches_the_dense_oracles(n, count):
     # the principal pair against eigh + principal_vector (tied tops
     # included), t_c (edge-space CG and vertex path) against a dense solve,
     # the pq_spectra certificate and the full multiset comparison against
-    # each other, and the ledger's bracket on lambda_max(P), a complement
-    # of several components included, against Lanczos
+    # each other, the ledger's bracket on lambda_max(P), a complement of
+    # several components included, against Lanczos, and either form's
+    # companion, read off N N^T, against its closed form bit for bit
     seen = 0
     for edges in _marked_sets(n):
         g = build_instance(n, edges)
@@ -75,6 +81,8 @@ def test_every_small_instance_matches_the_dense_oracles(n, count):
         assert 0.0 <= bracket.upper - bracket.lower <= 1e-14
         assert bracket.lower <= bracket.value <= bracket.upper
         assert abs(bracket.overlap - (P.uniform @ f) ** 2) <= 1e-15
+        closed_form = companion_closed_form(g)
+        assert same_bits(P.q_matrix, closed_form) and same_bits(Q.q_matrix, closed_form)
         seen += 1
     assert seen == count
 
@@ -189,11 +197,17 @@ def _complement_of(n, unmarked):
     ],
     ids=["triangle-plus-edge", "K23", "K33", "two-edges", "one-edge"],
 )
-def test_bracket_on_a_disconnected_complement(n, edges, components):
-    # t = 0 and the unmarked edges fall apart: each component's block of Q
-    # is solved and bracketed, and the largest ends are taken; the overlap
-    # sums over the components whose values tie at the top, as Lanczos
-    # from the uniform start does
+def test_bracket_on_a_disconnected_complement(monkeypatch, n, edges, components):
+    # t = 0 and the unmarked edges fall apart: each component's block of
+    # N N^T, exact integers, is solved and bracketed, and the largest ends
+    # are taken; the overlap sums over the components whose values tie at
+    # the top, as Lanczos from the uniform start does
+    solved = []
+
+    def recording_eigh(matrix):
+        solved.append(np.array(matrix))
+        return eigh(matrix)
+
     g = build_instance(n, edges)
     assert g.t == 0
     P, Q = build_P(g), build_P_quotient(g)
@@ -202,7 +216,11 @@ def test_bracket_on_a_disconnected_complement(n, edges, components):
     assert np.array_equal(orbits, cells[Q.pairs[:, 0]])
     values, vectors = eigh(P.dense())
     lam, f = line_principal_pair(P)
-    bracket = line_bracket(Q, companion_spectra(g)[2])
+    companion = companion_spectra(g)[2]
+    monkeypatch.setattr(spectral, "eigh", recording_eigh)
+    bracket = line_bracket(Q, companion)
+    assert len(solved) == (components if components > 1 else 0)
+    assert all(np.array_equal(block, np.round(block)) for block in solved)
     assert abs(lam - values[0]) <= 16 * EPS
     assert bracket.lower <= values[0] + 1e-15 and values[0] <= bracket.upper + 1e-15
     assert 0.0 <= bracket.upper - bracket.lower <= 1e-15

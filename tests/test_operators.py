@@ -27,6 +27,7 @@ from edgewalk import (
 )
 from edgewalk.errors import DimensionMismatch, EmptyComplement, TooLarge
 from edgewalk.operators import build_d_dense
+from pq_oracle import companion_closed_form, same_bits
 
 RNG = np.random.default_rng(2024)
 
@@ -217,6 +218,30 @@ def test_Q_incidence_identity():
         inc = P.complement.incidence().toarray()
         lhs = 2 * (n - 1) * P.q_matrix.matrix + 2 * np.eye(n + 1)
         assert np.array_equal(lhs, inc @ inc.T)
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, "more"])
+def test_Q_is_read_off_the_gram_matrix(t):
+    # on random hosts, either form's companion is no field, is built on
+    # first read and is its closed form bit for bit (every small instance:
+    # tests/test_line_kernel_exhaustive.py); the marked subgraph is a path
+    # through s = n+1-t shuffled labels, so that it spans exactly them, and
+    # random chords among them
+    rng = np.random.default_rng(32)
+    for _ in range(25):
+        n = int(rng.integers(4, 80))
+        s = n + 1 - (int(rng.integers(3, n - 1)) if t == "more" else t)
+        labels = rng.permutation(n + 1)[:s].tolist()
+        edges = list(zip(labels, labels[1:]))
+        chords = rng.integers(0, s, size=(int(rng.integers(0, s)), 2))
+        edges += [(labels[u], labels[v]) for u, v in chords if u != v]
+        g = build_instance(n, edges)
+        assert g.t == n + 1 - s
+        for P in (build_P(g), build_P_quotient(g)):
+            assert "q_matrix" not in {field.name for field in dataclasses.fields(P)}
+            assert "q_matrix" not in vars(P)
+            assert same_bits(P.q_matrix, companion_closed_form(g))
+            assert P.q_matrix is P.q_matrix and not P.q_matrix.block.flags.writeable
 
 
 # Each family with the largest size that fits in K_{n+1}, and its smallest.

@@ -430,6 +430,24 @@ def test_to_external_matches_canonical_order(data):
     assert all(g.to_canonical(g.to_external(i)) == i for i in range(n + 1))
 
 
+def test_to_canonical_reads_a_label_map_on_a_perfect_matching():
+    # O(log s) a label, with no O(n) canonical order built: the marked
+    # subgraph spans all 200000 vertices, labels in ascending order, and a
+    # second matching on the odd labels leaves the even ones to the rest
+    n = 199_999
+    labels = [0, 1, 2, 99_999, 150_000, 199_998, n]
+    spanning = build_instance(n, matching_edges(100_000))
+    positions = [spanning.to_canonical(w) for w in labels]
+    assert "canonical_order" not in vars(spanning)
+    assert positions == [spanning.canonical_order.index(w) for w in labels] == labels
+    odd = build_instance(n, [(w, w + 2) for w in range(n - 2, 0, -4)])
+    positions = [odd.to_canonical(w) for w in labels]
+    assert "canonical_order" not in vars(odd)
+    order = {w: i for i, w in enumerate(odd.canonical_order)}
+    assert positions == [order[w] for w in labels]
+    assert [odd.to_external(i) for i in positions] == labels
+
+
 @pytest.mark.parametrize("position", [-1, -7, 6, 10**9])
 def test_to_external_rejects_a_position_outside_the_host(position):
     # a negative index used to wrap around to the last labels
