@@ -291,19 +291,18 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
     order = n + 1
     y_matrix = vertex_matrix(g, -1, -n)
     # Y = n(T - I) and Q = Z/(2(n-1)) + I hold exactly, so T and Z are the
-    # only vertex matrices solved; only the top two values of each are read.
+    # only vertex matrices solved, and their principal vectors (Y's and Q's)
+    # the only ones chosen; only the top two values of each are read.
     z_matrix, z_spectrum, q_spectrum = companion_spectra(g)
     t_spectrum = quotient_spectrum(build_T(g))
     y_spectrum = t_spectrum.map(lambda value: n * (value - 1.0))
     z_values, t_values, y_values = (
         spectrum.descending(2) for spectrum in (z_spectrum, t_spectrum, y_spectrum)
     )
-
-    def distance_to_uniform(spectrum: QuotientSpectrum) -> float:
-        """||f - j||^2 for the principal vector f, in the quotient."""
-        return float(np.sum((spectrum.principal() - spectrum.uniform) ** 2))
-
-    overlap_t = distance_to_uniform(t_spectrum)
+    overlap_t, overlap_z = (  # ||f - j||^2 for the principal vector f
+        float(np.sum((spectrum.principal - spectrum.uniform) ** 2))
+        for spectrum in (t_spectrum, z_spectrum)
+    )
     # Counts of negatively signed marked arcs by terminus on Gamma's vertices
     # (the rest count 0); entries lie in [0, n] and sum to m.
     sign_counts = np.bincount(g.negative_arcs[1]).astype(np.float64)
@@ -315,7 +314,7 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
     else:
         # Without a complement these names stay unbound: the thunks of a
         # group without data are never called.
-        bracket = line_bracket(P, q_spectrum)
+        bracket = line_bracket(P, z_spectrum)
         t_c = _searching_time(g)[0]
         # the bracket's point value: an end would carry its width, which
         # 1/(1 - lambda) magnifies by t_c^2
@@ -375,9 +374,8 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
          lambda: (n + 3.0) / n - 4.0 * m / (n * (n + 1.0)) - 2.0 * s / n, ALWAYS),
         ("bipartite_iff", "==", lambda: float(t_summary is None),
          lambda: float(g.is_spanning_complete_bipartite()), ALWAYS),
-        ("overlap_generic.Y", "<=",
-         lambda: distance_to_uniform(y_spectrum), overlap_bound, HALF),
-        ("overlap_generic.Z", "<=", lambda: distance_to_uniform(z_spectrum),
+        ("overlap_generic.Y", "<=", lambda: overlap_t, overlap_bound, HALF),
+        ("overlap_generic.Z", "<=", lambda: overlap_z,
          lambda: 8.0 * m / (n + 1.0) ** 2, ALWAYS),
         ("lmax_upper_Y", "<=",
          lambda: y_values[0], lambda: -(1.0 - delta) * 4.0 * m / (n + 1.0), HALF),

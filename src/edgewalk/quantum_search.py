@@ -361,8 +361,9 @@ def _finding_probabilities(
     g: SignedCompleteGraph, prev: np.ndarray, cur: np.ndarray, first: int
 ) -> np.ndarray:
     """Finding probability of U^t j for t = first, first + 1, ..., from the
-    rows b_{t-1} = -a_t (``prev``) and b_t (``cur``) of the forced pair
-    walk on the marked subgraph's vertices."""
+    rows b_{t-1} = -a_t (``prev``) and b_t (``cur``) of the forced pair walk
+    on the marked subgraph's vertices; each row sums its arcs left to right,
+    so a row's value does not depend on how many are read with it."""
     neg_o, neg_t = g.negative_arcs
     # The walk takes the cancellation in long double; the marked amplitudes
     # are O(1), so they are read out in float64.
@@ -373,7 +374,7 @@ def _finding_probabilities(
     # sigma(o, t) = -1
     forward = (prev[:, neg_t] + cur[:, neg_o]) / sqrt_n + signs
     backward = signs - (prev[:, neg_o] + cur[:, neg_t]) / sqrt_n
-    return np.sum(forward**2 + backward**2, axis=1)
+    return np.cumsum(forward**2 + backward**2, axis=1)[:, -1]
 
 
 def _uniform_series(g: SignedCompleteGraph, t_max: int) -> np.ndarray:

@@ -19,15 +19,15 @@ uniform vector and the principal vector among them), and the value
 beta = diagonal - off of the t-1 zero-sum vectors on the rest.  So the
 principal pair, the overlaps and the top of the spectrum cost O(s^3) for
 the solve and O(s^2) to read.  ``QuotientSpectrum.principal`` alone
-chooses the principal vector, a dense eigendecomposition being the quotient
-with s = n+1 and t = 0.  ``SpectralSummary`` is an O(s) view on the
-quotient; only its ``f`` and ``eigenvalues`` are O(n), lifted on first
-read and refused above ``LIFT_LIMIT`` vertices.  ``quotient_eigh`` lifts
-the quotient to a dense order-(n+1) eigenvector matrix, and it and full
-``eigh`` are the tests' oracles.
+chooses the principal vector, once per spectrum (a dense eigendecomposition
+is the quotient with s = n+1 and t = 0).  ``SpectralSummary`` is an O(s)
+view on the quotient; only its ``f`` and ``eigenvalues`` are O(n), lifted
+on first read and refused above ``LIFT_LIMIT`` vertices.  ``quotient_eigh``
+lifts the quotient to a dense order-(n+1) eigenvector matrix, and it and
+full ``eigh`` are the tests' oracles.
 
 The line kernel P needs no eigensolve of its own: ``companion_spectra``
-solves its vertex companion Q through Z, and ``line_bracket`` lifts Q's
+solves its vertex companion Q through Z, and ``line_bracket`` lifts their
 principal vector to the edge orbits and brackets lambda_max(P) with one
 product (Collatz-Wielandt).  This module needs numpy only; Lanczos on P,
 scipy's ARPACK, is the tests' oracle in ``edge_space.line_principal_pair``.
@@ -47,7 +47,7 @@ from .errors import (
 from .operators import (
     LineQuotientMatrix, VertexMatrix, build_T, build_U_dense, cell_sizes, vertex_matrix
 )
-from .signed_graph import SignedCompleteGraph
+from .signed_graph import SignedCompleteGraph, _readonly
 
 __all__ = [
     "SpectralSummary",
@@ -128,11 +128,11 @@ class QuotientSpectrum:
     def copies(self) -> int:
         return max(self.t - 1, 0)
 
-    @property
+    @cached_property
     def uniform(self) -> np.ndarray:
         """The unit uniform vector of the order-(n+1) space in the
         symmetric coordinates: sqrt(|cell| / (n+1)) on each cell."""
-        return np.sqrt(cell_sizes(self.s, self.t)) / np.sqrt(self.s + self.t)
+        return _readonly(np.sqrt(cell_sizes(self.s, self.t)) / np.sqrt(self.s + self.t))
 
     @property
     def distinct(self) -> np.ndarray:
@@ -161,6 +161,7 @@ class QuotientSpectrum:
         ``function`` applied to each value, the vectors kept."""
         return replace(self, values=function(self.values), beta=function(self.beta))
 
+    @cached_property
     def principal(self) -> np.ndarray:
         """The unit vector of the top eigenspace (values within ``TIE_TOL``
         of the top) nearest the uniform vector, in the symmetric coordinates:
@@ -182,7 +183,7 @@ class QuotientSpectrum:
         f = basis[:, 0] if norm < 1e-12 else basis @ (coeffs / norm)
         if f @ uniform < 0:
             f = -f
-        return f / np.linalg.norm(f)
+        return _readonly(f / np.linalg.norm(f))
 
     def _check_lift(self) -> None:
         """Raises TooLarge, before anything of order n+1 is allocated, above
@@ -224,13 +225,12 @@ class QuotientSpectrum:
                 "bipartite graph, so the rotation angle is 0 and the quantum "
                 "searching time is undefined"
             )
-        principal = self.principal()
         return SpectralSummary(
             spectrum=self,
-            principal=principal,
+            principal=self.principal,
             theta_max=float(np.arccos(lam)),
             gap=float(top[0] - top[1]),
-            overlap=float(principal @ self.uniform) ** 2,
+            overlap=float(self.principal @ self.uniform) ** 2,
         )
 
 
@@ -298,9 +298,9 @@ class LineBracket:
 
 
 def line_bracket(P: LineQuotientMatrix, companion: QuotientSpectrum) -> LineBracket:
-    """Certify lambda_max(P) from the spectrum of its vertex companion Q
-    (``companion``, on Q's quotient), with one ``orbit_matvec`` and no
-    eigensolve of P.
+    """Certify lambda_max(P) from the principal vector of its vertex
+    companion Q, read off ``companion``, the quotient spectrum of
+    Z = 2(n-1)(Q - I), with one ``orbit_matvec`` and no eigensolve of P.
 
     P N^T = N^T Q, N the vertex-edge incidence, so x = N^T w is an
     eigenvector of P for an eigenvector w of Q.  Q + I/(n-1) is
@@ -317,22 +317,21 @@ def line_bracket(P: LineQuotientMatrix, companion: QuotientSpectrum) -> LineBrac
     eigenspace, the principal vector as ``principal_vector`` chooses it.
 
     One component, the case for every t >= 1, takes w from
-    ``companion.principal()``; for t = 0 a complement of several takes each
-    from a solve of its block of the integer N N^T (``P.gram``), the values
-    mapped to Q's, (x - 2)/(2(n-1)).  Every sum over an orbit weighs it by
-    its size.  Raises NoConvergence when x has an entry that is not
-    positive, where the bracket would not hold.
+    ``companion.principal``; for t = 0 a complement of several takes each
+    from a solve of its block of the integer N N^T = Z + 2nI (``P.gram``),
+    so ``TIE_TOL`` reads ties in Z's units either way.  Every sum over an
+    orbit weighs it by its size.  Raises NoConvergence when x has an entry
+    that is not positive, where the bracket would not hold.
     """
     cells, orbits = P.components()
     count = int(cells.max()) + 1
     if count == 1:
-        w = companion.principal()
+        w = companion.principal
     else:
         w = np.zeros(cells.size)
         for component in range(count):
             cell = np.flatnonzero(cells == component)
-            values, vectors = eigh(P.gram.quotient[np.ix_(cell, cell)])
-            w[cell] = principal_vector((values - 2.0) / P.moves, vectors)
+            w[cell] = principal_vector(*eigh(P.gram.quotient[np.ix_(cell, cell)]))
     x = P.lift(w)
     if not np.all(x > 0.0):
         raise NoConvergence(
@@ -365,7 +364,7 @@ def line_bracket(P: LineQuotientMatrix, companion: QuotientSpectrum) -> LineBrac
 def principal_vector(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """``QuotientSpectrum.principal`` of a descending eigendecomposition:
     the quotient of the partition into single vertices."""
-    return QuotientSpectrum(values, vectors, np.nan, s=vectors.shape[0], t=0).principal()
+    return QuotientSpectrum(values, vectors, np.nan, s=vectors.shape[0], t=0).principal
 
 
 @dataclass(frozen=True)

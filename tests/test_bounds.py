@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,9 @@ from edgewalk.bounds import (
 from edgewalk.edge_space import solve_absorption
 from edgewalk.errors import TooSmall
 from edgewalk.operators import VertexMatrix, vertex_matrix
-from edgewalk.spectral import companion_spectra, eigh, line_bracket
+from edgewalk.spectral import (
+    QuotientSpectrum, companion_spectra, eigh, line_bracket, quotient_spectrum
+)
 from pq_oracle import companion_eigendata, dense_pq_mismatch
 
 BASE_NAMES = {
@@ -334,7 +337,7 @@ def test_verify_all_takes_no_edge_space_step(monkeypatch):
     assert 0.0 <= upper - lower <= 1e-14
     assert abs(ledger.entry("cor_P.overlap").lhs - (P.uniform @ f) ** 2) <= 1e-12
     # the one t_c of classical and speedup, against the bracket's point value
-    value = line_bracket(build_P_quotient(g), companion_spectra(g)[2]).value
+    value = line_bracket(build_P_quotient(g), companion_spectra(g)[1]).value
     assert lower <= value <= upper
     near = ledger.entry("tc_near_resolvent").lhs
     assert near == abs(hitting_time(g).t_c - 1.0 / (1.0 - value))
@@ -437,6 +440,34 @@ def test_verify_all_solves_two_vertex_matrices(monkeypatch):
     ledger = verify_all(build_instance(260, path_edges(2)))
     assert ledger.all_passed
     assert sorted(orders) == [3, 4, 4]
+
+
+def test_verify_all_chooses_two_principal_vectors(monkeypatch):
+    # T's and Z's, once each, and none on a spectrum mapped from them (Y's
+    # and Q's): on hosts with t >= 1, whose complement is connected
+    chosen = []
+    choose = QuotientSpectrum.__dict__["principal"].func
+
+    def counting(spectrum):
+        chosen.append(spectrum)
+        return choose(spectrum)
+
+    principal = cached_property(counting)
+    principal.__set_name__(QuotientSpectrum, "principal")
+    monkeypatch.setattr(QuotientSpectrum, "principal", principal)
+    rng = np.random.default_rng(20240809)
+    for _ in range(8):
+        g = random_instance(rng, (5, 120), ["path", "matching", "star", "cycle"], 6)
+        chosen.clear()
+        ledger = verify_all(g)
+        assert ledger.all_passed
+        solved = (quotient_spectrum(build_T(g)), companion_spectra(g)[1])
+        assert len(chosen) == 2, g
+        for spectrum, expected in zip(chosen, solved):
+            assert np.array_equal(spectrum.values, expected.values), g
+        # Y's principal vector is T's, so the two distances are one value
+        y = ledger.entry("overlap_generic.Y").lhs
+        assert y == ledger.entry("cor_T.overlap").lhs, g
 
 
 def test_k5_gating():

@@ -214,7 +214,7 @@ def test_lift_limit_guards_every_order_n_read():
     g = build_instance(spectral.LIFT_LIMIT, star_edges(100))
     spectrum = spectral.quotient_spectrum(build_T(g))
     assert spectrum.descending(2).size == 2 and spectrum.lambda_max < 1.0
-    assert spectrum.principal().size == 102
+    assert spectrum.principal.size == 102
     summary = spectrum.summary()
     assert summary.principal.size == 102 and 0.0 < summary.theta_max < 1e-5
     assert summary.lambda_max == spectrum.lambda_max and summary.overlap <= 1.0

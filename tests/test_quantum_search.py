@@ -239,3 +239,31 @@ def test_rotation_gap_spectral_bound_random(seed):
     g = build_instance(n, [pairs[i] for i in chosen])
     d = asymptotic_diagnostics(g)
     assert d.rotation_gap_sq <= 4 * (1 - d.lambda_max) + 1e-12
+
+
+# hosts with 22 or more marked edges, where each step's readout sums enough
+# marked arcs that a different summation order changes its last bit
+MANY_MARKED = {
+    "path 40, n = 60": (60, path_edges(40)),
+    "matching 22, n = 45": (45, matching_edges(22)),
+    "matching 30, n = 200": (200, matching_edges(30)),
+}
+
+
+@pytest.mark.parametrize("host", MANY_MARKED)
+def test_diagnostics_read_the_series_value_at_tf(host):
+    # the diagnostics read t_f as one row, the series as a row of a block
+    g = build_instance(*MANY_MARKED[host])
+    d = asymptotic_diagnostics(g)
+    assert d.fp_at_tf == run_series(g, d.t_f).fp[d.t_f]
+
+
+@pytest.mark.parametrize(
+    "host, t_max",
+    [("matching 30, n = 200", 0), ("matching 30, n = 200", 266), ("path 40, n = 60", 385)],
+)
+def test_series_does_not_depend_on_its_length(host, t_max):
+    # blocks of 266 rows on the matching and 385 on the path: each t_max
+    # ends on a block of one row, which t_max = 531 reads inside a block
+    g = build_instance(*MANY_MARKED[host])
+    assert np.array_equal(run_series(g, t_max).fp, run_series(g, 531).fp[: t_max + 1])

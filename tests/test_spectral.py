@@ -378,9 +378,19 @@ def test_quotient_principal_refuses_beta_above_the_quotient():
     spectrum = quotient_spectrum(matrix)
     assert spectrum.lambda_max == pytest.approx(0.1, abs=1e-15)
     with pytest.raises(ValueError, match="beta lies above"):
-        spectrum.principal()
+        spectrum.principal
     with pytest.raises(ValueError, match="beta lies above"):
         spectrum.summary()
+
+
+def test_a_spectrum_chooses_its_principal_vector_once_and_read_only():
+    # summary() hands out the cached vector itself, so neither it nor the
+    # uniform vector may be written through
+    spectrum = quotient_spectrum(build_T(build_instance(20, path_edges(3))))
+    assert spectrum.summary().principal is spectrum.principal
+    for vector in (spectrum.principal, spectrum.uniform):
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 0.0
 
 
 PAIR_FAMILIES = {
@@ -416,7 +426,7 @@ def test_quotient_spectrum_matches_its_dense_lift(family, data):
         assert np.array_equal(np.unique(spectrum.distinct), np.unique(values)), name
         assert np.abs(values - full_values).max() <= 1e-13 * scale, name
         # the principal vector and ||f - j||^2 in the symmetric coordinates
-        f = spectrum.principal()
+        f = spectrum.principal
         dense_f = principal_vector(values, vectors)
         assert np.abs(spectrum.lift(f) - dense_f).max() <= 1e-13, name
         j = np.full(order, 1.0 / np.sqrt(order))
