@@ -23,10 +23,12 @@ only: scipy's CG runs in ``edge_space`` alone.
 A seeded Monte-Carlo walker provides an independent estimate of the same
 quantity.  Trial i draws from the stream of
 ``Generator(Philox(key=[seed, i]))``; the walker evaluates Philox4x64-10
-(a pure function of key and counter) in numpy for every trial at once, turns
-the draws into bounded integers with numpy's own method (Lemire's), and
-steps all trials in lockstep, so its estimate equals, bit for bit, that of
-a walk driven by per-trial numpy generators.  It does not walk pairs of
+(a pure function of key and counter) in numpy for every trial at once
+and lays the draws out column-major, draw j of every live trial contiguous.
+It turns them into bounded integers with numpy's own method (Lemire's)
+and steps all trials in lockstep, one step of every trial on one
+contiguous row of draws, so its estimate equals, bit for bit, that of a
+walk driven by per-trial numpy generators.  It does not walk pairs of
 vertices: in canonical order the marked subgraph is 0..s-1, and whether a
 step lands on one of its vertices or in the rest depends only on which of
 those s + 1 cells the edge's ends lie in and on min(o, s), o the step's
@@ -183,8 +185,7 @@ def mc_hitting_time(
     trials, seed = _index(trials), _index(seed)
     if trials < 1:
         raise ZeroTrials(f"need at least one trial, got {trials}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    _check_seed(seed)
     num_start, moves = _unmarked_edges(g), 2 * (g.n - 1)
     if max(num_start, moves) > _MAX_BOUND:
         raise TooLarge(
@@ -196,6 +197,13 @@ def mc_hitting_time(
     if trials == 1:
         return mean, 0.0
     return mean, float(counts.std(ddof=1) / np.sqrt(trials))
+
+
+def _check_seed(seed: int) -> None:
+    """Raise ValueError unless 0 <= seed < 2**64, the first word of every
+    trial's Philox key; ``classical`` checks it before any work."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
 
 
 def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
@@ -210,11 +218,14 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
     trial starts on the pair of its start edge's orbit (``_start_orbits``).
     The step symbol of a draw is side (s+1) + min(o, s), for the kept end and
     the offset o of the moved end's new vertex, or the stay symbol 2 (s+1)
-    for a draw a row cannot take.  Up to ``_STEP_TABLE_LIMIT`` entries a
-    table of the next pair by symbol and pair makes a column of steps one
-    gather; above it each column applies the rule.  Trials enter in
-    batches of ``_REFILL_DRAWS // _FIRST_WIDTH``; absorbed rows stay in
-    place until the refill ends.
+    for a draw a trial cannot take.  A refill's draws, and so its symbols,
+    are held column-major, a row per draw and a column per live trial (see
+    ``_philox``), so a column of steps, one step of every trial, reads one
+    contiguous row.  Up to ``_STEP_TABLE_LIMIT`` entries a table of the next
+    pair by symbol and pair makes a column of steps one gather; above it
+    each column applies the rule.  Trials enter in batches of
+    ``_REFILL_DRAWS // _FIRST_WIDTH``; absorbed trials stay in place until
+    the refill ends.
     """
     num_start, start_pair = _start_orbits(g)
     n, s = g.n, g.s
@@ -251,14 +262,11 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
         taken = np.zeros(keys.size, dtype=np.int64)  # steps before this refill
         counter, width = 1, _FIRST_WIDTH
         while keys.size:
-            rows = keys.size
+            live = keys.size
             blocks = width // 8
-            # numpy's next_uint32 takes the low half of each word first, the
-            # words' little-endian memory order: on such a host, no copy
-            words = _philox(seed, keys, counter, blocks, work)
-            draws = words.astype("<u8", copy=False).view("<u4")
+            draws = _philox(seed, keys, counter, blocks, work)
             counter += blocks
-            lead = np.zeros(rows, dtype=np.intp)  # draws the start took
+            lead = np.zeros(live, dtype=np.intp)  # draws the start took
             if pending.any():
                 starting = np.flatnonzero(pending)
                 index = np.zeros(starting.size, dtype=np.intp)
@@ -268,34 +276,34 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
                 at[starting] = start_pair(index)
                 pending[starting] = False
             values, usable = _bounded(draws, 2 * (n - 1))
-            symbols = symbols_buffer[: rows * width].reshape(rows, width)
+            symbols = symbols_buffer[: live * width].reshape(width, live)
             np.take(symbols_of, values.view(np.int64), out=symbols, mode="clip")
             del values  # before the next refill bounds its draws
-            # every row's steps start after its start draw
+            # every trial's steps start after its start draw
             start = int(lead.min())
             if lead.max() > start:
-                usable &= np.arange(width) >= lead[:, None]
-            symbols, usable = symbols[:, start:], usable[:, start:]
-            # A rejected draw (probability below k / 2**32) leaves its row
-            # fewer steps: the accepted draws move to the front, and the row
-            # stays for the rest of the refill.
-            have = np.full(rows, symbols.shape[1])
+                usable &= np.arange(width)[:, None] >= lead
+            symbols, usable = symbols[start:], usable[start:]
+            # A rejected draw (probability below k / 2**32) leaves its trial
+            # fewer steps: the accepted draws move to the front, and the
+            # trial stays for the rest of the refill.
+            have = np.full(live, symbols.shape[0])
             if not usable.all():
-                short = np.flatnonzero(~usable.all(axis=1))
-                accepted = usable[short]
-                row_symbols = np.where(accepted, symbols[short], stay)
-                order = np.argsort(~accepted, axis=1, kind="stable")
-                symbols[short] = np.take_along_axis(row_symbols, order, axis=1)
-                have[short] = accepted.sum(axis=1)
-            hit = np.zeros(rows, dtype=bool)
+                short = np.flatnonzero(~usable.all(axis=0))
+                accepted = usable[:, short]
+                trial_symbols = np.where(accepted, symbols[:, short], stay)
+                order = np.argsort(~accepted, axis=0, kind="stable")
+                symbols[:, short] = np.take_along_axis(trial_symbols, order, axis=0)
+                have[short] = accepted.sum(axis=0)
+            hit = np.zeros(live, dtype=bool)
             absorbed = 0
             if table is None:
-                # the columns' side rows and offsets, stored column by column
-                bases, offsets = np.divmod(symbols.T, cells, order="C")
+                # each column's side rows and offsets
+                bases, offsets = np.divmod(symbols, cells)
                 bases *= pairs
                 columns = zip(bases, offsets)
             else:
-                columns = symbols.T
+                columns = symbols
             for done, column in enumerate(columns, 1):
                 if table is None:
                     base, o = column
@@ -308,10 +316,10 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
                     fresh = np.flatnonzero(now ^ hit)
                     counts[keys[fresh]] = taken[fresh] + done
                     hit, absorbed = now, count
-                    if absorbed == rows:
+                    if absorbed == live:
                         break
                     if table is None:  # the table keeps absorbing pairs; here
-                        # the absorbed rows take the stay symbol from now on
+                        # the absorbed trials take the stay symbol from now on
                         bases[done:, fresh] = 2 * pairs
                         offsets[done:, fresh] = 0
             walking = np.flatnonzero(~hit)
@@ -340,22 +348,22 @@ def _start_orbits(g: SignedCompleteGraph) -> tuple[int, Callable]:
 
 
 def _first_accepted(
-    draws: np.ndarray, rows: np.ndarray, bound: int
+    draws: np.ndarray, columns: np.ndarray, bound: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first accepted ``integers(0, bound)`` value in each of ``rows``
-    of ``draws``, the number of draws it took (the row's width when none is
-    accepted) and whether one was.  Only rows whose first draw is rejected
-    are bounded past it."""
-    values, accepted = _bounded(draws[rows, :1], bound)
-    values, accepted = values[:, 0].astype(np.intp), accepted[:, 0]
-    taken = np.ones(rows.size, dtype=np.intp)
+    """The first accepted ``integers(0, bound)`` value in each of ``columns``
+    of ``draws``, the number of draws it took (the column's length when none
+    is accepted) and whether one was.  Only columns whose first draw is
+    rejected are bounded past it."""
+    values, accepted = _bounded(draws[0, columns], bound)
+    values = values.astype(np.intp)
+    taken = np.ones(columns.size, dtype=np.intp)
     late = np.flatnonzero(~accepted)
     if late.size:
-        late_values, late_accepted = _bounded(draws[rows[late]], bound)
-        first = late_accepted.argmax(axis=1)
-        accepted[late] = late_accepted[np.arange(late.size), first]
-        values[late] = late_values[np.arange(late.size), first]
-        taken[late] = np.where(accepted[late], first + 1, draws.shape[1])
+        late_values, late_accepted = _bounded(draws[:, columns[late]], bound)
+        first, each = late_accepted.argmax(axis=0), np.arange(late.size)
+        accepted[late] = late_accepted[first, each]
+        values[late] = late_values[first, each]
+        taken[late] = np.where(accepted[late], first + 1, draws.shape[0])
     return values, taken, accepted
 
 
@@ -428,22 +436,25 @@ def _philox(
     """Philox4x64-10 (Salmon et al., SC 2011) under key (seed, k) for each
     k in ``keys``, at block counters counter, ..., counter + blocks - 1.
 
-    Returns uint64 words of shape (keys.size, 4 * blocks) in stream order:
-    ``Philox(key=[seed, k]).random_raw`` starts at counter 1.  The rounds
-    run in ``work`` (at least 12 keys.size blocks + 2 keys.size words), and
-    the words are a view into it.
+    Returns the uint32 draws column-major, shape (8 blocks, keys.size): row
+    j holds draw j of every key, as numpy's ``next_uint32`` takes them from
+    ``Philox(key=[seed, k]).random_raw`` (which starts at counter 1), the
+    low half of each word, then its high half.  The rounds run on (2,
+    blocks, keys.size) arrays in ``work`` (at least 12 keys.size blocks + 2
+    keys.size words), keys innermost, so the round keys are read along
+    contiguous memory; the draws are a view into it.
     """
     rows = keys.size
     size = 2 * rows * blocks
     # A round multiplies words 0 and 2 of the counter block ("even") and
     # folds the high halves into words 1 and 3 ("odd") under the round key.
     even, odd, low, e_lo, lo_lo, t = (
-        work[i * size : (i + 1) * size].reshape(2, rows, blocks) for i in range(6)
+        work[i * size : (i + 1) * size].reshape(2, blocks, rows) for i in range(6)
     )
-    key = work[6 * size : 6 * size + 2 * rows].reshape(2, rows, 1)
+    key = work[6 * size : 6 * size + 2 * rows].reshape(2, 1, rows)
     key[0] = seed
-    key[1, :, 0] = keys
-    even[0] = np.arange(counter, counter + blocks, dtype=np.uint64)
+    key[1, 0] = keys
+    even[0] = np.arange(counter, counter + blocks, dtype=np.uint64)[:, None]
     even[1] = 0
     odd[...] = 0
     for _ in range(10):
@@ -467,11 +478,17 @@ def _philox(
         odd ^= key
         key += _PHILOX_WEYL
         even, odd, low = odd, low[::-1], even
-    # the words take the place of the halves e_lo and lo_lo
-    words = work[3 * size : 5 * size].reshape(rows, blocks, 4)
-    words[..., 0], words[..., 1] = even[0], odd[0]
-    words[..., 2], words[..., 3] = even[1], odd[1]
-    return words.reshape(rows, 4 * blocks)
+    # The draws take the place of the halves e_lo and lo_lo, by block, word
+    # pair (0, 1) or (2, 3), word of the pair and half; the cast to uint32
+    # keeps a word's low half, and t holds its high half.
+    draws = work[3 * size : 5 * size].view(np.uint32).reshape(blocks, 2, 2, 2, rows)
+    t = t.transpose(1, 0, 2)
+    for i, words in enumerate((even, odd)):
+        words = words.transpose(1, 0, 2)
+        draws[:, :, i, 0] = words
+        np.right_shift(words, 32, out=t)
+        draws[:, :, i, 1] = t
+    return draws.reshape(8 * blocks, rows)
 
 
 def _bounded(draws: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import verify_all
-from .classical_search import _searching_time, hitting_time, mc_hitting_time
+from .classical_search import _check_seed, _searching_time, hitting_time, mc_hitting_time
 from .errors import (
     DegenerateSpectrum,
     EdgeWalkError,
@@ -174,6 +174,7 @@ def cmd_simulate(args) -> int:
 def cmd_classical(args) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be nonnegative, got {args.trials}")
+    _check_seed(args.seed)
     g, descriptor = _instance_from_args(args)
     result = hitting_time(g)
     mc = None

@@ -51,20 +51,23 @@ def _generator(seed, trial):
     return np.random.Generator(np.random.Philox(key=_key(seed, trial)))
 
 
-def _words(seed, keys, counter, blocks):
-    """``_philox`` run in a work buffer of its own."""
+def _draws(seed, keys, counter, blocks):
+    """``_philox``'s uint32 draws, run in a work buffer of its own, one row
+    per key."""
     work = np.empty(12 * keys.size * blocks + 2 * keys.size, dtype=np.uint64)
-    return _philox(seed, keys, counter, blocks, work)
+    return _philox(seed, keys, counter, blocks, work).T
 
 
-def _draws(words):
-    """The uint32 draws of ``_philox``'s words, read as the walker reads them."""
-    return words.astype("<u8", copy=False).view("<u4")
+def _words(seed, keys, counter, blocks):
+    """Each key's uint64 words, joined from its draws 2i (the low half) and
+    2i + 1, one row per key."""
+    draws = _draws(seed, keys, counter, blocks).astype(np.uint64)
+    return draws[:, 0::2] | draws[:, 1::2] << 32
 
 
 def _accepted(seed, trial, bound, counter, blocks):
     """The accepted bounded draws of blocks counter, ..., counter+blocks-1."""
-    draws = _draws(_words(seed, _key(trial), counter, blocks))
+    draws = _draws(seed, _key(trial), counter, blocks)
     values, accepted = _bounded(draws, bound)
     return values[accepted]
 
@@ -438,7 +441,7 @@ def test_mc_matches_oracle_through_rejected_draws(seed, trials, trial, position)
     # 68671 / 2**32 for the start (84255 unmarked edges) and 816 / 2**32 for
     # a step (820 moves); these streams each reject one early draw.
     g = build_instance(411, star_edges(411))
-    draws = _draws(_words(seed, _key(trial), 1, 8))[0]
+    draws = _draws(seed, _key(trial), 1, 8)[0]
     _, start_ok = _bounded(draws[:1], 84255)
     _, step_ok = _bounded(draws[1:], 820)
     rejected = np.flatnonzero(~np.concatenate((start_ok, step_ok)))
@@ -463,6 +466,44 @@ def test_mc_rejections_ignore_refill_splits(monkeypatch):
         monkeypatch.setattr(classical_search, "_FIRST_WIDTH", first)
         monkeypatch.setattr(classical_search, "_REFILL_DRAWS", cap)
         estimates.add(mc_hitting_time(g, 50, seed=3))
+    assert len(estimates) == 1
+
+
+def test_mc_start_waits_for_a_refill_of_rejected_draws(monkeypatch):
+    # Reject every draw of trial 5's first block as a start draw: with 8
+    # draws a trial in the first refill, it starts in the second.  Where
+    # the refills split its stream must not change the estimate.
+    g = build_instance(10, [(0, 1), (1, 2)])
+    num_start = classical_search._unmarked_edges(g)
+    lost = _draws(3, _key(5), 1, 1)[0]
+
+    def lossy(draws, bound):
+        values, accepted = _bounded(draws, bound)
+        if bound == num_start:
+            accepted &= ~np.isin(draws, lost)
+        return values, accepted
+
+    starts = []
+
+    def recording(draws, columns, bound):
+        starts.append(columns.size)
+        return first_accepted(draws, columns, bound)
+
+    first_accepted = classical_search._first_accepted
+    monkeypatch.setattr(classical_search, "_bounded", lossy)
+    monkeypatch.setattr(classical_search, "_first_accepted", recording)
+    estimates = set()
+    for first, cap, calls in (
+        (8, 2**16, [20, 1]),
+        (16, 2**16, [20]),
+        (8, 2**7, [16, 1, 4]),
+        (24, 2**9, [20]),
+    ):
+        monkeypatch.setattr(classical_search, "_FIRST_WIDTH", first)
+        monkeypatch.setattr(classical_search, "_REFILL_DRAWS", cap)
+        starts.clear()
+        estimates.add(mc_hitting_time(g, 20, seed=3))
+        assert starts == calls
     assert len(estimates) == 1
 
 
@@ -647,18 +688,37 @@ def test_numpy_philox_matches_random_raw(seed):
         assert (row == raw).all()
     # a later counter continues the same streams
     assert (_words(seed, trials, 3, 3) == words[:, 8:]).all()
+    # many rows of several blocks from counter 4 (words 12..23), the keys
+    # running across 2**32 and up to 2**64 - 1, where the round keys wrap
+    many = np.concatenate(
+        (_key(*range(2**32 - 300, 2**32 + 300)), _key(*range(2**64 - 200, 2**64)))
+    )
+    words = _words(seed, many, 4, 3)
+    assert words.shape == (800, 12)
+    for row, trial in zip(words, many):
+        raw = np.random.Philox(key=_key(seed, trial)).random_raw(24)
+        assert (row == raw[12:]).all()
+    # a counter past 2**32, so that the counter word has a high half
+    # (numpy's stream starts one block past the counter it is given)
+    counter = 2**40 + 3
+    philox = np.random.Philox(counter=_key(counter - 1, 0, 0, 0), key=_key(seed, 9))
+    assert (_words(seed, _key(9), counter, 2)[0] == philox.random_raw(8)).all()
 
 
 def test_uint32_draws_take_the_low_half_first():
-    words = np.array([[0x0123456789ABCDEF, 0xFEDCBA9876543210]], dtype=np.uint64)
-    halves = [0x89ABCDEF, 0x01234567, 0x76543210, 0xFEDCBA98]
-    assert _draws(words).tolist() == [halves]
+    # _philox splits each word into two draws, its low half first, as
+    # numpy's next_uint32 takes them
+    word = int(np.random.Philox(key=_key(11, 2**33)).random_raw(1)[0])
+    draws = _draws(11, _key(2**33), 1, 1)[0]
+    assert draws[:2].tolist() == [word & 0xFFFFFFFF, word >> 32]
+    expected = _generator(11, 2**33).integers(2**32, size=8, dtype=np.uint32)
+    assert (draws == expected).all()
 
 
 @pytest.mark.parametrize("bound", [2, 158, 2**31 + 1])
 def test_bounded_draws_match_generator_integers(bound):
     expected = _generator(11, 2**33).integers(0, bound, size=600)
-    draws = _draws(_words(11, _key(2**33), 1, 200))
+    draws = _draws(11, _key(2**33), 1, 200)
     values, accepted = _bounded(draws, bound)
     assert (values[accepted][:600] == expected).all()
     if bound == 2**31 + 1:

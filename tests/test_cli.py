@@ -476,6 +476,23 @@ def test_classical_seed_out_of_range_is_config_error(tmp_path, capsys, seed):
     assert err["error"] == "config" and "seed" in err["message"]
 
 
+@pytest.mark.parametrize("seed", ["-5", str(2**64)])
+def test_classical_seed_is_checked_whatever_the_trials(tmp_path, capsys, seed):
+    # with --trials 0 no walk runs, but the seed is echoed into report.json,
+    # so it is refused before any work, with the message --trials 1 gives
+    messages = []
+    for trials in ("0", "1"):
+        out = tmp_path / trials
+        argv = ["classical", "--n", "3", "--subgraph", PATH1, "--trials", trials,
+                "--seed", seed, "--out", str(out)]
+        assert main(argv) == cli.EXIT_CONFIG == 2
+        assert not out.exists()
+        messages.append(json.loads(capsys.readouterr().err))
+    assert messages[0] == messages[1] == {
+        "error": "config", "message": f"seed must lie in [0, 2**64), got {seed}"
+    }
+
+
 def test_classical_negative_trials_is_config_error(tmp_path, capsys):
     # used to skip the Monte-Carlo check silently and exit 0
     code = main(
