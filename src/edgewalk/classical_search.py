@@ -221,17 +221,18 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
     for a draw a trial cannot take.  A refill's draws, and so its symbols,
     are held column-major, a row per draw and a column per live trial (see
     ``_philox``), so a column of steps, one step of every trial, reads one
-    contiguous row.  Up to ``_STEP_TABLE_LIMIT`` entries a table of the next
-    pair by symbol and pair makes a column of steps one gather; above it
-    each column applies the rule.  Trials enter in batches of
+    contiguous row.  The step is ``_cell_rule``'s rule, written once: up to
+    ``_STEP_TABLE_LIMIT`` entries ``_step_table`` evaluates it on every
+    symbol and pair, so a column of steps is one gather, and above it each
+    column calls it.  Trials enter in batches of
     ``_REFILL_DRAWS // _FIRST_WIDTH``; absorbed trials stay in place until
     the refill ends.
     """
     num_start, start_pair = _start_orbits(g)
     n, s = g.n, g.s
     cells, pairs = s + 1, (s + 3) ** 2
-    kept, low, high, absorbing = rule = _cell_rule(g)
-    table = _step_table(rule, s)
+    rule, absorbing = _cell_rule(g)
+    table = _step_table(rule, absorbing, s)
     # one symbol per move value, and the stay symbol last; on the table
     # they are scaled to the table's rows
     side, offset = np.divmod(np.arange(2 * (n - 1)), n - 1)
@@ -306,8 +307,7 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
                 columns = symbols
             for done, column in enumerate(columns, 1):
                 if table is None:
-                    base, o = column
-                    at = kept[base + at] + o + (o >= low[at]) + (o >= high[at])
+                    at = rule(*column, at)
                 else:
                     at = table[at + column]
                 now = absorbing[at]
@@ -367,19 +367,18 @@ def _first_accepted(
     return values, taken, accepted
 
 
-def _cell_rule(
-    g: SignedCompleteGraph,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The walker's step on pairs of ends: (kept, low, high, absorbing).
+def _cell_rule(g: SignedCompleteGraph) -> tuple[Callable, np.ndarray]:
+    """The walker's step on pairs of ends, ``rule(base, o, at)``, and
+    ``absorbing``.
 
     An end is a vertex 0..s-1 of the marked subgraph or a label s, s + 1 or
     s + 2 of the rest, and the pair (a, b) is a (s+3) + b.  A step on side
     0 keeps the first end and on side 1 the second, and moves the other to
     the o-th of the n - 1 other vertices in ascending order, o + [o >= low]
     + [o >= high], low and high the smaller end and the larger one less 1:
-    from the pair p it lands on
+    from the pair ``at`` with ``base`` = side (s+3)^2 it lands on
 
-        kept[side (s+3)^2 + p] + o + (o >= low[p]) + (o >= high[p]).
+        kept[base + at] + o + (o >= low[at]) + (o >= high[at]).
 
     Which cell that lands in depends only on the cells of the ends and on
     min(o, s): from o = s on it is the rest, and two ends in the rest act
@@ -387,7 +386,7 @@ def _cell_rule(
     is at most s + 2, a label of the rest, so no step needs a cap.  Side 2
     with offset 0, the stay symbol, keeps the pair.  ``absorbing`` marks
     the pairs of two marked-adjacent vertices.  The arrays hold six entries
-    per pair, whatever n is.
+    per pair, whatever n is, and the rule's arguments broadcast.
     """
     s = g.s
     stride = s + 3
@@ -406,24 +405,26 @@ def _cell_rule(
     np.add(kept[0], ends, out=kept[2])
     kept[2] -= low <= 0
     kept[2] -= high <= 0
-    return kept.ravel(), low.ravel(), high.ravel(), absorbing.ravel()
+    kept, low, high = kept.ravel(), low.ravel(), high.ravel()
+
+    def rule(base: np.ndarray, o: np.ndarray, at: np.ndarray) -> np.ndarray:
+        return kept[base + at] + o + (o >= low[at]) + (o >= high[at])
+
+    return rule, absorbing.ravel()
 
 
-def _step_table(
-    rule: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], s: int
-) -> np.ndarray | None:
-    """The ``_cell_rule`` step from every pair on each of the 2 (s+1) + 1
-    symbols, entry symbol (s+3)^2 + pair, with every absorbing pair kept;
-    None above ``_STEP_TABLE_LIMIT`` entries, where the walker applies the
-    rule to each column of steps instead."""
-    kept, low, high, absorbing = rule
+def _step_table(rule: Callable, absorbing: np.ndarray, s: int) -> np.ndarray | None:
+    """``rule`` from every pair on each of the 2 (s+1) + 1 symbols, entry
+    symbol (s+3)^2 + pair, with every ``absorbing`` pair kept; None above
+    ``_STEP_TABLE_LIMIT`` entries, where the walker applies the rule to
+    each column of steps instead."""
     pairs = (s + 3) ** 2
     symbols = 2 * (s + 1) + 1
     if symbols * pairs > _STEP_TABLE_LIMIT:
         return None
     side, o = np.divmod(np.arange(symbols)[:, None], s + 1)
-    step = kept[side * pairs + np.arange(pairs)] + o + (o >= low) + (o >= high)
-    return np.where(absorbing, np.arange(pairs), step).ravel()
+    at = np.arange(pairs)
+    return np.where(absorbing, at, rule(side * pairs, o, at)).ravel()
 
 
 def _philox(

@@ -13,16 +13,17 @@ value on the rest, k = s + 1 values in all (k = s when t = 0).  There
 n T b = <1, b> 1 - b - 2 A b with <1, b> = sum b_block + t b_rest, and A b
 sums b over the 2m marked arcs.  The walk carries the augmented state
 X_t = [b_t; b_{t-1}; c_t], where c_t = (-1)^t forces the uniform state's
-pair and c_t = 0 leaves a pair unforced, and a step is X_{t+1} = C X_t
-with the (2k+1)-square step matrix
+pair and c_t = 0 leaves a pair unforced.  Its step is written once, as
+b_{t+1} = (2/n) nT b_t - b_{t-1} + 2 c_t d j with n T b applied at
+O(s + m) (on x86-64 about 8 to 21 us for one column at k = 41 to 401,
+14 to 69 us for two).  It is linear, and its image of the identity is the
+(2k+1)-square step matrix
 
-    C = [[(2/n) nT, -I, 2 d j], [I, 0, 0], [0, 0, -1]].
+    C = [[(2/n) nT, -I, 2 d j], [I, 0, 0], [0, 0, -1]],
 
-On a quotient of order k <= ``_DENSE_STEP_ORDER`` (20, or 0 where long
-double is float64) a step is one long-double product with C, O(k^2) per
-column (about 1.0 to 2.1 us at k <= 5 on x86-64, for one column or two);
-on a larger one n T b is applied at O(s + m) and the other blocks are
-copies (about 7 to 29 us).
+so on a quotient of order k <= ``_DENSE_STEP_ORDER`` (20, or 0 where long
+double is float64) the walk takes one long-double product with C, O(k^2)
+per column (about 1.0 to 2.1 us at k <= 5, for one column or two).
 Either way a step costs the same whatever n is, against O(n^2) for a step
 over every arc.  Two walks use it:
 
@@ -283,7 +284,7 @@ def _times_nT(g: SignedCompleteGraph) -> Callable[[np.ndarray], np.ndarray]:
 # dense (2k+1)-square step matrix; above it the structured O(s + m) step is
 # about as fast or faster.  A long-double product has no BLAS behind it
 # and costs O(k^2) per column: on x86-64 ``ndarray.dot`` and the structured
-# step cost the same at about k = 30 to 40, for one column or two, and
+# step cost the same at about k = 40, for one column or two, and
 # np.matmul, which sums in the same order at twice the call cost, at
 # k = 21 to 25 (the measurements are recorded in CHANGES.md).  Where long
 # double is no wider than float64 the dense product's rounding (nT scaled
@@ -305,14 +306,12 @@ def _pair_step(g: SignedCompleteGraph) -> Callable[..., np.ndarray]:
     (-1)^t for the uniform state's pair and 0 for an unforced one.  The step
     acts on the augmented state X_t = [b_t; b_{t-1}; c_t], 2k + 1 entries
     for a quotient of order k (a vector, or a matrix of one walk per
-    column), and writes X_{t+1} into ``out``, which must not overlap x:
-
-        X_{t+1} = [[(2/n) nT, -I, 2 d j], [I, 0, 0], [0, 0, -1]] X_t.
-
-    For k <= ``_DENSE_STEP_ORDER`` the step is one product with that
-    matrix, ``ndarray.dot``, which sums each entry in long double from
-    index 0 as np.matmul does, at half its call cost; above it, n T b is
-    applied at O(s + m) and the other blocks by copies.
+    column), and writes X_{t+1} into ``out``, which must not overlap x.
+    The step is written once, as that recurrence with n T b applied at
+    O(s + m).  It is linear, so for k <= ``_DENSE_STEP_ORDER`` the walk takes
+    one product with its image of the identity, the matrix C of the module
+    docstring, by ``ndarray.dot``, which sums each entry in long double from
+    index 0 as np.matmul does, at half its call cost.
     """
     n, k = g.n, cell_sizes(g.s, g.t).size
     scale = np.longdouble(2.0) / n
@@ -322,31 +321,16 @@ def _pair_step(g: SignedCompleteGraph) -> Callable[..., np.ndarray]:
     into = np.bincount(g.negative_arcs[1], minlength=k)
     twice_dj = 2.0 * (n - 2.0 * into.astype(np.longdouble))
     twice_dj /= n * np.sqrt(np.longdouble(n + 1))
-    if k <= _DENSE_STEP_ORDER:
-        eye = np.eye(k, dtype=np.longdouble)
-        matrix = np.zeros((2 * k + 1, 2 * k + 1), dtype=np.longdouble)
-        matrix[:k, :k] = scale * times_nT(eye)
-        matrix[:k, k:-1], matrix[k:-1, :k] = -eye, eye
-        matrix[:k, -1], matrix[-1, -1] = twice_dj, -1.0
-        return matrix.dot
-
-    # c is 1, -1 or 0 in each column, so the forcing 2 c d j takes a few
-    # values: each is formed once, kept by the bytes of c (read from the
-    # slice x[-1:], since a numpy scalar's tobytes is slower)
-    forcings: dict[bytes, np.ndarray] = {}
 
     def step(x: np.ndarray, out: np.ndarray) -> np.ndarray:
         b, c = x[:k], x[-1]
-        key = x[-1:].tobytes()
-        if key not in forcings:
-            forcings[key] = np.multiply.outer(twice_dj, c)
-        head = out[:k]
-        np.multiply(times_nT(b), scale, out=head)
-        head -= x[k:-1]
-        head += forcings[key]
+        out[:k] = scale * times_nT(b) - x[k:-1] + np.multiply.outer(twice_dj, c)
         out[k:-1], out[-1] = b, -c
         return out
 
+    if k <= _DENSE_STEP_ORDER:
+        eye = np.eye(2 * k + 1, dtype=np.longdouble)
+        return step(eye, out=np.empty_like(eye)).dot
     return step
 
 

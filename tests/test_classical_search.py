@@ -563,8 +563,8 @@ def test_mc_memory_is_its_buffers():
 
 def test_step_table_depends_on_the_marked_subgraph_only():
     def step_table(n):
-        rule = classical_search._cell_rule(build_instance(n, [(0, 1)]))
-        return classical_search._step_table(rule, 2), rule[3]
+        rule, absorbing = classical_search._cell_rule(build_instance(n, [(0, 1)]))
+        return classical_search._step_table(rule, absorbing, 2), absorbing
 
     small, small_absorbing = step_table(30)
     large, large_absorbing = step_table(400)

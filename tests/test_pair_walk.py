@@ -419,7 +419,7 @@ def test_dense_step_matches_structured_step(monkeypatch, n, edges):
     ids=["K3-edge-k3", "K3-path2-k3", "cycle6-t0-k6", "edge-k3", "path3-k5",
          "path6-k8", "matching5-k11", "star14-k16", "path18-k20"],
 )
-def test_dense_step_matches_matmul(n, edges):
+def test_dense_step_matches_matmul(monkeypatch, n, edges):
     # the dense step against np.matmul with the same matrix, read back from
     # the step's images of the unit vectors: both sum each entry in long
     # double from index 0, so every state of the walk agrees bit for bit
@@ -430,6 +430,13 @@ def test_dense_step_matches_matmul(n, edges):
     step = quantum_search._pair_step(g)
     matrix = np.empty((size, size), dtype=np.longdouble)
     step(np.eye(size, dtype=np.longdouble), out=matrix)
+    # the matrix is the structured step's image of the identity, entry for
+    # entry
+    monkeypatch.setattr(quantum_search, "_DENSE_STEP_ORDER", 0)
+    structured = quantum_search._pair_step(g)
+    image = np.empty_like(matrix)
+    structured(np.eye(size, dtype=np.longdouble), out=image)
+    assert np.array_equal(matrix, image)
     # the uniform state's forced pair alone, then an unforced one beside it
     pairs = np.zeros((size, 2), dtype=np.longdouble)
     pairs[-1, 0] = 1.0
