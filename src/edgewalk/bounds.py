@@ -315,6 +315,11 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
         # Without a complement these names stay unbound: the thunks of a
         # group without data are never called.
         bracket = line_bracket(P, z_spectrum)
+        if bracket.value >= 1.0:
+            raise LostPrecision(
+                f"n = {n}: the lambda_max(P) bracket reads {bracket.value!r}; each "
+                "unmarked component meets Gamma, so float64 has lost 1 - lambda_max(P)"
+            )
         t_c = _searching_time(g)[0]
         # the bracket's point value: an end would carry its width, which
         # 1/(1 - lambda) magnifies by t_c^2

@@ -23,21 +23,22 @@ only: scipy's CG runs in ``edge_space`` alone.
 A seeded Monte-Carlo walker provides an independent estimate of the same
 quantity.  Trial i draws from the stream of
 ``Generator(Philox(key=[seed, i]))``; the walker evaluates Philox4x64-10
-(a pure function of key and counter) in numpy for every trial at once
-and lays the draws out column-major, draw j of every live trial contiguous.
-It turns them into bounded integers with numpy's own method (Lemire's)
-and steps all trials in lockstep, one step of every trial on one
-contiguous row of draws, so its estimate equals, bit for bit, that of a
-walk driven by per-trial numpy generators.  It does not walk pairs of
-vertices: in canonical order the marked subgraph is 0..s-1, and whether a
-step lands on one of its vertices or in the rest depends only on which of
-those s + 1 cells the edge's ends lie in and on min(o, s), o the step's
-offset.  So the walker's state and its step rule take O(s^2) entries
-whatever n is, and up to s = 29 a table of the rule over all 2(s+1) + 1
-step symbols makes a step of every trial one gather.  The start edge is
-drawn on the edge orbits of ``operators.build_P_quotient``, with no table
-over the host's vertex pairs.  This module returns raw quantities only;
-the ledger in ``bounds`` judges them against the spectral brackets.
+(a pure function of key and counter) in numpy for every trial at once and
+lays the draws out column-major, draw j of every live trial contiguous.
+It turns them into bounded integers with numpy's own method (Lemire's) and
+into step symbols inside the one work block of Philox's word planes, and
+steps all trials in lockstep, one step of every trial on one contiguous
+row, so its estimate equals, bit for bit, that of a walk driven by
+per-trial numpy generators.  It does not walk pairs of vertices: in
+canonical order the marked subgraph is 0..s-1, and whether a step lands on
+one of its vertices or in the rest depends only on which of those s + 1
+cells the edge's ends lie in and on min(o, s), o the step's offset.  So
+the walker's state and its step rule take O(s^2) entries whatever n is,
+and up to s = 29 a table of the rule over all 2(s+1) + 1 step symbols
+makes a step of every trial one gather.  The start edge is drawn on the
+edge orbits of ``operators.build_P_quotient``, with no table over the
+host's vertex pairs.  This module returns raw quantities only; the ledger
+in ``bounds`` judges them against the spectral brackets.
 """
 
 from __future__ import annotations
@@ -216,17 +217,19 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
     the labels s, s + 1 and s + 2, which all stand for the rest (see
     ``_cell_rule``); a pair of two marked-adjacent vertices absorbs, and a
     trial starts on the pair of its start edge's orbit (``_start_orbits``).
-    The step symbol of a draw is side (s+1) + min(o, s), for the kept end and
-    the offset o of the moved end's new vertex, or the stay symbol 2 (s+1)
-    for a draw a trial cannot take.  A refill's draws, and so its symbols,
-    are held column-major, a row per draw and a column per live trial (see
-    ``_philox``), so a column of steps, one step of every trial, reads one
-    contiguous row.  The step is ``_cell_rule``'s rule, written once: up to
-    ``_STEP_TABLE_LIMIT`` entries ``_step_table`` evaluates it on every
-    symbol and pair, so a column of steps is one gather, and above it each
-    column calls it.  Trials enter in batches of
-    ``_REFILL_DRAWS // _FIRST_WIDTH``; absorbed trials stay in place until
-    the refill ends.
+    The step symbol of a draw is side (s+1) + min(o, s), for the kept end
+    and the offset o of the moved end's new vertex, or the stay symbol 2
+    (s+1) for a draw a trial cannot take.  A refill's draws, and so its
+    symbols, are held column-major, a row per draw and a column per live
+    trial, so a column of steps, one step of every trial, reads one
+    contiguous row.  The draws fill the top two of ``_philox``'s six word
+    planes, ``_bounded`` puts Lemire's products in the four below, and the
+    uint32 symbols are gathered over the spent draws.  The step is
+    ``_cell_rule``'s rule, written once: up to ``_STEP_TABLE_LIMIT``
+    entries ``_step_table`` evaluates it on every symbol and pair, so a
+    column of steps is one gather, and above it each column calls it.
+    Trials enter in batches of ``_REFILL_DRAWS // _FIRST_WIDTH``; absorbed
+    trials stay in place until the refill ends.
     """
     num_start, start_pair = _start_orbits(g)
     n, s = g.n, g.s
@@ -235,23 +238,20 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
     table = _step_table(rule, absorbing, s)
     # one symbol per move value, and the stay symbol last; on the table
     # they are scaled to the table's rows
-    side, offset = np.divmod(np.arange(2 * (n - 1)), n - 1)
-    symbols_of = np.append(side * cells + np.minimum(offset, s), 2 * cells)
+    side, offset = np.divmod(np.arange(2 * (n - 1), dtype=np.uint32), n - 1)
+    symbols_of = np.append(side * cells + np.minimum(offset, s), np.uint32(2 * cells))
     if table is not None:
         symbols_of *= pairs
     stay = symbols_of[-1]
-    # The work buffers of the largest refill, cut from one block.  Freed as
-    # one chunk, it lifts glibc's dynamic mmap and trim thresholds above
-    # its own size, so the next call takes the same heap pages again; as
-    # separate chunks they were handed back and faulted in anew on each call
+    # One block, the Philox word planes and keys of the largest refill; a
+    # refill's draws, products and symbols live in its planes.  Freed as one
+    # chunk, it lifts glibc's dynamic mmap and trim thresholds above its own
+    # size, so the next call takes the same heap pages again; as separate
+    # chunks they were handed back and faulted in anew on each call
     # (hundreds of page faults on K_4 with 10^4 trials), or not, by where
     # the heap top happened to lie.
     batch = _REFILL_DRAWS // _FIRST_WIDTH
-    rows_max = min(batch, trials)
-    work_size = 12 * (_REFILL_DRAWS // 8) + 2 * rows_max
-    block = np.empty(work_size + _REFILL_DRAWS, dtype=np.uint64)
-    work = block[:work_size]
-    symbols_buffer = block[work_size:].view(symbols_of.dtype)[:_REFILL_DRAWS]
+    work = np.empty(12 * (_REFILL_DRAWS // 8) + 2 * min(batch, trials), dtype=np.uint64)
 
     counts = np.empty(trials, dtype=np.float64)
     for first in range(0, trials, batch):
@@ -270,20 +270,22 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
             lead = np.zeros(live, dtype=np.intp)  # draws the start took
             if pending.any():
                 starting = np.flatnonzero(pending)
-                index = np.zeros(starting.size, dtype=np.intp)
+                index = 0
                 if num_start > 1:  # integers(1) draws nothing
                     index, lead[starting], found = _first_accepted(draws, starting, num_start)
                     starting, index = starting[found], index[found]
                 at[starting] = start_pair(index)
                 pending[starting] = False
-            values, usable = _bounded(draws, 2 * (n - 1))
-            symbols = symbols_buffer[: live * width].reshape(width, live)
-            np.take(symbols_of, values.view(np.int64), out=symbols, mode="clip")
-            del values  # before the next refill bounds its draws
+                del starting, index
+            # Lemire's products fill planes 0-3, the symbols the spent draws
+            values = work[: width * live].reshape(width, live)
+            values, usable = _bounded(draws, 2 * (n - 1), values)
+            symbols = np.take(symbols_of, values.view(np.int64), out=draws, mode="clip")
             # every trial's steps start after its start draw
             start = int(lead.min())
             if lead.max() > start:
                 usable &= np.arange(width)[:, None] >= lead
+            del lead
             symbols, usable = symbols[start:], usable[start:]
             # A rejected draw (probability below k / 2**32) leaves its trial
             # fewer steps: the accepted draws move to the front, and the
@@ -296,18 +298,11 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
                 order = np.argsort(~accepted, axis=0, kind="stable")
                 symbols[:, short] = np.take_along_axis(trial_symbols, order, axis=0)
                 have[short] = accepted.sum(axis=0)
-            hit = np.zeros(live, dtype=bool)
-            absorbed = 0
-            if table is None:
-                # each column's side rows and offsets
-                bases, offsets = np.divmod(symbols, cells)
-                bases *= pairs
-                columns = zip(bases, offsets)
-            else:
-                columns = symbols
-            for done, column in enumerate(columns, 1):
+            hit, absorbed = np.zeros(live, dtype=bool), 0
+            for done, column in enumerate(symbols, 1):
                 if table is None:
-                    at = rule(*column, at)
+                    side, o = np.divmod(column, cells)
+                    at = rule(side.astype(np.intp) * pairs, o, at)
                 else:
                     at = table[at + column]
                 now = absorbing[at]
@@ -320,8 +315,7 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
                         break
                     if table is None:  # the table keeps absorbing pairs; here
                         # the absorbed trials take the stay symbol from now on
-                        bases[done:, fresh] = 2 * pairs
-                        offsets[done:, fresh] = 0
+                        symbols[done:, fresh] = stay
             walking = np.flatnonzero(~hit)
             keys, at, pending = keys[walking], at[walking], pending[walking]
             taken = (taken + have)[walking]
@@ -354,12 +348,15 @@ def _first_accepted(
     of ``draws``, the number of draws it took (the column's length when none
     is accepted) and whether one was.  Only columns whose first draw is
     rejected are bounded past it."""
-    values, accepted = _bounded(draws[0, columns], bound)
+    head = draws[0, columns]
+    values, accepted = _bounded(head, bound, np.empty_like(head, np.uint64))
     values = values.astype(np.intp)
     taken = np.ones(columns.size, dtype=np.intp)
     late = np.flatnonzero(~accepted)
     if late.size:
-        late_values, late_accepted = _bounded(draws[:, columns[late]], bound)
+        late_draws = draws[:, columns[late]]
+        late_values = np.empty_like(late_draws, np.uint64)
+        late_values, late_accepted = _bounded(late_draws, bound, late_values)
         first, each = late_accepted.argmax(axis=0), np.arange(late.size)
         accepted[late] = late_accepted[first, each]
         values[late] = late_values[first, each]
@@ -428,11 +425,7 @@ def _step_table(rule: Callable, absorbing: np.ndarray, s: int) -> np.ndarray | N
 
 
 def _philox(
-    seed: int,
-    keys: np.ndarray,
-    counter: int,
-    blocks: int,
-    work: np.ndarray,
+    seed: int, keys: np.ndarray, counter: int, blocks: int, work: np.ndarray
 ) -> np.ndarray:
     """Philox4x64-10 (Salmon et al., SC 2011) under key (seed, k) for each
     k in ``keys``, at block counters counter, ..., counter + blocks - 1.
@@ -443,7 +436,8 @@ def _philox(
     low half of each word, then its high half.  The rounds run on (2,
     blocks, keys.size) arrays in ``work`` (at least 12 keys.size blocks + 2
     keys.size words), keys innermost, so the round keys are read along
-    contiguous memory; the draws are a view into it.
+    contiguous memory; the draws are a view of its top two word planes, and
+    its first 8 keys.size blocks words, planes 0-3, are free on return.
     """
     rows = keys.size
     size = 2 * rows * blocks
@@ -479,26 +473,31 @@ def _philox(
         odd ^= key
         key += _PHILOX_WEYL
         even, odd, low = odd, low[::-1], even
-    # The draws take the place of the halves e_lo and lo_lo, by block, word
-    # pair (0, 1) or (2, 3), word of the pair and half; the cast to uint32
-    # keeps a word's low half, and t holds its high half.
-    draws = work[3 * size : 5 * size].view(np.uint32).reshape(blocks, 2, 2, 2, rows)
-    t = t.transpose(1, 0, 2)
+    # The draws take the place of the halves lo_lo and t, the top two
+    # planes, by block, word pair (0, 1) or (2, 3), word of the pair and
+    # half; the cast to uint32 keeps a word's low half, and e_lo, plane 3,
+    # holds its high half.
+    draws = work[4 * size : 6 * size].view(np.uint32).reshape(blocks, 2, 2, 2, rows)
+    high = e_lo.transpose(1, 0, 2)
     for i, words in enumerate((even, odd)):
         words = words.transpose(1, 0, 2)
         draws[:, :, i, 0] = words
-        np.right_shift(words, 32, out=t)
-        draws[:, :, i, 1] = t
+        np.right_shift(words, 32, out=high)
+        draws[:, :, i, 1] = high
     return draws.reshape(8 * blocks, rows)
 
 
-def _bounded(draws: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+def _bounded(
+    draws: np.ndarray, bound: int, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Lemire's method (ACM TOMACS 2019) for ``integers(0, bound)``, 1 <
-    bound < 2**32: the values of the uint32 ``draws`` below ``bound`` and
-    whether each draw is accepted.  numpy rejects a draw whose low product
-    half lies below (2**32 - bound) mod bound and takes the next one."""
-    values = np.multiply(draws, bound, dtype=np.uint64)
-    low = np.multiply(draws, bound, dtype=np.uint32)  # wraps modulo 2**32
-    accepted = low >= (2**32 - bound) % bound
+    bound < 2**32, on the uint32 ``draws``: ``values`` (uint64, of their
+    shape) takes the products draw * bound, and the draws, which are spent,
+    their low halves.  numpy rejects a draw whose low half lies below (2**32
+    - bound) mod bound and takes the next one.  Returns ``values``, shifted
+    in place to the values below ``bound``, and whether each is accepted."""
+    np.multiply(draws, bound, out=values, dtype=np.uint64)
+    np.copyto(draws, values, casting="unsafe")  # modulo 2**32, any byte order
+    accepted = draws >= (2**32 - bound) % bound
     values >>= np.uint64(32)
     return values, accepted

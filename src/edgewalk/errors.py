@@ -44,7 +44,8 @@ class LostPrecision(TooLarge):
     though the marked subgraph does not span the host, so lambda_max < 1:
     the rotation angle has no correct digit.  ``QuotientSpectrum.summary``,
     the one decision on lambda_max(T) = 1, raises it; walks and the ledger
-    skip the angle, and bipartite_iff reads the refusal as lambda_max = 1."""
+    skip the angle, and bipartite_iff reads the refusal as lambda_max = 1.
+    ``verify_all`` raises it when the lambda_max(P) bracket reads 1."""
 
 
 class DimensionMismatch(EdgeWalkError):

@@ -32,7 +32,7 @@ from edgewalk.bounds import (
     random_instance,
 )
 from edgewalk.edge_space import solve_absorption
-from edgewalk.errors import TooSmall
+from edgewalk.errors import LostPrecision, TooSmall
 from edgewalk.operators import VertexMatrix, vertex_matrix
 from edgewalk.spectral import (
     QuotientSpectrum, companion_spectra, eigh, line_bracket, quotient_spectrum
@@ -389,6 +389,16 @@ def test_ledger_memory_is_bounded_by_the_marked_subgraph():
     finally:
         tracemalloc.stop()
     assert peak <= 256 * 2**10
+
+
+@pytest.mark.parametrize("n,k", [(2 * 10**8, 1), (10**9, 3)])
+def test_verify_all_refuses_a_line_bracket_lost_to_rounding(n, k):
+    # each component of the unmarked edges has an edge at a vertex of Gamma,
+    # whose row of P sums below 1, so lambda_max(P) < 1; here the bracket
+    # reads 1.0 and 1/(1 - lambda) would divide by zero
+    g = build_instance(n, path_edges(k))
+    with pytest.raises(LostPrecision, match=rf"^n = {n}: the lambda_max\(P\) bracket"):
+        verify_all(g)
 
 
 def test_bipartite_iff_reads_the_summary():

@@ -68,7 +68,7 @@ def _words(seed, keys, counter, blocks):
 def _accepted(seed, trial, bound, counter, blocks):
     """The accepted bounded draws of blocks counter, ..., counter+blocks-1."""
     draws = _draws(seed, _key(trial), counter, blocks)
-    values, accepted = _bounded(draws, bound)
+    values, accepted = _bounded(draws, bound, np.empty_like(draws, np.uint64))
     return values[accepted]
 
 
@@ -442,8 +442,9 @@ def test_mc_matches_oracle_through_rejected_draws(seed, trials, trial, position)
     # a step (820 moves); these streams each reject one early draw.
     g = build_instance(411, star_edges(411))
     draws = _draws(seed, _key(trial), 1, 8)[0]
-    _, start_ok = _bounded(draws[:1], 84255)
-    _, step_ok = _bounded(draws[1:], 820)
+    values = np.empty_like(draws, np.uint64)
+    _, start_ok = _bounded(draws[:1], 84255, values[:1])
+    _, step_ok = _bounded(draws[1:], 820, values[1:])
     rejected = np.flatnonzero(~np.concatenate((start_ok, step_ok)))
     assert rejected.tolist() == [position]
     expected = per_trial_generator_mc(g, trials, seed)
@@ -455,9 +456,10 @@ def test_mc_rejections_ignore_refill_splits(monkeypatch):
     # short of accepted draws in most refills.  A short row must wait out
     # the rest of its refill: only then does the estimate not depend on
     # where the refills split the streams.
-    def lossy(draws, bound):
-        values, accepted = _bounded(draws, bound)
-        return values, accepted & (draws % 5 != 0)
+    def lossy(draws, bound, values):
+        kept = draws % 5 != 0  # before _bounded spends the draws
+        values, accepted = _bounded(draws, bound, values)
+        return values, accepted & kept
 
     monkeypatch.setattr(classical_search, "_bounded", lossy)
     g = build_instance(10, [(0, 1), (1, 2)])
@@ -477,11 +479,11 @@ def test_mc_start_waits_for_a_refill_of_rejected_draws(monkeypatch):
     num_start = classical_search._unmarked_edges(g)
     lost = _draws(3, _key(5), 1, 1)[0]
 
-    def lossy(draws, bound):
-        values, accepted = _bounded(draws, bound)
-        if bound == num_start:
-            accepted &= ~np.isin(draws, lost)
-        return values, accepted
+    def lossy(draws, bound, values):
+        # before _bounded spends the draws
+        kept = ~np.isin(draws, lost) if bound == num_start else True
+        values, accepted = _bounded(draws, bound, values)
+        return values, accepted & kept
 
     starts = []
 
@@ -511,13 +513,34 @@ def test_mc_rule_steps_as_the_table_does(monkeypatch):
     # Above the step table's size limit the walker applies the rule to each
     # column; with a fifth of all draws rejected, short rows stay and
     # absorbed rows stay frozen there as on the table.
-    def lossy(draws, bound):
-        values, accepted = _bounded(draws, bound)
-        return values, accepted & (draws % 5 != 0)
+    def lossy(draws, bound, values):
+        kept = draws % 5 != 0  # before _bounded spends the draws
+        values, accepted = _bounded(draws, bound, values)
+        return values, accepted & kept
 
     monkeypatch.setattr(classical_search, "_bounded", lossy)
     g = build_instance(10, [(0, 1), (1, 2)])
     on_table = mc_hitting_time(g, 50, seed=3)
+    monkeypatch.setattr(classical_search, "_STEP_TABLE_LIMIT", 0)
+    assert mc_hitting_time(g, 50, seed=3) == on_table
+
+
+def test_mc_steps_draw_through_bounded(monkeypatch):
+    # the step draws are bounded by the module's ``_bounded``, on the table
+    # and on the rule, so the wrappers above reach the step path: rejecting
+    # a fifth of the step draws alone moves the estimate
+    g = build_instance(10, [(0, 1), (1, 2)])
+    moves = 2 * (g.n - 1)
+    plain = mc_hitting_time(g, 50, seed=3)
+
+    def lossy(draws, bound, values):
+        kept = draws % 5 != 0 if bound == moves else True
+        values, accepted = _bounded(draws, bound, values)
+        return values, accepted & kept
+
+    monkeypatch.setattr(classical_search, "_bounded", lossy)
+    on_table = mc_hitting_time(g, 50, seed=3)
+    assert on_table != plain
     monkeypatch.setattr(classical_search, "_STEP_TABLE_LIMIT", 0)
     assert mc_hitting_time(g, 50, seed=3) == on_table
 
@@ -549,16 +572,20 @@ def test_mc_refill_rule(monkeypatch):
 
 
 def test_mc_memory_is_its_buffers():
-    # the work buffers, allocated once per call, take the place of the
-    # per-refill temporaries; 3.37 MiB before they did
+    # the Philox word planes, allocated once per call, also hold each
+    # refill's draws, Lemire's products and step symbols; 2.66 MiB before
+    # they did.  Ten times the trials add their 8-byte step counts alone.
     g = build_instance(3, [(0, 1)])
-    tracemalloc.start()
-    try:
-        mc_hitting_time(g, 10_000, seed=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.4 * 2**20
+    peaks = []
+    for trials, seed in ((10_000, 5), (100_000, 7)):
+        tracemalloc.start()
+        try:
+            mc_hitting_time(g, trials, seed=seed)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.6 * 2**20
+    assert peaks[1] - peaks[0] <= 8 * 90_000 + 64 * 2**10
 
 
 def test_step_table_depends_on_the_marked_subgraph_only():
@@ -719,8 +746,11 @@ def test_uint32_draws_take_the_low_half_first():
 def test_bounded_draws_match_generator_integers(bound):
     expected = _generator(11, 2**33).integers(0, bound, size=600)
     draws = _draws(11, _key(2**33), 1, 200)
-    values, accepted = _bounded(draws, bound)
+    products = draws.astype(np.uint64) * np.uint64(bound)
+    values, accepted = _bounded(draws, bound, np.empty_like(draws, np.uint64))
     assert (values[accepted][:600] == expected).all()
+    # the spent draws hold the products' low halves
+    assert (draws == products % 2**32).all()
     if bound == 2**31 + 1:
         # about half of the draws fall below the threshold 2**31 - 1
         assert 0.45 <= 1 - accepted.mean() <= 0.55

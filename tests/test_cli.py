@@ -577,6 +577,18 @@ def test_verify_gated_entries_marked_skipped(tmp_path):
     assert all(not e["hypothesis_holds"] for e in skipped)
 
 
+def test_verify_refuses_a_line_bracket_lost_to_rounding(tmp_path, capsys):
+    # one edge at n = 2 * 10^8: the lambda_max(P) bracket reads 1.0, which
+    # is lost precision (exit 2), not a defect (4), and nothing is written
+    out = tmp_path / "out"
+    argv = ["verify", "--n", "200000000", "--subgraph", '{"kind": "path", "k": 1}',
+            "--out", str(out)]
+    assert main(argv) == cli.EXIT_CONFIG == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(lines[-1])["error"] == "config", lines
+    assert not out.exists()
+
+
 def test_fig2_summary(tmp_path):
     code = main(["fig2", "--out", str(tmp_path)])
     assert code == 0
