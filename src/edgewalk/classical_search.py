@@ -23,8 +23,8 @@ only: scipy's CG runs in ``edge_space`` alone.
 A seeded Monte-Carlo walker provides an independent estimate of the same
 quantity.  Trial i draws from the stream of
 ``Generator(Philox(key=[seed, i]))``; the walker evaluates Philox4x64-10
-(a pure function of key and counter) in numpy for every trial at once and
-lays the draws out column-major, draw j of every live trial contiguous.
+(a pure function of key and counter) in numpy for a pool of trials at once
+and lays the draws out column-major, draw j of every live trial contiguous.
 It turns them into bounded integers with numpy's own method (Lemire's) and
 into step symbols inside the one work block of Philox's word planes, and
 steps all trials in lockstep, one step of every trial on one contiguous
@@ -170,10 +170,10 @@ def mc_hitting_time(
     exactly as ``integers(E)`` for the start edge (E unmarked edges; none is
     drawn when E = 1) and then ``integers(0, 2(n-1))`` for each step, so the
     estimate is independent of execution order.  The streams are generated
-    here in numpy, every trial of a batch at once, and the trials step in
-    lockstep on pairs of cells (see ``_walk``); a refill holds at most
-    2**16 draws, one Philox block (8 draws) per trial at first, doubling as
-    trials are absorbed.
+    here in numpy, every live trial of one pool at once, and the trials step
+    in lockstep on pairs of cells (see ``_walk``); a refill holds at most
+    2**16 draws, one Philox block (8 draws) per trial when fresh trials join
+    the pool, doubling as trials are absorbed once none are left to join.
 
     Returns (mean, standard error).  Raises TypeError unless ``trials`` and
     ``seed`` are integers (a float or a bool is not, as for n), ZeroTrials
@@ -228,8 +228,11 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
     ``_cell_rule``'s rule, written once: up to ``_STEP_TABLE_LIMIT``
     entries ``_step_table`` evaluates it on every symbol and pair, so a
     column of steps is one gather, and above it each column calls it.
-    Trials enter in batches of ``_REFILL_DRAWS // _FIRST_WIDTH``; absorbed
-    trials stay in place until the refill ends.
+    The live trials form one pool of at most ``_REFILL_DRAWS // _FIRST_WIDTH``:
+    fresh trials join the last refill's stragglers, and then a refill runs at
+    ``_FIRST_WIDTH``.  A trial's draws before its start draw and its rejected
+    draws are stays ahead of its steps.  Absorbed trials stay in place until
+    the refill ends.
     """
     num_start, start_pair = _start_orbits(g)
     n, s = g.n, g.s
@@ -249,82 +252,88 @@ def _walk(g: SignedCompleteGraph, seed: int, trials: int) -> np.ndarray:
     # size, so the next call takes the same heap pages again; as separate
     # chunks they were handed back and faulted in anew on each call
     # (hundreds of page faults on K_4 with 10^4 trials), or not, by where
-    # the heap top happened to lie.
-    batch = _REFILL_DRAWS // _FIRST_WIDTH
-    work = np.empty(12 * (_REFILL_DRAWS // 8) + 2 * min(batch, trials), dtype=np.uint64)
+    # the heap top happened to lie.  The pool's state (trial, pair, pending
+    # start, steps, next block < STEP_CAP / 8) has arrays of its own.
+    pool = min(_REFILL_DRAWS // _FIRST_WIDTH, trials)
+    work = np.empty(12 * (_REFILL_DRAWS // 8) + 2 * pool, dtype=np.uint64)
+    keys, at = np.empty((2, pool), dtype=np.intp)
+    pending, taken, counter = (np.empty(pool, t) for t in (bool, np.int64, np.uint32))
 
     counts = np.empty(trials, dtype=np.float64)
-    for first in range(0, trials, batch):
-        keys = np.arange(first, min(first + batch, trials))
-        # A trial waiting for its start draw sits on the pair (0, 0), which
-        # never absorbs, and stays.
-        at = np.zeros(keys.size, dtype=np.intp)
-        pending = np.ones(keys.size, dtype=bool)
-        taken = np.zeros(keys.size, dtype=np.int64)  # steps before this refill
-        counter, width = 1, _FIRST_WIDTH
-        while keys.size:
-            live = keys.size
-            blocks = width // 8
-            draws = _philox(seed, keys, counter, blocks, work)
-            counter += blocks
-            lead = np.zeros(live, dtype=np.intp)  # draws the start took
-            if pending.any():
-                starting = np.flatnonzero(pending)
-                index = 0
-                if num_start > 1:  # integers(1) draws nothing
-                    index, lead[starting], found = _first_accepted(draws, starting, num_start)
-                    starting, index = starting[found], index[found]
-                at[starting] = start_pair(index)
-                pending[starting] = False
-                del starting, index
-            # Lemire's products fill planes 0-3, the symbols the spent draws
-            values = work[: width * live].reshape(width, live)
-            values, usable = _bounded(draws, 2 * (n - 1), values)
-            symbols = np.take(symbols_of, values.view(np.int64), out=draws, mode="clip")
-            # every trial's steps start after its start draw
-            start = int(lead.min())
-            if lead.max() > start:
-                usable &= np.arange(width)[:, None] >= lead
-            del lead
-            symbols, usable = symbols[start:], usable[start:]
-            # A rejected draw (probability below k / 2**32) leaves its trial
-            # fewer steps: the accepted draws move to the front, and the
-            # trial stays for the rest of the refill.
-            have = np.full(live, symbols.shape[0])
-            if not usable.all():
-                short = np.flatnonzero(~usable.all(axis=0))
-                accepted = usable[:, short]
-                trial_symbols = np.where(accepted, symbols[:, short], stay)
-                order = np.argsort(~accepted, axis=0, kind="stable")
-                symbols[:, short] = np.take_along_axis(trial_symbols, order, axis=0)
-                have[short] = accepted.sum(axis=0)
-            hit, absorbed = np.zeros(live, dtype=bool), 0
-            for done, column in enumerate(symbols, 1):
-                if table is None:
-                    side, o = np.divmod(column, cells)
-                    at = rule(side.astype(np.intp) * pairs, o, at)
-                else:
-                    at = table[at + column]
-                now = absorbing[at]
-                count = np.count_nonzero(now)
-                if count > absorbed:
-                    fresh = np.flatnonzero(now ^ hit)
-                    counts[keys[fresh]] = taken[fresh] + done
-                    hit, absorbed = now, count
-                    if absorbed == live:
-                        break
-                    if table is None:  # the table keeps absorbing pairs; here
-                        # the absorbed trials take the stay symbol from now on
-                        symbols[done:, fresh] = stay
-            walking = np.flatnonzero(~hit)
-            keys, at, pending = keys[walking], at[walking], pending[walking]
-            taken = (taken + have)[walking]
-            if keys.size:
-                if taken.max() >= STEP_CAP:
-                    raise StepCapExceeded(
-                        f"trial {keys[taken.argmax()]} exceeded {STEP_CAP} steps"
-                    )
-                width = min(2 * width, _REFILL_DRAWS // keys.size // 8 * 8)
+    live = admitted = 0
+    while live or admitted < trials:
+        joining = min(pool - live, trials - admitted)
+        if joining:
+            # waiting for its start draw, a trial stays on (0, 0), never absorbing
+            new = slice(live, live + joining)
+            keys[new] = np.arange(admitted, admitted + joining)
+            at[new], pending[new], taken[new], counter[new] = 0, True, 0, 1
+            live, admitted = live + joining, admitted + joining
+        width = _FIRST_WIDTH if joining else min(2 * width, _REFILL_DRAWS // live // 8 * 8)
+        blocks = width // 8
+        draws = _philox(seed, keys[:live], counter[:live], blocks, work)
+        counter[:live] += blocks
+        pair, waiting, before = at[:live], pending[:live], taken[:live]
+        lead = np.zeros(live, dtype=np.intp)  # draws the start took
+        if waiting.any():
+            starting = np.flatnonzero(waiting)
+            index = 0
+            if num_start > 1:  # integers(1) draws nothing
+                index, lead[starting], found = _first_accepted(draws, starting, num_start)
+                starting, index = starting[found], index[found]
+            pair[starting] = start_pair(index)
+            waiting[starting] = False
+            del starting, index
+        # Lemire's products fill planes 0-3, the symbols the spent draws
+        values = work[: width * live].reshape(width, live)
+        values, usable = _bounded(draws, 2 * (n - 1), values)
+        symbols = np.take(symbols_of, values.view(np.int64), out=draws, mode="clip")
+        # steps follow the start draw: a trial that starts late stays till then
+        start, late = int(lead.min()), int(lead.max())
+        symbols, usable = symbols[start:], usable[start:]
+        if late > start:
+            stays = np.arange(start, late)[:, None] < lead
+            symbols[: late - start][stays] = stay
+            usable[: late - start] |= stays
+            before -= lead - start
+        del lead
+        # A rejected draw (probability below k / 2**32) is a stay too: it
+        # moves to the front, and the trial's accepted draws follow in order.
+        if not usable.all():
+            short = np.flatnonzero(~usable.all(axis=0))
+            accepted = usable[:, short]
+            trial_symbols = np.where(accepted, symbols[:, short], stay)
+            order = np.argsort(accepted, axis=0, kind="stable")
+            symbols[:, short] = np.take_along_axis(trial_symbols, order, axis=0)
+            before[short] -= np.count_nonzero(~accepted, axis=0)
+        hit, absorbed = np.zeros(live, dtype=bool), 0
+        for done, column in enumerate(symbols, 1):
+            if table is None:
+                side, o = np.divmod(column, cells)
+                pair = rule(side.astype(np.intp) * pairs, o, pair)
+            else:
+                pair = table[pair + column]
+            now = absorbing[pair]
+            count = np.count_nonzero(now)
+            if count > absorbed:
+                fresh = np.flatnonzero(now ^ hit)
+                counts[keys[fresh]] = before[fresh] + done
+                hit, absorbed = now, count
+                if absorbed == live:
+                    break
+                if table is None:  # the table keeps absorbing pairs; here
+                    # the absorbed trials take the stay symbol from now on
+                    symbols[done:, fresh] = stay
+        before += symbols.shape[0]
+        walking = np.flatnonzero(~hit)
+        for state in keys, pending, taken, counter:
+            state[: walking.size] = state[walking]
+        at[: walking.size] = pair[walking]
+        live = walking.size
+        if live and taken[:live].max() >= STEP_CAP:
+            raise StepCapExceeded(
+                f"trial {keys[taken[:live].argmax()]} exceeded {STEP_CAP} steps"
+            )
     return counts
 
 
@@ -425,10 +434,11 @@ def _step_table(rule: Callable, absorbing: np.ndarray, s: int) -> np.ndarray | N
 
 
 def _philox(
-    seed: int, keys: np.ndarray, counter: int, blocks: int, work: np.ndarray
+    seed: int, keys: np.ndarray, counter: int | np.ndarray, blocks: int, work: np.ndarray
 ) -> np.ndarray:
     """Philox4x64-10 (Salmon et al., SC 2011) under key (seed, k) for each
-    k in ``keys``, at block counters counter, ..., counter + blocks - 1.
+    k in ``keys``, at block counters counter, ..., counter + blocks - 1
+    (``counter`` one for all keys or one for each).
 
     Returns the uint32 draws column-major, shape (8 blocks, keys.size): row
     j holds draw j of every key, as numpy's ``next_uint32`` takes them from
@@ -449,7 +459,7 @@ def _philox(
     key = work[6 * size : 6 * size + 2 * rows].reshape(2, 1, rows)
     key[0] = seed
     key[1, 0] = keys
-    even[0] = np.arange(counter, counter + blocks, dtype=np.uint64)[:, None]
+    np.add(np.arange(blocks, dtype=np.uint64)[:, None], counter, out=even[0])
     even[1] = 0
     odd[...] = 0
     for _ in range(10):

@@ -324,13 +324,13 @@ def cmd_spectrum(args) -> int:
         degenerate = True
         scalars.update(theta_max=None, overlap=None, t_f=None)
     out = _out_dir(args)
-    payload = {
-        "config": _config_echo(args, subgraph=descriptor),
-        "eigenvalues": [float(v) for v in spectrum.descending()],
-        "degenerate": degenerate,
-        **scalars,
-    }
-    _write_json(out / "spectrum.json", payload)
+    # json.dumps(indent=2)'s bytes, the O(n) eigenvalue list by one repr join
+    head = json.dumps({"config": _config_echo(args, subgraph=descriptor)}, indent=2)
+    values = ",\n    ".join(map(float.__repr__, spectrum.descending().tolist()))
+    tail = json.dumps({"degenerate": degenerate, **scalars}, indent=2)
+    (out / "spectrum.json").write_text(
+        f'{head[:-2]},\n  "eigenvalues": [\n    {values}\n  ],{tail[1:]}\n'
+    )
     print(
         f"lambda_max={scalars['lambda_max']:.12f}  degenerate={degenerate}  "
         f"t_f={scalars.get('t_f')}"

@@ -39,8 +39,9 @@ from edgewalk.spectral import companion_spectra
 from mc_oracle import per_trial_generator_mc
 
 
-# trials in one batch of the walker; more trials span two batches
-BATCH = classical_search._REFILL_DRAWS // classical_search._FIRST_WIDTH
+# the most live trials the walker holds; more trials join its pool as
+# others are absorbed
+POOL = classical_search._REFILL_DRAWS // classical_search._FIRST_WIDTH
 
 
 def _key(*words):
@@ -402,8 +403,8 @@ def test_mc_deterministic():
         # one unmarked edge: the start draws nothing
         pytest.param(2, [(0, 1), (1, 2)], 300, id="one-unmarked-edge"),
         pytest.param(10, [(0, 1), (1, 2)], 1, id="one-trial"),
-        # more trials than one refill holds
-        pytest.param(3, [(0, 1)], BATCH + 1000, id="two-batches"),
+        # more trials than one refill holds: fresh trials join stragglers
+        pytest.param(3, [(0, 1)], POOL + 1000, id="two-batches"),
         # long walks: the width doubles up to the draw cap
         pytest.param(30, [(0, 1)], 400, id="width-cap"),
         # t = 0, 1 and 2 vertices outside the marked subgraph: no rest cell,
@@ -473,8 +474,10 @@ def test_mc_rejections_ignore_refill_splits(monkeypatch):
 
 def test_mc_start_waits_for_a_refill_of_rejected_draws(monkeypatch):
     # Reject every draw of trial 5's first block as a start draw: with 8
-    # draws a trial in the first refill, it starts in the second.  Where
-    # the refills split its stream must not change the estimate.
+    # draws a trial in the first refill, it starts in the second, beside
+    # the fresh trials that join the pool there when the first refill held
+    # 16 of the 20.  Where the refills split its stream must not change the
+    # estimate.
     g = build_instance(10, [(0, 1), (1, 2)])
     num_start = classical_search._unmarked_edges(g)
     lost = _draws(3, _key(5), 1, 1)[0]
@@ -498,7 +501,7 @@ def test_mc_start_waits_for_a_refill_of_rejected_draws(monkeypatch):
     for first, cap, calls in (
         (8, 2**16, [20, 1]),
         (16, 2**16, [20]),
-        (8, 2**7, [16, 1, 4]),
+        (8, 2**7, [16, 5]),
         (24, 2**9, [20]),
     ):
         monkeypatch.setattr(classical_search, "_FIRST_WIDTH", first)
@@ -548,10 +551,11 @@ def test_mc_steps_draw_through_bounded(monkeypatch):
 def test_mc_refill_rule(monkeypatch):
     # every refill holds at most _REFILL_DRAWS draws; the width starts at
     # _FIRST_WIDTH per trial and doubles until the cap binds
-    refills = []
+    refills, pools = [], []
 
     def recording(seed, keys, counter, blocks, work):
         refills.append((keys.size, 8 * blocks))
+        pools.append(keys.copy())
         return _philox(seed, keys, counter, blocks, work)
 
     monkeypatch.setattr(classical_search, "_philox", recording)
@@ -563,12 +567,45 @@ def test_mc_refill_rule(monkeypatch):
         assert width == min(2 * before, cap // rows // 8 * 8)
     widths = [width for _, width in refills]
     assert any(width < 2 * before for before, width in zip(widths, widths[1:]))
-    # trials beyond one refill's share start a new batch
+    # trials beyond one refill's share join the first refill's stragglers
+    # in the second, which runs at the first width again
     refills.clear()
-    mc_hitting_time(build_instance(2, [(0, 1)]), BATCH + 1000, seed=5)
-    starts = [rows for rows, width in refills if width == first]
-    assert BATCH == cap // first
-    assert starts == [BATCH, 1000]
+    pools.clear()
+    counts = classical_search._walk(build_instance(2, [(0, 1)]), 5, POOL + 1000)
+    assert POOL == cap // first
+    assert refills[:2] == [(POOL, first), (pools[1].size, first)]
+    # the start takes one of the first refill's draws, so 7 steps at most
+    stragglers = np.flatnonzero(counts[:POOL] > first - 1)
+    assert 0 < stragglers.size < 1000
+    assert (np.sort(pools[1]) == np.append(stragglers, POOL + np.arange(1000))).all()
+    assert all(rows * width <= cap for rows, width in refills)
+    for (_, before), (rows, width) in zip(refills[1:], refills[2:]):
+        assert width == min(2 * before, cap // rows // 8 * 8)
+
+
+@pytest.mark.parametrize("n,most", [(2, 3), (3, 4)])
+def test_mc_pool_takes_few_refills(monkeypatch, n, most):
+    # 10^4 trials on K_3 and K_4: the last 1,808 trials join the first
+    # refill's stragglers, so the call takes one short tail of refills
+    # (4 and 6 refills when they walked in a batch of their own)
+    refills = []
+
+    def recording(seed, keys, counter, blocks, work):
+        refills.append(keys.size)
+        return _philox(seed, keys, counter, blocks, work)
+
+    monkeypatch.setattr(classical_search, "_philox", recording)
+    mc_hitting_time(build_instance(n, [(0, 1)]), 10_000, seed=5)
+    assert len(refills) <= most
+
+
+def test_mc_rule_path_pin_across_admissions():
+    # a marked 35-edge path at n = 60, above the step table's size limit:
+    # 10^4 trials join the pool over several refills, and the estimate is
+    # the one the batched walker gave
+    g = build_instance(60, path_edges(35))
+    assert classical_search._step_table(*classical_search._cell_rule(g), g.s) is None
+    assert mc_hitting_time(g, 10_000, seed=2) == (52.152, 0.5232103061890604)
 
 
 def test_mc_memory_is_its_buffers():
@@ -730,6 +767,22 @@ def test_numpy_philox_matches_random_raw(seed):
     counter = 2**40 + 3
     philox = np.random.Philox(counter=_key(counter - 1, 0, 0, 0), key=_key(seed, 9))
     assert (_words(seed, _key(9), counter, 2)[0] == philox.random_raw(8)).all()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_numpy_philox_takes_a_counter_per_key(seed):
+    # keys at different block counters, one value each: every key's words
+    # continue its own stream from its block on
+    trials = _key(0, 3, 2**32 + 7, 2**64 - 1, 3)
+    for counter in (np.array([1, 2, 5, 9, 7], dtype=np.uint32),
+                    _key(4, 1, 2**40 + 3, 3, 2)):
+        words = _words(seed, trials, counter, 3)
+        for row, trial, block in zip(words, trials, counter.tolist()):
+            start = _key(block - 1, 0, 0, 0)  # numpy starts one block on
+            raw = np.random.Philox(counter=start, key=_key(seed, trial))
+            assert (row == raw.random_raw(12)).all()
+    # a scalar counter is every key's
+    assert (_words(seed, trials, 5, 2) == _words(seed, trials, _key(*[5] * 5), 2)).all()
 
 
 def test_uint32_draws_take_the_low_half_first():

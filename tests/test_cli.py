@@ -420,6 +420,29 @@ def test_long_inline_descriptor(tmp_path, argv, report):
     assert read_json(tmp_path / report)["config"]["subgraph"] == LONG_DESCRIPTOR
 
 
+@pytest.mark.parametrize(
+    "n,descriptor",
+    [
+        (5, {"kind": "path", "k": 1}),
+        (9, {"kind": "matching", "k": 2}),
+        # a descriptor of its own "eigenvalues" key, echoed before the list
+        (9, {"kind": "path", "k": 2, "eigenvalues": [1.5, "],\n  \"eigenvalues\": ["]}),
+        (7, {"kind": "star", "k": 7}),  # degenerate
+    ],
+)
+def test_spectrum_json_is_json_dumps_indent_2(tmp_path, n, descriptor):
+    # the eigenvalue list is written by a repr join: the file holds the
+    # bytes json.dumps(indent=2) writes for the payload it parses to
+    argv = ["spectrum", "--n", str(n), "--subgraph", json.dumps(descriptor)]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    text = (tmp_path / "spectrum.json").read_text()
+    payload = json.loads(text)
+    assert list(payload)[:3] == ["config", "eigenvalues", "degenerate"]
+    assert payload["config"]["subgraph"] == descriptor
+    assert len(payload["eigenvalues"]) == n + 1
+    assert text == json.dumps(payload, indent=2) + "\n"
+
+
 def test_spectrum_solves_T_once(tmp_path, monkeypatch):
     orders = []
     real_eigh = spectral.eigh
