@@ -70,9 +70,7 @@ import numpy as np
 
 from .classical_search import _searching_time
 from .errors import DegenerateSpectrum, EmptyComplement, LostPrecision, TooSmall
-from .operators import (
-    LineQuotientMatrix, VertexMatrix, build_P_quotient, build_T, vertex_matrix
-)
+from .operators import LineQuotientMatrix, VertexMatrix, build_P_quotient, build_T
 from .quantum_search import asymptotic_diagnostics
 from .signed_graph import (
     SignedCompleteGraph, _index, build_instance,
@@ -221,14 +219,15 @@ class BoundLedger:
 
 
 def _gershgorin_violation(matrix: VertexMatrix, values: np.ndarray) -> float:
-    """Largest distance of an eigenvalue from the union of the row discs,
-    read from the s + 1 distinct rows: the block's and one rest row."""
-    block, t = matrix.block, matrix.t
-    centers = np.diag(block)
-    radii = np.abs(block).sum(axis=1) - np.abs(centers) + t * abs(matrix.off)
-    if t:
+    """Largest distance of an eigenvalue from the union of the row discs of
+    the s + 1 distinct rows, in O(s) from the integers: off the diagonal, a
+    block row v holds deg(v) entries ``marked`` and s - 1 - deg(v) + t ones."""
+    degrees, divisor = matrix.g.degrees, matrix.divisor
+    centers = matrix.gamma_diagonal / divisor
+    radii = (abs(matrix.marked) * degrees + matrix.s - 1 - degrees + matrix.t) / divisor
+    if matrix.t:
         centers = np.append(centers, matrix.diagonal)
-        radii = np.append(radii, (matrix.order - 1) * abs(matrix.off))
+        radii = np.append(radii, (matrix.order - 1) / divisor)
     nearest = (np.abs(values[:, None] - centers) - radii).min(axis=1)
     return max(0.0, float(nearest.max()))
 
@@ -289,7 +288,7 @@ def verify_all(g: SignedCompleteGraph) -> BoundLedger:
     """
     n, m, s = g.n, g.num_marked, g.s
     order = n + 1
-    y_matrix = vertex_matrix(g, -1, -n)
+    y_matrix = VertexMatrix(g, -1, -n)
     # Y = n(T - I) and Q = Z/(2(n-1)) + I hold exactly, so T and Z are the
     # only vertex matrices solved, and their principal vectors (Y's and Q's)
     # the only ones chosen; only the top two values of each are read.

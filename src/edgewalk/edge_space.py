@@ -44,7 +44,6 @@ from .operators import (
     _LineKernel,
     _unmarked_edges,
     unmarked_pairs,
-    vertex_matrix,
 )
 from .signed_graph import SignedCompleteGraph
 
@@ -192,14 +191,14 @@ def build_P(g: SignedCompleteGraph) -> LineTransitionMatrix:
     delta = build_complement(g)
     n, s = g.n, g.s
     order = n + 1
-    gram = vertex_matrix(g, 0, n, degree=-1)
+    gram = VertexMatrix(g, 0, n, degree=-1)
     eu, ev = delta.edges.T
     counts = np.bincount(delta.edges.ravel(), minlength=order)
     unit_pairs = order * n // 2 - np.count_nonzero(np.triu(gram.block == 0, 1))
     inside = ev < s
     if not (
-        np.array_equal(counts[:s], np.diag(gram.block))
-        and np.all(counts[s:] == gram.diagonal)
+        np.array_equal(counts[:s], gram.gamma_diagonal)
+        and np.all(counts[s:] == gram.constant)
         and np.all(eu < ev)
         and np.all(np.diff(eu * order + ev) > 0)
         and np.all(gram.block[eu[inside], ev[inside]] != 0)

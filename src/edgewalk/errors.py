@@ -49,7 +49,9 @@ class LostPrecision(TooLarge):
 
 
 class DimensionMismatch(EdgeWalkError):
-    """A state vector does not match the arc set of the instance."""
+    """An input does not match the space it is applied in: an arc state the
+    arc set, a vertex matrix's operand its order n+1, an orbit vector the
+    edge orbits, or a quotient vector the quotient's cells."""
 
 
 class NotSymmetric(EdgeWalkError):

@@ -7,9 +7,9 @@ Vertex space: the discriminant matrix T (order n+1, entries tau(uv)/n off
 the diagonal) carries the spectral analysis of the quantum walk, and Q is
 its companion built from the incidence structure of the unmarked remainder.
 Both, like the ledger's Y, Z and G = N N^T, are ``VertexMatrix`` instances,
-held as their block on the marked subgraph and two scalars; their
-order-(s+1) ``quotient`` on the cells carries every vector constant on the
-rest, which is where the package solves and walks them.
+held as the integers of their numerator and one divisor; their order-(s+1)
+``quotient`` on the cells carries every vector constant on the rest, which
+is where the package solves them, and walks them by the numerator's product.
 Edge space: the line kernel P on the unmarked edges, which Q stands in for,
 is held here on its edge orbits (``LineQuotientMatrix``), one for each
 pair of cells that carries an unmarked edge, with one product formula over
@@ -36,7 +36,7 @@ In K_{n+1} every vertex has degree n, so the general normalizations
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -48,7 +48,6 @@ from .signed_graph import SignedCompleteGraph, _index, _readonly
 __all__ = [
     "VertexMatrix",
     "cell_sizes",
-    "vertex_matrix",
     "build_T",
     "LineQuotientMatrix",
     "build_P_quotient",
@@ -75,80 +74,101 @@ def cell_sizes(s: int, t: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VertexMatrix:
-    """Symmetric vertex matrix of order n+1 in canonical order: the s x s
-    ``block`` on the marked subgraph's vertices, ``off`` at every other
-    off-diagonal entry and ``diagonal`` on the rest of the diagonal (the
-    equitable partition ``spectral.quotient_spectrum`` solves on).  ``@``
-    costs O(n + s^2) per column; the order-(s+1) ``quotient`` and the dense
-    ``matrix`` are built on first use.
-    """
+    """Symmetric vertex matrix of order n+1 in canonical order, an integer
+    numerator over ``divisor`` > 0: 1 on every unmarked pair, ``marked`` on
+    the marked pairs and ``constant + degree * deg(v)`` at the vertex v, so
+    ``off`` = 1/divisor and ``diagonal`` = constant/divisor outside the s x s
+    ``block`` on the marked subgraph.  ``@`` costs O(n + m) per column; the
+    order-(s+1) ``quotient``, whose corner is the block, and the dense
+    ``matrix``, the image of the identity, are built on first use."""
 
-    order: int
-    block: np.ndarray
-    off: float
-    diagonal: float
+    g: SignedCompleteGraph
+    marked: int
+    constant: int
+    degree: int = 0
+    divisor: int = 1
+
+    def __post_init__(self) -> None:
+        if not self.divisor > 0:
+            raise ValueError(f"divisor must be positive, got {self.divisor}")
+
+    @property
+    def order(self) -> int:
+        return self.g.n + 1
 
     @property
     def s(self) -> int:
-        return self.block.shape[0]
+        return self.g.s
 
     @property
     def t(self) -> int:
-        return self.order - self.s
+        return self.g.t
+
+    @property
+    def off(self) -> float:
+        return 1 / self.divisor
+
+    @property
+    def diagonal(self) -> float:
+        return self.constant / self.divisor
+
+    @property
+    def gamma_diagonal(self) -> np.ndarray:  # on the marked subgraph
+        return self.constant + self.degree * self.g.degrees
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        s = self.s
-        dense = np.full((self.order, self.order), self.off)
-        dense[:s, :s] = self.block
-        np.fill_diagonal(dense[s:, s:], self.diagonal)
-        dense.setflags(write=False)
-        return dense
+        return _readonly(self @ np.eye(self.order))
 
     @cached_property
     def quotient(self) -> np.ndarray:
-        """The equitable quotient, which acts on the vectors constant on the
-        t rest vertices in the symmetric coordinates (x_block, sqrt(t) x_rest):
-        with alpha = ``off`` and d = ``diagonal``, [[B, sqrt(t) alpha 1],
-        [sqrt(t) alpha 1^T, alpha (t-1) + d]], or the block itself when
-        t = 0; read-only."""
+        """The equitable quotient on the vectors constant on the t rest
+        vertices, in the symmetric coordinates (x_block, sqrt(t) x_rest):
+        [[B, sqrt(t) off 1], [sqrt(t) off 1^T, off (t-1) + diagonal]], or B
+        alone when t = 0, B's integers divided once; read-only."""
         s, t = self.s, self.t
-        cells = cell_sizes(s, t).size
-        quotient = np.empty((cells, cells))
-        quotient[:s, :s] = self.block
+        quotient = np.ones((cell_sizes(s, t).size,) * 2)
+        block, (neg_o, neg_t) = quotient[:s, :s], self.g.negative_arcs
+        block[neg_o, neg_t] = block[neg_t, neg_o] = self.marked
+        np.fill_diagonal(block, self.gamma_diagonal)
+        block /= self.divisor
         quotient[:s, s:] = quotient[s:, :s] = self.off * np.sqrt(t)
         quotient[s:, s:] = self.diagonal + self.off * (t - 1)
-        quotient.setflags(write=False)
-        return quotient
+        return _readonly(quotient)
+
+    @property
+    def block(self) -> np.ndarray:
+        return self.quotient[: self.s, : self.s]
+
+    @cached_property
+    def _arc_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        # (A x)_v sums x over the marked neighbours of v: one term per arc
+        return self.g.negative_arcs.ravel(), self.g.negative_arcs[::-1].ravel()
+
+    def numerator_product(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """<weights, x> 1 - x + constant x + degree D x - (1 - marked) A x,
+        the numerator on x (a vector, or one per column) over cells of sizes
+        ``weights``, the s marked-subgraph vertices first, in O(len(x) + m)."""
+        out = weights[None, :] @ x - x
+        if self.constant:
+            out += self.constant * x
+        if self.degree:
+            out[: self.s] += ((self.degree * self.g.degrees) * x[: self.s].T).T
+        ends, starts = self._arc_ends
+        np.subtract.at(out, ends, (1 - self.marked) * x[starts])
+        return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
-        if x.shape[0] != self.order:
-            raise DimensionMismatch(f"{x.shape[0]} rows against order {self.order}")
-        s = self.s
-        # every row as a rest row, off J + (diagonal - off) I, then the block rows
-        out = self.off * x.sum(axis=0) + (self.diagonal - self.off) * x
-        out[:s] = self.block @ x[:s] + self.off * x[s:].sum(axis=0)
-        return out
-
-
-def vertex_matrix(
-    g: SignedCompleteGraph, marked: int, diagonal: int, degree: int = 0, divisor: int = 1
-) -> VertexMatrix:
-    """The vertex matrix with entries 1 on unmarked pairs, ``marked`` on
-    marked pairs and ``diagonal + degree * deg(v)`` at the vertex v, deg its
-    marked-subgraph degree, each an exact integer over ``divisor``."""
-    numerator = np.where(g.marked_block, marked, 1)
-    np.fill_diagonal(numerator, diagonal + degree * g.degrees)
-    block = numerator / np.float64(divisor)
-    block.setflags(write=False)
-    return VertexMatrix(g.n + 1, block, 1 / divisor, diagonal / divisor)
+        if x.shape[:1] != (self.order,):
+            raise DimensionMismatch(f"shape {x.shape} against order {self.order}")
+        return self.numerator_product(x, np.ones(self.order)) / self.divisor
 
 
 def build_T(g: SignedCompleteGraph) -> VertexMatrix:
     """The discriminant matrix (J - I - 2A)/n, A the zero-padded adjacency
     of the marked subgraph."""
-    return vertex_matrix(g, -1, 0, divisor=g.n)
+    return VertexMatrix(g, -1, 0, divisor=g.n)
 
 
 def _unmarked_edges(g: SignedCompleteGraph) -> int:
@@ -189,9 +209,8 @@ class _LineKernel:
     def q_matrix(self) -> VertexMatrix:
         """The vertex companion Q = (N N^T - 2I)/(2(n-1)), each entry rounded
         once from ``gram``'s integers."""
-        gram, moves = self.gram, self.moves
-        block = _readonly((gram.block - 2.0 * np.eye(gram.s)) / moves)
-        return VertexMatrix(gram.order, block, gram.off / moves, (gram.diagonal - 2) / moves)
+        gram = self.gram
+        return replace(gram, constant=gram.constant - 2, divisor=2 * (self.n - 1))
 
     @cached_property
     def uniform(self) -> np.ndarray:
@@ -341,13 +360,13 @@ def build_P_quotient(g: SignedCompleteGraph) -> LineQuotientMatrix:
     """
     n, s, t = g.n, g.s, g.t
     edges = _unmarked_edges(g)
-    gram = vertex_matrix(g, 0, n, degree=-1)
+    gram = VertexMatrix(g, 0, n, degree=-1)
     pairs = unmarked_pairs(g.marked_block)
     if t:  # {i, rest} for each i, and {rest, rest} once the rest has an edge
         pairs = _readonly(np.concatenate([pairs, [(a, s) for a in range(s + (t > 1))]]))
     P = LineQuotientMatrix(n=n, pairs=pairs, gram=gram)
     # diag(N N^T) at a vertex of each cell: n - D_i, then n at the rest
-    diagonal = [*np.diag(gram.block), *[gram.diagonal] * (P.cells.size - s)]
+    diagonal = [*gram.gamma_diagonal, *[gram.constant] * (P.cells.size - s)]
     if not (P.num_edges == edges and np.array_equal(P.degrees, diagonal)):
         raise AssertionError("edge orbits disagree with the incidence identity")
     return P

@@ -11,12 +11,12 @@ maps such vectors to such vectors, so a and b are held on the order-(s+1)
 quotient: the s entries on the marked subgraph's vertices, then the one
 value on the rest, k = s + 1 values in all (k = s when t = 0).  There
 n T b = <1, b> 1 - b - 2 A b with <1, b> = sum b_block + t b_rest, and A b
-sums b over the 2m marked arcs.  The walk carries the augmented state
+sums b over the 2m marked arcs: T's ``VertexMatrix.numerator_product``.  The walk carries the augmented state
 X_t = [b_t; b_{t-1}; c_t], where c_t = (-1)^t forces the uniform state's
 pair and c_t = 0 leaves a pair unforced.  Its step is written once, as
 b_{t+1} = (2/n) nT b_t - b_{t-1} + 2 c_t d j with n T b applied at
-O(s + m) (on x86-64 about 8 to 21 us for one column at k = 41 to 401,
-14 to 69 us for two).  It is linear, and its image of the identity is the
+O(s + m) (on x86-64 about 9 to 23 us for one column at k = 41 to 401,
+16 to 70 us for two).  It is linear, and its image of the identity is the
 (2k+1)-square step matrix
 
     C = [[(2/n) nT, -I, 2 d j], [I, 0, 0], [0, 0, -1]],
@@ -251,7 +251,8 @@ def asymptotic_diagnostics(
     # U^{t_f}(i beta_-) - (-beta_+) = d* da + S d* db
     da = a + f / np.sin(theta)
     db = b - np.cos(theta) * f / np.sin(theta)
-    gap_sq = weights @ (da * da + db * db + 2.0 * da * _times_nT(g)(db) / n)
+    nt_db = build_T(g).numerator_product(db, weights.astype(np.longdouble))
+    gap_sq = weights @ (da * da + db * db + 2.0 * da * nt_db / n)
     return WalkDiagnostics(
         lambda_max=summary.lambda_max,
         theta_max=summary.theta_max,
@@ -261,23 +262,6 @@ def asymptotic_diagnostics(
         target_mass=float(target_mass),
         fp_at_tf=float(fp_at_tf),
     )
-
-
-def _times_nT(g: SignedCompleteGraph) -> Callable[[np.ndarray], np.ndarray]:
-    """The map b -> n T b = <1, b> 1 - b - 2 A b on the quotient, at
-    O(s + m), for a vector or a matrix of one vector per column."""
-    neg_o, neg_t = g.negative_arcs
-    # (A b)_v sums b over the marked neighbours of v: one term per arc
-    ends, starts = np.concatenate((neg_o, neg_t)), np.concatenate((neg_t, neg_o))
-    weights = cell_sizes(g.s, g.t).astype(np.longdouble)[None, :]
-
-    def times_nT(b: np.ndarray) -> np.ndarray:
-        nt_b = weights @ b - b
-        # b + b is 2 b exactly, and cheaper than a long-double product
-        np.subtract.at(nt_b, ends, (b + b)[starts])
-        return nt_b
-
-    return times_nT
 
 
 # The largest quotient order k whose walk steps by one product with the
@@ -307,15 +291,15 @@ def _pair_step(g: SignedCompleteGraph) -> Callable[..., np.ndarray]:
     acts on the augmented state X_t = [b_t; b_{t-1}; c_t], 2k + 1 entries
     for a quotient of order k (a vector, or a matrix of one walk per
     column), and writes X_{t+1} into ``out``, which must not overlap x.
-    The step is written once, as that recurrence with n T b applied at
-    O(s + m).  It is linear, so for k <= ``_DENSE_STEP_ORDER`` the walk takes
+    The step is written once, as that recurrence with n T b, T's numerator
+    product, at O(s + m).  It is linear, so for k <= ``_DENSE_STEP_ORDER`` the walk takes
     one product with its image of the identity, the matrix C of the module
     docstring, by ``ndarray.dot``, which sums each entry in long double from
     index 0 as np.matmul does, at half its call cost.
     """
-    n, k = g.n, cell_sizes(g.s, g.t).size
+    n, weights = g.n, cell_sizes(g.s, g.t).astype(np.longdouble)
+    k, nT = weights.size, build_T(g).numerator_product
     scale = np.longdouble(2.0) / n
-    times_nT = _times_nT(g)
     # 2 d j: (d j)_v = (n - 2 * #negative arcs into v) / (n sqrt(n+1)), and
     # no negative arc ends on the rest
     into = np.bincount(g.negative_arcs[1], minlength=k)
@@ -324,7 +308,7 @@ def _pair_step(g: SignedCompleteGraph) -> Callable[..., np.ndarray]:
 
     def step(x: np.ndarray, out: np.ndarray) -> np.ndarray:
         b, c = x[:k], x[-1]
-        out[:k] = scale * times_nT(b) - x[k:-1] + np.multiply.outer(twice_dj, c)
+        out[:k] = scale * nT(b, weights) - x[k:-1] + np.multiply.outer(twice_dj, c)
         out[k:-1], out[-1] = b, -c
         return out
 

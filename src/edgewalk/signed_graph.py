@@ -189,10 +189,10 @@ class SignedCompleteGraph:
 
     Construction keeps the marked subgraph once, as ``negative_arcs`` and
     ``degrees``, in O(s + m) whatever n is; the rest are built from them on
-    first use and cached.  Only whole-block readers build ``marked_block``
-    (vertex matrices, t_c's solve, ``unmarked_pairs``, the walker's cell
-    rule, ``adjacency_max``), only the tests' oracle ``build_complement``
-    ``marked_matrix`` (TooLarge above ``PAIR_TABLE_LIMIT`` vertex pairs),
+    first use and cached; vertex matrices read those two alone.  Only
+    whole-block readers build ``marked_block`` (t_c's solve, ``unmarked_pairs``,
+    the walker's cell rule, ``adjacency_max``), only the tests' oracle
+    ``build_complement`` ``marked_matrix`` (TooLarge above ``PAIR_TABLE_LIMIT`` vertex pairs),
     and only the arc-space helpers and the dense oracles the per-arc members.
 
     Instances are immutable after construction and safe to share between

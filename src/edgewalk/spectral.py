@@ -45,7 +45,7 @@ from .errors import (
     DegenerateSpectrum, LostPrecision, NoConvergence, NotSymmetric, TooLarge
 )
 from .operators import (
-    LineQuotientMatrix, VertexMatrix, build_T, build_U_dense, cell_sizes, vertex_matrix
+    LineQuotientMatrix, VertexMatrix, build_T, build_U_dense, cell_sizes
 )
 from .signed_graph import SignedCompleteGraph, _readonly
 
@@ -168,14 +168,9 @@ class QuotientSpectrum:
         the normalized projection of the uniform vector onto it, or its
         first basis vector if that is 0, sign-fixed so their inner product
         is >= 0.  The zero-sum vectors on the rest are orthogonal to the
-        uniform vector, so the projection lies in the quotient.  Raises
-        ValueError when beta lies above every quotient value (only for
-        off < 0): the top eigenspace is then zero-sum on the rest."""
-        if self.copies and self.beta - self.values[0] >= TIE_TOL:
-            raise ValueError(
-                "beta lies above every quotient eigenvalue, so the principal "
-                "vector is not constant on the rest"
-            )
+        uniform vector, so the projection lies in the quotient.  A vertex
+        matrix has off > 0, so the quotient's rest diagonal beta + t off
+        keeps its top above beta."""
         uniform = self.uniform
         basis = self.vectors[:, self.values[0] - self.values < TIE_TOL]
         coeffs = basis.T @ uniform
@@ -277,9 +272,9 @@ def companion_spectra(
     """Z = J - (n+1)I - A - D (A, D: the marked adjacency and degrees), its
     quotient spectrum, and the spectrum of the line kernel's vertex
     companion Q = Z/(2(n-1)) + I mapped from it: the one eigensolve of Q,
-    which the ledger and ``hitting_time`` share (Z's block is exact)."""
+    which the ledger and ``hitting_time`` share (Z's entries are integers)."""
     n = g.n
-    z_matrix = vertex_matrix(g, 0, -n, degree=-1)
+    z_matrix = VertexMatrix(g, 0, -n, degree=-1)
     z_spectrum = quotient_spectrum(z_matrix)
     return z_matrix, z_spectrum, z_spectrum.map(lambda z: z / (2.0 * (n - 1)) + 1.0)
 

@@ -14,7 +14,7 @@ in ``edgewalk.bounds``.
 
 import numpy as np
 
-from edgewalk.operators import vertex_matrix
+from edgewalk.operators import VertexMatrix
 from edgewalk.spectral import eigh
 
 
@@ -33,7 +33,7 @@ def companion_closed_form(g):
     """Q = (J + (n-3)I - A - D)/(2(n-1)), each entry an integer over
     2(n-1): the closed form the line kernel's companion was built from
     before it was read off N N^T."""
-    return vertex_matrix(g, 0, g.n - 2, degree=-1, divisor=2 * (g.n - 1))
+    return VertexMatrix(g, 0, g.n - 2, degree=-1, divisor=2 * (g.n - 1))
 
 
 def same_bits(a, b):

@@ -33,7 +33,7 @@ from edgewalk.bounds import (
 )
 from edgewalk.edge_space import solve_absorption
 from edgewalk.errors import LostPrecision, TooSmall
-from edgewalk.operators import VertexMatrix, vertex_matrix
+from edgewalk.operators import VertexMatrix
 from edgewalk.spectral import (
     QuotientSpectrum, companion_spectra, eigh, line_bracket, quotient_spectrum
 )
@@ -220,22 +220,23 @@ def _gershgorin_loop(matrix, values):
 
 
 def test_gershgorin_violation_matches_per_eigenvalue_loop():
+    # random integer coefficients on random marked subgraphs, a path through
+    # k vertices and chords among them: at divisor 1 every row sum is exact,
+    # so the radii read from the degrees equal the dense rows'
     rng = np.random.default_rng(17)
     for _ in range(50):
-        k, t = int(rng.integers(1, 40)), int(rng.choice([0, 1, 7]))
-        a = rng.normal(size=(k, k))
-        if t:
-            # integer entries, so that every row sum is exact
-            a = np.round(4.0 * a)
-        a = a + a.T
-        off, diagonal = (float(v) for v in rng.integers(-9, 10, size=2))
-        matrix = VertexMatrix(k + t, a, off, diagonal)
+        k, t = int(rng.integers(3, 40)), int(rng.choice([0, 1, 7]))
+        chords = rng.integers(0, k, size=(int(rng.integers(0, k)), 2)).tolist()
+        g = build_instance(k + t - 1, path_edges(k - 1) + [c for c in chords if c[0] != c[1]])
+        assert (g.s, g.t) == (k, t)
+        matrix = VertexMatrix(g, *(int(c) for c in rng.integers(-9, 10, size=3)))
         # shifted values leave the discs, so the violation is often positive
         values = np.linalg.eigvalsh(matrix.matrix)[::-1] + rng.choice([0.0, 3.0, 50.0])
         expected = _gershgorin_loop(matrix.matrix, values)
         assert _gershgorin_violation(matrix, values) == expected
-    zero = VertexMatrix(2, np.zeros((2, 2)), 0.0, 0.0)
-    assert _gershgorin_violation(zero, np.array([1.0, -2.0])) == 2.0
+    # T of K_3 with one edge marked: every row is a disc of radius 1 about 0
+    T = build_T(build_instance(2, [(0, 1)]))
+    assert _gershgorin_violation(T, np.array([1.0, -2.0])) == 1.0
 
 
 def _dense_vertex_matrices(g):
@@ -271,8 +272,8 @@ def test_vertex_matrices_match_their_dense_definitions(n, edges):
     structured = {
         # the forms build_T, verify_all and build_P make
         "T": build_T(g),
-        "Y": vertex_matrix(g, -1, -n),
-        "Z": vertex_matrix(g, 0, -n, degree=-1),
+        "Y": VertexMatrix(g, -1, -n),
+        "Z": VertexMatrix(g, 0, -n, degree=-1),
         "Q": P.q_matrix,
         "G": P.gram,
     }

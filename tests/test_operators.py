@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgewalk import operators
+from edgewalk import operators, quantum_search
 from edgewalk import (
     apply_U,
     build_complement,
@@ -25,8 +25,10 @@ from edgewalk import (
     path_edges,
     star_edges,
 )
+from edgewalk.bounds import _gershgorin_violation
 from edgewalk.errors import DimensionMismatch, EmptyComplement, TooLarge
-from edgewalk.operators import build_d_dense
+from edgewalk.operators import VertexMatrix, build_d_dense
+from edgewalk.signed_graph import SignedCompleteGraph
 from pq_oracle import companion_closed_form, same_bits
 
 RNG = np.random.default_rng(2024)
@@ -78,6 +80,47 @@ def test_T_block_form(n):
     padded = g.marked_matrix.astype(float)
     expected = (np.ones((order, order)) - np.eye(order) - 2 * padded) / n
     assert np.array_equal(T, expected)
+
+
+@pytest.mark.parametrize("x", [np.zeros(4), np.zeros((6, 2)), np.float64(3.0)])
+def test_vertex_matrix_product_refuses_another_order(x):
+    # a first axis of another length, or none at all (0-d input)
+    T = build_T(build_instance(4, K5_EDGES))
+    with pytest.raises(DimensionMismatch):
+        T @ x
+
+
+def test_vertex_matrices_act_without_the_marked_block(monkeypatch):
+    # @, Gershgorin's discs and both kinds of pair step read the integers
+    # on the marked arcs and degrees, never the s x s marked block (the
+    # patched property shadows the copy that build_P_quotient cached)
+    small, large = build_instance(40, cycle_edges(5)), build_instance(60, path_edges(30))
+    Q = {g: build_P_quotient(g).q_matrix for g in (small, large)}
+
+    def refuse(self):
+        raise AssertionError("the s x s marked block was built")
+
+    monkeypatch.setattr(SignedCompleteGraph, "marked_block", property(refuse))
+    for g in (small, large):
+        n = g.n
+        with pytest.raises(AssertionError, match="marked block"):
+            g.marked_block
+        matrices = {
+            "T": build_T(g),
+            "Y": VertexMatrix(g, -1, -n),
+            "Z": VertexMatrix(g, 0, -n, degree=-1),
+            "G": VertexMatrix(g, 0, n, degree=-1),
+            "Q": Q[g],
+        }
+        x = RNG.normal(size=(n + 1, 2))
+        for name, matrix in matrices.items():
+            assert (matrix @ x).shape == x.shape, name
+        for name in "YZ":
+            assert _gershgorin_violation(matrices[name], np.zeros(1)) == 0.0
+        k = quantum_search.cell_sizes(g.s, g.t).size
+        state = np.zeros(2 * k + 1, dtype=np.longdouble)
+        state[-1] = 1.0
+        quantum_search._pair_step(g)(state, out=np.empty_like(state))
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])

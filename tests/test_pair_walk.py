@@ -448,3 +448,46 @@ def test_dense_step_matches_matmul(monkeypatch, n, edges):
             expected = np.matmul(matrix, expected)
             assert np.array_equal(y, expected)
             x, y = y, x
+
+
+# run_series's finding probability at t_f and at t_max = 2 t_f, and the
+# rotation gap, bit for bit in x87 extended precision.  A change in how
+# n T b is summed that reaches float64 moves their last bits, which the
+# 5e-12 bounds above cannot see: a sum over the cells in reverse order
+# moves the three larger hosts' values, the arcs in reverse order the
+# n = 2000 path's gap
+WALK_PINS = {
+    "edge300-k3": (300, [(0, 1)], "0x1.fca305bca0f92p-1",
+                   "0x1.70d763347afe0p-14", "0x1.172d5d077af10p-16"),
+    "star3-k5": (100, star_edges(3), "0x1.ecd0c8abf3603p-1",
+                 "0x1.bc3ee2e408f2ep-8", "0x1.a81ba1aed1accp-10"),
+    "path30-k32": (60, path_edges(30), "0x1.ec52cae81c332p-1",
+                   "0x1.d237243d86b30p-6", "0x1.9043bce970f7dp-9"),
+    "spanning-path-k61": (60, path_edges(60), "0x1.f93a9f855daedp-1",
+                          "0x1.52b5fff699da3p-4", "0x1.adec5a1d6d470p-7"),
+    "path30-n2000-k32": (2000, path_edges(30), "0x1.ff01078cce68dp-1",
+                         "0x1.00657ef69f693p-16", "0x1.413a7a69bf8ccp-24"),
+    "star100-n5000-k102": (5000, star_edges(100), "0x1.f5aebc4d97bf9p-1",
+                           "0x1.78906ff84da96p-15", "0x1.3efb7aa8f2dfap-17"),
+    "path100-n400-k102": (400, path_edges(100), "0x1.fbe2d594a95d7p-1",
+                          "0x1.acac9171d875dp-9", "0x1.0a6bee4698af9p-11"),
+}
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant != 63,
+    reason="the pins are the x87 extended-precision walks; np.longdouble is "
+    "another format on this platform (float64 on Windows and macOS on arm64)",
+)
+@pytest.mark.parametrize("name", sorted(WALK_PINS))
+def test_walks_are_pinned_bit_for_bit(name):
+    n, edges, at_tf, at_t_max, gap = WALK_PINS[name]
+    g = build_instance(n, edges)
+    k = quantum_search.cell_sizes(g.s, g.t).size
+    # two take the dense step, the rest the structured one
+    assert (k <= quantum_search._DENSE_STEP_ORDER) == name.endswith(("k3", "k5"))
+    diagnostics = asymptotic_diagnostics(g)
+    series = run_series(g, 2 * diagnostics.t_f)
+    assert series.fp_at_tf == diagnostics.fp_at_tf == float.fromhex(at_tf)
+    assert series.fp[-1] == float.fromhex(at_t_max)
+    assert diagnostics.rotation_gap_sq == float.fromhex(gap)

@@ -28,7 +28,7 @@ from edgewalk import (
 )
 from edgewalk.edge_space import LineTransitionMatrix
 from edgewalk.errors import DegenerateSpectrum, NotSymmetric, TooLarge
-from edgewalk.operators import VertexMatrix, vertex_matrix
+from edgewalk.operators import VertexMatrix
 from edgewalk.spectral import (
     DEGENERACY_TOL,
     d_star_apply,
@@ -289,10 +289,10 @@ def _vertex_matrices(g):
     n = g.n
     return {
         "T": build_T(g),
-        "Y": vertex_matrix(g, -1, -n),
-        "Z": vertex_matrix(g, 0, -n, degree=-1),
-        "Q": vertex_matrix(g, 0, n - 2, degree=-1, divisor=2 * (n - 1)),
-        "G": vertex_matrix(g, 0, n, degree=-1),
+        "Y": VertexMatrix(g, -1, -n),
+        "Z": VertexMatrix(g, 0, -n, degree=-1),
+        "Q": VertexMatrix(g, 0, n - 2, degree=-1, divisor=2 * (n - 1)),
+        "G": VertexMatrix(g, 0, n, degree=-1),
     }
 
 
@@ -363,24 +363,13 @@ def test_quotient_eigh_small_rest_cells(n, edges, t):
         _assert_matches_full_eigh(matrix)
 
 
-def test_quotient_lambda_max_takes_beta_above_the_quotient():
-    # With off > 0 the quotient's top is at least beta + off * t; with
-    # off < 0 beta = diagonal - off can lie above every quotient eigenvalue.
-    matrix = VertexMatrix(6, np.array([[-3.0, 0.0], [0.0, -3.0]]), -0.1, 0.0)
-    assert np.linalg.eigvalsh(matrix.matrix).max() == pytest.approx(0.1, abs=1e-15)
-    assert quotient_spectrum(matrix).lambda_max == pytest.approx(0.1, abs=1e-15)
-
-
-def test_quotient_principal_refuses_beta_above_the_quotient():
-    # the top eigenspace is then zero-sum on the rest, outside the quotient;
-    # the values are still read there, but no principal vector is
-    matrix = VertexMatrix(6, np.array([[-3.0, 0.0], [0.0, -3.0]]), -0.1, 0.0)
-    spectrum = quotient_spectrum(matrix)
-    assert spectrum.lambda_max == pytest.approx(0.1, abs=1e-15)
-    with pytest.raises(ValueError, match="beta lies above"):
-        spectrum.principal
-    with pytest.raises(ValueError, match="beta lies above"):
-        spectrum.summary()
+@pytest.mark.parametrize("divisor", [0, -1, -6])
+def test_vertex_matrix_refuses_a_divisor_that_is_not_positive(divisor):
+    # off = 1/divisor > 0 puts the quotient's rest diagonal beta + t off
+    # above beta, so the top eigenspace is never zero-sum on the rest
+    g = build_instance(5, path_edges(1))
+    with pytest.raises(ValueError, match="divisor must be positive"):
+        VertexMatrix(g, -1, 0, divisor=divisor)
 
 
 def test_a_spectrum_chooses_its_principal_vector_once_and_read_only():
